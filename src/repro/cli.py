@@ -193,7 +193,8 @@ def reduce_main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help="ship this many speculation candidates per worker round-trip "
-        "(plain parallel path only; verdicts still commit in serial order)",
+        "(any --reduce-workers > 1 run, fault-tolerant or not; verdicts "
+        "still commit in serial order)",
     )
     parser.add_argument(
         "--reduce-passes",

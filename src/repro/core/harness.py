@@ -19,12 +19,7 @@ from typing import Callable, Sequence
 from repro.compilers.base import FAULT_KINDS, OutcomeKind, TargetOutcome
 from repro.compilers.pipeline import Target, optimize
 from repro.core.fuzzer import Fuzzer, FuzzerOptions
-from repro.core.reducer import (
-    InterestingnessTest,
-    ReductionResult,
-    reduce_transformations,
-    replay,
-)
+from repro.core.reducer import InterestingnessTest, ReductionResult, replay
 from repro.core.signature import (
     MISCOMPILATION_SIGNATURE,
     crash_signature,
@@ -705,27 +700,10 @@ class Harness:
         finding, candidate replays reuse prefix snapshots and verdicts are
         memoized — results stay byte-identical to the uncached predicate.
         """
-        target = next(t for t in self.targets if t.name == finding.target_name)
-        reference = target.run(finding.original, finding.inputs)
-        if replayer is not None:
-            replay_candidate = replayer.replay
-        else:
-            def replay_candidate(candidate: Sequence[Transformation]):
-                return replay(finding.original, finding.inputs, candidate)
+        probe_test = self.make_probe_test(finding, replayer=replayer)
 
         def is_interesting(candidate: Sequence[Transformation]) -> bool:
-            ctx = replay_candidate(candidate)
-            variant = ctx.module
-            if finding.optimized_flow:
-                variant = self._optimize(variant)
-            # ctx.inputs reflects any input-extending transformations that
-            # survived into the candidate.
-            outcome = target.run(variant, ctx.inputs)
-            classified = classify_outcome(outcome, reference)
-            if classified is None:
-                return False
-            signature, kind, _ = classified
-            return kind == finding.kind and signature == finding.signature
+            return probe_test(candidate).interesting
 
         if replayer is not None:
             from repro.perf.replay_cache import CachedInterestingness
@@ -738,15 +716,7 @@ class Harness:
     ):
         """Like :meth:`make_interestingness_test`, but fault-aware: returns a
         verdict test mapping candidates to :class:`~repro.robustness.
-        ProbeVerdict` for the fault-tolerant reducer.
-
-        A probe whose target outcome is a supervision fault (timeout / OOM /
-        worker death) that is *not* the finding's own bug kind reports the
-        fault instead of a clean ``False`` — the pipeline retries it and,
-        once the fault budget is spent, treats it as "not interesting" (never
-        acceptance).  Reducing a fault-kind finding (e.g. a genuine
-        ``timeout`` bug) still classifies normally: there the fault *is* the
-        signal.
+        ProbeVerdict` for the fault-tolerant reducer (see :meth:`_verdict`).
 
         No verdict memoization is layered here even when a *replayer* is
         given — caching a faulted probe would defeat the retry policy.  The
@@ -754,35 +724,51 @@ class Harness:
         *decisions* by candidate content instead, and counts its queries into
         the replayer's :class:`~repro.perf.replay_cache.ReplayStats`.
         """
-        from repro.robustness import ProbeVerdict
-
         target = next(t for t in self.targets if t.name == finding.target_name)
         reference = target.run(finding.original, finding.inputs)
-        if replayer is not None:
-            replay_candidate = replayer.replay
-        else:
-            def replay_candidate(candidate: Sequence[Transformation]):
-                return replay(finding.original, finding.inputs, candidate)
 
         def probe_test(candidate: Sequence[Transformation]) -> "ProbeVerdict":
-            ctx = replay_candidate(candidate)
-            variant = ctx.module
-            if finding.optimized_flow:
-                variant = self._optimize(variant)
-            outcome = target.run(variant, ctx.inputs)
-            if outcome.kind in FAULT_KINDS:
-                fault_kind = _FAULT_CLASSIFICATION[outcome.kind][0]
-                if finding.kind != fault_kind:
-                    return ProbeVerdict(False, fault=outcome.kind.value)
-            classified = classify_outcome(outcome, reference)
-            if classified is None:
-                return ProbeVerdict(False)
-            signature, kind, _ = classified
-            return ProbeVerdict(
-                kind == finding.kind and signature == finding.signature
-            )
+            if replayer is not None:
+                ctx = replayer.replay(candidate)
+            else:
+                ctx = replay(finding.original, finding.inputs, candidate)
+            # ctx.inputs reflects any input-extending transformations that
+            # survived into the candidate.
+            return self._verdict(finding, target, reference, ctx.module, ctx.inputs)
 
         return probe_test
+
+    def _verdict(
+        self,
+        finding: Finding,
+        target: Target,
+        reference: TargetOutcome,
+        module: Module,
+        inputs: dict,
+    ) -> "ProbeVerdict":
+        """Does *module* still trigger the finding's bug on *target*?
+
+        A probe whose outcome is a supervision fault (timeout / OOM / worker
+        death) that is *not* the finding's own bug kind reports the fault
+        instead of a clean ``False`` — the fault envelope retries it and,
+        once the fault budget is spent, treats it as "not interesting"
+        (never acceptance).  Reducing a fault-kind finding (e.g. a genuine
+        ``timeout`` bug) still classifies normally: there the fault *is* the
+        signal.
+        """
+        from repro.robustness import ProbeVerdict
+
+        if finding.optimized_flow:
+            module = self._optimize(module)
+        outcome = target.run(module, inputs)
+        if outcome.kind in FAULT_KINDS:
+            if finding.kind != _FAULT_CLASSIFICATION[outcome.kind][0]:
+                return ProbeVerdict(False, fault=outcome.kind.value)
+        classified = classify_outcome(outcome, reference)
+        if classified is None:
+            return ProbeVerdict(False)
+        signature, kind, _ = classified
+        return ProbeVerdict(kind == finding.kind and signature == finding.signature)
 
     def finding_probe_spec(
         self,
@@ -830,28 +816,128 @@ class Harness:
 
     def _reduction_pool(
         self,
-        finding: Finding,
-        key: str,
+        findings: "dict[str, Finding]",
         workers: int,
         *,
         use_cache: bool,
-        decide: bool,
         policy: "object | None" = None,
     ) -> "object | None":
-        """A single-finding :class:`~repro.perf.reduce_pool.ReductionPool`,
-        or ``None`` when the finding cannot be shipped to workers (the
-        caller falls back to the serial path)."""
+        """One :class:`~repro.perf.reduce_pool.ReductionPool` over *findings*
+        (keyed by session key), whose workers run the fault-tolerant decision
+        pipeline when a *policy* is given; ``None`` when some finding cannot
+        be shipped to workers (the reductions then run inline)."""
         from repro.perf.reduce_pool import ReductionPool
 
         try:
-            spec = self.finding_probe_spec(
-                finding, use_cache=use_cache, decide=decide, policy=policy
-            )
+            specs = {
+                key: self.finding_probe_spec(
+                    finding, use_cache=use_cache, decide=policy is not None, policy=policy
+                )
+                for key, finding in findings.items()
+            }
         except (KeyError, ValueError):
             return None
-        if not ReductionPool.shippable(spec):
+        if not all(ReductionPool.shippable(spec) for spec in specs.values()):
             return None
-        return ReductionPool({key: spec}, workers)
+        return ReductionPool(specs, workers)
+
+    def _reduction_session(
+        self,
+        finding: Finding,
+        key: str,
+        pool: "object | None",
+        replayer: "object | None",
+        *,
+        policy: "object | None",
+        journal: "object | None" = None,
+        resume: bool = False,
+        workers: int | None = None,
+        window: int | None = None,
+        max_seconds: float | None = None,
+    ) -> "object":
+        """The one :class:`~repro.perf.parallel_reduce.ReductionSession` for
+        *finding*: fault-tolerant when a resolved *policy* is given (the
+        flake-hardened oracle is its commit hook), plain otherwise; inline
+        without a *pool*."""
+        from repro.perf.parallel_reduce import ReductionSession
+
+        test = oracle = None
+        if policy is None:
+            if pool is None:  # a pooled session verifies in its workers
+                test = self.make_interestingness_test(finding, replayer=replayer)
+            deadline = None if max_seconds is None else time.monotonic() + max_seconds
+        else:
+            from repro.robustness import FlakeHardenedOracle, find_supervised
+
+            target = next(t for t in self.targets if t.name == finding.target_name)
+            oracle = FlakeHardenedOracle.for_reduction(
+                finding.transformations,
+                self.make_probe_test(finding, replayer=replayer),
+                policy,
+                journal=journal,
+                resume=resume,
+                supervised_target=find_supervised(target),
+                tracer=self.tracer,
+                metrics=self.metrics,
+                replay_stats=replayer.stats if replayer is not None else None,
+            )
+            deadline = oracle.deadline
+        return ReductionSession(
+            finding.transformations,
+            test=test,
+            oracle=oracle,
+            pool=pool,
+            key=key,
+            workers=workers or 1,
+            window=window,
+            deadline=deadline,
+            tracer=self.tracer,
+        )
+
+    def _begin_reduction(
+        self, finding: Finding, *, use_cache: bool, fault_tolerant: bool, **extra
+    ) -> tuple[float, "object | None"]:
+        """Emit ``reduce.begin``; return the start time and the finding's
+        prefix-caching replayer (``None`` without *use_cache*)."""
+        self.tracer.emit(
+            "reduce.begin",
+            target=finding.target_name,
+            kind=finding.kind,
+            signature=finding.signature,
+            initial_length=len(finding.transformations),
+            cached=use_cache,
+            fault_tolerant=fault_tolerant,
+            **extra,
+        )
+        started = time.perf_counter()
+        if not use_cache:
+            return started, None
+        from repro.perf.replay_cache import CachedReplayer
+
+        return started, CachedReplayer(finding.original, finding.inputs)
+
+    def _shrink_payloads(
+        self,
+        finding: Finding,
+        result: ReductionResult,
+        session: "object",
+        replayer: "object | None",
+    ) -> None:
+        """The optional §3.4 ``AddFunction`` post-pass, over a plain boolean
+        view of the session's probe (a faulted probe rejects, which is
+        conservative for a greedy shrink)."""
+        from repro.core.reducer import shrink_add_function_payloads
+
+        if session.oracle is not None:
+            probe = session.oracle.verdict_test
+            test = lambda candidate: probe(candidate).interesting  # noqa: E731
+        else:
+            test = session.test or self.make_interestingness_test(
+                finding, replayer=replayer
+            )
+        shrink = shrink_add_function_payloads(result.transformations, test)
+        result.transformations = shrink.transformations
+        result.tests_run += shrink.tests_run
 
     def _resolve_reduction_policy(
         self, policy: "object | None", max_seconds: float | None
@@ -928,8 +1014,6 @@ class Harness:
         materialized module plus a module-level verdict test (the module
         analogue of :meth:`make_probe_test`), so module-stage passes probe
         through the same fault classification as sequence passes."""
-        from repro.robustness import ProbeVerdict
-
         target = next(t for t in self.targets if t.name == finding.target_name)
 
         def module_probe(sequence):
@@ -938,24 +1022,9 @@ class Harness:
                 ctx = replayer.replay(sequence)
             else:
                 ctx = replay(finding.original, finding.inputs, sequence)
-            inputs = ctx.inputs
 
             def module_verdict(module) -> "ProbeVerdict":
-                variant = module
-                if finding.optimized_flow:
-                    variant = self._optimize(variant)
-                outcome = target.run(variant, inputs)
-                if outcome.kind in FAULT_KINDS:
-                    fault_kind = _FAULT_CLASSIFICATION[outcome.kind][0]
-                    if finding.kind != fault_kind:
-                        return ProbeVerdict(False, fault=outcome.kind.value)
-                classified = classify_outcome(outcome, reference)
-                if classified is None:
-                    return ProbeVerdict(False)
-                signature, kind, _ = classified
-                return ProbeVerdict(
-                    kind == finding.kind and signature == finding.signature
-                )
+                return self._verdict(finding, target, reference, module, ctx.inputs)
 
             return ctx.module, module_verdict
 
@@ -974,116 +1043,6 @@ class Harness:
             return bool(module_verdict(candidate).interesting)
 
         return spirv_reduce(module, is_interesting_module)
-
-    def _reduce_with_pipeline(
-        self,
-        finding: Finding,
-        passes: Sequence,
-        *,
-        giveup: int | None,
-        use_cache: bool,
-        max_seconds: float | None,
-        policy: "object | None",
-        journal: "object | None",
-        resume: bool,
-        workers: int | None,
-        window: int | None,
-        probe_batch: int | None,
-    ) -> ReductionResult:
-        """The :meth:`reduce_finding` body for ``passes=...``: build a
-        :class:`~repro.reduce.PipelineContext` over this finding's probes and
-        run the creduce-style pass scheduler."""
-        from repro.reduce import DEFAULT_GIVEUP, PassPipeline, PipelineContext
-
-        fault_tolerant = (
-            policy is not None
-            or journal is not None
-            or resume
-            or self.robustness is not None
-        )
-        parallel = workers is not None and workers > 1
-        pipeline = PassPipeline(
-            passes, giveup=giveup if giveup is not None else DEFAULT_GIVEUP
-        )
-        self.tracer.emit(
-            "reduce.begin",
-            target=finding.target_name,
-            kind=finding.kind,
-            signature=finding.signature,
-            initial_length=len(finding.transformations),
-            cached=use_cache,
-            fault_tolerant=fault_tolerant,
-            passes=[p.name for p in pipeline.passes],
-        )
-        started = time.perf_counter()
-        replayer = None
-        if use_cache:
-            from repro.perf.replay_cache import CachedReplayer
-
-            replayer = CachedReplayer(finding.original, finding.inputs)
-        pool = None
-        pool_key = "finding"
-        try:
-            shared = dict(
-                workers=workers or 1,
-                window=window,
-                pool_key=pool_key,
-                probe_batch=probe_batch,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                module_probe=self._module_probe_factory(finding, replayer),
-            )
-            if fault_tolerant:
-                from dataclasses import replace as dc_replace
-
-                from repro.robustness import find_supervised
-
-                policy = self._resolve_reduction_policy(policy, max_seconds)
-                target = next(
-                    t for t in self.targets if t.name == finding.target_name
-                )
-                probe_test = self.make_probe_test(finding, replayer=replayer)
-                if parallel:
-                    pool = self._reduction_pool(
-                        finding,
-                        pool_key,
-                        workers,
-                        use_cache=use_cache,
-                        decide=True,
-                        policy=dc_replace(policy, max_seconds=None),
-                    )
-                ctx = PipelineContext(
-                    verdict_test=probe_test,
-                    policy=policy,
-                    journal=journal,
-                    resume=resume,
-                    supervised_target=find_supervised(target),
-                    pool=pool,
-                    max_seconds=policy.max_seconds,
-                    replay_stats=replayer.stats if replayer is not None else None,
-                    **shared,
-                )
-            else:
-                test = self.make_interestingness_test(finding, replayer=replayer)
-                if parallel:
-                    pool = self._reduction_pool(
-                        finding, pool_key, workers, use_cache=use_cache, decide=False
-                    )
-                ctx = PipelineContext(
-                    is_interesting=test,
-                    pool=pool,
-                    max_seconds=max_seconds,
-                    **shared,
-                )
-            result = pipeline.run(finding.transformations, ctx)
-            if pool is not None and replayer is not None:
-                replayer.stats.merge_json(pool.replay_stats_for(pool_key))
-        finally:
-            if pool is not None:
-                pool.close()
-        return self._finish_reduce(
-            finding, result, replayer, started, workers=workers
-        )
 
     def reduce_finding(
         self,
@@ -1114,34 +1073,32 @@ class Harness:
         still a valid interesting subsequence, just not necessarily 1-minimal;
         ``ReductionResult.timed_out`` is set).
 
-        The **fault-tolerant pipeline** (:func:`~repro.robustness.reduction.
-        reduce_with_faults`) engages whenever the harness supervises its
-        targets (a :class:`~repro.robustness.RobustnessConfig` was given) or
-        the caller passes any of *policy* (a :class:`~repro.robustness.
-        ReductionPolicy`), *journal* (a path or :class:`~repro.robustness.
-        ReductionJournal` for checkpoint/resume), or ``resume=True``.  On a
-        deterministic, well-behaved target it returns the same reduced
-        sequence as the raw loop; under faults or flaky verdicts it retries,
-        votes, degrades to best-so-far, and — with a journal — survives
-        ``SIGKILL``.  Supervised probes are clamped to the remaining
-        ``max_seconds`` budget, so reduction cannot hang on a target that
-        stops answering.
+        Every reduction runs on the one commit-ordered engine
+        (:class:`~repro.perf.parallel_reduce.ReductionSession`).  The
+        **fault envelope** (:class:`~repro.robustness.FlakeHardenedOracle`
+        as the engine's commit hook) engages whenever the harness supervises
+        its targets (a :class:`~repro.robustness.RobustnessConfig` was
+        given) or the caller passes any of *policy* (a :class:`~repro.
+        robustness.ReductionPolicy`), *journal* (a path or :class:`~repro.
+        robustness.ReductionJournal` for checkpoint/resume), or
+        ``resume=True``.  On a deterministic, well-behaved target it returns
+        the same reduced sequence as the plain reduction; under faults or
+        flaky verdicts it retries, votes, degrades to best-so-far, and —
+        with a journal — survives ``SIGKILL``.  Supervised probes are clamped
+        to the remaining ``max_seconds`` budget, so reduction cannot hang on
+        a target that stops answering.
 
         ``workers > 1`` probes candidates **speculatively in parallel** over
         a pool of persistent worker processes (each rebuilding this
         finding's probe — target, replayer, supervision and all — from a
         picklable spec).  Verdicts commit in serial scan order, so the
         reduced sequence, ``tests_run``, journal bytes, and accepted-chunk
-        history are byte-identical to the serial path's for a deterministic
-        oracle; only the wall clock changes.  *window* caps the speculation
-        ramp (default ``workers * 4``).  A finding whose probe cannot be
-        rebuilt in a worker silently falls back to the serial path.
-
-        ``probe_batch > 1`` ships that many speculation candidates per
-        worker round-trip on the plain parallel path, amortizing IPC
-        (verdicts still commit in scan order, so results are unchanged).
-        The fault-tolerant path keeps one candidate per trip — its retry
-        and budget bookkeeping is per-probe.
+        history are byte-identical to the serial (window 1) run's for a
+        deterministic oracle; only the wall clock changes.  *window* caps
+        the speculation ramp (default ``workers * 4``), and
+        ``probe_batch > 1`` ships that many candidates per worker
+        round-trip, amortizing IPC.  A finding whose probe cannot be rebuilt
+        in a worker silently runs inline.
 
         ``passes`` switches to the **creduce-style pass pipeline**
         (:class:`~repro.reduce.PassPipeline`): a list of pass names /
@@ -1152,129 +1109,125 @@ class Harness:
         compose unchanged; ``shrink_function_payloads`` is ignored (the
         ``payload-shrink`` pass subsumes it).
         """
-        if passes is not None:
-            return self._reduce_with_pipeline(
-                finding,
-                passes,
-                giveup=giveup,
-                use_cache=use_cache,
-                max_seconds=max_seconds,
-                policy=policy,
-                journal=journal,
-                resume=resume,
-                workers=workers,
-                window=window,
-                probe_batch=probe_batch,
-            )
         fault_tolerant = (
             policy is not None
             or journal is not None
             or resume
             or self.robustness is not None
         )
-        parallel = workers is not None and workers > 1
-        self.tracer.emit(
-            "reduce.begin",
-            target=finding.target_name,
-            kind=finding.kind,
-            signature=finding.signature,
-            initial_length=len(finding.transformations),
-            cached=use_cache,
-            fault_tolerant=fault_tolerant,
+        pipeline = None
+        begin: dict = {}
+        if passes is not None:
+            from repro.reduce import DEFAULT_GIVEUP, PassPipeline
+
+            pipeline = PassPipeline(
+                passes, giveup=giveup if giveup is not None else DEFAULT_GIVEUP
+            )
+            begin["passes"] = [p.name for p in pipeline.passes]
+        started, replayer = self._begin_reduction(
+            finding, use_cache=use_cache, fault_tolerant=fault_tolerant, **begin
         )
-        started = time.perf_counter()
-        replayer = None
-        if use_cache:
-            from repro.perf.replay_cache import CachedReplayer
-
-            replayer = CachedReplayer(finding.original, finding.inputs)
+        if fault_tolerant:
+            policy = self._resolve_reduction_policy(policy, max_seconds)
         pool = None
-        pool_key = "finding"
+        if workers is not None and workers > 1:
+            pool = self._reduction_pool(
+                {"finding": finding}, workers, use_cache=use_cache, policy=policy
+            )
         try:
-            if fault_tolerant:
-                from dataclasses import replace as dc_replace
-
-                from repro.robustness import find_supervised, reduce_with_faults
-
-                policy = self._resolve_reduction_policy(policy, max_seconds)
-                target = next(
-                    t for t in self.targets if t.name == finding.target_name
-                )
-                probe_test = self.make_probe_test(finding, replayer=replayer)
-                if parallel:
-                    # Workers decide single candidates; the wall-clock budget
-                    # stays with the parent (deadline-bounded commit loop).
-                    pool = self._reduction_pool(
-                        finding,
-                        pool_key,
-                        workers,
-                        use_cache=use_cache,
-                        decide=True,
-                        policy=dc_replace(policy, max_seconds=None),
-                    )
-                result = reduce_with_faults(
+            if pipeline is not None:
+                result = pipeline.run(
                     finding.transformations,
-                    probe_test,
-                    policy,
+                    self._pipeline_context(
+                        finding,
+                        replayer,
+                        pool,
+                        policy,
+                        journal=journal,
+                        resume=resume,
+                        workers=workers or 1,
+                        window=window,
+                        probe_batch=probe_batch,
+                        max_seconds=max_seconds,
+                    ),
+                )
+            else:
+                session = self._reduction_session(
+                    finding,
+                    "finding",
+                    pool,
+                    replayer,
+                    policy=policy,
                     journal=journal,
                     resume=resume,
-                    supervised_target=find_supervised(target),
-                    tracer=self.tracer,
-                    metrics=self.metrics,
-                    replay_stats=replayer.stats if replayer is not None else None,
-                    workers=workers if pool is not None else 1,
+                    workers=workers,
                     window=window,
-                    pool=pool,
-                    pool_key=pool_key,
+                    max_seconds=max_seconds,
                 )
-                # The post-pass (if requested) runs on the plain boolean view;
-                # faults reject, which is conservative for a greedy shrink.
-                test = lambda candidate: probe_test(candidate).interesting  # noqa: E731
-            else:
-                test = None
-                if parallel:
-                    pool = self._reduction_pool(
-                        finding, pool_key, workers, use_cache=use_cache, decide=False
-                    )
-                if pool is not None:
-                    from repro.perf.parallel_reduce import parallel_reduce
-
-                    result = parallel_reduce(
-                        finding.transformations,
-                        workers=workers,
-                        window=window,
-                        max_seconds=max_seconds,
-                        tracer=self.tracer,
-                        pool=pool,
-                        pool_key=pool_key,
-                        batch=probe_batch,
-                        metrics=self.metrics,
-                    )
-                    if shrink_function_payloads:
-                        test = self.make_interestingness_test(
-                            finding, replayer=replayer
-                        )
-                else:
-                    test = self.make_interestingness_test(finding, replayer=replayer)
-                    result = reduce_transformations(
-                        finding.transformations, test, max_seconds=max_seconds,
-                        tracer=self.tracer,
-                    )
+                session.run(batch=probe_batch or 1, metrics=self.metrics)
+                result = session.finalize()
             if pool is not None and replayer is not None:
                 # Worker replay counters fold into the parent's registry over
                 # the same drain/merge path campaign metrics use.
-                replayer.stats.merge_json(pool.replay_stats_for(pool_key))
+                replayer.stats.merge_json(pool.replay_stats_for("finding"))
         finally:
             if pool is not None:
                 pool.close()
-        if shrink_function_payloads:
-            from repro.core.reducer import shrink_add_function_payloads
-
-            shrink = shrink_add_function_payloads(result.transformations, test)
-            result.transformations = shrink.transformations
-            result.tests_run += shrink.tests_run
+        if shrink_function_payloads and pipeline is None:
+            self._shrink_payloads(finding, result, session, replayer)
         return self._finish_reduce(
             finding, result, replayer, started, workers=workers
+        )
+
+    def _pipeline_context(
+        self,
+        finding: Finding,
+        replayer: "object | None",
+        pool: "object | None",
+        policy: "object | None",
+        *,
+        journal: "object | None",
+        resume: bool,
+        workers: int,
+        window: int | None,
+        probe_batch: int | None,
+        max_seconds: float | None,
+    ) -> "object":
+        """A :class:`~repro.reduce.PipelineContext` over this finding's
+        probes: the fault-tolerant verdict test when a resolved *policy* is
+        given, the plain interestingness test otherwise."""
+        from repro.reduce import PipelineContext
+
+        shared = dict(
+            workers=workers,
+            window=window,
+            pool=pool,
+            pool_key="finding",
+            probe_batch=probe_batch,
+            tracer=self.tracer,
+            metrics=self.metrics,
+            module_probe=self._module_probe_factory(finding, replayer),
+        )
+        if policy is None:
+            return PipelineContext(
+                is_interesting=self.make_interestingness_test(
+                    finding, replayer=replayer
+                ),
+                max_seconds=max_seconds,
+                **shared,
+            )
+        from repro.robustness import find_supervised
+
+        target = next(t for t in self.targets if t.name == finding.target_name)
+        return PipelineContext(
+            verdict_test=self.make_probe_test(finding, replayer=replayer),
+            policy=policy,
+            journal=journal,
+            resume=resume,
+            supervised_target=find_supervised(target),
+            max_seconds=policy.max_seconds,
+            replay_stats=replayer.stats if replayer is not None else None,
+            **shared,
         )
 
     def reduce_all(
@@ -1295,9 +1248,9 @@ class Harness:
         pool** with fair (round-robin) candidate scheduling, so a stubborn
         reduction cannot starve the others.  Results come back in *findings*
         order and each is byte-identical to what a serial
-        :meth:`reduce_finding` would have produced (same engine, same commit
-        protocol).  ``workers=1`` — or a finding set that cannot be shipped
-        to workers — is exactly the serial loop.
+        :meth:`reduce_finding` would have produced (the same session, the
+        same commit protocol).  ``workers=1`` — or a finding set that cannot
+        be shipped to workers — is exactly the serial loop.
 
         With ``passes`` each finding runs the creduce-style pass pipeline
         via :meth:`reduce_finding` in sequence — per-finding ddmin legs still
@@ -1309,164 +1262,65 @@ class Harness:
         findings = list(findings)
         if workers is None or workers <= 0:
             workers = default_worker_count()
-        if passes is not None:
-            return [
-                self.reduce_finding(
-                    finding,
-                    passes=passes,
-                    giveup=giveup,
-                    use_cache=use_cache,
-                    max_seconds=max_seconds,
-                    policy=policy,
-                    workers=workers,
-                    window=window,
-                    probe_batch=probe_batch,
-                )
-                for finding in findings
-            ]
-        serial_kwargs = dict(
+        one_by_one = dict(
             shrink_function_payloads=shrink_function_payloads,
             use_cache=use_cache,
             max_seconds=max_seconds,
             policy=policy,
+            passes=passes,
+            giveup=giveup,
         )
-        if workers == 1 or not findings:
-            return [self.reduce_finding(f, **serial_kwargs) for f in findings]
-
-        from dataclasses import replace as dc_replace
-
-        from repro.perf.reduce_pool import ReductionPool
-
-        fault_tolerant = policy is not None or self.robustness is not None
-        resolved_policy = (
-            self._resolve_reduction_policy(policy, max_seconds)
-            if fault_tolerant
-            else None
-        )
-        specs: dict[str, "object"] = {}
-        try:
-            for index, finding in enumerate(findings):
-                specs[f"finding-{index}"] = self.finding_probe_spec(
-                    finding,
-                    use_cache=use_cache,
-                    decide=fault_tolerant,
-                    policy=(
-                        dc_replace(resolved_policy, max_seconds=None)
-                        if fault_tolerant
-                        else None
-                    ),
+        if passes is not None:
+            return [
+                self.reduce_finding(
+                    f, workers=workers, window=window, probe_batch=probe_batch, **one_by_one
                 )
-        except (KeyError, ValueError):
-            return [self.reduce_finding(f, **serial_kwargs) for f in findings]
-        if any(not ReductionPool.shippable(spec) for spec in specs.values()):
-            return [self.reduce_finding(f, **serial_kwargs) for f in findings]
-
-        from repro.perf.parallel_reduce import (
-            SpeculativePlainReduction,
-            run_sessions,
-        )
-        from repro.robustness import find_supervised
-        from repro.robustness.reduction import SpeculativeFaultReduction
-
-        pool = ReductionPool(specs, workers)
-        entries: list[dict] = []
-        try:
-            for index, finding in enumerate(findings):
-                key = f"finding-{index}"
-                self.tracer.emit(
-                    "reduce.begin",
-                    target=finding.target_name,
-                    kind=finding.kind,
-                    signature=finding.signature,
-                    initial_length=len(finding.transformations),
-                    cached=use_cache,
-                    fault_tolerant=fault_tolerant,
-                )
-                started = time.perf_counter()
-                replayer = None
-                if use_cache:
-                    from repro.perf.replay_cache import CachedReplayer
-
-                    replayer = CachedReplayer(finding.original, finding.inputs)
-                if fault_tolerant:
-                    target = next(
-                        t for t in self.targets if t.name == finding.target_name
-                    )
-                    probe_test = self.make_probe_test(finding, replayer=replayer)
-                    reduction = SpeculativeFaultReduction(
-                        finding.transformations,
-                        probe_test,
-                        resolved_policy,
-                        supervised_target=find_supervised(target),
-                        tracer=self.tracer,
-                        metrics=self.metrics,
-                        replay_stats=(
-                            replayer.stats if replayer is not None else None
-                        ),
-                        workers=workers,
-                        window=window,
-                        pool_key=key,
-                    )
-                    probe_bool = (
-                        lambda candidate, _probe=probe_test: _probe(
-                            candidate
-                        ).interesting
-                    )
-                else:
-                    reduction = SpeculativePlainReduction(
-                        finding.transformations,
-                        pool=pool,
-                        pool_key=key,
-                        workers=workers,
-                        window=window,
-                        max_seconds=max_seconds,
-                        tracer=self.tracer,
-                    )
-                    probe_bool = None
-                entries.append(
-                    dict(
-                        finding=finding,
-                        key=key,
-                        started=started,
-                        replayer=replayer,
-                        reduction=reduction,
-                        probe_bool=probe_bool,
-                    )
-                )
-            sessions = [
-                entry["reduction"].session
-                for entry in entries
-                if entry["reduction"].session is not None
+                for f in findings
             ]
+        from repro.perf.parallel_reduce import run_sessions
+
+        if policy is not None or self.robustness is not None:
+            policy = self._resolve_reduction_policy(policy, max_seconds)
+        keyed = {f"finding-{index}": f for index, f in enumerate(findings)}
+        pool = None
+        if workers > 1 and keyed:
+            pool = self._reduction_pool(keyed, workers, use_cache=use_cache, policy=policy)
+        if pool is None:
+            return [self.reduce_finding(f, **one_by_one) for f in findings]
+
+        entries = []
+        try:
+            for key, finding in keyed.items():
+                started, replayer = self._begin_reduction(
+                    finding, use_cache=use_cache, fault_tolerant=policy is not None
+                )
+                session = self._reduction_session(
+                    finding,
+                    key,
+                    pool,
+                    replayer,
+                    policy=policy,
+                    workers=workers,
+                    window=window,
+                    max_seconds=max_seconds,
+                )
+                entries.append((finding, session, replayer, started))
             run_sessions(
-                pool, sessions, batch=probe_batch or 1, metrics=self.metrics
+                pool,
+                [session for _, session, _, _ in entries],
+                batch=probe_batch or 1,
+                metrics=self.metrics,
             )
             results = []
-            for entry in entries:
-                result = entry["reduction"].finalize()
-                replayer = entry["replayer"]
+            for finding, session, replayer, started in entries:
+                result = session.finalize()
                 if replayer is not None:
-                    replayer.stats.merge_json(pool.replay_stats_for(entry["key"]))
+                    replayer.stats.merge_json(pool.replay_stats_for(session.key))
                 if shrink_function_payloads:
-                    from repro.core.reducer import shrink_add_function_payloads
-
-                    test = entry["probe_bool"]
-                    if test is None:
-                        test = self.make_interestingness_test(
-                            entry["finding"], replayer=replayer
-                        )
-                    shrink = shrink_add_function_payloads(
-                        result.transformations, test
-                    )
-                    result.transformations = shrink.transformations
-                    result.tests_run += shrink.tests_run
+                    self._shrink_payloads(finding, result, session, replayer)
                 results.append(
                     self._finish_reduce(
-                        entry["finding"],
-                        result,
-                        replayer,
-                        entry["started"],
-                        workers=workers,
+                        finding, result, replayer, started, workers=workers
                     )
                 )
             return results

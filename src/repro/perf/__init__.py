@@ -26,6 +26,7 @@ from repro.perf.parallel import (
 )
 from repro.perf.parallel_reduce import (
     ParallelReductionResult,
+    ReductionSession,
     SpeculationStats,
     SpeculativeReduction,
     parallel_reduce,
@@ -58,6 +59,7 @@ __all__ = [
     "ProbeCache",
     "ProbeCacheStats",
     "ReductionPool",
+    "ReductionSession",
     "ReplayStats",
     "SpeculationStats",
     "SpeculativeReduction",

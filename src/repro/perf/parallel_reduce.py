@@ -1,4 +1,11 @@
-"""Speculative parallel delta debugging (beyond the paper; C-Reduce-style).
+"""The reduction engine: delta debugging with a deterministic commit order
+(§3.4; speculative parallelism is C-Reduce-style, beyond the paper).
+
+Every ddmin reduction in the package — serial or parallel, plain or
+fault-tolerant, standalone or a pass-pipeline leg — runs through one
+:class:`ReductionSession` over one :class:`SpeculativeReduction` engine.
+:func:`~repro.core.reducer.reduce_transformations` stays as the paper's
+reference loop that the identity tests compare against.
 
 Candidates within a delta-debugging scan are independent until one is
 accepted: a verdict is a pure function of the candidate subsequence
@@ -6,40 +13,45 @@ accepted: a verdict is a pure function of the candidate subsequence
 module and inputs), so probing several candidates concurrently cannot
 change any individual verdict.  What speculation *can* change is which
 candidates ever get probed: once a removal is accepted, every candidate
-generated against the stale base is obsolete.
-
-This module keeps the serial reducer's exact semantics under a
-**deterministic commit protocol**:
+generated against the stale base is obsolete.  The engine therefore keeps
+the reference loop's exact semantics under a **deterministic commit
+protocol**:
 
 1. Candidates are generated along the *all-reject trajectory* — the exact
-   stream :func:`~repro.core.reducer.reduce_transformations` would probe if
-   every pending verdict came back "not interesting".  A window of them is
-   dispatched to persistent worker processes.
+   stream the reference loop would probe if every pending verdict came back
+   "not interesting".  A window of them is probed at once.
 2. Verdicts are **committed strictly in serial scan order**, no matter in
-   which order workers finish.  A committed rejection keeps the trajectory
+   which order probes finish.  A committed rejection keeps the trajectory
    valid; a committed acceptance invalidates every speculative verdict and
    in-flight probe after it (counted as *wasted*), rebuilds the trajectory
    from the accepted state, and continues.
 3. The committed ``(candidate, verdict)`` stream therefore equals the
-   serial reducer's stream **exactly**, so ``transformations``,
+   reference loop's stream **exactly**, so ``transformations``,
    ``tests_run``, ``chunks_removed``, and the accepted-chunk ``history``
-   are byte-identical to the serial result for every worker count —
-   including ``workers=1``, which never builds a pool.
+   are byte-identical for every worker count.
 
-The speculation window ramps adaptively — small after an acceptance (where
-speculation is likely wasted), doubling while rejections commit (where the
-all-reject assumption is holding) — and the ramp is a function of the
-committed verdict stream only, never of timing, so results stay
-deterministic.  Byte-identity is guaranteed for deterministic oracles; a
-run cut short by ``max_seconds`` or a genuinely flaky oracle is
-timing-dependent in the serial reducer already.
+**Serial is window 1**: an inline session probes one candidate at a time
+in the calling process and emits only the reference loop's
+``reduce.round`` events.  A pool-backed session (driven by
+:func:`run_sessions`) ramps its window adaptively — small after an
+acceptance (where speculation is likely wasted), doubling while rejections
+commit (where the all-reject assumption is holding) — and the ramp is a
+function of the committed verdict stream only, never of timing.
+
+**The fault envelope is the commit hook**: a fault-tolerant session hands
+the engine a :class:`~repro.robustness.reduction.FlakeHardenedOracle`,
+whose read-only ``lookup`` resolves journaled and memoized candidates
+without probing and whose ``commit`` folds each decision — inline or from
+a worker — into the stability accounting and journal in serial order.
+Byte-identity is guaranteed for deterministic oracles; a run cut short by a
+wall-clock budget or a genuinely flaky oracle is timing-dependent anyway.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.reducer import InterestingnessTest, ReductionResult
@@ -95,7 +107,7 @@ class ParallelReductionResult(ReductionResult):
 
 class _Candidate:
     """One generated candidate: its position in the serial commit order plus
-    the index tuple (into the original sequence) that materialises it."""
+    the index tuple (into the engine's items) that materialises it."""
 
     __slots__ = ("sid", "chunk", "start", "end", "indices")
 
@@ -142,42 +154,52 @@ def _trajectory(
 
 
 class SpeculativeReduction:
-    """The speculative engine for one reduction.
+    """The commit-ordered engine for one reduction.
 
     The engine owns the trajectory, the dispatch window, and the commit
-    protocol; it is driven from outside (inline or by :func:`run_sessions`)
-    through three calls: :meth:`take_dispatch` (candidates needing probes),
-    :meth:`deliver` (a probe verdict arrived), and :meth:`commit_ready`
-    (commit every verdict at the serial frontier).
+    protocol; a :class:`ReductionSession` drives it (inline, or over a pool
+    through :func:`run_sessions`) with three calls: :meth:`take_dispatch`
+    (candidates needing probes), :meth:`deliver` (a probe verdict arrived),
+    and :meth:`commit_ready` (commit every verdict at the serial frontier).
 
-    *lookup* (optional) resolves a candidate without dispatching — the
-    journal-resume short-circuit.  It must be **read-only**: speculative
-    candidates may never commit, so all bookkeeping belongs in *on_commit*,
-    which observes the committed serial-order stream exactly as a serial
-    oracle would and may veto/correct the verdict (memo semantics) or raise
-    to abort the reduction.
+    *positions* selects the sequence under reduction as indices into
+    *items* (default: all of them); candidates are index tuples into
+    *items*, so a pool built over a longer original sequence needs no
+    re-basing.
+
+    *lookup* (optional) resolves a candidate without probing — the
+    journal-resume and memo short-circuit.  It must be **read-only**:
+    speculative candidates may never commit, so all bookkeeping belongs in
+    *on_commit*, which sees the committed serial-order stream, returns the
+    final verdict, and may raise to abort the reduction.
+
+    Speculation trace events (``reduce.dispatch``/``commit``/``speculate``)
+    are emitted only when ``stats.mode == "pool"``; every engine emits the
+    reference loop's ``reduce.round`` events.
     """
 
     def __init__(
         self,
         items: Sequence,
         *,
+        positions: Sequence[int] | None = None,
         window: int = 8,
-        lookup: Callable[[list, "_Candidate"], tuple | None] | None = None,
-        on_commit: Callable[[list, bool, dict | None, str], bool] | None = None,
+        lookup: Callable[[list], tuple | None] | None = None,
+        on_commit: Callable[[list, dict | None, str], bool] | None = None,
         tracer: Any = None,
-        deadline: float | None = None,
+        stats: SpeculationStats | None = None,
     ) -> None:
         self.items = list(items)
-        length = len(self.items)
-        self.current: list[int] = list(range(length))
+        self.current: list[int] = (
+            list(positions) if positions is not None else list(range(len(self.items)))
+        )
+        length = len(self.current)
         self.initial_length = length
         self.window = max(1, window)
         self.lookup = lookup
         self.on_commit = on_commit
         self.tracer = as_tracer(tracer)
-        self.deadline = deadline
-        self.stats = SpeculationStats()
+        self.stats = stats if stats is not None else SpeculationStats()
         self.tests_run = 0
         self.chunks_removed = 0
         self.history: list[tuple[int, int, int]] = []
@@ -227,7 +249,12 @@ class SpeculativeReduction:
     def take_dispatch(self, limit: int) -> list["_Candidate"]:
         """Up to *limit* candidates that need a real probe, respecting the
         adaptive window; memo/lookup-resolvable candidates are resolved on
-        the spot (they cost nothing) and never count against the window."""
+        the spot (they cost nothing) and never count against the window.
+
+        Generation stops at a resolved acceptance: every later candidate is
+        stale whichever way the verdicts before it fall, so probing one
+        would only spend a probe (and, inline, move oracle state) on a
+        decision that can never commit."""
         out: list[_Candidate] = []
         if self._finished:
             return out
@@ -239,14 +266,18 @@ class SpeculativeReduction:
             if cached is not None:
                 self._resolved[candidate.sid] = (candidate, cached, None, "memo")
                 self.stats.memo_short_circuits += 1
+                if cached:
+                    break
                 continue
             if self.lookup is not None:
-                hit = self.lookup(self.materialize(candidate), candidate)
+                hit = self.lookup(self.materialize(candidate))
                 if hit is not None:
                     verdict, record, source = hit
                     self._resolved[candidate.sid] = (candidate, verdict, record, source)
                     if source == "journal":
                         self.stats.journal_short_circuits += 1
+                    if verdict:
+                        break
                     continue
             self._outstanding[candidate.sid] = candidate
             out.append(candidate)
@@ -256,7 +287,7 @@ class SpeculativeReduction:
             in_flight = len(self._outstanding)
             if in_flight > self.stats.max_in_flight:
                 self.stats.max_in_flight = in_flight
-            if self.tracer.enabled:
+            if self.tracer.enabled and self.speculative:
                 self.tracer.emit(
                     "reduce.dispatch",
                     count=len(out),
@@ -270,7 +301,7 @@ class SpeculativeReduction:
         sid: int,
         verdict: bool,
         record: dict | None = None,
-        source: str = "pool",
+        source: str = "probe",
     ) -> bool:
         """Record a probe verdict; returns False for stale deliveries (the
         candidate was invalidated by an earlier acceptance, or the engine
@@ -287,10 +318,9 @@ class SpeculativeReduction:
         while not self._finished and self._commit_sid in self._resolved:
             candidate, verdict, record, source = self._resolved.pop(self._commit_sid)
             self._commit_sid += 1
+            self.tests_run += 1  # counted even if on_commit aborts
             if self.on_commit is not None:
-                verdict = self.on_commit(
-                    self.materialize(candidate), verdict, record, source
-                )
+                verdict = self.on_commit(self.materialize(candidate), record, source)
             self._commit(candidate, verdict)
             progressed = True
         return progressed
@@ -300,12 +330,7 @@ class SpeculativeReduction:
         if self._finished:
             return
         self.timed_out = True
-        self.stats.wasted += len(self._outstanding) + sum(
-            1 for (_, _, _, source) in self._resolved.values() if source == "pool"
-        )
-        self._outstanding.clear()
-        self._resolved.clear()
-        self._pending.clear()
+        self._discard_speculation()
         self._finished = True
         # The serial reducer emits the partially scanned round before exiting.
         if self._ladder and self._round_index < len(self._ladder):
@@ -320,7 +345,13 @@ class SpeculativeReduction:
         while self._round_index < len(self._ladder):
             self._flush_round()
 
+    @property
+    def speculative(self) -> bool:
+        return self.stats.mode == "pool"
+
     def result(self, *, verify_tests: int = 0) -> ParallelReductionResult:
+        """The reduction so far; an inline engine carries no speculation
+        stats (it never speculated)."""
         return ParallelReductionResult(
             transformations=[self.items[i] for i in self.current],
             tests_run=self.tests_run + verify_tests,
@@ -328,7 +359,7 @@ class SpeculativeReduction:
             initial_length=self.initial_length,
             timed_out=self.timed_out,
             history=list(self.history),
-            speculation=self.stats,
+            speculation=self.stats if self.speculative else None,
         )
 
     # -- internals ---------------------------------------------------------------
@@ -344,7 +375,6 @@ class SpeculativeReduction:
 
     def _commit(self, candidate: "_Candidate", verdict: bool) -> None:
         self._sync_round(candidate.chunk)
-        self.tests_run += 1
         self.stats.committed += 1
         self._round_tried += 1
         self._memo[candidate.indices] = verdict
@@ -359,20 +389,14 @@ class SpeculativeReduction:
         self.chunks_removed += 1
         self._round_removed += 1
         self.history.append((candidate.chunk, candidate.start, candidate.end))
-        wasted = len(self._outstanding) + sum(
-            1 for (_, _, _, source) in self._resolved.values() if source == "pool"
-        )
-        self._outstanding.clear()
-        self._resolved.clear()
-        self._pending.clear()
+        wasted = self._discard_speculation()
         self._commit_sid = self._next_sid
-        self.stats.wasted += wasted
         self._ramp = 1
         self._gen = _trajectory(
             len(self.current), candidate.chunk, candidate.start, True
         )
         self._gen_exhausted = False
-        if self.tracer.enabled:
+        if self.tracer.enabled and self.speculative:
             self.tracer.emit(
                 "reduce.commit",
                 chunk_size=candidate.chunk,
@@ -384,6 +408,18 @@ class SpeculativeReduction:
                 self.tracer.emit(
                     "reduce.speculate", wasted=wasted, chunk_size=candidate.chunk
                 )
+
+    def _discard_speculation(self) -> int:
+        """Drop every generated-but-uncommitted candidate; probes already
+        spent on them count as wasted."""
+        wasted = len(self._outstanding) + sum(
+            1 for (_, _, _, source) in self._resolved.values() if source == "probe"
+        )
+        self.stats.wasted += wasted
+        self._outstanding.clear()
+        self._resolved.clear()
+        self._pending.clear()
+        return wasted
 
     def _sync_round(self, chunk: int) -> None:
         while self._ladder[self._round_index] != chunk:
@@ -403,63 +439,194 @@ class SpeculativeReduction:
         self._round_removed = 0
 
 
-class SpeculativeSession:
-    """One engine bound to a pool key, driven by :func:`run_sessions`.
+class ReductionSession:
+    """One ddmin reduction from start to finish: build, verify, drive,
+    finalize — every ddmin reduction in the package runs as one.
 
-    *decide* sessions carry fault-pipeline decision records (the worker ran
-    a full flake-hardened decision); plain sessions carry booleans.
+    A session is *plain* (``test``, a boolean interestingness test) or
+    *fault-tolerant* (``oracle``, a :class:`~repro.robustness.reduction.
+    FlakeHardenedOracle` whose ``lookup``/``commit`` pair becomes the
+    engine's commit hook).  Without a *pool* it runs inline at window 1 —
+    the serial reducer; with one, :func:`run_sessions` dispatches its
+    candidates under *key*, side by side with other sessions.  *positions*
+    is the base map from the sequence under reduction into *items*, the
+    sequence the pool's workers were built over.
+
+    The input is verified at construction: a non-interesting input raises
+    ``ValueError``; in fault mode a faulted or aborted verification
+    degrades the session instead, and no engine is built.  :meth:`finalize`
+    returns the result — fault-tolerant sessions degrade to best-so-far
+    with a structured reason rather than raise.
     """
 
     def __init__(
         self,
-        key: str,
-        engine: SpeculativeReduction,
+        items: Sequence,
         *,
-        decide: bool = False,
+        test: InterestingnessTest | None = None,
+        oracle: Any = None,
+        pool: Any = None,
+        key: str = "reduction",
+        positions: Sequence[int] | None = None,
+        workers: int = 1,
+        window: int | None = None,
+        verify: bool = True,
         deadline: float | None = None,
+        tracer: Any = None,
+        stats: SpeculationStats | None = None,
     ) -> None:
         self.key = key
-        self.engine = engine
-        self.decide = decide
+        self.items = list(items)
+        self.positions = list(
+            positions if positions is not None else range(len(self.items))
+        )
+        #: The sequence under reduction, before any removal.
+        self.sequence = [self.items[i] for i in self.positions]
+        self.test = test
+        self.oracle = oracle
+        self.pool = pool
         self.deadline = deadline
         self.error: BaseException | None = None
+        self.degraded: str | None = None
+        self.detail = ""
+        self.engine: SpeculativeReduction | None = None
+        self._verify_tests = int(verify)  # billed even when it stops the run
+        if verify:
+            if oracle is None:
+                self._verify_plain()
+            else:
+                stop = oracle.check_input(self.sequence)
+                if stop is not None:
+                    self.degraded, self.detail = stop
+                    return
+        engine = SpeculativeReduction(
+            self.items,
+            positions=self.positions,
+            window=1 if pool is None else (
+                window if window is not None else max(1, workers) * 4
+            ),
+            lookup=oracle.lookup if oracle is not None else None,
+            on_commit=oracle.commit if oracle is not None else None,
+            tracer=tracer,
+            stats=stats,
+        )
+        if pool is not None:
+            engine.stats.mode = "pool"
+            engine.stats.workers = workers
+        self.engine = engine
 
     @property
     def active(self) -> bool:
-        return self.error is None and not self.engine.done
+        return self.error is None and self.engine is not None and not self.engine.done
+
+    # -- build ---------------------------------------------------------------------
+
+    def _verify_plain(self) -> None:
+        if self.test is not None:
+            verified = self.test(self.sequence)
+        else:
+            # No parent-side test: verify through the workers.
+            future = self.pool.submit(self.key, [tuple(self.positions)])
+            (reply,), stats_delta = future.result()
+            if stats_delta:
+                self.pool.absorb(self.key, stats_delta)
+            if reply[0] != "ok":
+                from repro.perf.reduce_pool import WorkerProbeError
+
+                raise WorkerProbeError(reply[1], reply[2])
+            verified = reply[1]
+        if not verified:
+            raise ValueError("the full transformation sequence is not interesting")
+
+    # -- drive ---------------------------------------------------------------------
+
+    def run(self, *, batch: int = 1, metrics: Any = None) -> None:
+        """Drive the engine to completion: over the pool, or inline one
+        candidate at a time."""
+        if self.pool is not None:
+            run_sessions(self.pool, [self], batch=batch, metrics=metrics)
+            return
+        engine = self.engine
+        if engine is None:
+            return
+        try:
+            while not engine.done:
+                if self.deadline is not None and time.monotonic() >= self.deadline:
+                    engine.finish_timed_out()
+                    break
+                for candidate in engine.take_dispatch(1):
+                    items = engine.materialize(candidate)
+                    if self.oracle is not None:
+                        record = self.oracle.decide(items)
+                        engine.deliver(candidate.sid, bool(record["verdict"]), record)
+                    else:
+                        engine.deliver(candidate.sid, bool(self.test(items)))
+                engine.commit_ready()
+            engine.finalize()
+        except Exception as exc:  # noqa: BLE001 - surfaced by finalize()
+            self.error = exc
 
     def deliver(self, candidate: "_Candidate", payload: tuple) -> None:
-        status = payload[0]
-        if status == "ok":
-            value = payload[1]
-            if self.decide:
-                self.engine.deliver(
-                    candidate.sid, bool(value.get("verdict")), value, "pool"
-                )
-            else:
-                self.engine.deliver(candidate.sid, bool(value))
-        elif status == "aborted":
-            # Represented as a record so the abort surfaces at *commit* time,
-            # in serial order — a speculative abort that an earlier acceptance
-            # invalidates must not kill the reduction.
-            self.engine.deliver(
-                candidate.sid, False, {"aborted": (payload[1], payload[2])}, "pool"
-            )
-        else:
+        """Hand one worker reply to the engine: a decision record in fault
+        mode, a boolean verdict otherwise."""
+        if payload[0] != "ok":
             from repro.perf.reduce_pool import WorkerProbeError
 
             self.error = WorkerProbeError(payload[1], payload[2])
+        elif self.oracle is not None:
+            self.engine.deliver(candidate.sid, bool(payload[1]["verdict"]), payload[1])
+        else:
+            self.engine.deliver(candidate.sid, bool(payload[1]))
 
-    def commit(self) -> None:
+    def commit(self) -> bool:
+        """Commit at the serial frontier; True if anything committed."""
         try:
-            self.engine.commit_ready()
-        except Exception as exc:  # noqa: BLE001 - surfaced via finalize()
+            return self.engine.commit_ready()
+        except Exception as exc:  # noqa: BLE001 - surfaced by finalize()
             self.error = exc
+            return False
+
+    # -- finalize ------------------------------------------------------------------
+
+    def finalize(self) -> ReductionResult:
+        """The reduction result.  Plain sessions re-raise a probe error;
+        fault-tolerant sessions degrade to the best-so-far sequence (the last
+        committed acceptance)."""
+        oracle = self.oracle
+        if oracle is None:
+            if self.error is not None:
+                raise self.error
+            return self.engine.result(verify_tests=self._verify_tests)
+        from repro.robustness.reduction import _apply_degradation, degradation
+
+        if self.error is not None:
+            self.degraded, self.detail = degradation(self.error)
+        if self.engine is None:  # verification stopped the reduction
+            result = ReductionResult(
+                transformations=list(self.sequence),
+                tests_run=self._verify_tests,
+                chunks_removed=0,
+                initial_length=len(self.sequence),
+            )
+        else:
+            result = self.engine.result(verify_tests=self._verify_tests)
+            if self.degraded is not None:
+                # Best-so-far, not a finished ddmin trajectory.
+                result.history = []
+        oracle.release()
+        return _apply_degradation(
+            result,
+            oracle.stability,
+            self.degraded,
+            self.detail,
+            oracle.tracer,
+            oracle.metrics,
+        )
 
 
 def run_sessions(
     pool: Any,
-    sessions: Sequence[SpeculativeSession],
+    sessions: Sequence[ReductionSession],
     *,
     batch: int = 1,
     metrics: Any = None,
@@ -470,32 +637,33 @@ def run_sessions(
     Fairness: dispatch rotates round-robin across active sessions, one
     submission per turn, so a large reduction cannot starve a small one.
     ``batch > 1`` packs that many speculation candidates into a single
-    worker round-trip (amortizing IPC); verdicts still commit in serial
-    order, so results are unchanged.  A hard worker death
-    (``BrokenProcessPool``) rebuilds the pool and re-dispatches every
-    outstanding probe — singly, since any member of a batch may have been
-    the killer — verdicts are pure functions of the candidate, so
-    re-probing is sound.
+    worker round-trip (amortizing IPC) for plain and fault-tolerant
+    sessions alike; verdicts still commit in serial order, so results are
+    unchanged.  A hard worker death (``BrokenProcessPool``) rebuilds the
+    pool and re-dispatches every outstanding probe — singly, since any
+    member of a batch may have been the killer — verdicts are pure
+    functions of the candidate, so re-probing is sound.
     """
     from concurrent.futures import FIRST_COMPLETED
     from concurrent.futures import wait as wait_futures
     from concurrent.futures.process import BrokenProcessPool
 
+    sessions = [s for s in sessions if s.engine is not None]
     batch = max(1, batch)
-    futures: dict[Any, tuple[SpeculativeSession, list[_Candidate]]] = {}
+    futures: dict[Any, tuple[ReductionSession, list[_Candidate]]] = {}
     rotation = 0
 
     def recover() -> None:
         pool.recover()
         entries = list(futures.values())
         futures.clear()
-        affected: dict[int, SpeculativeSession] = {}
+        affected: dict[int, ReductionSession] = {}
         for session, candidates in entries:
             for candidate in candidates:
                 if session.active and session.engine.is_outstanding(
                     candidate.sid
                 ):
-                    futures[pool.submit(session.key, candidate.indices)] = (
+                    futures[pool.submit(session.key, [candidate.indices])] = (
                         session,
                         [candidate],
                     )
@@ -503,33 +671,22 @@ def run_sessions(
         for session in affected.values():
             session.engine.stats.worker_recoveries += 1
 
-    def do_submit(session: SpeculativeSession, candidates: list[_Candidate]):
-        if len(candidates) == 1:
-            return pool.submit(session.key, candidates[0].indices)
-        if metrics is not None:
+    def submit(session: ReductionSession, candidates: list[_Candidate]) -> None:
+        if len(candidates) > 1 and metrics is not None:
             metrics.inc("probe_batch.batches")
             metrics.inc("probe_batch.probes", len(candidates))
-        return pool.submit_batch(
-            session.key, [c.indices for c in candidates]
-        )
-
-    def submit(session: SpeculativeSession, candidates: list[_Candidate]) -> None:
+        indices = [c.indices for c in candidates]
         try:
-            future = do_submit(session, candidates)
+            future = pool.submit(session.key, indices)
         except BrokenProcessPool:
             recover()
-            future = do_submit(session, candidates)
+            future = pool.submit(session.key, indices)
         futures[future] = (session, candidates)
 
     while True:
         now = time.monotonic()
         for session in sessions:
-            if (
-                session.error is None
-                and not session.engine.done
-                and session.deadline is not None
-                and now >= session.deadline
-            ):
+            if session.active and session.deadline is not None and now >= session.deadline:
                 session.engine.finish_timed_out()
         active = [s for s in sessions if s.active]
         for session in active:
@@ -557,11 +714,9 @@ def run_sessions(
                         submit(session, candidates)
                         capacity -= len(candidates)
                         progressed = True
-                    session.commit()
+                    if session.commit():
+                        progressed = True  # an acceptance opened new candidates
                 rotation += 1
-            active = [s for s in sessions if s.active]
-            if not active and not futures:
-                break
         if not futures:
             continue  # engines progressed through memo/lookup commits alone
 
@@ -574,13 +729,13 @@ def run_sessions(
         )
         if not done:
             continue  # a deadline expired; handled at the top of the loop
-        touched: list[SpeculativeSession] = []
+        touched: list[ReductionSession] = []
         broken = False
         for future in done:
             entry = futures.pop(future)
             session, candidates = entry
             try:
-                payload = future.result()
+                payloads, stats_delta = future.result()
             except BrokenProcessPool:
                 futures[future] = entry
                 recover()
@@ -589,12 +744,6 @@ def run_sessions(
             except Exception as exc:  # noqa: BLE001 - surfaced via finalize()
                 session.error = exc
                 continue
-            if payload[0] == "batch":
-                payloads = payload[1]
-                stats_delta = payload[2]
-            else:
-                payloads = [payload[:3]]
-                stats_delta = payload[3] if len(payload) > 3 else None
             if stats_delta:
                 pool.absorb(session.key, stats_delta)
             if session.active:
@@ -609,87 +758,6 @@ def run_sessions(
     for session in sessions:
         if session.error is None:
             session.engine.finalize()
-
-
-class SpeculativePlainReduction:
-    """Plain-mode wrapper: verify through the pool, then hand a session to
-    :func:`run_sessions`, then finalize.  The fault-pipeline counterpart is
-    :class:`repro.robustness.reduction.SpeculativeFaultReduction`."""
-
-    def __init__(
-        self,
-        items: Sequence,
-        *,
-        pool: Any,
-        pool_key: str,
-        workers: int,
-        window: int | None = None,
-        verify_input: bool = True,
-        max_seconds: float | None = None,
-        tracer: Any = None,
-    ) -> None:
-        self._verify_tests = 0
-        items = list(items)
-        deadline = (
-            None if max_seconds is None else time.monotonic() + max_seconds
-        )
-        if verify_input:
-            self._verify_tests = 1
-            payload = pool.submit(pool_key, tuple(range(len(items)))).result()
-            stats_delta = payload[3] if len(payload) > 3 else None
-            if stats_delta:
-                pool.absorb(pool_key, stats_delta)
-            if payload[0] != "ok":
-                from repro.perf.reduce_pool import WorkerProbeError
-
-                raise WorkerProbeError(payload[1], payload[2])
-            if not payload[1]:
-                raise ValueError(
-                    "the full transformation sequence is not interesting"
-                )
-        engine = SpeculativeReduction(
-            items,
-            window=window if window is not None else max(1, workers) * 4,
-            tracer=tracer,
-            deadline=deadline,
-        )
-        engine.stats.workers = workers
-        engine.stats.mode = "pool"
-        self.session = SpeculativeSession(pool_key, engine, deadline=deadline)
-
-    def finalize(self) -> ParallelReductionResult:
-        if self.session.error is not None:
-            raise self.session.error
-        return self.session.engine.result(verify_tests=self._verify_tests)
-
-
-def _inline_reduce(
-    items: list,
-    is_interesting: InterestingnessTest,
-    *,
-    verify_input: bool,
-    max_seconds: float | None,
-    tracer: Any,
-) -> ParallelReductionResult:
-    """The zero-speculation path (``workers=1`` or an unshippable oracle):
-    the engine runs lazily, one candidate at a time, exactly like the serial
-    loop — no pool, no waste."""
-    verify_tests = 0
-    if verify_input:
-        verify_tests = 1
-        if not is_interesting(list(items)):
-            raise ValueError("the full transformation sequence is not interesting")
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
-    engine = SpeculativeReduction(items, window=1, tracer=tracer, deadline=deadline)
-    while not engine.done:
-        if deadline is not None and time.monotonic() >= deadline:
-            engine.finish_timed_out()
-            break
-        for candidate in engine.take_dispatch(1):
-            engine.deliver(candidate.sid, bool(is_interesting(engine.materialize(candidate))))
-        engine.commit_ready()
-    engine.finalize()
-    return engine.result(verify_tests=verify_tests)
 
 
 def parallel_reduce(
@@ -711,12 +779,13 @@ def parallel_reduce(
 
     Byte-identical to :func:`~repro.core.reducer.reduce_transformations` for
     the same (deterministic) oracle at every worker count; see the module
-    docstring for why.  ``workers=1`` never builds a pool.  With a pool, the
-    oracle runs inside worker processes: pass *spec* (any object with a
+    docstring for why.  ``workers=1`` runs the session inline.  With a pool,
+    the oracle runs inside worker processes: pass *spec* (any object with a
     ``build()`` returning a probe runner — see :mod:`repro.perf.reduce_pool`)
     or rely on the default :class:`~repro.perf.reduce_pool.CallableProbeSpec`
     around *is_interesting*.  An oracle that cannot be shipped to workers
     (unpicklable, no ``fork``) silently falls back to the inline path.
+    ``speculation`` is always attached (``mode == "inline"`` without a pool).
     """
     from repro.perf.parallel import default_worker_count
     from repro.perf.reduce_pool import CallableProbeSpec, ReductionPool
@@ -724,40 +793,31 @@ def parallel_reduce(
     items = list(transformations)
     if workers is None or workers <= 0:
         workers = default_worker_count()
-    owns_pool = False
+    owned = None
     if pool is None and workers > 1:
         if spec is None:
             if is_interesting is None:
                 raise TypeError("parallel_reduce needs is_interesting or spec/pool")
             spec = CallableProbeSpec(test=is_interesting, items=tuple(items))
-        if ReductionPool.shippable(spec):
-            pool = ReductionPool({pool_key: spec}, workers)
-            owns_pool = True
-    if pool is None:
-        if is_interesting is None:
-            raise TypeError("the inline path needs is_interesting")
-        return _inline_reduce(
-            items,
-            is_interesting,
-            verify_input=verify_input,
-            max_seconds=max_seconds,
-            tracer=tracer,
-        )
+        pool = owned = ReductionPool.for_spec(pool_key, spec, workers)
+    if pool is None and is_interesting is None:
+        raise TypeError("the inline path needs is_interesting")
     try:
-        reduction = SpeculativePlainReduction(
+        session = ReductionSession(
             items,
+            test=is_interesting,
             pool=pool,
-            pool_key=pool_key,
+            key=pool_key,
             workers=workers,
             window=window,
-            verify_input=verify_input,
-            max_seconds=max_seconds,
+            verify=verify_input,
+            deadline=None if max_seconds is None else time.monotonic() + max_seconds,
             tracer=tracer,
         )
-        run_sessions(
-            pool, [reduction.session], batch=batch or 1, metrics=metrics
-        )
-        return reduction.finalize()
+        session.run(batch=batch or 1, metrics=metrics)
+        result = session.finalize()
     finally:
-        if owns_pool:
-            pool.close()
+        if owned is not None:
+            owned.close()
+    result.speculation = session.engine.stats
+    return result

@@ -22,11 +22,12 @@ Two spec flavours:
   deterministic factories the parent used, so worker verdicts are identical
   to parent verdicts.
 
-Worker replies are plain tuples — ``("ok", verdict-or-record, None, stats)``,
-``("aborted", reason, detail, stats)`` or ``("error", type, message,
-stats)`` — because exceptions like :class:`~repro.robustness.reduction.
-ReductionAborted` do not round-trip through pickling; the engine re-raises
-at *commit* time so a speculative abort that never commits cannot kill a
+Worker replies are plain tuples — one ``("ok", verdict-or-record, None)``
+or ``("error", type, message)`` entry per candidate of a submission, plus
+the submission's ``stats`` — because exceptions do not round-trip through
+pickling.  A decision that aborts (an unresponsive target, an oracle error)
+is an ``"ok"`` record carrying the abort; the parent's oracle raises it at
+*commit* time, so a speculative abort that never commits cannot kill a
 reduction.  ``stats`` is the drained :class:`~repro.perf.replay_cache.
 ReplayStats` delta since the previous reply, merged parent-side through
 :meth:`ReductionPool.absorb` — the same drain/merge discipline the campaign
@@ -86,8 +87,7 @@ class _Runner:
     def evaluate(self, indices: tuple[int, ...]):
         candidate = [self.items[i] for i in indices]
         if self.oracle is not None:
-            _, record = self.oracle._decide(candidate)
-            return record
+            return self.oracle.decide(candidate)
         return bool(self.probe(candidate))
 
     def drain_stats(self) -> dict | None:
@@ -224,42 +224,23 @@ def _runner_for(key: str) -> _Runner:
     return runner
 
 
-def _pool_eval(key: str, indices: tuple[int, ...]) -> tuple:
-    from repro.robustness.reduction import ReductionAborted
-
-    runner = None
-    try:
-        runner = _runner_for(key)
-        value = runner.evaluate(indices)
-        return ("ok", value, None, runner.drain_stats())
-    except ReductionAborted as abort:
-        return ("aborted", abort.reason, abort.detail, runner.drain_stats())
-    except Exception as exc:  # noqa: BLE001 - marshalled, re-raised at commit
-        stats = runner.drain_stats() if runner is not None else None
-        return ("error", type(exc).__name__, str(exc), stats)
-
-
-def _pool_eval_batch(key: str, batch: list[tuple[int, ...]]) -> tuple:
-    """Evaluate several candidates in one round-trip.
+def _pool_eval(key: str, batch: list[tuple[int, ...]]) -> tuple:
+    """Evaluate one submission's candidates in one round-trip.
 
     Each candidate gets its own ``(status, a, b)`` entry — a failure in one
     does not poison the others — and the replay-stats delta is drained once
     for the whole batch.
     """
-    from repro.robustness.reduction import ReductionAborted
-
     results = []
     runner = None
     for indices in batch:
         try:
             runner = _runner_for(key)
             results.append(("ok", runner.evaluate(indices), None))
-        except ReductionAborted as abort:
-            results.append(("aborted", abort.reason, abort.detail))
-        except Exception as exc:  # noqa: BLE001 - re-raised at commit
+        except Exception as exc:  # noqa: BLE001 - marshalled to the parent
             results.append(("error", type(exc).__name__, str(exc)))
     stats = runner.drain_stats() if runner is not None else None
-    return ("batch", results, stats)
+    return results, stats
 
 
 class ReductionPool:
@@ -295,6 +276,12 @@ class ReductionPool:
         except Exception:  # noqa: BLE001 - any pickling failure means "no"
             return False
 
+    @classmethod
+    def for_spec(cls, key: str, spec: Any, workers: int) -> "ReductionPool | None":
+        """A single-spec pool, or ``None`` when *spec* cannot reach worker
+        processes (the caller then reduces inline)."""
+        return cls({key: spec}, workers) if cls.shippable(spec) else None
+
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
             kwargs: dict[str, Any] = {}
@@ -309,12 +296,10 @@ class ReductionPool:
             )
         return self._executor
 
-    def submit(self, key: str, indices: tuple[int, ...]):
-        return self._ensure().submit(_pool_eval, key, indices)
-
-    def submit_batch(self, key: str, indices_list: list[tuple[int, ...]]):
-        """Ship several candidates to one worker in a single round-trip."""
-        return self._ensure().submit(_pool_eval_batch, key, list(indices_list))
+    def submit(self, key: str, indices_list: list[tuple[int, ...]]):
+        """Ship one or more candidates to one worker in a single round-trip;
+        the reply is ``([(status, a, b), ...], stats)``."""
+        return self._ensure().submit(_pool_eval, key, list(indices_list))
 
     def recover(self) -> None:
         """Replace a broken executor (a worker died hard mid-probe)."""

@@ -32,12 +32,14 @@ the transformation-sequence reducer:
   so passes never collide and a SIGKILL'd pipeline resumes byte-identically
   mid-pass.  A pipeline-config record after the header pins the pass list
   and budget; resuming with a different configuration raises ``ValueError``.
-* **Parallelism** — ddmin legs run on the speculative parallel engine.  A
-  harness-built probe pool rebuilds the *original* finding sequence in its
-  workers, so candidate index tuples are re-based through the pipeline's
-  positions map (:class:`_IndexMappedPool`); once a pass has *mutated* an
+* **One engine** — a ddmin leg is one :class:`~repro.perf.parallel_reduce.
+  ReductionSession`, the same session the classic reducers build: inline at
+  window 1, or speculative over a worker pool, with the pass's oracle as
+  its commit hook in fault mode.  A harness-built pool rebuilds the
+  *original* finding sequence in its workers, so the leg hands the session
+  the pipeline's positions map as its base; once a pass has *mutated* an
   element in place (payload shrinking) the map is void and later ddmin legs
-  run serially — cheap, because they happen after the big first leg.
+  run inline — cheap, because they happen after the big first leg.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.core.reducer import ReductionResult
 from repro.observability import as_tracer
+from repro.perf.parallel_reduce import SpeculationStats
 
 #: Creduce's GIVEUP_CONSTANT: consecutive rejections before a greedy pass
 #: is abandoned for this invocation.
@@ -145,42 +148,6 @@ class PipelineContext:
     metrics: Any = None
     replay_stats: Any = None
     module_probe: Callable | None = None
-
-
-class _IndexMappedPool:
-    """A :class:`~repro.perf.reduce_pool.ReductionPool` proxy that re-bases
-    candidate index tuples from the pipeline's current sequence to the
-    original the pool's worker spec was built from.  ``close`` is a no-op —
-    the pipeline's caller owns the real pool."""
-
-    def __init__(self, pool: Any, positions: Sequence[int]) -> None:
-        self._pool = pool
-        self._positions = list(positions)
-
-    def _map(self, indices) -> tuple:
-        return tuple(self._positions[i] for i in indices)
-
-    def submit(self, key: str, indices):
-        return self._pool.submit(key, self._map(indices))
-
-    def submit_batch(self, key: str, index_lists):
-        return self._pool.submit_batch(key, [self._map(ix) for ix in index_lists])
-
-    @property
-    def capacity(self) -> int:
-        return self._pool.capacity
-
-    def absorb(self, key: str, delta) -> None:
-        return self._pool.absorb(key, delta)
-
-    def recover(self) -> None:
-        return self._pool.recover()
-
-    def replay_stats_for(self, key: str):
-        return self._pool.replay_stats_for(key)
-
-    def close(self) -> None:
-        pass
 
 
 class PassRun:
@@ -338,7 +305,8 @@ class _Execution:
         self.detail = ""
         self.module: Any = None
         self.module_verdict: Callable | None = None
-        self.speculations: list = []
+        #: Speculation accounting shared by every pool-backed ddmin leg.
+        self.speculation = SpeculationStats()
         self.journal = None
         self.decisions: dict[str, dict] = {}
         self.policy = None
@@ -346,7 +314,11 @@ class _Execution:
         if self.fault:
             from repro.robustness.config import ReductionPolicy
             from repro.robustness.journal import ReductionJournal
+            from repro.robustness.reduction import OracleStability
 
+            #: One stability ledger shared by every per-pass oracle, so the
+            #: pipeline's stability is the sum of its passes' decisions.
+            self.stability = OracleStability()
             self.policy = ctx.policy or ReductionPolicy()
             journal = ctx.journal
             if journal is not None and not isinstance(journal, ReductionJournal):
@@ -428,19 +400,19 @@ class _Execution:
                 replay_stats=self.ctx.replay_stats,
                 key_fn=key_fn,
             )
-            oracle.initial_length = len(self.sequence)
             oracle.deadline = self.deadline
+            oracle.stability = self.stability
             self.oracles[scope] = oracle
         return oracle
 
     def probe(self, reduction_pass: ReductionPass, candidate) -> bool:
         """One budget-exempt probe: the raw verdict for *candidate*, through
         the pass's oracle in fault mode or the plain test otherwise."""
+        self.tests_total += 1
         if reduction_pass.stage == "module":
             return self._probe_module(reduction_pass, candidate)
         if self.fault:
             return bool(self.oracle_for(reduction_pass.name)(candidate))
-        self.tests_total += 1
         return bool(self.ctx.is_interesting(candidate))
 
     def _probe_module(self, reduction_pass: ReductionPass, module) -> bool:
@@ -458,117 +430,76 @@ class _Execution:
             # Module candidates are boxed in a one-element list so the
             # oracle's Sequence bookkeeping (len, list) stays meaningful.
             return bool(oracle([module]))
-        self.tests_total += 1
         return bool(_as_probe_verdict(verdict_test(module)).interesting)
 
     # -- the ddmin leg ---------------------------------------------------------------
 
     def run_ddmin(self, run: PassRun) -> None:
-        from repro.perf.parallel_reduce import parallel_reduce
-        from repro.robustness.reduction import reduce_with_faults
+        from repro.perf.parallel_reduce import ReductionSession
+        from repro.perf.reduce_pool import CallableProbeSpec, ReductionPool
 
+        ctx = self.ctx
         before_len = len(self.current)
-        remaining = None
-        if self.deadline is not None:
-            remaining = max(0.0, self.deadline - time.monotonic())
-        workers = max(1, self.ctx.workers or 1)
-        pool = None
-        if self.ctx.pool is not None and workers > 1 and self.positions is not None:
-            pool = _IndexMappedPool(self.ctx.pool, self.positions)
-        if self.fault:
-            oracle = self.oracle_for(run.name)
-            calls_before = oracle.calls
-            result = reduce_with_faults(
-                self.current,
-                self.ctx.verdict_test,
-                self.policy,
-                supervised_target=self.ctx.supervised_target,
-                tracer=self.tracer,
-                metrics=self.ctx.metrics,
-                replay_stats=self.ctx.replay_stats,
-                workers=workers if pool is not None else 1,
-                window=self.ctx.window,
-                pool=pool,
-                pool_key=self.ctx.pool_key,
+        oracle = self.oracle_for(run.name) if self.fault else None
+        workers = max(1, ctx.workers or 1)
+        items, positions, pool, owned = self.current, None, None, None
+        if workers > 1 and ctx.pool is not None and self.positions is not None:
+            items, positions, pool = self.sequence, self.positions, ctx.pool
+        elif workers > 1 and ctx.pool is None and not self.fault:
+            spec = CallableProbeSpec(test=ctx.is_interesting, items=tuple(items))
+            pool = owned = ReductionPool.for_spec(ctx.pool_key, spec, workers)
+        try:
+            session = ReductionSession(
+                items,
+                test=ctx.is_interesting,
                 oracle=oracle,
-                verify=False,
-            )
-            probes = oracle.calls - calls_before
-        else:
-            result = parallel_reduce(
-                self.current,
-                self.ctx.is_interesting,
-                workers=workers if self.ctx.pool is None or pool is not None else 1,
-                window=self.ctx.window,
-                verify_input=False,
-                max_seconds=remaining,
-                tracer=self.tracer,
                 pool=pool,
-                pool_key=self.ctx.pool_key,
-                batch=self.ctx.probe_batch,
-                metrics=self.ctx.metrics,
+                key=ctx.pool_key,
+                positions=positions,
+                workers=workers,
+                window=ctx.window,
+                verify=False,
+                deadline=self.deadline,
+                tracer=self.tracer,
+                stats=self.speculation if pool is not None else None,
             )
-            probes = result.tests_run
-            self.tests_total += result.tests_run
+            session.run(batch=ctx.probe_batch or 1, metrics=ctx.metrics)
+            result = session.finalize()
+        finally:
+            if owned is not None:
+                owned.close()
+        # Every committed candidate is a probe, including one whose decision
+        # aborted the leg.
+        probes = session.engine.tests_run
+        self.tests_total += probes
         run.stats.probes += probes
         run.stats.accepted += len(result.history)
         run.stats.removed += before_len - len(result.transformations)
         self.sequence_chunks += len(result.history)
         if len(result.transformations) < before_len:
             run.changed = True
-        if self.positions is not None:
-            positions = list(self.positions)
-            for _chunk, start, end in result.history:
-                del positions[start:end]
-            if len(positions) == len(result.transformations):
-                self.positions = positions
-            else:  # a degraded leg lost its trajectory; stop pool mapping
-                self.positions = None
+        if positions is not None:
+            self.positions = list(session.engine.current)
         self.current = list(result.transformations)
         self.histories.extend(result.history)
-        speculation = getattr(result, "speculation", None)
-        if speculation is not None:
-            self.speculations.append(speculation)
         if result.timed_out or result.degraded == "budget-exhausted":
             self.timed_out = True
         elif result.degraded:
             self.degraded = result.degraded
+            self.detail = session.detail
 
     # -- scheduling ------------------------------------------------------------------
 
     def run(self) -> PipelineResult:
-        from repro.robustness.reduction import ReductionAborted
-
+        self.tests_total = 1  # the verify probe
         if self.fault:
             self._prepare_journal()
-            oracle = self.oracle_for("verify")
-            try:
-                verified = oracle.verify(self.sequence)
-            except ReductionAborted as abort:
-                self.degraded = abort.reason
-                self.detail = abort.detail
+            stop = self.oracle_for("verify").check_input(self.sequence)
+            if stop is not None:
+                self.degraded, self.detail = stop
                 return self._finish()
-            except ValueError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - degrade like reduce_with_faults
-                self.degraded = f"oracle-error: {type(exc).__name__}"
-                self.detail = str(exc)
-                return self._finish()
-            # The verify probe is already in the verify oracle's ``calls``;
-            # fault-mode tests_run sums oracle calls, so don't bill it twice.
-            if not verified:
-                if oracle.last_verdict_faulted:
-                    self.degraded = "verify-faulted"
-                    return self._finish()
-                raise ValueError(
-                    "the full transformation sequence is not interesting"
-                )
-        else:
-            self.tests_total = 1
-            if not self.ctx.is_interesting(self.sequence):
-                raise ValueError(
-                    "the full transformation sequence is not interesting"
-                )
+        elif not self.ctx.is_interesting(self.sequence):
+            raise ValueError("the full transformation sequence is not interesting")
 
         sequence_passes = [p for p in self.pipeline.passes if p.stage == "sequence"]
         module_passes = [p for p in self.pipeline.passes if p.stage != "sequence"]
@@ -640,15 +571,11 @@ class _Execution:
     # -- result assembly ---------------------------------------------------------------
 
     def _finish(self) -> PipelineResult:
-        if self.fault:
-            tests_run = self.tests_total + sum(
-                oracle.calls for oracle in self.oracles.values()
-            )
-        else:
-            tests_run = self.tests_total
+        from repro.robustness.reduction import _apply_degradation
+
         result = PipelineResult(
             transformations=list(self.current),
-            tests_run=tests_run,
+            tests_run=self.tests_total,
             chunks_removed=self.sequence_chunks,
             initial_length=len(self.sequence),
             timed_out=self.timed_out,
@@ -656,79 +583,18 @@ class _Execution:
             pass_stats=[self.stats[p.name] for p in self.pipeline.passes],
             cleaned_module=self.module,
         )
-        speculation = _merge_speculation(self.speculations)
-        if speculation is not None:
-            result.speculation = speculation
+        if self.speculation.mode == "pool":
+            result.speculation = self.speculation
         if self.fault:
-            result.stability = self._merged_stability()
-            if result.timed_out and self.degraded is None:
-                self.degraded = "budget-exhausted"
-            result.degraded = self.degraded
-            if self.degraded is not None:
-                if self.ctx.metrics is not None:
-                    self.ctx.metrics.inc("reduce.degraded")
-                    self.ctx.metrics.inc(
-                        f"reduce.degraded.{self.degraded.split(':', 1)[0]}"
-                    )
-                self.tracer.emit(
-                    "reduce.degraded",
-                    reason=self.degraded,
-                    detail=self.detail,
-                    initial_length=result.initial_length,
-                    final_length=result.final_length,
-                    faults=sum(
-                        oracle.stability.fault_total
-                        for oracle in self.oracles.values()
-                    ),
-                )
+            _apply_degradation(
+                result,
+                self.stability,
+                self.degraded,
+                self.detail,
+                self.tracer,
+                self.ctx.metrics,
+            )
         return result
-
-    def _merged_stability(self) -> dict:
-        merged: dict[str, Any] = {
-            "probes": 0,
-            "escalation_probes": 0,
-            "fault_retries": 0,
-            "disagreements": 0,
-            "faulted_candidates": 0,
-            "escalated": False,
-            "faults": {},
-        }
-        for oracle in self.oracles.values():
-            stability = oracle.stability.to_json()
-            for key in (
-                "probes",
-                "escalation_probes",
-                "fault_retries",
-                "disagreements",
-                "faulted_candidates",
-            ):
-                merged[key] += stability[key]
-            merged["escalated"] = merged["escalated"] or stability["escalated"]
-            for kind, count in stability["faults"].items():
-                merged["faults"][kind] = merged["faults"].get(kind, 0) + count
-        merged["faults"] = dict(sorted(merged["faults"].items()))
-        return merged
-
-
-def _merge_speculation(speculations: list):
-    if not speculations:
-        return None
-    from dataclasses import replace as dc_replace
-
-    merged = dc_replace(speculations[0])
-    for stats in speculations[1:]:
-        merged.dispatched += stats.dispatched
-        merged.committed += stats.committed
-        merged.wasted += stats.wasted
-        merged.memo_short_circuits += stats.memo_short_circuits
-        merged.journal_short_circuits += stats.journal_short_circuits
-        merged.batches += stats.batches
-        merged.max_in_flight = max(merged.max_in_flight, stats.max_in_flight)
-        merged.worker_recoveries += stats.worker_recoveries
-        merged.workers = max(merged.workers, stats.workers)
-        if stats.mode == "pool":
-            merged.mode = "pool"
-    return merged
 
 
 def _module_content_key(module: Any) -> str:

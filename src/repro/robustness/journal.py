@@ -47,9 +47,11 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.transformation import sequence_from_json, sequence_to_json
 from repro.robustness.chaos import REAL_FILEOPS, FileOps
 
+# ``repro.core`` imports this module while its package initialises (the
+# streaming dedup journal seals records with it), so the transformation
+# codecs below are imported where they are used, never at module level.
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.harness import Finding, SeedRun
 
@@ -102,6 +104,8 @@ def parse_record(line: str) -> dict | None:
 
 
 def run_to_record(run: "SeedRun") -> dict:
+    from repro.core.transformation import sequence_to_json
+
     return {
         "v": JOURNAL_VERSION,
         "seed": run.seed,
@@ -127,6 +131,7 @@ def run_to_record(run: "SeedRun") -> dict:
 
 def record_to_run(record: dict, references_by_name: dict) -> "SeedRun":
     from repro.core.harness import Finding, SeedRun
+    from repro.core.transformation import sequence_from_json
 
     program_name = record["program"]
     program = references_by_name.get(program_name)
@@ -259,6 +264,8 @@ class ReductionJournal:
         doubles (the reducer treats elements as black boxes) fall back to
         their ``repr``.
         """
+        from repro.core.transformation import sequence_to_json
+
         try:
             payload = json.dumps(sequence_to_json(candidate), sort_keys=True)
         except (AttributeError, TypeError):

@@ -16,14 +16,17 @@ the campaign phase got in the robustness layer:
   the ``fault_retries`` budget is spent, counts as *not interesting* —
   never as acceptance.  Each supervised probe's timeout is additionally
   clamped to ``min(probe_timeout, remaining reduction budget)``, closing
-  the gap where :func:`~repro.core.reducer.reduce_transformations` only
-  checks its deadline *between* candidates.
+  the gap where the reduction engine only checks its deadline *between*
+  candidates.
 * **Flake-hardened oracle** — :class:`FlakeHardenedOracle` votes instead of
   trusting single probes where it matters: a removal is accepted only after
   ``accept_votes`` unanimous probes (a wrong acceptance corrupts the
   result; a wrong rejection merely costs minimality), and once any
   disagreement has been observed, rejections are double-checked by a
-  best-of-``reject_votes`` majority.  The accounting lands in
+  best-of-``reject_votes`` majority.  The oracle is the reduction engine's
+  commit hook (:class:`~repro.perf.parallel_reduce.ReductionSession`):
+  decisions are made inline or in pool workers and folded in serial order
+  through one ``commit``, and the accounting lands in
   ``ReductionResult.stability``.
 * **Journal + resume** — every decision is appended to a
   :class:`~repro.robustness.journal.ReductionJournal` (fsync per line), so
@@ -42,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
-from repro.core.reducer import ReductionResult, reduce_transformations
+from repro.core.reducer import ReductionResult
 from repro.observability import as_tracer
 from repro.robustness.config import ReductionPolicy
 from repro.robustness.journal import ReductionJournal
@@ -78,6 +81,16 @@ class ReductionAborted(RuntimeError):
         self.detail = detail
 
 
+def degradation(exc: Exception) -> tuple[str, str]:
+    """The ``(degraded, detail)`` pair a failed decision stops a reduction
+    with: an abort's own reason, else ``oracle-error: <type>`` (a worker's
+    error keeps the type it had in the worker)."""
+    if isinstance(exc, ReductionAborted):
+        return exc.reason, exc.detail
+    kind = getattr(exc, "original_type", None) or type(exc).__name__
+    return f"oracle-error: {kind}", str(exc)
+
+
 @dataclass
 class OracleStability:
     """Work and flakiness accounting for one fault-tolerant reduction."""
@@ -94,9 +107,6 @@ class OracleStability:
     @property
     def fault_total(self) -> int:
         return sum(self.faults.values())
-
-    def count_fault(self, kind: str) -> None:
-        self.faults[kind] = self.faults.get(kind, 0) + 1
 
     def to_json(self) -> dict:
         """The accounting attached to ``ReductionResult.stability``.
@@ -121,15 +131,25 @@ class OracleStability:
 
 class FlakeHardenedOracle:
     """An :data:`~repro.core.reducer.InterestingnessTest` that survives
-    faulty and flaky verdict tests.
+    faulty and flaky verdict tests, shaped as the reduction engine's commit
+    hook.
 
-    The oracle is handed to the unmodified delta-debugging loop; per
-    candidate it runs the adaptive probe/vote/retry pipeline described in
-    the module docstring, memoizes the final decision by candidate content
-    (so the reducer's repeated candidates stay deterministic *and* free),
-    journals every fresh decision, and keeps enough bookkeeping —
-    ``best``, ``calls``, ``removals`` — to synthesise a best-so-far
-    :class:`~repro.core.reducer.ReductionResult` if the run must degrade.
+    * :meth:`decide` runs the adaptive probe/vote/retry pipeline described
+      in the module docstring for one candidate and returns its decision
+      record (what the journal stores).  It touches decision state only —
+      sticky escalation and the fault streak — so a pool worker can decide
+      on the parent's behalf.  An abort or an oracle error travels in the
+      record and is raised at commit.
+    * :meth:`lookup` resolves a candidate without probing (a journaled
+      decision being resumed, or a settled memo).  It is read-only: a
+      speculative candidate may never commit.
+    * :meth:`commit` folds one decision into the reduction in serial order:
+      memo, stability accounting, fault metrics and events, and the journal
+      append.
+
+    Inline and pool-backed reductions fold every decision through the same
+    :meth:`commit`, so stability and journal bytes match across worker
+    counts.  Calling the oracle is lookup-or-decide, then commit.
     """
 
     def __init__(
@@ -145,7 +165,7 @@ class FlakeHardenedOracle:
         replay_stats: Any = None,
         key_fn: Callable[[Sequence], str] | None = None,
     ) -> None:
-        self._test = verdict_test
+        self.verdict_test = verdict_test
         self.policy = policy
         self.journal = journal
         #: Candidate -> journal/memo key.  The pass pipeline injects a
@@ -169,45 +189,55 @@ class FlakeHardenedOracle:
             else None
         )
         self._memo: dict[str, bool] = {}
-        self._accepted: set[str] = set()
         self._escalated = False
         self._fault_streak = 0
         #: Wall-clock deadline (monotonic); supervised probe timeouts are
         #: clamped to what remains of it.
         self.deadline: float | None = None
-        #: Set by the pipeline so the verify probe is not counted as a removal.
-        self.initial_length: int | None = None
-        self.calls = 0  #: interestingness queries (mirrors the reducer's tests_run)
-        self.best: list | None = None  #: last accepted candidate (best-so-far)
-        self.removals = 0  #: accepted candidates shorter than the input
         self.last_verdict_faulted = False  #: last decision fell to the fault budget
+
+    @classmethod
+    def for_reduction(
+        cls,
+        sequence: Sequence,
+        verdict_test: VerdictTest,
+        policy: ReductionPolicy | None = None,
+        *,
+        journal: "ReductionJournal | str | None" = None,
+        resume: bool = False,
+        supervised_target: Any = None,
+        tracer: Any = None,
+        metrics: Any = None,
+        replay_stats: Any = None,
+    ) -> "FlakeHardenedOracle":
+        """The oracle for one fresh reduction of *sequence*: journal opened
+        (resumed decisions loaded) and wall-clock deadline set."""
+        policy = policy or ReductionPolicy()
+        if journal is not None and not isinstance(journal, ReductionJournal):
+            journal = ReductionJournal(journal)
+        resume_records: dict[str, dict] = {}
+        if journal is not None:
+            resume_records = journal.prepare(
+                ReductionJournal.candidate_key(sequence), len(sequence), resume=resume
+            )
+        oracle = cls(
+            verdict_test,
+            policy,
+            journal=journal,
+            resume_records=resume_records,
+            supervised_target=supervised_target,
+            tracer=tracer,
+            metrics=metrics,
+            replay_stats=replay_stats,
+        )
+        if policy.max_seconds is not None:
+            oracle.deadline = time.monotonic() + policy.max_seconds
+        return oracle
 
     # -- InterestingnessTest surface ----------------------------------------------
 
     def __call__(self, candidate: Sequence) -> bool:
-        self.calls += 1
-        if self._stats is not None:
-            self._stats.requests += 1
-        key = self._key(candidate)
-        self.last_verdict_faulted = False
-        if key in self._memo:
-            if self._stats is not None:
-                self._stats.memo_hits += 1
-            verdict = self._memo[key]
-        else:
-            record = self._resume.pop(key, None)
-            if record is not None:
-                verdict = self._restore(record)
-            else:
-                verdict, record = self._decide(candidate)
-                record["key"] = key
-                record["n"] = len(candidate)
-                if self.journal is not None:
-                    self.journal.append(record)
-            self._memo[key] = verdict
-        if verdict:
-            self._note_accept(key, candidate)
-        return verdict
+        return self._settle(candidate, "candidate")
 
     def verify(self, sequence: Sequence) -> bool:
         """Decide the full input sequence with escalated (voted) scrutiny.
@@ -216,28 +246,87 @@ class FlakeHardenedOracle:
         verify probe gets the same protection an acceptance does — without
         flipping the oracle into sticky escalated mode.
         """
-        self.calls += 1
+        return self._settle(sequence, "verify")
+
+    def check_input(self, sequence: Sequence) -> tuple[str, str] | None:
+        """:meth:`verify` for a reduction's first step: ``None`` when the
+        input is interesting, else the ``(degraded, detail)`` reason that
+        stops the reduction before it starts.  A genuinely non-interesting
+        input raises ``ValueError`` — a caller bug, not a target fault."""
+        try:
+            if self.verify(sequence):
+                return None
+        except Exception as exc:  # noqa: BLE001 - e.g. a failing journal write
+            return degradation(exc)
+        if self.last_verdict_faulted:
+            return "verify-faulted", ""
+        raise ValueError("the full transformation sequence is not interesting")
+
+    def _settle(self, candidate: Sequence, mode: str) -> bool:
+        hit = self.lookup(candidate)
+        if hit is None:
+            return self.commit(candidate, self.decide(candidate, mode=mode))
+        return self.commit(candidate, hit[1], hit[2])
+
+    # -- the engine's commit hook --------------------------------------------------
+
+    def lookup(self, candidate: Sequence) -> tuple[bool, dict | None, str] | None:
+        """``(verdict, record, source)`` for a candidate decided without
+        probing — a resumed journal record or a settled memo — else
+        ``None``.  Read-only."""
+        key = self._key(candidate)
+        record = self._resume.get(key)
+        if record is not None:
+            return bool(record["verdict"]), record, "journal"
+        if key in self._memo:
+            return self._memo[key], None, "memo"
+        return None
+
+    def commit(
+        self, candidate: Sequence, record: dict | None, source: str = "probe"
+    ) -> bool:
+        """Fold one decision into the reduction, in serial order, and return
+        the final verdict.
+
+        The memo wins first: duplicate-content candidates can be in flight
+        at once (a repeated ddmin pass regenerates them) and only the first
+        may journal.  Otherwise the record's accounting is folded — resumed
+        journal records are replayed, fresh ones are journaled.  An aborted
+        decision raises :class:`ReductionAborted` after its accounting is
+        folded.
+        """
         if self._stats is not None:
             self._stats.requests += 1
-        key = self._key(sequence)
+        key = self._key(candidate)
         self.last_verdict_faulted = False
-        record = self._resume.pop(key, None)
-        if record is not None:
-            verdict = self._restore(record)
+        if key in self._memo:
+            if self._stats is not None:
+                self._stats.memo_hits += 1
+            return self._memo[key]
+        replayed = source == "journal"
+        self._fold(record, len(candidate), replayed=replayed)
+        if "aborted" in record:
+            raise ReductionAborted(*record["aborted"])
+        if replayed:
+            self._resume.pop(key, None)
         else:
-            verdict, record = self._decide(sequence, mode="verify")
             record["key"] = key
-            record["n"] = len(sequence)
+            record["n"] = len(candidate)
             if self.journal is not None:
                 self.journal.append(record)
-        self._memo[key] = verdict
-        if verdict:
-            self._note_accept(key, sequence)
+        verdict = self._memo[key] = bool(record["verdict"])
         return verdict
+
+    def release(self) -> None:
+        """Drop the probe-timeout clamp: the reduction is over."""
+        if self._target is not None:
+            self._target.set_timeout_override(None)
 
     # -- decision pipeline ---------------------------------------------------------
 
-    def _decide(self, candidate: Sequence, *, mode: str = "candidate") -> tuple[bool, dict]:
+    def decide(self, candidate: Sequence, *, mode: str = "candidate") -> dict:
+        """Probe *candidate* to a decision record (``mode="verify"`` for the
+        input-verification majority)."""
         record = {
             "v": 1,
             "verdict": False,
@@ -248,28 +337,24 @@ class FlakeHardenedOracle:
             "faults": {},
             "faulted": False,
         }
-        if mode == "verify":
-            # Wrongly rejecting the input aborts the whole reduction (and a
-            # wrongly *accepted* non-interesting input merely fails to shrink
-            # — every removal gets rejected — which is safe), so the verify
-            # probe is decided by a best-of-N majority, not unanimity.
-            verdict = self._majority(candidate, record)
-            if verdict is None:
-                verdict = False
-                record["faulted"] = True
-                self.stability.faulted_candidates += 1
-                self.last_verdict_faulted = True
-        else:
-            first = self._probe(candidate, record, escalation=False)
-            verdict = False
-            if first is None:
-                record["faulted"] = True
-                self.stability.faulted_candidates += 1
-                self.last_verdict_faulted = True
-            elif first or self._escalated:
-                verdict = self._vote(candidate, record, first)
-        record["verdict"] = verdict
-        return verdict, record
+        try:
+            if mode == "verify":
+                # Wrongly rejecting the input aborts the whole reduction (and
+                # a wrongly *accepted* non-interesting input merely fails to
+                # shrink — every removal gets rejected — which is safe), so
+                # the verify probe is decided by a best-of-N majority, not
+                # unanimity.
+                verdict = self._majority(candidate, record)
+            else:
+                verdict = self._probe(candidate, record, escalation=False)
+                if verdict or (verdict is not None and self._escalated):
+                    verdict = self._vote(candidate, record, verdict)
+        except Exception as exc:  # noqa: BLE001 - raised at commit, in order
+            record["aborted"] = list(degradation(exc))
+            return record
+        record["faulted"] = verdict is None
+        record["verdict"] = bool(verdict)
+        return record
 
     def _majority(self, candidate: Sequence, record: dict) -> bool | None:
         """Best-of-``reject_votes`` majority; ``None`` when *every* probe
@@ -336,31 +421,16 @@ class FlakeHardenedOracle:
             backoff_sleep(attempt, self.policy.retry_backoff, jitter=self._jitter)
             if attempt:
                 record["fault_retries"] += 1
-                self.stability.fault_retries += 1
             self._clamp_probe_timeout()
-            verdict = self._test(candidate)
+            verdict = self.verdict_test(candidate)
             record["probes"] += 1
-            self.stability.probes += 1
             if escalation:
                 record["escalations"] += 1
-                self.stability.escalation_probes += 1
             if verdict.fault is None:
                 self._fault_streak = 0
                 return bool(verdict.interesting)
             self._fault_streak += 1
             record["faults"][verdict.fault] = record["faults"].get(verdict.fault, 0) + 1
-            self.stability.count_fault(verdict.fault)
-            if self.metrics is not None:
-                self.metrics.inc("reduce.faults")
-                self.metrics.inc(f"reduce.faults.{verdict.fault}")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "reduce.fault",
-                    kind=verdict.fault,
-                    attempt=attempt,
-                    candidate_length=len(candidate),
-                    streak=self._fault_streak,
-                )
             if (
                 self.policy.unresponsive_after is not None
                 and self._fault_streak >= self.policy.unresponsive_after
@@ -374,40 +444,35 @@ class FlakeHardenedOracle:
 
     def _disagree(self, record: dict) -> None:
         record["disagreements"] += 1
-        self.stability.disagreements += 1
-        if not self._escalated:
-            self._escalated = True
-            self.stability.escalated = True
+        self._escalated = True
 
-    def _restore(self, record: dict) -> bool:
-        """Fold a journaled decision's accounting back into this run."""
+    def _fold(self, record: dict, length: int, *, replayed: bool) -> None:
+        """Add one decision record's accounting to this reduction's
+        stability — and, for a decision made this run (not replayed from
+        the journal), its fault metrics and ``reduce.fault`` events."""
         s = self.stability
-        s.journal_hits += 1
         s.probes += record.get("probes", 0)
         s.escalation_probes += record.get("escalations", 0)
         s.fault_retries += record.get("fault_retries", 0)
         s.disagreements += record.get("disagreements", 0)
         for kind, count in (record.get("faults") or {}).items():
             s.faults[kind] = s.faults.get(kind, 0) + count
+            if replayed:
+                continue
+            if self.metrics is not None:
+                self.metrics.inc("reduce.faults", count)
+                self.metrics.inc(f"reduce.faults.{kind}", count)
+            if self.tracer.enabled:
+                for _ in range(count):
+                    self.tracer.emit("reduce.fault", kind=kind, candidate_length=length)
+        if replayed:
+            s.journal_hits += 1
         if record.get("faulted"):
             s.faulted_candidates += 1
             self.last_verdict_faulted = True
         if record.get("disagreements"):
             self._escalated = True
             s.escalated = True
-        return bool(record["verdict"])
-
-    def _note_accept(self, key: str, candidate: Sequence) -> None:
-        if key in self._accepted:
-            return  # a memo re-hit of an already accepted candidate
-        self._accepted.add(key)
-        if self.best is None:
-            self.best = list(candidate)
-        if self.initial_length is not None and len(candidate) >= self.initial_length:
-            return  # the verify probe is not a removal
-        if len(candidate) <= len(self.best):
-            self.best = list(candidate)
-        self.removals += 1
 
     def _clamp_probe_timeout(self) -> None:
         if self._target is None:
@@ -419,61 +484,21 @@ class FlakeHardenedOracle:
         self._target.set_timeout_override(max(0.001, remaining))
 
 
-def _absorb_worker_record(
-    oracle: FlakeHardenedOracle, key: str, length: int, record: dict
-) -> bool:
-    """Fold a worker-produced decision record into the parent oracle at
-    commit time: the parent-side half of a decision the worker's own
-    :meth:`FlakeHardenedOracle._decide` already made.
-
-    Mirrors what the serial pipeline does as it probes — stability
-    accounting, fault metrics/tracer events, journaling, memoization —
-    so the parent's stability, journal, and report are identical to a
-    serial run's on a deterministic oracle.  (``journal_hits`` stays
-    untouched: the decision was computed this run, not replayed.)
-    """
-    s = oracle.stability
-    s.probes += record.get("probes", 0)
-    s.escalation_probes += record.get("escalations", 0)
-    s.fault_retries += record.get("fault_retries", 0)
-    s.disagreements += record.get("disagreements", 0)
-    for kind, count in (record.get("faults") or {}).items():
-        s.faults[kind] = s.faults.get(kind, 0) + count
-        if oracle.metrics is not None:
-            oracle.metrics.inc("reduce.faults", count)
-            oracle.metrics.inc(f"reduce.faults.{kind}", count)
-        if oracle.tracer.enabled:
-            for _ in range(count):
-                oracle.tracer.emit(
-                    "reduce.fault", kind=kind, candidate_length=length
-                )
-    if record.get("faulted"):
-        s.faulted_candidates += 1
-        oracle.last_verdict_faulted = True
-    if record.get("disagreements"):
-        oracle._escalated = True
-        s.escalated = True
-    record["key"] = key
-    record["n"] = length
-    if oracle.journal is not None:
-        oracle.journal.append(record)
-    return bool(record["verdict"])
-
-
 def _apply_degradation(
     result: ReductionResult,
-    oracle: FlakeHardenedOracle,
+    stability: OracleStability,
     degraded: str | None,
     detail: str,
     tracer: Any,
     metrics: Any,
 ) -> ReductionResult:
-    """The shared pipeline tail: attach ``degraded``/``stability`` and emit
-    the degradation metrics + tracer event."""
+    """The shared fault-tolerant tail (sessions and the pass pipeline):
+    attach ``degraded``/``stability`` and emit the degradation metrics +
+    tracer event."""
     if result.timed_out and degraded is None:
         degraded = "budget-exhausted"
     result.degraded = degraded
-    result.stability = oracle.stability.to_json()
+    result.stability = stability.to_json()
     if degraded is not None:
         if metrics is not None:
             metrics.inc("reduce.degraded")
@@ -484,282 +509,9 @@ def _apply_degradation(
             detail=detail,
             initial_length=result.initial_length,
             final_length=result.final_length,
-            faults=oracle.stability.fault_total,
+            faults=stability.fault_total,
         )
     return result
-
-
-def _best_effort(oracle: FlakeHardenedOracle, sequence: list) -> ReductionResult:
-    """A valid (every accepted candidate passed the oracle) but possibly
-    non-minimal result, synthesised from the oracle's bookkeeping when the
-    reducer itself could not run to completion."""
-    best = oracle.best if oracle.best is not None else list(sequence)
-    return ReductionResult(
-        transformations=list(best),
-        tests_run=oracle.calls,
-        chunks_removed=oracle.removals,
-        initial_length=len(sequence),
-    )
-
-
-class SpeculativeFaultReduction:
-    """The fault-tolerant pipeline running over the speculative parallel
-    engine (:mod:`repro.perf.parallel_reduce`).
-
-    Construction performs the serial pipeline's head — journal prepare,
-    parent oracle, escalated input verification — in the parent process;
-    candidate *decisions* then run inside pool workers (each owning a fresh
-    oracle over its own supervised target and replayer), and the parent
-    folds each committed decision back through :func:`_absorb_worker_record`
-    in serial scan order.  The journal-resume lookup is read-only at
-    dispatch time and consumed only at commit, so speculative candidates
-    that are later discarded leave no trace in the oracle, the stability
-    accounting, or the journal — all three stay byte-identical to a serial
-    run's on a deterministic oracle.
-    """
-
-    def __init__(
-        self,
-        transformations: Sequence,
-        verdict_test: VerdictTest,
-        policy: ReductionPolicy | None = None,
-        *,
-        journal: "ReductionJournal | str | None" = None,
-        resume: bool = False,
-        supervised_target: Any = None,
-        tracer: Any = None,
-        metrics: Any = None,
-        replay_stats: Any = None,
-        workers: int = 2,
-        window: int | None = None,
-        pool_key: str = "reduction",
-        oracle: "FlakeHardenedOracle | None" = None,
-        verify: bool = True,
-    ) -> None:
-        from repro.perf.parallel_reduce import (
-            SpeculativeReduction,
-            SpeculativeSession,
-        )
-
-        self.tracer = as_tracer(tracer)
-        self.metrics = metrics
-        self.sequence = sequence = list(transformations)
-        self.supervised_target = supervised_target
-        self._verified = verify
-        if oracle is None:
-            self.policy = policy = policy or ReductionPolicy()
-            if journal is not None and not isinstance(journal, ReductionJournal):
-                journal = ReductionJournal(journal)
-            resume_records: dict[str, dict] = {}
-            if journal is not None:
-                resume_records = journal.prepare(
-                    ReductionJournal.candidate_key(sequence),
-                    len(sequence),
-                    resume=resume,
-                )
-            oracle = FlakeHardenedOracle(
-                verdict_test,
-                policy,
-                journal=journal,
-                resume_records=resume_records,
-                supervised_target=supervised_target,
-                tracer=self.tracer,
-                metrics=metrics,
-                replay_stats=replay_stats,
-            )
-            oracle.initial_length = len(sequence)
-            if policy.max_seconds is not None:
-                oracle.deadline = time.monotonic() + policy.max_seconds
-        else:
-            # An externally managed oracle (the pass pipeline's): journal
-            # prepare, deadline, and initial_length are the caller's
-            # responsibility, and the input has already been verified.
-            self.policy = policy = oracle.policy
-        self.oracle = oracle
-        self.degraded: str | None = None
-        self.detail = ""
-        self.result: ReductionResult | None = None
-        self.session = None
-        if verify:
-            try:
-                if not oracle.verify(sequence):
-                    if oracle.last_verdict_faulted:
-                        self.degraded = "verify-faulted"
-                        self.result = _best_effort(oracle, sequence)
-                    else:
-                        raise ValueError(
-                            "the full transformation sequence is not interesting"
-                        )
-            except ReductionAborted as abort:
-                self.degraded = abort.reason
-                self.detail = abort.detail
-                self.result = _best_effort(oracle, sequence)
-            except ValueError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - degrade, like the serial path
-                self.degraded = f"oracle-error: {type(exc).__name__}"
-                self.detail = str(exc)
-                self.result = _best_effort(oracle, sequence)
-        if self.result is not None:
-            return
-        engine = SpeculativeReduction(
-            sequence,
-            window=window if window is not None else max(1, workers) * 4,
-            lookup=self._lookup,
-            on_commit=self._on_commit,
-            tracer=self.tracer,
-            deadline=oracle.deadline,
-        )
-        engine.stats.workers = workers
-        engine.stats.mode = "pool"
-        self.session = SpeculativeSession(
-            pool_key, engine, decide=True, deadline=oracle.deadline
-        )
-
-    # -- engine hooks ------------------------------------------------------------
-
-    def _lookup(self, candidate: list, _cand: Any) -> tuple | None:
-        """Journal-resume / memo short-circuit: resolve without dispatching.
-        Must not mutate — the candidate may never commit."""
-        key = self.oracle._key(candidate)
-        record = self.oracle._resume.get(key)
-        if record is not None:
-            return bool(record["verdict"]), record, "journal"
-        if key in self.oracle._memo:
-            # A repeat candidate (the pass pipeline re-running ddmin after
-            # another pass changed the sequence): the decision is already
-            # settled, so skip the worker round-trip.  ``_on_commit`` takes
-            # its memo branch, exactly as a dispatched repeat would.
-            return self.oracle._memo[key], None, "memo"
-        return None
-
-    def _on_commit(
-        self, candidate: list, verdict: bool, record: dict | None, source: str
-    ) -> bool:
-        """Fold one committed decision into the parent oracle, exactly as the
-        serial oracle's ``__call__`` would have: memo first (duplicate-content
-        candidates can be in flight simultaneously — the repeat pass
-        regenerates them — and only the first may journal), then resumed
-        journal records, then fresh worker records."""
-        oracle = self.oracle
-        oracle.calls += 1
-        if oracle._stats is not None:
-            oracle._stats.requests += 1
-        key = oracle._key(candidate)
-        oracle.last_verdict_faulted = False
-        if key in oracle._memo:
-            if oracle._stats is not None:
-                oracle._stats.memo_hits += 1
-            verdict = oracle._memo[key]
-        elif source == "journal":
-            oracle._resume.pop(key, None)
-            verdict = oracle._restore(record)
-            oracle._memo[key] = verdict
-        else:
-            if record is not None and "aborted" in record:
-                raise ReductionAborted(*record["aborted"])
-            verdict = _absorb_worker_record(oracle, key, len(candidate), record)
-            oracle._memo[key] = verdict
-        if verdict:
-            oracle._note_accept(key, candidate)
-        return verdict
-
-    # -- completion --------------------------------------------------------------
-
-    def finalize(self) -> ReductionResult:
-        """Collect the result after :func:`~repro.perf.parallel_reduce.
-        run_sessions` has drained the session (or immediately, when the
-        pipeline degraded before the engine started)."""
-        oracle = self.oracle
-        try:
-            if self.result is None:
-                error = self.session.error
-                if error is not None:
-                    if isinstance(error, ReductionAborted):
-                        self.degraded = error.reason
-                        self.detail = error.detail
-                    else:
-                        original = getattr(error, "original_type", None)
-                        self.degraded = (
-                            f"oracle-error: {original or type(error).__name__}"
-                        )
-                        self.detail = str(error)
-                    self.result = _best_effort(oracle, self.sequence)
-                else:
-                    self.result = self.session.engine.result(
-                        verify_tests=1 if self._verified else 0
-                    )
-        finally:
-            if self.supervised_target is not None:
-                self.supervised_target.set_timeout_override(None)
-        return _apply_degradation(
-            self.result, oracle, self.degraded, self.detail, self.tracer, self.metrics
-        )
-
-
-def _parallel_reduce_with_faults(
-    transformations: Sequence,
-    verdict_test: VerdictTest,
-    policy: ReductionPolicy | None,
-    *,
-    journal,
-    resume: bool,
-    supervised_target: Any,
-    tracer: Any,
-    metrics: Any,
-    replay_stats: Any,
-    workers: int,
-    window: int | None,
-    pool: Any,
-    pool_key: str,
-    oracle: "FlakeHardenedOracle | None" = None,
-    verify: bool = True,
-) -> ReductionResult:
-    from repro.perf.parallel_reduce import run_sessions
-    from repro.perf.reduce_pool import CallableProbeSpec, ReductionPool
-
-    owns_pool = False
-    if pool is None:
-        from dataclasses import replace as dc_replace
-
-        spec_policy = policy or ReductionPolicy()
-        if spec_policy.max_seconds is not None:
-            # Workers decide single candidates; the wall-clock budget is the
-            # parent's to enforce (deadline-bounded waits + finish_timed_out).
-            spec_policy = dc_replace(spec_policy, max_seconds=None)
-        spec = CallableProbeSpec(
-            test=verdict_test,
-            items=tuple(transformations),
-            decide=True,
-            policy=spec_policy,
-        )
-        if not ReductionPool.shippable(spec):
-            return None  # caller falls back to the serial pipeline
-        pool = ReductionPool({pool_key: spec}, workers)
-        owns_pool = True
-    try:
-        reduction = SpeculativeFaultReduction(
-            transformations,
-            verdict_test,
-            policy,
-            journal=journal,
-            resume=resume,
-            supervised_target=supervised_target,
-            tracer=tracer,
-            metrics=metrics,
-            replay_stats=replay_stats,
-            workers=workers,
-            window=window,
-            pool_key=pool_key,
-            oracle=oracle,
-            verify=verify,
-        )
-        if reduction.session is not None:
-            run_sessions(pool, [reduction.session])
-        return reduction.finalize()
-    finally:
-        if owns_pool:
-            pool.close()
 
 
 def reduce_with_faults(
@@ -777,8 +529,6 @@ def reduce_with_faults(
     window: int | None = None,
     pool: Any = None,
     pool_key: str = "reduction",
-    oracle: "FlakeHardenedOracle | None" = None,
-    verify: bool = True,
 ) -> ReductionResult:
     """Delta-debug *transformations* through the fault-tolerant pipeline.
 
@@ -802,105 +552,49 @@ def reduce_with_faults(
     A genuinely non-interesting input still raises ``ValueError`` exactly as
     the raw reducer does — that is a caller bug, not a target fault.
 
-    ``workers > 1`` (or an explicit *pool*) runs candidate decisions through
-    the speculative parallel engine (:mod:`repro.perf.parallel_reduce`):
-    verdicts commit in serial scan order, so the result *and* the journal
+    This is a short entry point into the one reduction engine
+    (:class:`~repro.perf.parallel_reduce.ReductionSession`) with a
+    :class:`FlakeHardenedOracle` as its commit hook.  ``workers > 1`` (or an
+    explicit *pool*) decides candidates speculatively in worker processes;
+    decisions commit in serial scan order, so the result *and* the journal
     are byte-identical to a serial run's for a deterministic oracle.  An
     oracle that cannot be shipped to worker processes (unpicklable and no
-    ``fork``) silently falls back to the serial pipeline.
-
-    An externally managed *oracle* (the pass pipeline's per-pass oracle) may
-    be supplied together with ``verify=False``: journal preparation, input
-    verification, deadline, and ``initial_length`` are then the caller's
-    responsibility, and the oracle's memo/journal state carries over across
-    invocations.
+    ``fork``) silently runs inline.
     """
-    if workers > 1 or pool is not None:
-        parallel = _parallel_reduce_with_faults(
-            transformations,
-            verdict_test,
-            policy,
-            journal=journal,
-            resume=resume,
-            supervised_target=supervised_target,
-            tracer=tracer,
-            metrics=metrics,
-            replay_stats=replay_stats,
-            workers=max(2, workers),
-            window=window,
-            pool=pool,
-            pool_key=pool_key,
-            oracle=oracle,
-            verify=verify,
-        )
-        if parallel is not None:
-            return parallel
-    tracer = as_tracer(tracer)
+    from repro.perf.parallel_reduce import ReductionSession
+    from repro.perf.reduce_pool import CallableProbeSpec, ReductionPool
+
     sequence = list(transformations)
-    if oracle is None:
-        policy = policy or ReductionPolicy()
-        if journal is not None and not isinstance(journal, ReductionJournal):
-            journal = ReductionJournal(journal)
-        resume_records: dict[str, dict] = {}
-        if journal is not None:
-            resume_records = journal.prepare(
-                ReductionJournal.candidate_key(sequence), len(sequence), resume=resume
-            )
-        oracle = FlakeHardenedOracle(
-            verdict_test,
-            policy,
-            journal=journal,
-            resume_records=resume_records,
-            supervised_target=supervised_target,
-            tracer=tracer,
-            metrics=metrics,
-            replay_stats=replay_stats,
+    oracle = FlakeHardenedOracle.for_reduction(
+        sequence,
+        verdict_test,
+        policy,
+        journal=journal,
+        resume=resume,
+        supervised_target=supervised_target,
+        tracer=tracer,
+        metrics=metrics,
+        replay_stats=replay_stats,
+    )
+    owned = None
+    if pool is None and workers > 1:
+        spec = CallableProbeSpec(
+            test=verdict_test, items=tuple(sequence), decide=True, policy=oracle.policy
         )
-        oracle.initial_length = len(sequence)
-        if policy.max_seconds is not None:
-            oracle.deadline = time.monotonic() + policy.max_seconds
-    else:
-        policy = oracle.policy
-
-    degraded: str | None = None
-    detail = ""
-    result: ReductionResult | None = None
+        pool = owned = ReductionPool.for_spec(pool_key, spec, workers)
     try:
-        verified = True
-        if verify and not oracle.verify(sequence):
-            if oracle.last_verdict_faulted:
-                degraded = "verify-faulted"
-                result = _best_effort(oracle, sequence)
-                verified = False
-            else:
-                raise ValueError(
-                    "the full transformation sequence is not interesting"
-                )
-        if verified and result is None:
-            remaining = None
-            if oracle.deadline is not None:
-                remaining = max(0.0, oracle.deadline - time.monotonic())
-            result = reduce_transformations(
-                sequence,
-                oracle,
-                verify_input=False,
-                max_seconds=remaining,
-                tracer=tracer,
-            )
-            if verify:
-                result.tests_run += 1  # the verify probe above
-    except ReductionAborted as abort:
-        degraded = abort.reason
-        detail = abort.detail
-        result = _best_effort(oracle, sequence)
-    except ValueError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - best-effort degradation is the point
-        degraded = f"oracle-error: {type(exc).__name__}"
-        detail = str(exc)
-        result = _best_effort(oracle, sequence)
+        session = ReductionSession(
+            sequence,
+            oracle=oracle,
+            pool=pool,
+            key=pool_key,
+            workers=max(2, workers) if pool is not None else 1,
+            window=window,
+            deadline=oracle.deadline,
+            tracer=oracle.tracer,
+        )
+        session.run()
+        return session.finalize()
     finally:
-        if supervised_target is not None:
-            supervised_target.set_timeout_override(None)
-
-    return _apply_degradation(result, oracle, degraded, detail, tracer, metrics)
+        if owned is not None:
+            owned.close()

@@ -205,6 +205,23 @@ class TestHarnessParallelReduction:
                 other.transformations
             )
 
+    def test_fault_path_probe_batch_matches_serial(
+        self, references, donors, findings, tmp_path
+    ):
+        # One batching rule: probe_batch applies to fault-tolerant sessions
+        # too, and batched decisions still commit (and journal) in order.
+        harness = _harness(references, donors)
+        serial = harness.reduce_finding(findings[0], journal=tmp_path / "serial.jsonl")
+        batched = harness.reduce_finding(
+            findings[0], journal=tmp_path / "batched.jsonl", workers=2, probe_batch=3
+        )
+        assert harness.metrics.counter("probe_batch.batches") > 0
+        assert batched.to_json() == serial.to_json()
+        assert batched.history == serial.history
+        assert (tmp_path / "batched.jsonl").read_bytes() == (
+            tmp_path / "serial.jsonl"
+        ).read_bytes()
+
     def test_reduce_all_serial_path_is_the_fallback(
         self, references, donors, findings
     ):

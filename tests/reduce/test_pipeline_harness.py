@@ -4,6 +4,8 @@ wired through ``Harness.reduce_finding`` / ``reduce_all``."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.compilers import make_targets
@@ -87,3 +89,47 @@ class TestReduceAll:
                 "type-batch",
                 "ddmin",
             ]
+
+
+class TestSerialTrace:
+    """A serial pipeline ddmin leg is the serial reducer: the same session
+    at window 1, so it traces exactly like the classic path — one
+    ``reduce.round`` per chunk size, no speculation events — and neither
+    path counts as a parallel reduction."""
+
+    def _reduce_traced(self, tmp_path, name, finding, **kwargs):
+        path = tmp_path / f"{name}.jsonl"
+        harness = Harness(
+            make_targets(),
+            reference_programs(),
+            donor_programs(),
+            FuzzerOptions(max_transformations=100),
+            tracer=path,
+        )
+        harness.reduce_finding(finding, **kwargs)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        return harness, events
+
+    def test_classic_and_ddmin_pipeline_emit_the_same_rounds(self, campaign, tmp_path):
+        _, result = campaign
+        finding = result.findings[0]
+        classic, classic_events = self._reduce_traced(tmp_path, "classic", finding)
+        piped, piped_events = self._reduce_traced(
+            tmp_path, "piped", finding, passes=["ddmin"]
+        )
+
+        def rounds(events):
+            return [
+                {k: v for k, v in e.items() if k not in ("ts", "pid")}
+                for e in events
+                if e["ev"] == "reduce.round"
+            ]
+
+        assert rounds(classic_events), "the reduction traced no rounds"
+        assert rounds(piped_events) == rounds(classic_events)
+        for harness, events in ((classic, classic_events), (piped, piped_events)):
+            kinds = {e["ev"] for e in events}
+            assert not kinds & {"reduce.dispatch", "reduce.commit", "reduce.speculate"}
+            end = next(e for e in events if e["ev"] == "reduce.end")
+            assert "speculation" not in end
+            assert harness.metrics.counter("reduce.parallel") == 0

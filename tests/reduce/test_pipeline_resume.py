@@ -69,10 +69,14 @@ class TestInProcessResume:
         journal = tmp_path / "journal.jsonl"
         full = run_pipeline(journal)
 
+        probed = []
+
         def boom(candidate):
+            probed.append(tuple(candidate))
             raise AssertionError("journaled decision was re-probed")
 
         resumed = run_pipeline(journal, resume=True, test=boom)
+        assert probed == []
         assert resumed.to_json() == full.to_json()
         assert resumed.stability["probes"] == full.stability["probes"]
 

@@ -72,16 +72,52 @@ class TestInProcessResume:
             assert resumed.to_json() == full.to_json(), f"diverged at {keep}"
             assert partial.read_bytes() == full_bytes, f"diverged at {keep}"
 
+    def test_resume_probes_only_the_unjournaled_tail(self, tmp_path):
+        # A resumed run re-probes nothing it can replay and nothing the
+        # uninterrupted run never probed: its probes are exactly the tail
+        # of the uninterrupted run's probe stream, at every truncation point.
+        def recording(probes):
+            def test(candidate):
+                probes.append(tuple(candidate))
+                return oracle(candidate)
+
+            return test
+
+        full_probes: list = []
+        full_journal = tmp_path / "full.jsonl"
+        reduce_with_faults(
+            SEQUENCE, recording(full_probes), POLICY, journal=full_journal
+        )
+        lines = full_journal.read_text().splitlines(keepends=True)
+
+        for keep in range(1, len(lines) + 1):
+            partial = tmp_path / f"partial_{keep}.jsonl"
+            partial.write_text("".join(lines[:keep]))
+            resumed_probes: list = []
+            reduce_with_faults(
+                SEQUENCE,
+                recording(resumed_probes),
+                POLICY,
+                journal=partial,
+                resume=True,
+            )
+            tail = full_probes[len(full_probes) - len(resumed_probes):]
+            assert resumed_probes == tail, f"diverged at {keep}"
+
     def test_complete_journal_resumes_without_probing(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         full = reduce_with_faults(SEQUENCE, oracle, POLICY, journal=journal)
 
+        probed = []
+
         def boom(candidate):
+            probed.append(tuple(candidate))
             raise AssertionError("journaled decision was re-probed")
 
         resumed = reduce_with_faults(
             SEQUENCE, boom, POLICY, journal=journal, resume=True
         )
+        assert probed == []
         assert resumed.to_json() == full.to_json()
         assert resumed.stability["probes"] == full.stability["probes"]
 
