@@ -52,19 +52,19 @@ banded rate ``P(J) = 1 - (1 - J^r)^b`` for Jaccard similarity ``J``,
 **Layer 3 — streaming frontend.**  :func:`iter_stream_tests` yields
 ``ReducedTest`` records one at a time from campaign journals (PR 2) and
 trace files (PR 3) without materializing the corpus, and
-:class:`DedupJournal` gives the engine an fsync-per-decision log in the
-repo's sealed-JSONL idiom: after ``SIGKILL`` at any instant, re-running
-the same stream with ``resume=True`` verifies the journaled prefix
-decision-by-decision (a divergent stream raises) and appends exactly the
-records the killed run never wrote — the caught-up journal is
-byte-identical to an uninterrupted run's, and so is the pick set.
+:class:`DedupJournal` gives the engine an fsync-per-decision log, a view
+over the repo's one sealed-JSONL :class:`~repro.robustness.journal.
+Journal`: after ``SIGKILL`` at any instant, re-running the same stream
+with ``resume=True`` verifies the journaled prefix decision-by-decision
+(a divergent stream raises) and appends exactly the records the killed
+run never wrote — the caught-up journal is byte-identical to an
+uninterrupted run's, and so is the pick set.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,8 +77,7 @@ from repro.core.dedup import (
 )
 from repro.core.transformation import SUPPORTING_TYPES
 from repro.observability import as_tracer
-from repro.robustness.chaos import REAL_FILEOPS, FileOps
-from repro.robustness.journal import parse_record, seal_record
+from repro.robustness.journal import Journal, read_jsonl
 
 DEDUP_JOURNAL_VERSION = 1
 
@@ -184,97 +183,53 @@ class TypeSketch:
 # -- the decision journal ----------------------------------------------------
 
 
-class DedupJournal:
-    """Append-only sealed-JSONL log of per-arrival dedup decisions.
+class DedupJournal(Journal):
+    """Per-arrival dedup decisions, a header-bound
+    :class:`~repro.robustness.journal.Journal`.
 
     Line 1 is a header binding the file to one input stream (``stream``
-    key); every further line is one decision record in arrival order.
-    Follows :class:`~repro.robustness.journal.ReductionJournal`'s
-    resume discipline: a trailing line torn by a mid-write ``SIGKILL``
-    is truncated *in place* so the caught-up journal stays byte-identical
-    to an uninterrupted run's, and a journal written for a different
-    stream raises ``ValueError``.
+    key); every further line is one decision record in arrival order.  On
+    resume only the longest valid prefix is kept — the header plus
+    decisions whose ``i`` values are contiguous from 0; everything from the
+    first torn, garbled or discontiguous line on is truncated in place and
+    rewritten by the replay, so the caught-up journal is byte-identical to
+    an uninterrupted run's wherever corruption struck.  A journal written
+    for a different stream raises ``ValueError``.
     """
 
-    def __init__(
-        self, path: Path | str, *, fileops: FileOps | None = None
-    ) -> None:
-        self.path = Path(path)
-        self.fileops = fileops if fileops is not None else REAL_FILEOPS
-
-    def append(self, record: dict) -> None:
-        fileops = self.fileops
-        with fileops.open(self.path, "ab") as handle:
-            fileops.write(handle, seal_record(record))
-            fileops.fsync(handle)
-
     def prepare(self, stream_key: str, *, resume: bool) -> list[dict]:
-        """Open the journal; return the already-decided prefix in order.
-
-        ``resume=False`` discards any existing content and writes a
-        fresh header.  ``resume=True`` loads the existing decisions (the
-        engine re-verifies each against the live stream) after repairing
-        a torn tail in place.
-        """
-        fileops = self.fileops
+        """Open the journal; return the already-decided prefix in order
+        (``[]`` for a fresh run, which starts a new header)."""
         header = {
             "v": DEDUP_JOURNAL_VERSION,
             "header": True,
             "kind": "dedup-stream",
             "stream": stream_key,
         }
-        if not resume or not self.path.exists():
-            with fileops.open(self.path, "wb") as handle:
-                fileops.write(handle, seal_record(header))
-                fileops.fsync(handle)
+        entries = self.start(
+            header,
+            bind="stream",
+            resume=resume,
+            mismatch=(
+                "dedup journal was written for a different input stream — "
+                "resume with the stream that produced it"
+            ),
+        )
+        if not entries:
             return []
-        data = self.path.read_bytes()
-        # Keep only the longest valid prefix: the header plus decisions
-        # whose ``i`` values are contiguous from 0.  Anything past the
-        # first torn, garbled, or discontiguous line — including the
-        # line itself — is truncated *in place* and rewritten by the
-        # replay, so the caught-up journal is byte-identical to an
-        # uninterrupted run's no matter where corruption struck.
         decisions: list[dict] = []
-        seen_header = False
-        keep = 0
-        offset = 0
-        for raw in data.splitlines(keepends=True):
-            end = offset + len(raw)
-            record = (
-                parse_record(raw.decode("utf-8", errors="replace"))
-                if raw.endswith(b"\n")
-                else None
-            )
-            if not seen_header:
-                if record is None or not record.get("header"):
-                    break
-                if record.get("stream") != stream_key:
-                    raise ValueError(
-                        "dedup journal was written for a different input "
-                        "stream — resume with the stream that produced it"
-                    )
-                seen_header = True
-            elif (
+        keep = entries[0][1]
+        for record, end in entries[1:]:
+            if (
                 record is None
-                or record.get("header")
                 or record.get("i") != len(decisions)
                 or "action" not in record
             ):
                 break
-            else:
-                decisions.append(record)
+            decisions.append(record)
             keep = end
-            offset = end
-        if not seen_header:
-            with fileops.open(self.path, "wb") as handle:
-                fileops.write(handle, seal_record(header))
-                fileops.fsync(handle)
-            return []
-        if keep < len(data):
-            with fileops.open(self.path, "r+b") as handle:
-                handle.truncate(keep)
-                fileops.fsync(handle)
+        if keep < entries[-1][1]:
+            self.truncate(keep)
         return decisions
 
 
@@ -545,17 +500,12 @@ class StreamingDedup:
             False: _Pool("stable", sketch, self.stats),
             True: _Pool("nondeterministic", sketch, self.stats),
         }
-        self.journal: DedupJournal | None
-        if journal is None:
-            self.journal = None
-            self._prefix: list[dict] = []
-        else:
-            self.journal = (
-                journal
-                if isinstance(journal, DedupJournal)
-                else DedupJournal(journal)
-            )
-            self._prefix = self.journal.prepare(stream_key, resume=resume)
+        if journal is not None and not isinstance(journal, DedupJournal):
+            journal = DedupJournal(journal)
+        self.journal: DedupJournal | None = journal
+        self._prefix: list[dict] = (
+            journal.prepare(stream_key, resume=resume) if journal is not None else []
+        )
         self._arrivals = 0
 
     # -- ingest --------------------------------------------------------------
@@ -720,49 +670,30 @@ def iter_stream_tests(
     (only ``finding`` events with a ``types`` list are candidates —
     traces written before types were recorded yield nothing); journal
     seed records carry ``seed``/``findings`` and are checksum-verified
-    via :func:`~repro.robustness.journal.parse_record`.  Corrupt or
-    foreign lines are skipped — a torn tail must not abort triage.
+    (:func:`~repro.robustness.journal.read_jsonl`).  Corrupt or foreign
+    lines are skipped — a torn tail must not abort triage.
     """
-    path = Path(path)
     counters: dict[tuple, int] = {}
-    with path.open("r", encoding="utf-8", errors="replace") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
+    for record in read_jsonl(path):
+        if "ev" in record:
+            if record.get("ev") != "finding":
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            if "crc" in record:
-                record = parse_record(line)
-                if record is None:
-                    continue
-            if "ev" in record:
-                if record.get("ev") != "finding":
-                    continue
-                types = record.get("types")
-                if not isinstance(types, list):
-                    continue  # pre-PR-10 trace: findings carry no types
-                seed = record.get("seed")
-                target = record.get("target", "?")
-                key = (seed, target)
-                k = counters.get(key, 0)
-                counters[key] = k + 1
-                yield ReducedTest(
-                    test_id=f"{seed}:{target}:{k}",
-                    types=frozenset(
-                        t for t in types if isinstance(t, str)
-                    )
-                    - ignore,
-                    nondeterministic=bool(
-                        record.get("nondeterministic", False)
-                    ),
-                )
-            elif "seed" in record and "findings" in record:
-                yield from reduced_tests_from_record(record, ignore=ignore)
+            types = record.get("types")
+            if not isinstance(types, list):
+                continue  # pre-PR-10 trace: findings carry no types
+            seed = record.get("seed")
+            target = record.get("target", "?")
+            key = (seed, target)
+            k = counters.get(key, 0)
+            counters[key] = k + 1
+            yield ReducedTest(
+                test_id=f"{seed}:{target}:{k}",
+                types=frozenset(t for t in types if isinstance(t, str))
+                - ignore,
+                nondeterministic=bool(record.get("nondeterministic", False)),
+            )
+        elif "seed" in record and "findings" in record:
+            yield from reduced_tests_from_record(record, ignore=ignore)
 
 
 def stream_key_for(paths: Sequence[Path | str]) -> str:

@@ -14,8 +14,8 @@ auto-detected per line:
   subset: seeds completed, findings by kind/target/signature, faults, and
   skipped (quarantined) targets.
 
-Malformed lines — e.g. one truncated by a mid-write ``SIGKILL`` — are
-skipped, exactly as the journal loader and :func:`read_trace` do.
+Malformed lines — e.g. one truncated by a mid-write ``SIGKILL`` — and
+sealed records failing their checksum are skipped (:func:`read_jsonl`).
 """
 
 from __future__ import annotations
@@ -27,19 +27,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
-
-def _iter_records(path: Path) -> Iterable[dict]:
-    with path.open("r", encoding="utf-8", errors="replace") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                yield record
+from repro.robustness.journal import read_jsonl
 
 
 def summarize(records: Iterable[dict]) -> dict:
@@ -539,7 +527,7 @@ def report_main(argv: list[str] | None = None) -> int:
     if not args.trace.exists():
         parser.error(f"no such trace file: {args.trace}")
 
-    summary = summarize(_iter_records(args.trace))
+    summary = summarize(read_jsonl(args.trace))
     if summary["events"] == 0 and summary["journal_records"] == 0:
         print(f"{args.trace}: no trace events or journal records", file=sys.stderr)
         return 1

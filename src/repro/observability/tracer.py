@@ -168,20 +168,15 @@ def read_trace(path: Path | str) -> Iterator[dict]:
     """Yield every parseable event in a trace file.
 
     Lines truncated by an untimely kill (or interleaved garbage) are
-    skipped, mirroring :meth:`CampaignJournal.load`'s discipline — a trace
-    is useful evidence precisely when the campaign died violently.
+    skipped (:func:`~repro.robustness.journal.read_jsonl`) — a trace is
+    useful evidence precisely when the campaign died violently.
     """
+    # Imported here: ``repro.robustness`` imports this package at load.
+    from repro.robustness.journal import read_jsonl
+
     path = Path(path)
     if not path.exists():
         return
-    with path.open("r", encoding="utf-8", errors="replace") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and "ev" in record:
-                yield record
+    for record in read_jsonl(path):
+        if "ev" in record:
+            yield record

@@ -588,10 +588,12 @@ class ReductionSession:
 
     # -- finalize ------------------------------------------------------------------
 
-    def finalize(self) -> ReductionResult:
+    def finalize(self, *, report: bool = True) -> ReductionResult:
         """The reduction result.  Plain sessions re-raise a probe error;
         fault-tolerant sessions degrade to the best-so-far sequence (the last
-        committed acceptance)."""
+        committed acceptance).  ``report=False`` attaches the degradation
+        without emitting its metrics and event, for a caller that reports
+        once for a larger run (a pass-pipeline leg)."""
         oracle = self.oracle
         if oracle is None:
             if self.error is not None:
@@ -619,8 +621,8 @@ class ReductionSession:
             oracle.stability,
             self.degraded,
             self.detail,
-            oracle.tracer,
-            oracle.metrics,
+            oracle.tracer if report else as_tracer(None),
+            oracle.metrics if report else None,
         )
 
 

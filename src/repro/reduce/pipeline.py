@@ -335,7 +335,7 @@ class _Execution:
     # -- oracle / journal plumbing -------------------------------------------------
 
     def _prepare_journal(self) -> None:
-        from repro.robustness.journal import ReductionJournal, parse_record
+        from repro.robustness.journal import ReductionJournal
 
         if self.journal is None:
             return
@@ -349,15 +349,7 @@ class _Execution:
             "pipeline": [p.name for p in self.pipeline.passes],
             "giveup": self.giveup,
         }
-        existing = None
-        if self.ctx.resume and self.journal.path.exists():
-            for line in self.journal.path.read_text(
-                encoding="utf-8", errors="replace"
-            ).splitlines():
-                record = parse_record(line)
-                if record is not None and "pipeline" in record:
-                    existing = record
-                    break
+        existing = self.journal.config
         if existing is None:
             # Fresh run — or a resume killed before the config record landed.
             self.journal.append(config)
@@ -464,7 +456,7 @@ class _Execution:
                 stats=self.speculation if pool is not None else None,
             )
             session.run(batch=ctx.probe_batch or 1, metrics=ctx.metrics)
-            result = session.finalize()
+            result = session.finalize(report=False)
         finally:
             if owned is not None:
                 owned.close()

@@ -8,8 +8,8 @@ targets misbehave:
   wall-clock timeout and memory cap; hangs/OOMs/hard crashes become
   ``TIMEOUT`` / ``RESOURCE`` / ``WORKER_CRASH`` outcomes instead of killing
   the campaign.
-* :class:`CampaignJournal` — per-seed JSONL checkpoints so an interrupted
-  campaign resumes (``Harness.run_campaign(journal=..., resume=True)``).
+* :class:`CampaignJournal` — per-seed checkpoints over the one sealed-JSONL
+  :class:`Journal`, so an interrupted campaign resumes.
 * :class:`QuarantineTracker` — targets that exceed a fault budget are
   skipped for the rest of the campaign.
 * :func:`verdict_is_stable` — re-probe findings and flag flaky verdicts as
@@ -43,6 +43,7 @@ from repro.robustness.chaos import (
 from repro.robustness.config import ReductionPolicy, RobustnessConfig
 from repro.robustness.journal import (
     CampaignJournal,
+    Journal,
     ReductionJournal,
     parse_record,
     record_to_run,
@@ -77,6 +78,7 @@ __all__ = [
     "Fault",
     "FileOps",
     "FlakeHardenedOracle",
+    "Journal",
     "ProbeVerdict",
     "QuarantineTracker",
     "REAL_FILEOPS",

@@ -1,12 +1,12 @@
 """Deterministic I/O chaos: the ``FileOps`` seam and seeded fault injection.
 
-Every durable writer in the repo (``CampaignJournal``, ``ReductionJournal``,
-``CampaignStore``) performs its I/O through an injectable :class:`FileOps`
-object instead of calling ``os`` directly.  In production that object is
-:data:`REAL_FILEOPS` — a thin, allocation-free pass-through (the CI bench
+Every durable write in the repo goes through the one
+:class:`~repro.robustness.journal.Journal`, which performs its I/O through
+an injectable :class:`FileOps` object instead of calling ``os`` directly.
+In production that object is :data:`REAL_FILEOPS` — a thin, allocation-free pass-through (the CI bench
 gates its overhead at ≤1.05x raw journal-write throughput).  In tests it is
-a :class:`ChaosFileOps`, which can make any *individual* ``open`` /
-``write`` / ``fsync`` / ``replace`` / directory-fsync call misbehave:
+a :class:`ChaosFileOps`, which can make any *individual* ``open`` / ``write``
+/ ``fsync`` / ``truncate`` / ``replace`` / directory-fsync call misbehave:
 
 * ``mode="error"`` — raise ``OSError`` with a chosen errno (ENOSPC, EIO);
 * ``mode="short"`` — write only a prefix of the payload, then raise ENOSPC:
@@ -71,8 +71,8 @@ class ChaosKill(BaseException):
 class Fault:
     """One injected fault: the *index*-th call of *op* misbehaves.
 
-    ``op`` is one of ``"open"``, ``"write"``, ``"fsync"``, ``"replace"``,
-    ``"fsync_dir"``.  ``mode``:
+    ``op`` is one of ``"open"``, ``"write"``, ``"fsync"``, ``"truncate"``,
+    ``"replace"``, ``"fsync_dir"``.  ``mode``:
 
     * ``"error"`` — raise ``OSError(error)`` before touching the file;
     * ``"short"`` (write only) — write ``tear_at`` bytes of the payload,
@@ -94,9 +94,9 @@ class Fault:
 class FileOps:
     """The narrow I/O seam durable writers call instead of ``os``/``open``.
 
-    Methods mirror exactly the operations the journals and the store
-    perform; reads stay direct (corruption of what is *on disk already* is
-    the corruption fuzzers' job, not this seam's).
+    Methods mirror exactly the operations the journal performs; reads stay
+    direct (corruption of what is *on disk already* is the corruption
+    fuzzers' job, not this seam's).
     """
 
     def open(self, path: Path | str, mode: str) -> IO[bytes]:
@@ -108,6 +108,9 @@ class FileOps:
     def fsync(self, handle: IO[bytes]) -> None:
         handle.flush()
         os.fsync(handle.fileno())
+
+    def truncate(self, handle: IO[bytes], size: int) -> None:
+        handle.truncate(size)
 
     def replace(self, src: Path | str, dst: Path | str) -> None:
         os.replace(src, dst)
@@ -193,12 +196,16 @@ class ChaosFileOps(FileOps):
             raise ChaosKill(f"chaos kill during {detail}")
         raise OSError(fault.error, f"{os.strerror(fault.error)} [chaos {detail}]")
 
+    def _gate(self, op: str, target: object) -> None:
+        """Count one *op* call on *target*; raise if a fault is due."""
+        fault = self._intercept(op, target)
+        if fault is not None:
+            self._raise(fault, f"{op} {target}")
+
     # -- intercepted ops -----------------------------------------------------
 
     def open(self, path: Path | str, mode: str) -> IO[bytes]:
-        fault = self._intercept("open", path)
-        if fault is not None:
-            self._raise(fault, f"open {path}")
+        self._gate("open", path)
         return super().open(path, mode)
 
     def write(self, handle: IO[bytes], data: bytes) -> None:
@@ -222,16 +229,16 @@ class ChaosFileOps(FileOps):
             self._raise(fault, f"fsync {getattr(handle, 'name', '?')}")
         super().fsync(handle)
 
+    def truncate(self, handle: IO[bytes], size: int) -> None:
+        self._gate("truncate", getattr(handle, "name", "?"))
+        super().truncate(handle, size)
+
     def replace(self, src: Path | str, dst: Path | str) -> None:
-        fault = self._intercept("replace", dst)
-        if fault is not None:
-            self._raise(fault, f"replace {dst}")
+        self._gate("replace", dst)
         super().replace(src, dst)
 
     def fsync_dir(self, path: Path | str) -> None:
-        fault = self._intercept("fsync_dir", path)
-        if fault is not None:
-            self._raise(fault, f"fsync_dir {path}")
+        self._gate("fsync_dir", path)
         super().fsync_dir(path)
 
     def disk_free(self, path: Path | str) -> int:

@@ -1,41 +1,39 @@
-"""Campaign and reduction journals: JSONL records enabling checkpoint/resume.
+"""One sealed-JSONL :class:`Journal` and the keyed views over it.
 
-``Harness.run_campaign(journal=...)`` appends one self-contained JSON line
-per completed seed; ``resume=True`` replays those records instead of
-re-fuzzing, so a campaign killed mid-run (even by ``SIGKILL``) restarts
-where it left off and yields a :class:`~repro.core.harness.CampaignResult`
-identical to an uninterrupted run.
+:class:`Journal` is the only code that seals and verifies lines, repairs a
+torn tail, truncates, fsyncs, and atomically rewrites a journal file, all
+through the :class:`~repro.robustness.chaos.FileOps` chaos seam.  Every
+line carries a mandatory CRC-32 (``crc``) over its canonical JSON, so a
+flipped byte that still parses is rejected, never merged (see
+:func:`seal_record` / :func:`parse_record`).  There is one torn-tail rule:
+an unterminated line is never a record, and the next append truncates it
+in place — so a journal resumed after a ``SIGKILL`` catches up
+byte-identically to an uninterrupted run's.
 
-Record shape (one per line)::
+The views keep their own read policies:
 
-    {"v": 1, "seed": 3, "program": "loops_nested", "transformation_count": 41,
-     "skipped_targets": [...], "faults": [["NVIDIA", "timeout"], ...],
-     "findings": [{"target": ..., "signature": ..., "kind": ...,
-                   "optimized_flow": ..., "nondeterministic": ...,
-                   "ground_truth_bug": ..., "inputs": {...},
-                   "transformations": [...]}]}
+* :class:`CampaignJournal` — one self-contained record per completed seed,
+  replayed by ``Harness.run_campaign(journal=..., resume=True)`` instead of
+  re-fuzzing.  Keyed by seed: corrupt lines are skipped (their seeds re-run)
+  and a later record for the same seed wins.  Findings reference their
+  program *by name*; the loader rebuilds it from the harness corpus::
 
-Findings reference their original program *by name* (as
-:class:`~repro.perf.parallel.CampaignSpec` does) — the loader rebuilds the
-module from the harness's reference corpus, so journal files stay small and
-the resumed findings are behaviourally identical to freshly computed ones.
-A line truncated by an untimely kill is ignored; its seed is simply re-run.
-Every line additionally carries a mandatory CRC-32 (``crc``) over its
-canonical JSON, so *interior* corruption — a flipped byte that still
-parses — is detected and the record discarded rather than surfacing
-partially merged (see :func:`seal_record` / :func:`parse_record`;
-pre-checksum journals re-run their seeds).
+      {"v": 1, "seed": 3, "program": "loops_nested", "transformation_count": 41,
+       "skipped_targets": [...], "faults": [["NVIDIA", "timeout"], ...],
+       "findings": [{"target": ..., "signature": ..., "kind": ...,
+                     "optimized_flow": ..., "nondeterministic": ...,
+                     "ground_truth_bug": ..., "inputs": {...},
+                     "transformations": [...]}]}
 
-:class:`ReductionJournal` applies the same fsync-per-line discipline to the
-fault-tolerant reducer (:mod:`repro.robustness.reduction`): one header line
-binding the journal to the initial transformation sequence, then one record
-per oracle *decision* — candidate content key, final verdict, and the probe
-/ vote / fault accounting the decision cost.  Because the delta-debugging
-loop is a deterministic function of the verdict sequence, replaying the
-journal reproduces the exact candidate order, so a resumed reduction appends
-precisely the records the killed run never got to write and finishes with a
-journal (and :class:`~repro.core.reducer.ReductionResult`) byte-identical to
-an uninterrupted run.
+* :class:`ReductionJournal` — a header binding the file to the initial
+  transformation sequence, then one record per oracle *decision*, read
+  back keyed by candidate.  Delta debugging is a deterministic function of
+  its verdict sequence, so a resumed reduction appends exactly the records
+  the killed run never wrote and ends with a journal (and
+  :class:`~repro.core.reducer.ReductionResult`) byte-identical to an
+  uninterrupted run's.
+* :class:`~repro.core.dedup_scale.DedupJournal` and the campaign service's
+  ``meta.jsonl`` / ``result.json`` (:mod:`repro.service.store`).
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.robustness.chaos import REAL_FILEOPS, FileOps
 
@@ -69,12 +67,13 @@ def seal_record(record: dict) -> bytes:
     byte that still happens to parse (``"seed": 3`` -> ``"seed": 7``) now
     fails verification instead of silently resurfacing as a wrong record.
     """
+    sealed = {**record, "crc": _crc(record)}
+    return json.dumps(sealed, sort_keys=True).encode("utf-8") + b"\n"
+
+
+def _crc(record: dict) -> int:
     body = json.dumps(record, sort_keys=True)
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return (
-        json.dumps({**record, "crc": crc}, sort_keys=True).encode("utf-8")
-        + b"\n"
-    )
+    return zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
 
 
 def parse_record(line: str) -> dict | None:
@@ -87,20 +86,37 @@ def parse_record(line: str) -> dict | None:
     written before checksumming simply re-run their seeds.  The returned
     dict never contains the ``crc`` field.
     """
-    line = line.strip()
-    if not line:
-        return None
     try:
         record = json.loads(line)
     except json.JSONDecodeError:
-        return None  # truncated by a mid-write kill, or garbage
+        return None  # empty, truncated by a mid-write kill, or garbage
+    return _verified(record)
+
+
+def _verified(record: object) -> dict | None:
+    """*record* without its ``crc`` if the checksum holds, else ``None``."""
     if not isinstance(record, dict):
         return None
-    crc = record.pop("crc", None)
-    body = json.dumps(record, sort_keys=True)
-    if crc != zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF:
+    if record.pop("crc", None) != _crc(record):
         return None  # interior corruption (or a pre-checksum record)
     return record
+
+
+def read_jsonl(path: Path | str) -> Iterator[dict]:
+    """Every JSON-object line of a trace or journal file, in file order —
+    the lenient reader behind ``repro-report``, :func:`~repro.observability.
+    tracer.read_trace` and the streaming dedup frontend.  Unparseable lines
+    are skipped, and a line carrying a ``crc`` must verify."""
+    with Path(path).open("r", encoding="utf-8", errors="replace") as handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # blank, torn, or garbage
+            if isinstance(record, dict) and "crc" in record:
+                record = _verified(record)
+            if isinstance(record, dict):
+                yield record
 
 
 def run_to_record(run: "SeedRun") -> dict:
@@ -168,12 +184,12 @@ def record_to_run(record: dict, references_by_name: dict) -> "SeedRun":
     return run
 
 
-class CampaignJournal:
-    """Append-only JSONL journal over a file path.
+class Journal:
+    """One append-only sealed-JSONL file (see the module docstring).
 
-    All durable writes go through *fileops* (default: the real OS calls),
-    the chaos seam that lets tests make any individual ``open``/``write``/
-    ``fsync`` fail or tear — see :mod:`repro.robustness.chaos`.
+    Writes go through *fileops* (default: the real OS calls), so the chaos
+    tests can make any single ``open``/``write``/``fsync``/``truncate``/
+    ``replace`` fail or tear; reads stay direct.
     """
 
     def __init__(
@@ -181,6 +197,88 @@ class CampaignJournal:
     ) -> None:
         self.path = Path(path)
         self.fileops = fileops if fileops is not None else REAL_FILEOPS
+
+    def append(self, record: dict) -> None:
+        """Seal *record* and append it, fsync'd.  An unterminated tail (a
+        record torn by a mid-write kill) is truncated in place first; a
+        healthy file costs one read of its last byte."""
+        line = seal_record(record)
+        fileops = self.fileops
+        with fileops.open(self.path, "a+b") as handle:
+            if handle.tell() > 0:
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    handle.seek(0)
+                    fileops.truncate(handle, handle.read().rfind(b"\n") + 1)
+            fileops.write(handle, line)
+            fileops.fsync(handle)
+
+    def scan(self) -> list[tuple[dict | None, int]]:
+        """``(record, end offset)`` per line, in file order; ``record`` is
+        ``None`` for a torn, garbled or checksum-failing line.  An
+        unterminated tail is never a record: it scans as ``None``."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return []
+        *lines, tail = data.split(b"\n")
+        entries: list[tuple[dict | None, int]] = []
+        end = 0
+        for raw in lines:
+            end += len(raw) + 1
+            entries.append((parse_record(raw.decode("utf-8", "replace")), end))
+        if tail:
+            entries.append((None, len(data)))
+        return entries
+
+    def start(
+        self, header: dict, *, bind: str, resume: bool, mismatch: str
+    ) -> list[tuple[dict | None, int]]:
+        """Open a header-bound journal: the :meth:`scan` entries, header
+        first, when resuming a file whose first line is a valid header; a
+        header whose *bind* field differs raises ``ValueError(mismatch)``.
+        Otherwise (fresh run, or no valid header) the file is reset to just
+        *header* and ``[]`` is returned."""
+        if resume:
+            entries = self.scan()
+            first = entries[0][0] if entries else None
+            if first is not None and first.get("header"):
+                if first.get(bind) != header[bind]:
+                    raise ValueError(mismatch)
+                return entries
+        fileops = self.fileops
+        with fileops.open(self.path, "wb") as handle:
+            fileops.write(handle, seal_record(header))
+            fileops.fsync(handle)
+        return []
+
+    def truncate(self, offset: int) -> None:
+        fileops = self.fileops
+        with fileops.open(self.path, "r+b") as handle:
+            fileops.truncate(handle, offset)
+            fileops.fsync(handle)
+
+    def replace(self, records: Sequence[dict]) -> None:
+        """Atomically rewrite the file as *records* (tmp file, fsync,
+        ``os.replace``, directory fsync): a crash leaves the old file or
+        the new one, and a torn tmp is invisible to every reader."""
+        fileops = self.fileops
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with fileops.open(tmp, "wb") as handle:
+            for record in records:
+                fileops.write(handle, seal_record(record))
+            fileops.fsync(handle)
+        fileops.replace(tmp, self.path)
+        fileops.fsync_dir(self.path.parent)
+
+
+class CampaignJournal:
+    """Per-seed records over a :class:`Journal`, keyed by seed."""
+
+    def __init__(
+        self, path: Path | str, *, fileops: FileOps | None = None
+    ) -> None:
+        self.file = Journal(path, fileops=fileops)
 
     def append(self, run: "SeedRun") -> None:
         self.append_record(run_to_record(run))
@@ -192,17 +290,7 @@ class CampaignJournal:
         objects) over their result pipes; the service appends them through
         this path so worker and CLI journals are interchangeable.
         """
-        line = seal_record(record)
-        fileops = self.fileops
-        with fileops.open(self.path, "a+b") as handle:
-            if handle.tell() > 0:
-                # A kill can truncate the previous record mid-line; start a
-                # fresh line so this record stays parseable on later resumes.
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    fileops.write(handle, b"\n")
-            fileops.write(handle, line)
-            fileops.fsync(handle)
+        self.file.append(record)
 
     def append_runs(self, runs) -> None:
         for run in runs:
@@ -214,13 +302,8 @@ class CampaignJournal:
         A later valid record for the same seed wins (re-executed lease
         batches journal identical records, so the duplicate is harmless)."""
         records: dict[int, dict] = {}
-        if not self.path.exists():
-            return records
-        with self.path.open("r", encoding="utf-8", errors="replace") as handle:
-            for line in handle:
-                record = parse_record(line)
-                if record is None or "seed" not in record:
-                    continue
+        for record, _end in self.file.scan():
+            if record is not None and "seed" in record:
                 records[record["seed"]] = record
         return records
 
@@ -233,8 +316,8 @@ class CampaignJournal:
         }
 
 
-class ReductionJournal:
-    """Append-only JSONL journal of per-candidate reduction verdicts.
+class ReductionJournal(Journal):
+    """Per-candidate reduction verdicts, a header-bound :class:`Journal`.
 
     Line 1 is a header ``{"header": true, "sequence": <key>, "length": n}``
     binding the file to one initial transformation sequence; every further
@@ -249,11 +332,9 @@ class ReductionJournal:
     transformation objects from the finding and looks decisions up by value.
     """
 
-    def __init__(
-        self, path: Path | str, *, fileops: FileOps | None = None
-    ) -> None:
-        self.path = Path(path)
-        self.fileops = fileops if fileops is not None else REAL_FILEOPS
+    #: The pass pipeline's ``{"pipeline": [...], "giveup": g}`` config
+    #: record, as :meth:`prepare` found it (``None``: not written yet).
+    config: dict | None = None
 
     @staticmethod
     def candidate_key(candidate: Sequence) -> str:
@@ -273,65 +354,33 @@ class ReductionJournal:
         return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
     def append(self, record: dict) -> None:
-        fileops = self.fileops
-        with fileops.open(self.path, "ab") as handle:
-            fileops.write(handle, seal_record(record))
-            fileops.fsync(handle)
+        # Defined on this class, not inherited, so the per-layer tracer
+        # that wraps ``ReductionJournal.append`` keeps counting its appends.
+        super().append(record)
 
     def prepare(
         self, sequence_key: str, length: int, *, resume: bool
     ) -> dict[str, dict]:
-        """Open the journal for one reduction run.
-
-        With ``resume=False`` any existing content is discarded and a fresh
-        header is written.  With ``resume=True`` the existing records are
-        loaded and returned keyed by candidate key; a trailing line torn by
-        a mid-write ``SIGKILL`` is *truncated in place* (unlike the campaign
-        journal's start-a-fresh-line repair) so the caught-up journal stays
-        byte-identical to an uninterrupted run's.  A journal written for a
-        different initial sequence raises ``ValueError`` — resuming someone
-        else's reduction would replay the wrong verdicts.
-        """
-        fileops = self.fileops
+        """Open the journal for one reduction run (:meth:`Journal.start`)
+        and return the resumed decisions keyed by candidate key.  Corrupt
+        lines are skipped (their candidates are re-probed); a journal
+        written for a different initial sequence raises ``ValueError``."""
         header = {
             "v": REDUCTION_JOURNAL_VERSION,
             "header": True,
             "sequence": sequence_key,
             "length": length,
         }
-        if not resume or not self.path.exists():
-            with fileops.open(self.path, "wb") as handle:
-                fileops.write(handle, seal_record(header))
-                fileops.fsync(handle)
-            return {}
-        data = self.path.read_bytes()
-        if data and not data.endswith(b"\n"):
-            cut = data.rfind(b"\n") + 1
-            with fileops.open(self.path, "r+b") as handle:
-                handle.truncate(cut)
-                fileops.fsync(handle)
-            data = data[:cut]
-        decisions: dict[str, dict] = {}
-        seen_header = False
-        for line in data.decode("utf-8", errors="replace").splitlines():
-            record = parse_record(line)
-            if record is None:
-                continue  # torn, garbled, or checksum-failing: re-run it
-            if record.get("header"):
-                if record.get("sequence") != sequence_key:
-                    raise ValueError(
-                        "reduction journal was written for a different "
-                        "transformation sequence — resume with the finding "
-                        "that produced it"
-                    )
-                seen_header = True
-                continue
-            if "key" in record and "verdict" in record:
-                decisions[record["key"]] = record
-        if not seen_header:
-            # Empty (or headerless) file: restart it so appends line up.
-            with fileops.open(self.path, "wb") as handle:
-                fileops.write(handle, seal_record(header))
-                fileops.fsync(handle)
-            return {}
-        return decisions
+        entries = self.start(
+            header,
+            bind="sequence",
+            resume=resume,
+            mismatch=(
+                "reduction journal was written for a different "
+                "transformation sequence — resume with the finding that "
+                "produced it"
+            ),
+        )
+        records = [record for record, _end in entries if record is not None]
+        self.config = next((r for r in records if "pipeline" in r), None)
+        return {r["key"]: r for r in records if "key" in r and "verdict" in r}

@@ -61,7 +61,7 @@ from repro.core.dedup_scale import (
 )
 from repro.observability import as_tracer
 from repro.robustness.breaker import CircuitBreaker
-from repro.robustness.journal import record_to_run
+from repro.robustness.journal import read_jsonl, record_to_run
 from repro.service import state as st
 from repro.service.fleet import WorkerFleet, _sanitize_spec
 from repro.service.leases import LeaseTable, Watchdog
@@ -975,17 +975,13 @@ class CampaignService:
 
     def report(self, campaign_id: str) -> dict | None:
         """Live repro-report summary over the campaign's journal."""
-        from repro.observability.report import (
-            _iter_records,
-            _jsonable,
-            summarize,
-        )
+        from repro.observability.report import _jsonable, summarize
 
         with self._lock:
             if not self.store.exists(campaign_id):
                 return None
             path = self.store.journal_path(campaign_id)
-            records = _iter_records(path) if path.exists() else ()
+            records = read_jsonl(path) if path.exists() else ()
             return _jsonable(summarize(records))
 
     def healthz(self) -> dict:

@@ -9,53 +9,39 @@ Layout under the store root::
     http.json                      # bound address of the HTTP API (if any)
     service-trace.jsonl            # service event trace (if enabled)
 
-``meta.jsonl`` uses the same sealed-record discipline as the journals
-(:func:`repro.robustness.journal.seal_record`): every line is fsync'd
-before the service acts on the transition it records, carries a CRC-32,
-and a line torn by ``SIGKILL`` is repaired on the next append.  Loading
-folds the record *prefix* up to the first invalid line — a torn tail is
-expected and harmless; an invalid line **followed by** valid ones is
-interior corruption and :meth:`CampaignStore.check` reports it loudly
-rather than merging records across the gap.
+Every file here is a view over the one sealed-JSONL
+:class:`~repro.robustness.journal.Journal`, sharing its CRC-32 seals,
+fsyncs, torn-tail rule and :class:`~repro.robustness.chaos.FileOps` chaos
+seam.  ``meta.jsonl`` lines are fsync'd before the service acts on the
+transition they record.  Loading folds the record *prefix* up to the first
+invalid line — a torn tail is expected and harmless; an invalid line
+**followed by** valid ones is interior corruption, and
+:meth:`CampaignStore.check` (classifying the lines of the same scan)
+reports it loudly rather than merging records across the gap.
 
-``result.json`` is written atomically (tmp + fsync + ``os.replace`` +
-directory fsync) and contains **no timestamps or execution statistics**,
-so a campaign's result bytes are a pure function of its spec and seeds —
-the property the kill/restart chaos tests assert.  The file is one sealed
-record (CRC-32 over its canonical JSON), so bit rot that still parses as
-JSON is detected instead of silently served.
-
-All durable writes flow through an injectable
-:class:`~repro.robustness.chaos.FileOps` seam, so the chaos harness can
-make any individual ``open``/``write``/``fsync``/``replace``/dir-fsync
-fail with ENOSPC/EIO, land short, or tear at a chosen byte.  A real
-directory-fsync failure **propagates** — only open-for-fsync-unsupported
-errnos are ignored (see :meth:`FileOps.fsync_dir`) — because swallowing
-EIO there would make every durability claim above dishonest.
+``result.json`` is one sealed record written atomically
+(:meth:`Journal.replace`) and contains **no timestamps or execution
+statistics**, so a campaign's result bytes are a pure function of its spec
+and seeds — the property the kill/restart chaos tests assert.  A real
+directory-fsync failure **propagates** (see :meth:`FileOps.fsync_dir`):
+swallowing EIO there would make every durability claim above dishonest.
 
 Long-lived campaigns cannot eat the disk: when ``compact_meta_bytes`` is
 set, a meta history that outgrows it is folded into a two-record snapshot
 (the submit record plus one state record carrying the full state ``chain``)
-written crash-safely — tmp file, fsync, atomic rename, directory fsync.  A
-snapshot torn mid-write is invisible (readers never look at the tmp), and
-:meth:`check` validates the embedded chain exactly as it validates live
-transition records.
+written by :meth:`Journal.replace`, and :meth:`check` validates the
+embedded chain exactly as it validates live transition records.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import shutil
 from pathlib import Path
 
 from repro.robustness.chaos import REAL_FILEOPS, FileOps
-from repro.robustness.journal import (
-    CampaignJournal,
-    parse_record,
-    seal_record,
-)
+from repro.robustness.journal import CampaignJournal, Journal, parse_record
 from repro.service import state as st
 
 META_VERSION = 1
@@ -196,37 +182,17 @@ class CampaignStore:
 
     # -- meta journal --------------------------------------------------------
 
-    def _append_meta(self, campaign_id: str, record: dict) -> None:
-        line = seal_record(record)
-        fileops = self.fileops
-        with fileops.open(self.meta_path(campaign_id), "a+b") as handle:
-            if handle.tell() > 0:
-                # Truncate a record torn by a mid-write kill (no trailing
-                # newline) so the history stays a clean record-per-line
-                # prefix — the reduction journal's repair, not the campaign
-                # journal's fresh-line one, because meta readers stop at
-                # the first invalid line rather than skipping it.
-                handle.seek(0)
-                data = handle.read()
-                if not data.endswith(b"\n"):
-                    handle.truncate(data.rfind(b"\n") + 1)
-                handle.seek(0, os.SEEK_END)
-            fileops.write(handle, line)
-            fileops.fsync(handle)
+    def _meta(self, campaign_id: str) -> Journal:
+        return Journal(self.meta_path(campaign_id), fileops=self.fileops)
 
     def history(self, campaign_id: str) -> list[dict]:
         """The verified meta-record *prefix*: reading stops at the first
         invalid line, so a record is never merged across a corrupt gap."""
-        path = self.meta_path(campaign_id)
-        if not path.exists():
-            return []
         records: list[dict] = []
-        with path.open("r", encoding="utf-8", errors="replace") as handle:
-            for line in handle:
-                record = parse_record(line)
-                if record is None:
-                    break  # consistent prefix only; check() classifies this
-                records.append(record)
+        for record, _end in self._meta(campaign_id).scan():
+            if record is None:
+                break  # consistent prefix only; check() classifies this
+            records.append(record)
         return records
 
     # -- lifecycle -----------------------------------------------------------
@@ -248,8 +214,7 @@ class CampaignStore:
         created = not directory.exists()
         directory.mkdir(parents=True, exist_ok=True)
         try:
-            self._append_meta(
-                manifest.campaign_id,
+            self._meta(manifest.campaign_id).append(
                 {
                     "v": META_VERSION,
                     "type": "submit",
@@ -263,12 +228,11 @@ class CampaignStore:
                     "spec": spec_to_json(manifest.spec),
                 },
             )
-            self._append_meta(
-                manifest.campaign_id,
-                {"v": META_VERSION, "type": "state", "state": st.QUEUED},
+            self._meta(manifest.campaign_id).append(
+                {"v": META_VERSION, "type": "state", "state": st.QUEUED}
             )
-            self._fsync_dir(directory)
-            self._fsync_dir(self.campaigns_dir)
+            self.fileops.fsync_dir(directory)
+            self.fileops.fsync_dir(self.campaigns_dir)
         except OSError:
             if created:
                 shutil.rmtree(directory, ignore_errors=True)
@@ -315,14 +279,8 @@ class CampaignStore:
                 f"illegal transition {current} -> {new_state} "
                 f"for campaign {campaign_id!r}"
             )
-        self._append_meta(
-            campaign_id,
-            {
-                "v": META_VERSION,
-                "type": "state",
-                "state": new_state,
-                **fields,
-            },
+        self._meta(campaign_id).append(
+            {"v": META_VERSION, "type": "state", "state": new_state, **fields}
         )
         if (
             self.compact_meta_bytes is not None
@@ -339,10 +297,9 @@ class CampaignStore:
         The snapshot keeps the submit record verbatim plus one state record
         whose ``chain`` attests the whole folded state sequence (and whose
         other fields — e.g. a FAILED ``reason`` — come from the last live
-        transition record).  Written tmp + fsync + atomic rename + dir
-        fsync: a crash at any byte leaves either the old history or the new
-        snapshot, never a mix, and a torn tmp is invisible to every reader.
-        Returns ``True`` if a snapshot was written.
+        transition record).  Written by :meth:`Journal.replace`, so a crash
+        leaves the old history or the new snapshot, never a mix.  Returns
+        ``True`` if a snapshot was written.
         """
         records = self.history(campaign_id)
         if not records or records[0].get("type") != "submit":
@@ -362,35 +319,19 @@ class CampaignStore:
             "compacted": len(records) - 1,
             "chain": chain,
         }
-        directory = self.campaign_dir(campaign_id)
-        tmp = directory / "meta.jsonl.tmp"
-        fileops = self.fileops
-        with fileops.open(tmp, "wb") as handle:
-            fileops.write(handle, seal_record(records[0]))
-            fileops.write(handle, seal_record(snapshot_state))
-            fileops.fsync(handle)
-        fileops.replace(tmp, self.meta_path(campaign_id))
-        self._fsync_dir(directory)
+        self._meta(campaign_id).replace([records[0], snapshot_state])
         return True
 
     # -- result --------------------------------------------------------------
 
     def write_result(self, campaign_id: str, payload: dict) -> None:
-        """Atomically (re)write ``result.json``: tmp + fsync + replace +
-        directory fsync.  Readers see either the old bytes or the new bytes,
-        never a torn file; rewriting the same payload is a no-op byte-wise.
-        The file is one sealed record — canonical sorted-keys compact JSON
-        plus a CRC-32 — so bytes stay deterministic, the encoder stays on
-        the fast C path, and bit rot that still parses is detected."""
-        directory = self.campaign_dir(campaign_id)
-        target = self.result_path(campaign_id)
-        tmp = directory / "result.json.tmp"
-        fileops = self.fileops
-        with fileops.open(tmp, "wb") as handle:
-            fileops.write(handle, seal_record(payload))
-            fileops.fsync(handle)
-        fileops.replace(tmp, target)
-        self._fsync_dir(directory)
+        """Atomically (re)write ``result.json`` (:meth:`Journal.replace`):
+        readers see the old bytes or the new, never a torn file.  The file
+        is one sealed record — canonical sorted-keys JSON plus a CRC-32 — so
+        bytes stay deterministic and bit rot that still parses is detected."""
+        Journal(self.result_path(campaign_id), fileops=self.fileops).replace(
+            [payload]
+        )
 
     def read_result(self, campaign_id: str) -> dict | None:
         """The verified result payload; ``None`` if absent, ``StoreError``
@@ -420,18 +361,16 @@ class CampaignStore:
         write are expected debris, not corruption.)
         """
         violations: list[str] = []
-        path = self.meta_path(campaign_id)
-        if not path.exists():
+        if not self.exists(campaign_id):
             return [f"{campaign_id}: no meta.jsonl"]
-        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
-        parsed = [parse_record(line) for line in lines]
-        bad = [index for index, record in enumerate(parsed) if record is None]
-        if bad and bad != [len(lines) - 1]:
+        entries = self._meta(campaign_id).scan()
+        bad = [index for index, (record, _) in enumerate(entries) if record is None]
+        if bad and bad != [len(entries) - 1]:
             violations.append(
                 f"{campaign_id}: interior meta corruption at line(s) "
                 f"{[i + 1 for i in bad]}"
             )
-        records = self.history(campaign_id)
+        records = [record for record, _ in entries[: bad[0] if bad else None]]
         if not records or records[0].get("type") != "submit":
             violations.append(f"{campaign_id}: meta does not start with submit")
             return violations
@@ -472,9 +411,3 @@ class CampaignStore:
         for campaign_id in self.campaign_ids():
             violations.extend(self.check(campaign_id))
         return violations
-
-    def _fsync_dir(self, path: Path) -> None:
-        """Directory fsync through the seam.  Unsupported-here errnos are
-        ignored inside :meth:`FileOps.fsync_dir`; real I/O errors (EIO,
-        ENOSPC) propagate — durability claims stay honest."""
-        self.fileops.fsync_dir(path)

@@ -233,3 +233,32 @@ class TestReportMain:
             handle.write('{"ev": "torn mid-wri')  # SIGKILL artifact
         assert report_main([str(trace)]) == 0
         assert capsys.readouterr().out.rstrip("\n") == GOLDEN
+
+    def test_journal_record_failing_its_checksum_is_not_counted(
+        self, tmp_path, capsys
+    ):
+        from repro.robustness.journal import seal_record
+
+        record = {
+            "v": 1,
+            "seed": 3,
+            "program": "p0",
+            "findings": [
+                {"target": "SwiftShader", "kind": "crash", "signature": "s"}
+            ],
+        }
+        line = seal_record(record)
+        flipped = line.replace(b'"seed": 3', b'"seed": 7')
+        assert flipped != line and json.loads(flipped)  # still parses
+
+        journal = tmp_path / "journal.jsonl"
+        journal.write_bytes(flipped)
+        assert report_main([str(journal), "--json"]) == 1  # nothing counted
+        assert "no trace events or journal records" in capsys.readouterr().err
+
+        journal.write_bytes(flipped + line)
+        assert report_main([str(journal), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["journal_records"] == 1
+        assert payload["seeds"] == 1
+        assert payload["findings"] == 1

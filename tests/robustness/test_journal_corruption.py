@@ -1,7 +1,7 @@
 """Corruption fuzz: journals under arbitrary byte damage, not just torn tails.
 
 The original resume tests only covered kill-truncated *trailing* lines.
-These fuzz both journals with seeded-random damage at arbitrary offsets —
+These fuzz the campaign, reduction and dedup journals with seeded-random damage at arbitrary offsets —
 truncation anywhere, flipped bytes, garbage splices — and require the
 recovery invariant: every record the loader returns is **byte-identical to
 a record that was actually written** (a consistent prefix/subset), never a
@@ -19,6 +19,7 @@ import pytest
 from repro.compilers import make_targets
 from repro.core.fuzzer import FuzzerOptions
 from repro.core.harness import Harness
+from repro.core.dedup_scale import DedupJournal
 from repro.corpus import donor_programs, reference_programs
 from repro.robustness import CampaignJournal, ReductionJournal
 from repro.robustness.journal import parse_record, seal_record
@@ -140,3 +141,47 @@ def test_reduction_journal_wrong_sequence_fails_loudly(tmp_path):
     journal_path = _reduction_journal(tmp_path)
     with pytest.raises(ValueError):
         ReductionJournal(journal_path).prepare("other-key", 10, resume=True)
+
+
+def _dedup_journal(tmp_path):
+    journal_path = tmp_path / "dedup.jsonl"
+    journal = DedupJournal(journal_path)
+    journal.prepare("stream-key", resume=False)
+    written = []
+    for index in range(8):
+        record = {
+            "v": 1,
+            "i": index,
+            "test": f"t{index}",
+            "sig": f"sig-{index % 3}",
+            "pool": "stable",
+            "action": "pick" if index % 3 == 0 else "duplicate",
+        }
+        journal.append(record)
+        written.append(record)
+    return journal_path, written
+
+
+def test_dedup_journal_survives_arbitrary_corruption(tmp_path):
+    journal_path, written = _dedup_journal(tmp_path)
+    pristine = journal_path.read_bytes()
+    assert DedupJournal(journal_path).prepare("stream-key", resume=True) == written
+
+    rng = random.Random(2)
+    damaged_path = tmp_path / "damaged.jsonl"
+    for _ in range(FUZZ_ROUNDS):
+        damaged_path.write_bytes(_damage(pristine, rng))
+        try:
+            recovered = DedupJournal(damaged_path).prepare(
+                "stream-key", resume=True
+            )
+        except ValueError:
+            continue  # a corrupt header may fail loudly — that's allowed
+        # A contiguous prefix of the written decisions, byte for byte, in
+        # order — and the file now holds exactly that prefix.
+        assert [json.dumps(r, sort_keys=True) for r in recovered] == [
+            json.dumps(r, sort_keys=True) for r in written[: len(recovered)]
+        ]
+        lines = damaged_path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 1 + len(recovered)
+        assert pristine.startswith(b"".join(lines))

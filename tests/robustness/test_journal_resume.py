@@ -56,6 +56,22 @@ def test_resume_from_partial_journal_matches_uninterrupted(tmp_path):
     assert partial_journal.read_text() == full_journal.read_text()
 
 
+def test_resume_after_torn_final_record_is_byte_identical(tmp_path):
+    """A record torn by a mid-write kill is truncated in place by the next
+    append, so the caught-up journal matches an uninterrupted run's bytes
+    (no garbage line survives the repair)."""
+    full_journal = tmp_path / "full.jsonl"
+    full = _harness().run_campaign(SEEDS, journal=full_journal)
+    lines = full_journal.read_bytes().splitlines(keepends=True)
+
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(b"".join(lines[:5]) + lines[5][: len(lines[5]) // 2])
+    resumed = _harness().run_campaign(SEEDS, journal=torn, resume=True)
+
+    assert result_key(resumed) == result_key(full)
+    assert torn.read_bytes() == full_journal.read_bytes()
+
+
 def test_truncated_and_garbage_lines_are_rerun(tmp_path):
     full_journal = tmp_path / "full.jsonl"
     full = _harness().run_campaign(SEEDS, journal=full_journal)

@@ -174,6 +174,51 @@ class TestDegradation:
         assert result.degraded == "oracle-error: RuntimeError"
         assert truth(result.transformations)  # best-so-far is still interesting
 
+    def test_pipeline_reports_a_degraded_ddmin_leg_once(self, tmp_path):
+        """A fault-mode ``PassPipeline(["ddmin"])`` whose oracle raises is
+        one degraded reduction: one ``reduce.degraded`` event, a counter of
+        1, and the same ``degraded``/``stability`` as the classic path."""
+        from repro.observability import Metrics, Tracer, read_trace
+        from repro.reduce import PassPipeline, PipelineContext
+
+        def failing_oracle():
+            calls = {"n": 0}
+
+            def oracle(candidate) -> ProbeVerdict:
+                calls["n"] += 1
+                if calls["n"] > 3:
+                    raise RuntimeError("supervisor machinery died")
+                return ProbeVerdict(truth(candidate))
+
+            return oracle
+
+        classic = reduce_with_faults(SEQUENCE, failing_oracle(), FAST)
+        metrics = Metrics()
+        tracer = Tracer(tmp_path / "trace.jsonl")
+        try:
+            piped = PassPipeline(["ddmin"]).run(
+                SEQUENCE,
+                PipelineContext(
+                    verdict_test=failing_oracle(),
+                    policy=FAST,
+                    tracer=tracer,
+                    metrics=metrics,
+                ),
+            )
+        finally:
+            tracer.close()
+        degraded = [
+            event
+            for event in read_trace(tmp_path / "trace.jsonl")
+            if event["ev"] == "reduce.degraded"
+        ]
+        assert len(degraded) == 1
+        assert degraded[0]["reason"] == "oracle-error: RuntimeError"
+        assert metrics.counter("reduce.degraded") == 1
+        assert metrics.counter("reduce.degraded.oracle-error") == 1
+        assert piped.degraded == classic.degraded == "oracle-error: RuntimeError"
+        assert piped.stability == classic.stability
+
     def test_exhausted_budget_degrades(self):
         result = reduce_with_faults(
             SEQUENCE,
