@@ -188,14 +188,15 @@ class BaselineHarness:
             result.quarantined = self.quarantine.report()
             return result
 
-        from repro.perf.parallel import ParallelExecutor
+        from repro.perf.parallel import seed_shards
+        from repro.perf.pool import WorkerPool
 
-        executor = ParallelExecutor(workers)
-        per_seed = executor.run_seed_shards(spec or self.campaign_spec(), seeds)
-        self.metrics.merge(executor.metrics)
         result = BaselineCampaignResult()
-        for findings in per_seed:
-            result.findings.extend(findings)
+        with WorkerPool({"campaign": spec or self.campaign_spec()}, workers) as pool:
+            for shard in pool.map("campaign", seed_shards(seeds, pool.workers)):
+                for findings in shard:
+                    result.findings.extend(findings)
+            self.metrics.merge(pool.delta("campaign"))
         result.quarantined = self.quarantine.report()
         return result
 

@@ -518,8 +518,9 @@ class Harness:
     ) -> CampaignResult:
         """Run every seed through :meth:`run_seed`.
 
-        With ``workers > 1`` seeds are sharded across a process pool (see
-        :mod:`repro.perf.parallel`); results are merged back in seed order so
+        With ``workers > 1`` seeds are sharded across a
+        :class:`~repro.perf.pool.WorkerPool` (see :mod:`repro.perf.parallel`);
+        results are merged back in seed order so
         they are byte-identical to the serial path.  ``workers=1`` is exactly
         the original serial loop.  *spec* overrides the automatically derived
         :class:`~repro.perf.parallel.CampaignSpec` (needed only for harnesses
@@ -586,28 +587,26 @@ class Harness:
                 if progress is not None:
                     progress(run)
         elif pending:
-            from repro.perf.parallel import ParallelExecutor
+            from repro.perf.parallel import seed_shards
+            from repro.perf.pool import WorkerPool
 
-            executor = ParallelExecutor(workers)
-
-            def on_shard(runs: list) -> None:
-                if journal is not None:
-                    journal.append_runs(runs)
-                if progress is not None:
-                    for run in runs:
-                        progress(run)
-
-            runs = executor.run_seed_shards(
-                spec or self.campaign_spec(), pending, on_shard_result=on_shard
-            )
+            runs: list = []
+            with WorkerPool({"campaign": spec or self.campaign_spec()}, workers) as pool:
+                for shard in pool.map("campaign", seed_shards(pending, pool.workers)):
+                    runs.extend(shard)
+                    if journal is not None:
+                        journal.append_runs(shard)
+                    if progress is not None:
+                        for run in shard:
+                            progress(run)
+                # Worker metric registries come back as per-shard drains.
+                self.metrics.merge(pool.delta("campaign"))
             computed = dict(zip(pending, runs))
             # Workers quarantine independently; fold their fault observations
-            # into the parent tracker so the final report covers them.  Their
-            # metric registries come back the same way, via per-shard drains.
+            # into the parent tracker so the final report covers them.
             for run in runs:
                 for target_name, kind in run.faults:
                     self.quarantine.record_fault_kind(target_name, kind)
-            self.metrics.merge(executor.metrics)
 
         result = CampaignResult()
         for seed in seeds:
@@ -779,15 +778,15 @@ class Harness:
         policy: "object | None" = None,
     ) -> "object":
         """A picklable spec that rebuilds this finding's interestingness
-        probe inside a reduction-pool worker (see :class:`~repro.perf.
-        reduce_pool.FindingProbeSpec`).  Raises for targets or corpus
+        probe inside a worker-pool process (see :class:`~repro.perf.pool.
+        FindingProbeSpec`).  Raises for targets or corpus
         programs a worker could not rebuild by name."""
         import json as json_mod
 
         from repro.compilers import make_target
         from repro.core.transformation import sequence_to_json
         from repro.corpus import reference_programs
-        from repro.perf.reduce_pool import FindingProbeSpec
+        from repro.perf.pool import FindingProbeSpec
 
         make_target(finding.target_name)  # raises KeyError for unknown targets
         if finding.program_name not in {p.name for p in reference_programs()}:
@@ -822,11 +821,11 @@ class Harness:
         use_cache: bool,
         policy: "object | None" = None,
     ) -> "object | None":
-        """One :class:`~repro.perf.reduce_pool.ReductionPool` over *findings*
+        """One :class:`~repro.perf.pool.WorkerPool` over *findings*
         (keyed by session key), whose workers run the fault-tolerant decision
         pipeline when a *policy* is given; ``None`` when some finding cannot
         be shipped to workers (the reductions then run inline)."""
-        from repro.perf.reduce_pool import ReductionPool
+        from repro.perf.pool import WorkerPool
 
         try:
             specs = {
@@ -837,9 +836,9 @@ class Harness:
             }
         except (KeyError, ValueError):
             return None
-        if not all(ReductionPool.shippable(spec) for spec in specs.values()):
+        if not all(WorkerPool.shippable(spec) for spec in specs.values()):
             return None
-        return ReductionPool(specs, workers)
+        return WorkerPool(specs, workers)
 
     def _reduction_session(
         self,
@@ -1169,7 +1168,7 @@ class Harness:
             if pool is not None and replayer is not None:
                 # Worker replay counters fold into the parent's registry over
                 # the same drain/merge path campaign metrics use.
-                replayer.stats.merge_json(pool.replay_stats_for("finding"))
+                replayer.stats.merge_json(pool.delta("finding").counters())
         finally:
             if pool is not None:
                 pool.close()
@@ -1315,7 +1314,7 @@ class Harness:
             for finding, session, replayer, started in entries:
                 result = session.finalize()
                 if replayer is not None:
-                    replayer.stats.merge_json(pool.replay_stats_for(session.key))
+                    replayer.stats.merge_json(pool.delta(session.key).counters())
                 if shrink_function_payloads:
                     self._shrink_payloads(finding, result, session, replayer)
                 results.append(

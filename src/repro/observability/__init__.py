@@ -10,8 +10,8 @@ campaign observable without changing its behaviour:
   :data:`NULL_TRACER` is the zero-cost disabled form, and campaign results
   are byte-identical with tracing on or off.
 * :class:`Metrics` — named counters and timing histograms, aggregated
-  across :class:`~repro.perf.parallel.ParallelExecutor` workers through
-  the existing shard-merge path (workers :meth:`~Metrics.drain`, the
+  across :class:`~repro.perf.pool.WorkerPool` workers through the pool's
+  per-submission drain/merge path (workers :meth:`~Metrics.drain`, the
   parent :meth:`~Metrics.merge`\\ s).
 * ``repro-report`` (:func:`report_main`) — renders a campaign summary
   (probes, findings by kind/signature, reduction work, replay-cache hit

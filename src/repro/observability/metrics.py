@@ -5,9 +5,9 @@ bump is a dict increment; a timing observation updates five numbers), so
 the harnesses maintain one unconditionally and the CLI decides whether to
 show it (``--metrics``).
 
-Cross-process aggregation rides the existing shard-merge path of
-:class:`~repro.perf.parallel.ParallelExecutor`: each worker's harness
-accumulates into its own registry, every shard result carries the worker's
+Cross-process aggregation rides the drain/merge path of
+:class:`~repro.perf.pool.WorkerPool`: each worker's harness accumulates
+into its own registry, every campaign shard's reply carries the worker's
 :meth:`drain`-ed snapshot back over the pool, and the parent :meth:`merge`\\ s
 the deltas — counters and histogram buckets are associative, so the merged
 registry equals what a serial run would have counted (timings keep their

@@ -8,7 +8,9 @@ module.  This package makes both hot paths cheaper without changing a
 single observable result: parallel campaigns are merged back into serial
 order, speculative parallel reduction commits verdicts in serial scan order
 (byte-identical transformations at every worker count), and cached
-reductions are byte-identical to uncached ones.
+reductions are byte-identical to uncached ones.  Campaign shards and
+reduction probes fan out over one spec-keyed :class:`WorkerPool`
+(:mod:`repro.perf.pool`) with one worker-death rule.
 
 The probe-throughput layer (:mod:`repro.perf.probe_cache` /
 :mod:`repro.perf.batch`) extends the same discipline down into compilation:
@@ -18,12 +20,7 @@ paths.
 """
 
 from repro.perf.batch import ProbeBatch
-from repro.perf.parallel import (
-    CampaignSpec,
-    ParallelExecutor,
-    default_worker_count,
-    spec_names_for,
-)
+from repro.perf.parallel import CampaignSpec, default_worker_count, spec_names_for
 from repro.perf.parallel_reduce import (
     ParallelReductionResult,
     ReductionSession,
@@ -37,10 +34,10 @@ from repro.perf.probe_cache import (
     ProbeCache,
     ProbeCacheStats,
 )
-from repro.perf.reduce_pool import (
+from repro.perf.pool import (
     CallableProbeSpec,
     FindingProbeSpec,
-    ReductionPool,
+    WorkerPool,
     WorkerProbeError,
 )
 from repro.perf.replay_cache import CachedInterestingness, CachedReplayer, ReplayStats
@@ -53,16 +50,15 @@ __all__ = [
     "CallableProbeSpec",
     "CampaignSpec",
     "FindingProbeSpec",
-    "ParallelExecutor",
     "ParallelReductionResult",
     "ProbeBatch",
     "ProbeCache",
     "ProbeCacheStats",
-    "ReductionPool",
     "ReductionSession",
     "ReplayStats",
     "SpeculationStats",
     "SpeculativeReduction",
+    "WorkerPool",
     "WorkerProbeError",
     "default_worker_count",
     "parallel_reduce",

@@ -69,7 +69,7 @@ class SpeculationStats:
     journal_short_circuits: int = 0  #: candidates resolved from a resumed journal
     batches: int = 0  #: dispatch rounds
     max_in_flight: int = 0  #: peak concurrently outstanding probes
-    worker_recoveries: int = 0  #: pool rebuilds after a worker died hard
+    worker_recoveries: int = 0  #: worker deaths that lost this session's probes
     workers: int = 1  #: worker processes backing the reduction
     mode: str = "inline"  #: "inline" (no pool) or "pool"
 
@@ -239,9 +239,6 @@ class SpeculativeReduction:
             and not self._outstanding
             and not self._resolved
         )
-
-    def is_outstanding(self, sid: int) -> bool:
-        return sid in self._outstanding
 
     def materialize(self, candidate: "_Candidate") -> list:
         return [self.items[i] for i in candidate.indices]
@@ -526,15 +523,11 @@ class ReductionSession:
             verified = self.test(self.sequence)
         else:
             # No parent-side test: verify through the workers.
-            future = self.pool.submit(self.key, [tuple(self.positions)])
-            (reply,), stats_delta = future.result()
-            if stats_delta:
-                self.pool.absorb(self.key, stats_delta)
-            if reply[0] != "ok":
-                from repro.perf.reduce_pool import WorkerProbeError
+            from repro.perf.pool import reply_value
 
-                raise WorkerProbeError(reply[1], reply[2])
-            verified = reply[1]
+            ticket = self.pool.submit(self.key, [tuple(self.positions)])
+            (reply,) = self.pool.result(ticket)
+            verified = reply_value(reply)
         if not verified:
             raise ValueError("the full transformation sequence is not interesting")
 
@@ -569,14 +562,17 @@ class ReductionSession:
     def deliver(self, candidate: "_Candidate", payload: tuple) -> None:
         """Hand one worker reply to the engine: a decision record in fault
         mode, a boolean verdict otherwise."""
-        if payload[0] != "ok":
-            from repro.perf.reduce_pool import WorkerProbeError
+        from repro.perf.pool import WorkerProbeError, reply_value
 
-            self.error = WorkerProbeError(payload[1], payload[2])
-        elif self.oracle is not None:
-            self.engine.deliver(candidate.sid, bool(payload[1]["verdict"]), payload[1])
+        try:
+            value = reply_value(payload)
+        except WorkerProbeError as exc:
+            self.error = exc
         else:
-            self.engine.deliver(candidate.sid, bool(payload[1]))
+            if self.oracle is not None:
+                self.engine.deliver(candidate.sid, bool(value["verdict"]), value)
+            else:
+                self.engine.deliver(candidate.sid, bool(value))
 
     def commit(self) -> bool:
         """Commit at the serial frontier; True if anything committed."""
@@ -633,57 +629,30 @@ def run_sessions(
     batch: int = 1,
     metrics: Any = None,
 ) -> None:
-    """Drive *sessions* over one shared :class:`~repro.perf.reduce_pool.
-    ReductionPool` until every engine finishes (or errors out).
+    """Drive *sessions* over one shared :class:`~repro.perf.pool.WorkerPool`
+    until every engine finishes (or errors out).
 
     Fairness: dispatch rotates round-robin across active sessions, one
     submission per turn, so a large reduction cannot starve a small one.
     ``batch > 1`` packs that many speculation candidates into a single
     worker round-trip (amortizing IPC) for plain and fault-tolerant
     sessions alike; verdicts still commit in serial order, so results are
-    unchanged.  A hard worker death (``BrokenProcessPool``) rebuilds the
-    pool and re-dispatches every outstanding probe — singly, since any
-    member of a batch may have been the killer — verdicts are pure
-    functions of the candidate, so re-probing is sound.
+    unchanged.  A hard worker death is the pool's business (see
+    :mod:`repro.perf.pool`): every lost candidate still gets its verdict —
+    verdicts are pure functions of the candidate, so re-probing is sound —
+    and the sessions it hit count one ``worker_recoveries`` each.
     """
-    from concurrent.futures import FIRST_COMPLETED
-    from concurrent.futures import wait as wait_futures
-    from concurrent.futures.process import BrokenProcessPool
-
     sessions = [s for s in sessions if s.engine is not None]
     batch = max(1, batch)
-    futures: dict[Any, tuple[ReductionSession, list[_Candidate]]] = {}
+    submitted: dict[int, tuple[ReductionSession, list[_Candidate]]] = {}
     rotation = 0
-
-    def recover() -> None:
-        pool.recover()
-        entries = list(futures.values())
-        futures.clear()
-        affected: dict[int, ReductionSession] = {}
-        for session, candidates in entries:
-            for candidate in candidates:
-                if session.active and session.engine.is_outstanding(
-                    candidate.sid
-                ):
-                    futures[pool.submit(session.key, [candidate.indices])] = (
-                        session,
-                        [candidate],
-                    )
-                    affected[id(session)] = session
-        for session in affected.values():
-            session.engine.stats.worker_recoveries += 1
 
     def submit(session: ReductionSession, candidates: list[_Candidate]) -> None:
         if len(candidates) > 1 and metrics is not None:
             metrics.inc("probe_batch.batches")
             metrics.inc("probe_batch.probes", len(candidates))
-        indices = [c.indices for c in candidates]
-        try:
-            future = pool.submit(session.key, indices)
-        except BrokenProcessPool:
-            recover()
-            future = pool.submit(session.key, indices)
-        futures[future] = (session, candidates)
+        ticket = pool.submit(session.key, [c.indices for c in candidates])
+        submitted[ticket] = (session, candidates)
 
     while True:
         now = time.monotonic()
@@ -694,10 +663,10 @@ def run_sessions(
         for session in active:
             session.commit()
         active = [s for s in sessions if s.active]
-        if not active and not futures:
+        if not active and not submitted:
             break
 
-        in_flight = sum(len(candidates) for _, candidates in futures.values())
+        in_flight = sum(len(candidates) for _, candidates in submitted.values())
         capacity = pool.capacity - in_flight
         if active and capacity > 0:
             progressed = True
@@ -719,42 +688,26 @@ def run_sessions(
                     if session.commit():
                         progressed = True  # an acceptance opened new candidates
                 rotation += 1
-        if not futures:
+        if not submitted:
             continue  # engines progressed through memo/lookup commits alone
 
         timeout = None
         deadlines = [s.deadline for s in active if s.deadline is not None]
         if deadlines:
             timeout = max(0.0, min(deadlines) - time.monotonic())
-        done, _ = wait_futures(
-            set(futures), timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        if not done:
-            continue  # a deadline expired; handled at the top of the loop
-        touched: list[ReductionSession] = []
-        broken = False
-        for future in done:
-            entry = futures.pop(future)
-            session, candidates = entry
-            try:
-                payloads, stats_delta = future.result()
-            except BrokenProcessPool:
-                futures[future] = entry
-                recover()
-                broken = True
-                break
-            except Exception as exc:  # noqa: BLE001 - surfaced via finalize()
-                session.error = exc
-                continue
-            if stats_delta:
-                pool.absorb(session.key, stats_delta)
+        touched: dict[int, ReductionSession] = {}
+        recovered: dict[int, ReductionSession] = {}
+        for ticket, (payloads, was_lost) in pool.wait(timeout).items():
+            session, candidates = submitted.pop(ticket)
+            if was_lost:
+                recovered[id(session)] = session
             if session.active:
                 for candidate, item in zip(candidates, payloads):
                     session.deliver(candidate, item)
-                touched.append(session)
-        if broken:
-            continue
-        for session in touched:
+                touched[id(session)] = session
+        for session in recovered.values():
+            session.engine.stats.worker_recoveries += 1
+        for session in touched.values():
             session.commit()
 
     for session in sessions:
@@ -783,28 +736,28 @@ def parallel_reduce(
     the same (deterministic) oracle at every worker count; see the module
     docstring for why.  ``workers=1`` runs the session inline.  With a pool,
     the oracle runs inside worker processes: pass *spec* (any object with a
-    ``build()`` returning a probe runner — see :mod:`repro.perf.reduce_pool`)
-    or rely on the default :class:`~repro.perf.reduce_pool.CallableProbeSpec`
-    around *is_interesting*.  An oracle that cannot be shipped to workers
+    ``build()`` returning a probe runner — see :mod:`repro.perf.pool`) or
+    rely on the default :class:`~repro.perf.pool.CallableProbeSpec` around
+    *is_interesting*.  An oracle that cannot be shipped to workers
     (unpicklable, no ``fork``) silently falls back to the inline path.
     ``speculation`` is always attached (``mode == "inline"`` without a pool).
     """
     from repro.perf.parallel import default_worker_count
-    from repro.perf.reduce_pool import CallableProbeSpec, ReductionPool
+    from repro.perf.pool import CallableProbeSpec, owned_pool
 
     items = list(transformations)
     if workers is None or workers <= 0:
         workers = default_worker_count()
-    owned = None
-    if pool is None and workers > 1:
-        if spec is None:
-            if is_interesting is None:
-                raise TypeError("parallel_reduce needs is_interesting or spec/pool")
-            spec = CallableProbeSpec(test=is_interesting, items=tuple(items))
-        pool = owned = ReductionPool.for_spec(pool_key, spec, workers)
-    if pool is None and is_interesting is None:
-        raise TypeError("the inline path needs is_interesting")
-    try:
+    if pool is None and workers > 1 and spec is None and is_interesting is None:
+        raise TypeError("parallel_reduce needs is_interesting or spec/pool")
+    with owned_pool(
+        pool,
+        pool_key,
+        workers,
+        lambda: spec or CallableProbeSpec(test=is_interesting, items=tuple(items)),
+    ) as pool:
+        if pool is None and is_interesting is None:
+            raise TypeError("the inline path needs is_interesting")
         session = ReductionSession(
             items,
             test=is_interesting,
@@ -818,8 +771,5 @@ def parallel_reduce(
         )
         session.run(batch=batch or 1, metrics=metrics)
         result = session.finalize()
-    finally:
-        if owned is not None:
-            owned.close()
     result.speculation = session.engine.stats
     return result

@@ -428,19 +428,23 @@ class _Execution:
 
     def run_ddmin(self, run: PassRun) -> None:
         from repro.perf.parallel_reduce import ReductionSession
-        from repro.perf.reduce_pool import CallableProbeSpec, ReductionPool
+        from repro.perf.pool import CallableProbeSpec, owned_pool
 
         ctx = self.ctx
         before_len = len(self.current)
         oracle = self.oracle_for(run.name) if self.fault else None
         workers = max(1, ctx.workers or 1)
-        items, positions, pool, owned = self.current, None, None, None
+        items, positions, given = self.current, None, None
         if workers > 1 and ctx.pool is not None and self.positions is not None:
-            items, positions, pool = self.sequence, self.positions, ctx.pool
-        elif workers > 1 and ctx.pool is None and not self.fault:
-            spec = CallableProbeSpec(test=ctx.is_interesting, items=tuple(items))
-            pool = owned = ReductionPool.for_spec(ctx.pool_key, spec, workers)
-        try:
+            items, positions, given = self.sequence, self.positions, ctx.pool
+        # Without a caller's pool, only a plain leg builds one of its own.
+        own_workers = workers if ctx.pool is None and not self.fault else 1
+        with owned_pool(
+            given,
+            ctx.pool_key,
+            own_workers,
+            lambda: CallableProbeSpec(test=ctx.is_interesting, items=tuple(items)),
+        ) as pool:
             session = ReductionSession(
                 items,
                 test=ctx.is_interesting,
@@ -457,9 +461,6 @@ class _Execution:
             )
             session.run(batch=ctx.probe_batch or 1, metrics=ctx.metrics)
             result = session.finalize(report=False)
-        finally:
-            if owned is not None:
-                owned.close()
         # Every committed candidate is a probe, including one whose decision
         # aborted the leg.
         probes = session.engine.tests_run

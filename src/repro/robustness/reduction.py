@@ -562,7 +562,7 @@ def reduce_with_faults(
     ``fork``) silently runs inline.
     """
     from repro.perf.parallel_reduce import ReductionSession
-    from repro.perf.reduce_pool import CallableProbeSpec, ReductionPool
+    from repro.perf.pool import CallableProbeSpec, owned_pool
 
     sequence = list(transformations)
     oracle = FlakeHardenedOracle.for_reduction(
@@ -576,13 +576,14 @@ def reduce_with_faults(
         metrics=metrics,
         replay_stats=replay_stats,
     )
-    owned = None
-    if pool is None and workers > 1:
-        spec = CallableProbeSpec(
+    with owned_pool(
+        pool,
+        pool_key,
+        workers,
+        lambda: CallableProbeSpec(
             test=verdict_test, items=tuple(sequence), decide=True, policy=oracle.policy
-        )
-        pool = owned = ReductionPool.for_spec(pool_key, spec, workers)
-    try:
+        ),
+    ) as pool:
         session = ReductionSession(
             sequence,
             oracle=oracle,
@@ -595,6 +596,3 @@ def reduce_with_faults(
         )
         session.run()
         return session.finalize()
-    finally:
-        if owned is not None:
-            owned.close()

@@ -32,10 +32,12 @@ from repro.compilers.base import TargetOutcome
 from repro.observability import NULL_TRACER, as_tracer
 from repro.robustness.config import RobustnessConfig
 
+#: The one multiprocessing context every worker process in the package
+#: starts from (probe children, service fleet workers, worker pools).
 #: ``fork`` keeps worker start-up cheap and lets non-picklable test doubles
 #: ride along; platforms without it (Windows, macOS spawn-default) fall back
 #: to the default context, which requires picklable targets.
-_MP_CONTEXT = multiprocessing.get_context(
+MP_CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )
 
@@ -73,7 +75,8 @@ def _probe_worker_main(
     target: Any,
     memory_limit_mb: int | None,
 ) -> None:
-    """Worker loop: receive ``(module, inputs)``, answer with an outcome."""
+    """Worker loop: receive a batch of ``(module, inputs)`` probes, answer
+    with their outcomes in one round-trip."""
     _install_drain_handler(conn)
     if memory_limit_mb is not None:
         try:
@@ -85,60 +88,36 @@ def _probe_worker_main(
             pass  # unsupported platform: supervise without the memory cap
     while True:
         try:
-            request = conn.recv()
+            batch = conn.recv()
         except (EOFError, OSError):
             return  # parent went away
-        if request is None:
+        if batch is None:
             return  # orderly shutdown
-        if request[0] == "__batch__":
-            # One round-trip, many probes.  A MemoryError mid-batch replies
-            # with the outcomes computed so far (the parent re-runs the rest
-            # on a fresh worker) and then restarts, like the single-probe
-            # path.  Normal requests are ``(module, inputs)`` 2-tuples whose
-            # first element is never a str, so the tag is unambiguous.
-            outcomes: list = []
-            restart = False
-            for module, inputs in request[1]:
-                try:
-                    outcomes.append(target.run(module, inputs))
-                except MemoryError:
-                    del module, inputs
-                    outcomes.append(
-                        TargetOutcome.resource(
-                            "MemoryError: probe exceeded its memory limit"
-                        )
-                    )
-                    restart = True
-                    break
-                except BaseException as exc:  # noqa: BLE001
-                    outcomes.append(
-                        TargetOutcome.worker_crash(
-                            f"unhandled {type(exc).__name__}: {exc}"
-                        )
-                    )
-            try:
-                conn.send(outcomes)
-            except (BrokenPipeError, OSError, MemoryError):
-                return
-            if restart:
-                return
-            continue
-        module, inputs = request
+        # A MemoryError replies with the outcomes computed so far (the parent
+        # re-runs the rest on a fresh worker) and then restarts: the heap may
+        # be compromised.
+        outcomes: list = []
         restart = False
+        for module, inputs in batch:
+            try:
+                outcomes.append(target.run(module, inputs))
+            except MemoryError:
+                del module, inputs  # free headroom so the reply itself can send
+                outcomes.append(
+                    TargetOutcome.resource(
+                        "MemoryError: probe exceeded its memory limit"
+                    )
+                )
+                restart = True
+                break
+            except BaseException as exc:  # noqa: BLE001 - the whole point
+                outcomes.append(
+                    TargetOutcome.worker_crash(
+                        f"unhandled {type(exc).__name__}: {exc}"
+                    )
+                )
         try:
-            outcome = target.run(module, inputs)
-        except MemoryError:
-            del module, inputs  # free headroom so the reply itself can send
-            outcome = TargetOutcome.resource(
-                "MemoryError: probe exceeded its memory limit"
-            )
-            restart = True  # the heap may be compromised; die after replying
-        except BaseException as exc:  # noqa: BLE001 - the whole point
-            outcome = TargetOutcome.worker_crash(
-                f"unhandled {type(exc).__name__}: {exc}"
-            )
-        try:
-            conn.send(outcome)
+            conn.send(outcomes)
         except (BrokenPipeError, OSError, MemoryError):
             return
         if restart:
@@ -217,8 +196,8 @@ class SupervisedTarget:
             return self._worker
         if self._worker is not None:
             self._reap()
-        parent_conn, child_conn = _MP_CONTEXT.Pipe()
-        process = _MP_CONTEXT.Process(
+        parent_conn, child_conn = MP_CONTEXT.Pipe()
+        process = MP_CONTEXT.Process(
             target=_probe_worker_main,
             args=(child_conn, self.target, self.config.memory_limit_mb),
             daemon=True,
@@ -293,52 +272,7 @@ class SupervisedTarget:
 
     def run(self, module: Any, inputs: dict | None = None) -> TargetOutcome:
         """Compile and execute *module* under supervision."""
-        worker = None
-        for _ in range(2):  # one retry if the previous worker died while idle
-            worker = self._ensure_worker()
-            try:
-                worker.conn.send((module, dict(inputs or {})))
-                break
-            except (BrokenPipeError, OSError):
-                self._reap(kill=True)
-                worker = None
-        if worker is None:
-            return TargetOutcome.worker_crash("probe worker unreachable")
-
-        timeout = self.effective_timeout
-        try:
-            ready = worker.conn.poll(timeout)
-        except (BrokenPipeError, OSError):
-            ready = False
-        if not ready:
-            self._reap(kill=True)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "supervisor.timeout",
-                    target=self.target.name,
-                    timeout_s=timeout,
-                )
-            return TargetOutcome.timeout(timeout)
-        try:
-            outcome = worker.conn.recv()
-        except (EOFError, OSError):
-            exitcode = worker.process.exitcode
-            self._reap(kill=True)
-            detail = (
-                f"probe worker died (exit code {exitcode})"
-                if exitcode is not None
-                else "probe worker died mid-probe"
-            )
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "supervisor.worker_crash",
-                    target=self.target.name,
-                    exitcode=exitcode,
-                )
-            return TargetOutcome.worker_crash(detail)
-        if not worker.process.is_alive():
-            self._reap()  # orderly post-fault restart (e.g. after MemoryError)
-        return outcome
+        return self.run_batch([(module, inputs)])[0]
 
     def run_batch(self, items: list) -> list:
         """Evaluate ``[(module, inputs), ...]`` in one worker round-trip.
@@ -351,13 +285,11 @@ class SupervisedTarget:
         items = [(module, dict(inputs or {})) for module, inputs in items]
         if not items:
             return []
-        if len(items) == 1:
-            return [self.run(*items[0])]
         worker = None
-        for _ in range(2):
+        for _ in range(2):  # one retry if the previous worker died while idle
             worker = self._ensure_worker()
             try:
-                worker.conn.send(("__batch__", items))
+                worker.conn.send(items)
                 break
             except (BrokenPipeError, OSError):
                 self._reap(kill=True)
@@ -389,7 +321,7 @@ class SupervisedTarget:
             detail = (
                 f"probe worker died (exit code {exitcode})"
                 if exitcode is not None
-                else "probe worker died mid-batch"
+                else "probe worker died mid-probe"
             )
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -399,7 +331,7 @@ class SupervisedTarget:
                 )
             return [TargetOutcome.worker_crash(detail)] * len(items)
         if not worker.process.is_alive():
-            self._reap()  # post-fault restart (e.g. MemoryError mid-batch)
+            self._reap()  # orderly post-fault restart (e.g. after MemoryError)
         while len(outcomes) < len(items):  # finish what the dead worker left
             outcomes.append(self.run(*items[len(outcomes)]))
         return outcomes

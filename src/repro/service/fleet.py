@@ -28,18 +28,13 @@ surfaces to the parent as pipe EOF plus a nonzero exit code.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import multiprocessing.connection
 import os
 from dataclasses import dataclass
 from typing import Any
 
 from repro.robustness.journal import run_to_record
-from repro.robustness.supervisor import _install_drain_handler
-
-_MP_CONTEXT = multiprocessing.get_context(
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-)
+from repro.robustness.supervisor import MP_CONTEXT, _install_drain_handler
 
 
 def _sanitize_spec(spec: Any) -> Any:
@@ -150,8 +145,8 @@ class WorkerFleet:
     def spawn(self) -> int:
         worker_id = self._next_id
         self._next_id += 1
-        parent_conn, child_conn = _MP_CONTEXT.Pipe()
-        process = _MP_CONTEXT.Process(
+        parent_conn, child_conn = MP_CONTEXT.Pipe()
+        process = MP_CONTEXT.Process(
             target=_fleet_worker_main,
             args=(child_conn, worker_id),
             daemon=True,

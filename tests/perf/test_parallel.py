@@ -13,7 +13,8 @@ from repro.core.harness import Harness
 from repro.core.transformation import sequence_to_json
 from repro.corpus import reference_programs
 from repro.ir import IntType, ModuleBuilder, VoidType
-from repro.perf import CampaignSpec, ParallelExecutor, spec_names_for
+from repro.perf import CampaignSpec, spec_names_for
+from repro.perf.parallel import seed_shards
 
 
 def _finding_identity(finding):
@@ -75,13 +76,13 @@ class TestParallelCampaign:
     ):
         import os
 
-        import repro.perf.parallel as parallel_mod
+        import repro.perf.pool as pool_mod
 
         def boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("degraded campaign must not build a pool")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", boom)
         seeds = range(4)
         serial = _small_harness(references, donors).run_campaign(seeds)
         harness = _small_harness(references, donors)
@@ -92,24 +93,24 @@ class TestParallelCampaign:
         ]
 
     def test_degrade_on_tiny_seed_count(self, references, donors, monkeypatch):
-        import repro.perf.parallel as parallel_mod
+        import repro.perf.pool as pool_mod
 
         def boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("degraded campaign must not build a pool")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", boom)
         harness = _small_harness(references, donors)
         result = harness.run_campaign(range(1), workers=4)
         assert harness.metrics.counter("parallel.degraded") == 1
         assert len(result.seed_runs) == 1
 
     def test_workers_one_never_builds_a_pool(self, references, donors, monkeypatch):
-        import repro.perf.parallel as parallel_mod
+        import repro.perf.pool as pool_mod
 
         def boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("workers=1 must stay on the serial path")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", boom)
         result = _small_harness(references, donors).run_campaign(range(2), workers=1)
         assert len(result.seed_runs) == 2
 
@@ -144,9 +145,8 @@ class TestCampaignSpec:
             spec_names_for([rogue], reference_programs)
 
     def test_sharding_preserves_order_and_covers_all_seeds(self):
-        executor = ParallelExecutor(3, chunks_per_worker=2)
         seeds = list(range(17))
-        shards = executor._shard(seeds)
+        shards = seed_shards(seeds, 3, per_worker=2)
         assert [s for shard in shards for s in shard] == seeds
         assert len(shards) == 6
         assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1

@@ -130,7 +130,9 @@ class FlakyTarget:
 class _CrashyHarness:
     """Kills its worker process for designated seeds; well-behaved in the
     parent (``multiprocessing.parent_process()`` is None there), so the
-    executor's serial fallback can recover the lost shard."""
+    pool's in-parent fallback can recover the lost seed.  Each run records
+    where it ran in its program name: ``crashy@worker`` or
+    ``crashy@parent``."""
 
     def __init__(self, kill_seeds) -> None:
         self.kill_seeds = set(kill_seeds)
@@ -140,9 +142,14 @@ class _CrashyHarness:
 
         from repro.core.harness import SeedRun
 
-        if seed in self.kill_seeds and multiprocessing.parent_process() is not None:
+        in_worker = multiprocessing.parent_process() is not None
+        if seed in self.kill_seeds and in_worker:
             os._exit(42)
-        return SeedRun(program_name="crashy", seed=seed, transformation_count=seed)
+        return SeedRun(
+            program_name="crashy@worker" if in_worker else "crashy@parent",
+            seed=seed,
+            transformation_count=seed,
+        )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.perf.reduce_pool import CallableProbeSpec, ReductionPool
+from repro.perf.pool import CallableProbeSpec, WorkerPool
 from repro.reduce import PassPipeline, PipelineContext
 from repro.robustness import ProbeVerdict, ReductionPolicy, reduce_with_faults
 
@@ -177,7 +177,7 @@ class TestPipelineClassicParity:
             spec = CallableProbeSpec(
                 test=oracle, items=tuple(items), decide=True, policy=POLICY
             )
-            pool = ReductionPool({"reduction": spec}, workers)
+            pool = WorkerPool({"reduction": spec}, workers)
         try:
             piped = PassPipeline(["ddmin"]).run(
                 items,

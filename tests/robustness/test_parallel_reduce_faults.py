@@ -11,6 +11,7 @@ Oracles are module-level frozen dataclasses so they ship to workers.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.reducer import reduce_transformations
+from repro.perf import parallel_reduce
 from repro.robustness import ProbeVerdict, ReductionPolicy, reduce_with_faults
 
 SEQUENCE = list("abcdefghijkl")
@@ -67,6 +70,28 @@ class KillOnceOracle:
                 flag.write_text("killed")
                 os.kill(os.getpid(), signal.SIGKILL)
         return ProbeVerdict(self.needles <= set(candidate))
+
+
+@dataclass(frozen=True)
+class KillerLengthOracle:
+    """SIGKILLs *every* worker process that probes a candidate of
+    *kill_length*, however often it is re-dispatched; harmless in the
+    parent (``multiprocessing.parent_process()`` is None there), so only
+    the pool's in-parent fallback can decide those candidates."""
+
+    needles: frozenset
+    kill_length: int
+
+    def __call__(self, candidate) -> ProbeVerdict:
+        if (
+            len(candidate) == self.kill_length
+            and multiprocessing.parent_process() is not None
+        ):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return ProbeVerdict(self.needles <= set(candidate))
+
+    def interesting(self, candidate) -> bool:
+        return self(candidate).interesting
 
 
 CLEAN = CleanOracle(NEEDLES)
@@ -152,3 +177,19 @@ class TestWorkerLoss:
         speculation = getattr(parallel, "speculation", None)
         assert speculation is not None
         assert speculation.worker_recoveries >= 1
+
+    def test_candidate_that_kills_every_worker_runs_in_the_parent(self):
+        oracle = KillerLengthOracle(NEEDLES, kill_length=9)
+        serial = reduce_with_faults(SEQUENCE, CLEAN, POLICY)
+        parallel = reduce_with_faults(SEQUENCE, oracle, POLICY, workers=2)
+        assert serial.transformations == ["c", "i"]
+        assert parallel.to_json() == serial.to_json()
+        assert parallel.degraded is None
+        assert parallel.speculation.worker_recoveries >= 1
+
+    def test_parallel_reduce_survives_a_killer_candidate(self):
+        oracle = KillerLengthOracle(NEEDLES, kill_length=9)
+        serial = reduce_transformations(SEQUENCE, oracle.interesting)
+        parallel = parallel_reduce(SEQUENCE, oracle.interesting, workers=2)
+        assert parallel.to_json() == serial.to_json()
+        assert parallel.speculation.worker_recoveries >= 1
