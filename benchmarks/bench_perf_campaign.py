@@ -930,16 +930,17 @@ def bench_chaos_seam(records: int = 400, trials: int = 5) -> dict:
 
 
 def bench_dedup_scale(findings: int) -> dict:
-    """Streaming sketch-indexed dedup vs the quadratic Figure 6 picker.
+    """Streaming owner-map dedup vs the quadratic Figure 6 picker.
 
     The corpus is ``synthetic_reduced_tests`` — a realistic campaign shape
     (heavily skewed type families, near-duplicate mutations, a flaky tail,
     some empty sets).  Three arms over the same corpus:
 
     * the verbatim pre-optimization Figure 6 loop (re-sort + re-filter
-      after every pick) — the quadratic reference;
-    * the micro-optimized in-memory ``deduplicate``;
-    * ``StreamingDedup`` fed one finding at a time, sketch on.
+      after every pick) — the quadratic reference, and the independent
+      oracle now that the other two arms share one engine;
+    * the batch ``deduplicate`` (one call into ``StreamingDedup``);
+    * ``StreamingDedup`` fed one finding at a time.
 
     All three must pick the *same tests in the same order*.
     ``within_bound`` is the CI gate: streaming >= 10x the quadratic
@@ -1033,7 +1034,6 @@ def bench_dedup_scale(findings: int) -> dict:
         "comparison_growth_10x": round(growth, 3)
         if growth is not None
         else None,
-        "sketch": stats.get("sketch"),
         "identical": identical,
         # The CI gate: same picks, >= 10x the quadratic reference, bounded
         # per-candidate comparisons, sub-quadratic growth.

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.compilers import make_target, make_targets
 from repro.core.dedup import ReducedTest, deduplicate
-from repro.core.dedup_scale import SketchConfig, stream_dedup
+from repro.core.dedup_scale import stream_dedup
 from repro.core.fuzzer import Fuzzer, FuzzerOptions
 from repro.core.harness import Harness
 from repro.core.reducer import replay
@@ -381,12 +381,6 @@ def dedup_main(argv: list[str] | None = None) -> int:
         "uninterrupted run's",
     )
     parser.add_argument(
-        "--no-sketch",
-        action="store_true",
-        help="disable the minhash/LSH routing layer (picks are identical "
-        "either way)",
-    )
-    parser.add_argument(
         "--stats", action="store_true", help="print engine statistics"
     )
     parser.add_argument(
@@ -414,7 +408,6 @@ def dedup_main(argv: list[str] | None = None) -> int:
     if args.stream:
         engine = stream_dedup(
             list(args.logs),
-            sketch=None if args.no_sketch else SketchConfig(),
             tracer=args.trace,
             journal=args.dedup_journal,
             resume=args.resume,

@@ -12,7 +12,6 @@ from repro.core.dedup import (
 from repro.core.dedup_corpus import synthetic_reduced_tests
 from repro.core.dedup_scale import (
     DedupJournal,
-    SketchConfig,
     StreamingDedup,
     iter_stream_tests,
     stream_dedup,
@@ -68,7 +67,6 @@ __all__ = [
     "ReducedTest",
     "ReductionResult",
     "SUPPORTING_TYPES",
-    "SketchConfig",
     "StreamingDedup",
     "SeedRun",
     "Transformation",

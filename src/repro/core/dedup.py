@@ -24,7 +24,7 @@ def type_signature_of(types: Iterable[str]) -> str:
     Equal type sets always produce equal signatures (sorting removes
     set-iteration order; a NUL separator removes concatenation
     ambiguity), so the digest is usable as a dedup-journal key and as
-    the seed for the minhash sketch in :mod:`repro.core.dedup_scale`.
+    a group key in :mod:`repro.core.dedup_scale`.
     """
     digest = hashlib.blake2b(digest_size=16)
     for name in sorted(types):
@@ -144,46 +144,31 @@ def deduplicate(
     1-minimal) or oracle-dependent.  Stable picks come first in the
     investigation list.
 
+    The picks come from :class:`~repro.core.dedup_scale.StreamingDedup`,
+    the one Figure 6 engine, fed the whole batch.
+
     ``tracer`` (a :class:`~repro.observability.Tracer`, path, or ``None``)
     emits one ``dedup.pick`` event per selected test — which test was
     chosen and how many it suppressed — plus ``dedup.begin``/``dedup.end``
     bracketing the run; the selection itself is unaffected.
     """
+    # Imported here: dedup_scale builds on this module's types.
+    from repro.core.dedup_scale import StreamingDedup
+
     tracer = as_tracer(tracer)
     tracer.emit("dedup.begin", tests=len(tests))
-    result = DedupResult()
-    for pool, group in (
-        ("stable", [t for t in tests if not t.nondeterministic]),
-        ("nondeterministic", [t for t in tests if t.nondeterministic]),
-    ):
-        # Empty-type tests are dropped before the scan ever starts (they
-        # can neither be picked nor block anyone), and the survivors are
-        # sorted once: filtering a sorted list preserves its order, so
-        # the head of ``remaining`` is always the next pick and the old
-        # per-pick re-sort + smallest-size rescan is redundant.
-        remaining = [t for t in group if t.types]
-        result.skipped_empty += len(group) - len(remaining)
-        remaining.sort(key=lambda t: (len(t.types), t.test_id))
-
-        while remaining:
-            chosen = remaining[0]
-            result.to_investigate.append(chosen)
-            before = len(remaining)
-            chosen_types = chosen.types
-            # ``isdisjoint`` short-circuits on the first shared type;
-            # the old ``t.types & chosen.types`` built the whole
-            # intersection just to test truthiness.
-            remaining = [
-                t for t in remaining if t.types.isdisjoint(chosen_types)
-            ]
-            if tracer.enabled:
-                tracer.emit(
-                    "dedup.pick",
-                    pool=pool,
-                    test_id=chosen.test_id,
-                    types=sorted(chosen.types),
-                    suppressed=before - len(remaining) - 1,
-                )
+    engine = StreamingDedup()
+    engine.ingest_many(tests)
+    result = engine.result()
+    if tracer.enabled:
+        for pool, chosen, suppressed in engine.pick_suppressions():
+            tracer.emit(
+                "dedup.pick",
+                pool=pool,
+                test_id=chosen.test_id,
+                types=sorted(chosen.types),
+                suppressed=suppressed,
+            )
     tracer.emit(
         "dedup.end",
         tests=len(tests),

@@ -34,8 +34,8 @@ def synthetic_reduced_tests(
 
     Family popularity follows a cubed-uniform skew (a few families
     dominate, as real dedup corpora do); ``mutate_fraction`` of the
-    draws perturb their family's set by one type, producing the
-    near-identical neighbours the LSH sketch buckets.
+    draws perturb their family's set by one type, producing
+    near-identical neighbours.
     """
     rng = random.Random(seed)
     names = [f"T{i:04d}" for i in range(type_universe)]

@@ -1,13 +1,14 @@
-"""Streaming, sketch-indexed deduplication at campaign scale.
+"""Streaming deduplication at campaign scale: the one Figure 6 engine.
 
-:func:`repro.core.dedup.deduplicate` is the paper's Figure 6 picker: a
-greedy scan that re-sorts and re-filters the whole corpus after every
-pick — O(n²) set-disjointness comparisons, and the corpus must be fully
-materialized first.  That is fine for hundreds of reduced tests and
-hopeless for the ~10^6 findings a service campaign can now produce.
+The paper's Figure 6 picker, read literally, is a greedy scan that
+re-filters the whole corpus after every pick — O(n²) set-disjointness
+comparisons over a fully materialized corpus.  That is fine for hundreds
+of reduced tests and hopeless for the ~10^6 findings a service campaign
+can produce.
 
 :class:`StreamingDedup` maintains the *same* pick set online, one finding
-at a time, in three layers:
+at a time, and :func:`repro.core.dedup.deduplicate` is a batch call into
+it.  It has two layers:
 
 **Layer 1 — exact incremental picker.**  The batch algorithm is greedy
 maximal-independent-set construction in priority order, where the
@@ -34,30 +35,20 @@ that fixpoint under insertions:
   settled once per cascade.
 
 The final pick set is therefore independent of arrival order and equal
-to ``deduplicate()`` over the same multiset; the *per-arrival decision
-log* is additionally deterministic under a pinned arrival order, which
-is what the decision journal records.
+to the greedy scan's over the same multiset (the scan survives only as
+the reference in the tests and the ``dedup_scale`` benchmark); the
+*per-arrival decision log* is additionally deterministic under a pinned
+arrival order, which is what the decision journal records.
 
-**Layer 2 — minhash/LSH sketch.**  Near-identical findings (the common
-case at scale: thousands of tests collapsing onto a few type families)
-are pre-bucketed by a banded minhash sketch over their type sets.  On
-arrival the sketch proposes likely-overlapping picked groups before the
-owner map is consulted; a proposal only ever suppresses after an *exact*
-``frozenset`` intersection check, so sketching is a routing hint and can
-never change a pick — identical type sets always share every band
-(identical minhashes), and dissimilar sets collide only at the standard
-banded rate ``P(J) = 1 - (1 - J^r)^b`` for Jaccard similarity ``J``,
-``b`` bands of ``r`` rows.
-
-**Layer 3 — streaming frontend.**  :func:`iter_stream_tests` yields
-``ReducedTest`` records one at a time from campaign journals (PR 2) and
-trace files (PR 3) without materializing the corpus, and
-:class:`DedupJournal` gives the engine an fsync-per-decision log, a view
-over the repo's one sealed-JSONL :class:`~repro.robustness.journal.
-Journal`: after ``SIGKILL`` at any instant, re-running the same stream
-with ``resume=True`` verifies the journaled prefix decision-by-decision
-(a divergent stream raises) and appends exactly the records the killed
-run never wrote — the caught-up journal is byte-identical to an
+**Layer 2 — streaming frontend.**  :func:`iter_stream_tests` yields
+``ReducedTest`` records one at a time from campaign journals and trace
+files without materializing the corpus, and :class:`DedupJournal` gives
+the engine an fsync-per-decision log, a view over the repo's one
+sealed-JSONL :class:`~repro.robustness.journal.Journal`: after
+``SIGKILL`` at any instant, re-running the same stream with
+``resume=True`` verifies the journaled prefix decision-by-decision (a
+divergent stream raises) and appends exactly the records the killed run
+never wrote — the caught-up journal is byte-identical to an
 uninterrupted run's, and so is the pick set.
 """
 
@@ -79,105 +70,14 @@ from repro.core.transformation import SUPPORTING_TYPES
 from repro.observability import as_tracer
 from repro.robustness.journal import Journal, read_jsonl
 
-DEDUP_JOURNAL_VERSION = 1
+#: Version 2: every arrival resolves through the exact owner map, so a
+#: suppress record's ``via``/``by``/``shared`` can differ from a version-1
+#: journal's for the same stream.  A header of another version starts the
+#: journal afresh (:meth:`~repro.robustness.journal.Journal.start`);
+#: decisions are a pure function of the stream, so nothing is lost.
+DEDUP_JOURNAL_VERSION = 2
 
 _POOLS = ("stable", "nondeterministic")
-
-
-# -- layer 2: the minhash/LSH sketch ----------------------------------------
-
-
-@dataclass(frozen=True)
-class SketchConfig:
-    """Banded-minhash parameters: ``lanes`` hash lanes split into
-    ``bands`` bands of ``lanes // bands`` rows.  Two sets collide (share
-    at least one band bucket) with probability ``1 - (1 - J^r)^b`` at
-    Jaccard similarity ``J`` — equal sets always collide, and the
-    default 16 lanes / 4 bands keeps the false-bucket rate for J=0.5
-    near 23% while J=0.9 collides >95% of the time."""
-
-    lanes: int = 16
-    bands: int = 4
-
-    @property
-    def rows(self) -> int:
-        return self.lanes // self.bands
-
-    def collision_probability(self, jaccard: float) -> float:
-        """The documented banded-LSH collision rate at similarity J."""
-        return 1.0 - (1.0 - jaccard**self.rows) ** self.bands
-
-
-class TypeSketch:
-    """Banded minhash buckets over type sets, keyed by group signature.
-
-    Per-type lane values are blake2b digests salted per lane and cached
-    (type universes are small; findings are many).  ``query_insert``
-    returns previously inserted signatures sharing at least one band
-    bucket, in first-insertion order for determinism.
-    """
-
-    def __init__(self, config: SketchConfig) -> None:
-        self.config = config
-        self._lane_cache: dict[str, tuple[int, ...]] = {}
-        self._buckets: dict[tuple[int, bytes], list[str]] = {}
-        self.inserted = 0
-        self.queried = 0
-
-    def _lanes(self, type_name: str) -> tuple[int, ...]:
-        lanes = self._lane_cache.get(type_name)
-        if lanes is None:
-            data = type_name.encode("utf-8")
-            lanes = tuple(
-                int.from_bytes(
-                    hashlib.blake2b(
-                        data, digest_size=8, salt=b"lane%04d" % i
-                    ).digest(),
-                    "big",
-                )
-                for i in range(self.config.lanes)
-            )
-            self._lane_cache[type_name] = lanes
-        return lanes
-
-    def minhash(self, types: Iterable[str]) -> tuple[int, ...]:
-        per_type = [self._lanes(name) for name in types]
-        return tuple(min(values) for values in zip(*per_type))
-
-    def band_keys(self, types: Iterable[str]) -> list[tuple[int, bytes]]:
-        minhash = self.minhash(types)
-        rows = self.config.rows
-        keys = []
-        for band in range(self.config.bands):
-            chunk = minhash[band * rows : (band + 1) * rows]
-            digest = hashlib.blake2b(
-                b"".join(value.to_bytes(8, "big") for value in chunk),
-                digest_size=8,
-            ).digest()
-            keys.append((band, digest))
-        return keys
-
-    def query_insert(self, sig: str, types: frozenset[str]) -> list[str]:
-        """Near-duplicate candidates for *types*, then insert *sig*."""
-        self.queried += 1
-        seen: dict[str, None] = {}
-        for key in self.band_keys(types):
-            bucket = self._buckets.setdefault(key, [])
-            for other in bucket:
-                if other != sig:
-                    seen.setdefault(other)
-            bucket.append(sig)
-        self.inserted += 1
-        return list(seen)
-
-    def stats(self) -> dict:
-        sizes = [len(bucket) for bucket in self._buckets.values()]
-        return {
-            "buckets": len(sizes),
-            "inserted": self.inserted,
-            "queried": self.queried,
-            "max_bucket": max(sizes, default=0),
-        }
 
 
 # -- the decision journal ----------------------------------------------------
@@ -269,13 +169,15 @@ class DedupStats:
     comparisons: int = 0
     evictions: int = 0
     repicks: int = 0
+    #: Always 0: every arrival resolves through the exact owner map.  Kept
+    #: because the steady benchmark's per-layer ledger still reads it.
     sketch_suppressions: int = 0
     pool_candidates: dict = field(
         default_factory=lambda: dict.fromkeys(_POOLS, 0)
     )
 
     def to_json(self, engine: "StreamingDedup") -> dict:
-        payload = {
+        return {
             "candidates": self.candidates,
             "picks": engine.pick_count(),
             "suppressed": self.suppressed,
@@ -290,29 +192,20 @@ class DedupStats:
                 name: engine.pick_count(name) for name in _POOLS
             },
         }
-        sketch = engine.sketch_stats()
-        if sketch is not None:
-            payload["sketch"] = dict(
-                sketch, suppressions=self.sketch_suppressions
-            )
-        return payload
 
 
 class _Pool:
     """One independent dedup pool (stable / nondeterministic)."""
 
-    def __init__(
-        self, name: str, sketch: SketchConfig | None, stats: DedupStats
-    ) -> None:
+    def __init__(self, name: str, stats: DedupStats) -> None:
         self.name = name
         self.stats = stats
         #: Hot-path group lookup, keyed by the type set itself.
         self.groups: dict[frozenset[str], _Group] = {}
-        #: Signature -> group, for the sketch buckets and the heap.
+        #: Signature -> group, for the cascade heap.
         self.by_sig: dict[str, _Group] = {}
         self.owner: dict[str, _Group] = {}
         self.index: dict[str, list[_Group]] = {}
-        self.sketch = TypeSketch(sketch) if sketch is not None else None
 
     # Every decision helper returns (action, detail) where detail is a
     # dict of order-deterministic extras for the journal/tracer.
@@ -328,18 +221,6 @@ class _Pool:
         self.by_sig[sig] = group
         for type_name in test.types:
             self.index.setdefault(type_name, []).append(group)
-        near: list[str] = []
-        if self.sketch is not None:
-            near = self.sketch.query_insert(sig, test.types)
-            blocker = self._sketch_blocker(group, near)
-            if blocker is not None:
-                self.stats.suppressed += 1
-                self.stats.sketch_suppressions += 1
-                return "suppress", {
-                    "by": blocker.rep.test_id,
-                    "via": "sketch",
-                    "shared": sorted(group.types & blocker.types),
-                }
         return self._evaluate_arrival(group)
 
     def _ingest_member(
@@ -361,28 +242,6 @@ class _Pool:
         action, detail = self._evaluate_arrival(group)
         detail["supersedes"] = superseded
         return action, detail
-
-    def _sketch_blocker(
-        self, group: _Group, near: Sequence[str]
-    ) -> _Group | None:
-        """A picked, lower-priority, *exactly verified* overlapping group
-        from the sketch buckets — or ``None`` to fall through to the
-        owner map.  Exact verification means this path reaches the same
-        verdict the owner map would: it only ever reports a blocker the
-        exact evaluation would also find."""
-        priority = group.priority
-        best: _Group | None = None
-        for sig in near:
-            other = self.by_sig.get(sig)
-            if other is None or not other.picked:
-                continue
-            self.stats.comparisons += 1
-            if other.priority < priority and not other.types.isdisjoint(
-                group.types
-            ):
-                if best is None or other.priority < best.priority:
-                    best = other
-        return best
 
     def _blocker(self, group: _Group) -> _Group | None:
         """The lowest-priority picked group that blocks *group*, via the
@@ -462,16 +321,38 @@ class _Pool:
                 if not candidate.picked:
                     heapq.heappush(heap, (candidate.priority, candidate.sig))
 
+    def _picked(self) -> list[_Group]:
+        picked = [g for g in self.groups.values() if g.picked]
+        picked.sort(key=lambda g: g.priority)
+        return picked
+
     def picks(self) -> list[ReducedTest]:
-        chosen = [g.rep for g in self.groups.values() if g.picked]
-        chosen.sort(key=lambda t: (len(t.types), t.test_id))
-        return chosen
+        return [g.rep for g in self._picked()]
+
+    def pick_suppressions(self) -> list[tuple[ReducedTest, int]]:
+        """Each pick, in :meth:`picks` order, with the number of tests it
+        suppresses — the greedy scan's discard count at that pick.  The
+        scan discards a test at the first pick overlapping it, i.e. at its
+        lowest-priority overlapping pick: that is the owner map's minimal
+        owner for a non-picked group, and the pick itself for its own
+        group's duplicates."""
+        suppressed = {
+            g.sig: g.members - 1 for g in self.groups.values() if g.picked
+        }
+        for group in self.groups.values():
+            if not group.picked:
+                blocker = min(
+                    (self.owner[t] for t in group.types if t in self.owner),
+                    key=lambda g: g.priority,
+                )
+                suppressed[blocker.sig] += group.members
+        return [(g.rep, suppressed[g.sig]) for g in self._picked()]
 
     def pick_count(self) -> int:
         return sum(1 for g in self.groups.values() if g.picked)
 
 
-# -- layer 3: the streaming engine -------------------------------------------
+# -- layer 2: the streaming engine -------------------------------------------
 
 
 class StreamingDedup:
@@ -480,14 +361,12 @@ class StreamingDedup:
     ``journal`` (a path or :class:`DedupJournal`) turns on the durable
     decision log; with ``resume=True`` the engine verifies each incoming
     decision against the journaled prefix (raising ``ValueError`` on a
-    divergent stream) and appends only past it.  ``sketch=None``
-    disables layer 2 — picks are identical either way.
+    divergent stream) and appends only past it.
     """
 
     def __init__(
         self,
         *,
-        sketch: SketchConfig | None = SketchConfig(),
         tracer: object | None = None,
         journal: DedupJournal | Path | str | None = None,
         resume: bool = False,
@@ -495,10 +374,9 @@ class StreamingDedup:
     ) -> None:
         self.tracer = as_tracer(tracer)
         self.stats = DedupStats()
-        self._sketch_config = sketch
         self._pools = {
-            False: _Pool("stable", sketch, self.stats),
-            True: _Pool("nondeterministic", sketch, self.stats),
+            False: _Pool("stable", self.stats),
+            True: _Pool("nondeterministic", self.stats),
         }
         if journal is not None and not isinstance(journal, DedupJournal):
             journal = DedupJournal(journal)
@@ -581,13 +459,21 @@ class StreamingDedup:
     # -- results -------------------------------------------------------------
 
     def result(self) -> DedupResult:
-        """The current pick set, shaped exactly like ``deduplicate()``'s:
-        stable picks first, each pool ordered by ``(len(types), id)``."""
+        """The current pick set: stable picks first, each pool ordered by
+        ``(len(types), id)`` — the greedy scan's pick order."""
         result = DedupResult()
         for nondet in (False, True):
             result.to_investigate.extend(self._pools[nondet].picks())
         result.skipped_empty = self.stats.skipped_empty
         return result
+
+    def pick_suppressions(self) -> Iterator[tuple[str, ReducedTest, int]]:
+        """``(pool, pick, suppressed)`` in :meth:`result` order; see
+        :meth:`_Pool.pick_suppressions`."""
+        for nondet in (False, True):
+            pool = self._pools[nondet]
+            for test, suppressed in pool.pick_suppressions():
+                yield pool.name, test, suppressed
 
     def pick_count(self, pool: str | None = None) -> int:
         if pool is not None:
@@ -600,15 +486,6 @@ class StreamingDedup:
 
     def group_count(self) -> int:
         return sum(len(p.groups) for p in self._pools.values())
-
-    def sketch_stats(self) -> dict | None:
-        if self._sketch_config is None:
-            return None
-        merged: dict[str, int] = {}
-        for pool in self._pools.values():
-            for key, value in pool.sketch.stats().items():
-                merged[key] = merged.get(key, 0) + value
-        return merged
 
     def stats_json(self) -> dict:
         return self.stats.to_json(self)
@@ -709,7 +586,6 @@ def stream_key_for(paths: Sequence[Path | str]) -> str:
 def stream_dedup(
     paths: Sequence[Path | str],
     *,
-    sketch: SketchConfig | None = SketchConfig(),
     tracer: object | None = None,
     journal: DedupJournal | Path | str | None = None,
     resume: bool = False,
@@ -721,7 +597,6 @@ def stream_dedup(
     ``ingest_delay`` sleeps between arrivals — a testing aid so the
     SIGKILL-mid-dedup tests can interrupt a run deterministically."""
     engine = StreamingDedup(
-        sketch=sketch,
         tracer=tracer,
         journal=journal,
         resume=resume,

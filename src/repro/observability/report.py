@@ -85,7 +85,6 @@ def summarize(records: Iterable[dict]) -> dict:
         "dedup_suppressions_by_type": Counter(),
         "dedup_evictions": 0,
         "dedup_stream": Counter(),  # candidates/groups/comparisons/...
-        "dedup_sketch": Counter(),  # buckets/inserted/suppressions/...
         "dedup_pool_candidates": Counter(),  # stable / nondeterministic
         # Campaign-service health (the chaos/degradation events): campaigns
         # the store failed, submissions shed on low disk, breaker state
@@ -227,13 +226,6 @@ def summarize(records: Iterable[dict]) -> dict:
                 "groups",
             ):
                 summary["dedup_stream"][key] += record.get(key, 0)
-            for key, value in (record.get("sketch") or {}).items():
-                if key == "max_bucket":
-                    summary["dedup_sketch"][key] = max(
-                        summary["dedup_sketch"][key], value
-                    )
-                else:
-                    summary["dedup_sketch"][key] += value
             for pool, value in (
                 record.get("pool_candidates") or {}
             ).items():
@@ -433,7 +425,6 @@ def render(summary: dict) -> str:
         or summary["dedup_stream"]
     ):
         stream = summary["dedup_stream"]
-        sketch = summary["dedup_sketch"]
         rows = [
             ["candidates seen", stream.get("candidates", 0)],
             ["picks (streamed totals)", stream.get("picks", 0)],
@@ -449,13 +440,6 @@ def render(summary: dict) -> str:
                 summary["dedup_pool_candidates"].get("nondeterministic", 0),
             ],
         ]
-        if sketch:
-            rows += [
-                ["sketch buckets", sketch.get("buckets", 0)],
-                ["sketch queries", sketch.get("queried", 0)],
-                ["sketch max bucket", sketch.get("max_bucket", 0)],
-                ["sketch suppressions", sketch.get("suppressions", 0)],
-            ]
         sections.append(
             "\nstreaming dedup:\n" + _table(["Metric", "Value"], rows)
         )

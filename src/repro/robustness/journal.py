@@ -238,11 +238,17 @@ class Journal:
         first, when resuming a file whose first line is a valid header; a
         header whose *bind* field differs raises ``ValueError(mismatch)``.
         Otherwise (fresh run, or no valid header) the file is reset to just
-        *header* and ``[]`` is returned."""
+        *header* and ``[]`` is returned.  A header whose version ``v``
+        differs from *header*'s is no valid header: its records may not
+        mean what this version's do."""
         if resume:
             entries = self.scan()
             first = entries[0][0] if entries else None
-            if first is not None and first.get("header"):
+            if (
+                first is not None
+                and first.get("header")
+                and first.get("v") == header["v"]
+            ):
                 if first.get(bind) != header[bind]:
                     raise ValueError(mismatch)
                 return entries

@@ -139,11 +139,13 @@ class TestScoring:
 
 def _reference_deduplicate(tests):
     """The pre-optimization Figure 6 loop, verbatim — the regression
-    oracle for the short-circuiting rewrite."""
-    to_investigate, skipped_empty = [], 0
-    for group in (
-        [t for t in tests if not t.nondeterministic],
-        [t for t in tests if t.nondeterministic],
+    oracle for ``deduplicate``.  Also returns each pick's
+    ``(pool, test_id, types, suppressed)``: the tests discarded at that
+    pick besides the pick itself."""
+    to_investigate, skipped_empty, picks = [], 0, []
+    for pool, group in (
+        ("stable", [t for t in tests if not t.nondeterministic]),
+        ("nondeterministic", [t for t in tests if t.nondeterministic]),
     ):
         remaining = [t for t in group if t.types]
         skipped_empty += len(group) - len(remaining)
@@ -155,55 +157,86 @@ def _reference_deduplicate(tests):
                 size += 1
                 continue
             to_investigate.append(chosen)
+            before = len(remaining)
             remaining = [t for t in remaining if not (t.types & chosen.types)]
             remaining.sort(key=lambda t: (len(t.types), t.test_id))
+            picks.append(
+                (pool, chosen.test_id, sorted(chosen.types),
+                 before - len(remaining) - 1)
+            )
             size = 1
-    return to_investigate, skipped_empty
+    return to_investigate, skipped_empty, picks
+
+
+class _RecordingTracer:
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event, **fields):
+        self.events.append((event, fields))
+
+
+#: Corpora with conflicts, duplicate type sets, empty sets and both pools;
+#: ids are unique, so the id tie-break makes the reference unambiguous.
+corpus_shapes = st.lists(
+    st.tuples(
+        st.frozensets(st.sampled_from("ABCDEFGH"), max_size=4),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+def _corpus(shapes):
+    return [
+        ReducedTest(f"t{i:02d}", types, nondeterministic=nondet)
+        for i, (types, nondet) in enumerate(shapes)
+    ]
 
 
 class TestInnerLoopMicroOpt:
-    """The satellite regression: the isdisjoint/single-sort rewrite picks
-    exactly what the original per-pick-resort loop picked."""
+    """``deduplicate`` (a batch call into the streaming engine) picks
+    exactly what the original per-pick-resort loop picked, and traces
+    exactly the events that loop would have traced."""
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.frozensets(st.sampled_from("ABCDEFGH"), max_size=4),
-                st.booleans(),
-            ),
-            max_size=40,
-        )
-    )
+    @given(corpus_shapes)
     def test_picks_unchanged(self, shapes):
-        tests = [
-            ReducedTest(f"t{i:02d}", types, nondeterministic=nondet)
-            for i, (types, nondet) in enumerate(shapes)
-        ]
-        expected, expected_skipped = _reference_deduplicate(tests)
+        tests = _corpus(shapes)
+        expected, expected_skipped, _ = _reference_deduplicate(tests)
         result = deduplicate(tests)
         assert result.to_investigate == expected
         assert result.skipped_empty == expected_skipped
 
-    def test_pick_events_unchanged(self, tmp_path):
-        import json
-
-        tests = [
-            _test("a", "A", "B"),
-            _test("b", "A"),
-            _test("c", "B"),
-            _test("d", "C"),
-            _test("e"),
-        ]
-        trace = tmp_path / "trace.jsonl"
-        deduplicate(tests, tracer=trace)
-        events = [
-            json.loads(line) for line in trace.read_text().splitlines()
-        ]
-        picks = [e for e in events if e["ev"] == "dedup.pick"]
-        assert [(e["test_id"], e["suppressed"]) for e in picks] == [
-            ("b", 1),
-            ("c", 0),
-            ("d", 0),
+    @given(corpus_shapes)
+    def test_pick_events_unchanged(self, shapes):
+        tests = _corpus(shapes)
+        expected, skipped, picks = _reference_deduplicate(tests)
+        tracer = _RecordingTracer()
+        deduplicate(tests, tracer=tracer)
+        assert tracer.events == [
+            ("dedup.begin", {"tests": len(tests)}),
+            *(
+                (
+                    "dedup.pick",
+                    {
+                        "pool": pool,
+                        "test_id": test_id,
+                        "types": types,
+                        "suppressed": suppressed,
+                    },
+                )
+                for pool, test_id, types, suppressed in picks
+            ),
+            (
+                "dedup.end",
+                {
+                    "tests": len(tests),
+                    "reports": len(expected),
+                    "skipped_empty": skipped,
+                },
+            ),
         ]
 
 

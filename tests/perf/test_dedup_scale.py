@@ -1,11 +1,11 @@
-"""Streaming dedup at scale: batch equivalence, sketch soundness, and
-crash-safe decision journals (the ISSUE 10 acceptance matrix).
+"""Streaming dedup at scale: batch equivalence and crash-safe decision
+journals.
 
 The load-bearing property: :class:`repro.core.dedup_scale.StreamingDedup`
-must produce picks *byte-identical* to the in-memory ``deduplicate`` on
-every corpus, at every arrival order, with the sketch on or off — and a
-SIGKILL mid-stream followed by ``--resume`` must re-derive the same pick
-set and a byte-identical decision journal.
+must produce picks *byte-identical* to the batch ``deduplicate`` on every
+corpus, at every arrival order — and a SIGKILL mid-stream followed by
+``--resume`` must re-derive the same pick set and a byte-identical
+decision journal.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from hypothesis import strategies as st
 from repro.core.dedup import ReducedTest, deduplicate, type_signature_of
 from repro.core.dedup_corpus import synthetic_reduced_tests
 from repro.core.dedup_scale import (
+    DEDUP_JOURNAL_VERSION,
     DedupJournal,
-    SketchConfig,
     StreamingDedup,
-    TypeSketch,
     iter_stream_tests,
     stream_dedup,
 )
@@ -62,17 +61,16 @@ def _pick_ids(result) -> list[str]:
 
 class TestStreamingEqualsBatch:
     @given(shapes=corpus_shapes, order=st.randoms(use_true_random=False))
-    def test_every_arrival_order_and_sketch_mode(self, shapes, order):
+    def test_every_arrival_order(self, shapes, order):
         tests = _corpus(shapes)
         batch = deduplicate(tests)
         arrival = list(tests)
         order.shuffle(arrival)
-        for sketch in (SketchConfig(), None):
-            engine = StreamingDedup(sketch=sketch)
-            engine.ingest_many(arrival)
-            streamed = engine.result()
-            assert _pick_ids(streamed) == _pick_ids(batch)
-            assert streamed.skipped_empty == batch.skipped_empty
+        engine = StreamingDedup()
+        engine.ingest_many(arrival)
+        streamed = engine.result()
+        assert _pick_ids(streamed) == _pick_ids(batch)
+        assert streamed.skipped_empty == batch.skipped_empty
 
     def test_empty_stream(self):
         engine = StreamingDedup()
@@ -109,70 +107,6 @@ class TestStreamingEqualsBatch:
         # comparisons (a quadratic scan's growth).
         assert counts[20000] < 30 * counts[2000]
         assert counts[20000] / 20000 < 16  # bounded per-candidate work
-
-
-class TestSketch:
-    def test_equal_sets_always_share_every_band(self):
-        sketch = TypeSketch(SketchConfig())
-        a = frozenset({"X", "Y", "Z"})
-        b = frozenset({"Z", "Y", "X"})
-        assert sketch.band_keys(a) == sketch.band_keys(b)
-
-    @given(
-        st.frozensets(st.sampled_from("ABCDEFGHIJKL"), min_size=1, max_size=6),
-        st.integers(min_value=0, max_value=1000),
-    )
-    def test_equal_sets_collide_regardless_of_construction(self, types, salt):
-        sketch = TypeSketch(SketchConfig())
-        rebuilt = frozenset(sorted(types, reverse=bool(salt % 2)))
-        assert sketch.band_keys(types) == sketch.band_keys(rebuilt)
-
-    def test_dissimilar_sets_collide_at_the_documented_rate(self):
-        """Banded LSH: P(collision) = 1 - (1 - J^r)^b.  Disjoint pairs
-        (J=0) must essentially never collide; near-identical pairs
-        (J high) almost always must."""
-        import random
-
-        config = SketchConfig()
-        sketch = TypeSketch(config)
-        rng = random.Random(0)
-        names = [f"N{i:03d}" for i in range(400)]
-
-        disjoint_collisions = 0
-        trials = 300
-        for _ in range(trials):
-            left = frozenset(rng.sample(names[:200], 5))
-            right = frozenset(rng.sample(names[200:], 5))
-            if set(sketch.band_keys(left)) & set(sketch.band_keys(right)):
-                disjoint_collisions += 1
-        # J=0 => documented rate is 0; allow a whisker of hash noise.
-        assert disjoint_collisions / trials <= config.collision_probability(
-            0.0
-        ) + 0.02
-
-        similar_collisions = 0
-        for _ in range(trials):
-            base = rng.sample(names, 9)
-            left = frozenset(base + [rng.choice(names)])
-            right = frozenset(base + [rng.choice(names)])
-            jaccard = len(left & right) / len(left | right)
-            if jaccard < 0.8:
-                continue
-            similar_collisions += bool(
-                set(sketch.band_keys(left)) & set(sketch.band_keys(right))
-            )
-        # J >= 0.8 with r=4, b=4: P >= 1-(1-0.8^4)^4 ~ 0.87.
-        assert similar_collisions / trials > 0.5
-
-    def test_sketch_suppressions_never_change_picks(self):
-        corpus = synthetic_reduced_tests(3000, seed=11, families=40)
-        sketched = StreamingDedup(sketch=SketchConfig())
-        exact = StreamingDedup(sketch=None)
-        for test in corpus:
-            sketched.ingest(test)
-            exact.ingest(test)
-        assert _pick_ids(sketched.result()) == _pick_ids(exact.result())
-        assert sketched.stats.sketch_suppressions > 0  # the path was live
 
 
 def _journal_corpus() -> list[ReducedTest]:
@@ -222,6 +156,43 @@ class TestDecisionJournal:
         StreamingDedup(journal=path, stream_key="mine")
         with pytest.raises(ValueError, match="different input stream"):
             StreamingDedup(journal=path, resume=True, stream_key="theirs")
+
+    def test_resume_restarts_a_version_1_journal(self, tmp_path):
+        """A version-1 journal may hold decisions this version never makes
+        — here a ``via: sketch`` suppression naming a blocker other than
+        the lowest-priority owner.  Resuming it must start the journal
+        afresh (not report a divergent stream), byte-identical to a fresh
+        run's."""
+        tests = [
+            ReducedTest("a", frozenset({"A"})),
+            ReducedTest("b", frozenset({"B"})),
+            ReducedTest("c", frozenset({"A", "B"})),
+        ]
+        stale = [
+            {"header": True, "kind": "dedup-stream", "stream": "k"},
+            {"i": 0, "test": "a", "sig": type_signature_of({"A"}),
+             "pool": "stable", "action": "pick"},
+            {"i": 1, "test": "b", "sig": type_signature_of({"B"}),
+             "pool": "stable", "action": "pick"},
+            {"i": 2, "test": "c", "sig": type_signature_of({"A", "B"}),
+             "pool": "stable", "action": "suppress", "by": "b",
+             "via": "sketch", "shared": ["B"]},
+        ]
+        path = tmp_path / "v1.jsonl"
+        path.write_bytes(
+            b"".join(seal_record({"v": 1, **record}) for record in stale)
+        )
+        resumed = StreamingDedup(journal=path, resume=True, stream_key="k")
+        resumed.ingest_many(tests)
+
+        fresh_path = tmp_path / "fresh.jsonl"
+        fresh = StreamingDedup(journal=fresh_path, stream_key="k")
+        fresh.ingest_many(tests)
+        assert path.read_bytes() == fresh_path.read_bytes()
+        assert _pick_ids(resumed.result()) == ["a", "b"]
+        header, *decisions = map(json.loads, path.read_text().splitlines())
+        assert header["v"] == DEDUP_JOURNAL_VERSION == 2
+        assert decisions[2]["via"] == "owner" and decisions[2]["by"] == "a"
 
     def test_corrupt_interior_line_is_replayed(self, tmp_path):
         tests = _journal_corpus()
