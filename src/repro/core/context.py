@@ -9,7 +9,13 @@ from repro.core.facts import FactManager
 from repro.ir import types as tys
 from repro.ir.analysis.cfg import Availability, Cfg
 from repro.ir.builder import ModuleBuilder
-from repro.ir.module import Function, Instruction, Module
+from repro.ir.module import (
+    Function,
+    Instruction,
+    Module,
+    evaluate_constant,
+    is_constant_decl,
+)
 
 
 @dataclass
@@ -25,7 +31,6 @@ class Context:
     inputs: dict[str, object] = field(default_factory=dict)
     facts: FactManager = field(default_factory=FactManager)
     _defs: dict[int, Instruction] | None = field(default=None, repr=False)
-    _types: dict[int, tys.Type] | None = field(default=None, repr=False)
     _availability: dict[int, Availability] = field(default_factory=dict, repr=False)
     _cfgs: dict[int, Cfg] = field(default_factory=dict, repr=False)
 
@@ -50,7 +55,6 @@ class Context:
         """Drop analysis caches; call after any module mutation."""
         self.module.touch()
         self._defs = None
-        self._types = None
         self._availability.clear()
         self._cfgs.clear()
 
@@ -60,9 +64,8 @@ class Context:
         return self._defs
 
     def types(self) -> dict[int, tys.Type]:
-        if self._types is None:
-            self._types = self.module.type_table()
-        return self._types
+        """The module's type table (cached per module version; read-only)."""
+        return self.module.type_table()
 
     def availability(self, function: Function) -> Availability:
         cached = self._availability.get(function.result_id)
@@ -84,10 +87,22 @@ class Context:
     # -- common queries ------------------------------------------------------------
 
     def is_fresh(self, candidate: int) -> bool:
-        return candidate >= 1 and candidate not in self.defs()
+        """The :meth:`Module.is_fresh` rule: ids at or above ``id_bound`` are
+        fresh without building ``defs()``; ids below it must be undefined."""
+        if candidate < 1:
+            return False
+        return candidate >= self.module.id_bound or candidate not in self.defs()
 
     def all_fresh_distinct(self, ids: list[int]) -> bool:
         return len(set(ids)) == len(ids) and all(self.is_fresh(i) for i in ids)
+
+    def is_constant(self, result_id: int) -> bool:
+        """:meth:`Module.is_constant`, answered from ``defs()``."""
+        return is_constant_decl(self.defs().get(result_id))
+
+    def constant_value(self, const_id: int) -> object:
+        """:meth:`Module.constant_value`, answered from ``defs()``."""
+        return evaluate_constant(self.defs(), const_id)
 
     def value_type(self, value_id: int) -> tys.Type | None:
         inst = self.defs().get(value_id)

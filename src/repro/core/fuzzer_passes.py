@@ -515,7 +515,7 @@ class PassAddSynonyms(FuzzerPass):
                         ctx,
                         point,
                         lambda vid, ty: isinstance(ty, tys.IntType)
-                        and ctx.module.is_constant(vid),
+                        and ctx.is_constant(vid),
                     )
                     if constants:
                         out.append(
@@ -558,7 +558,7 @@ class PassAddSynonyms(FuzzerPass):
             int_consts = self._values_at(
                 ctx,
                 point,
-                lambda vid, ty: isinstance(ty, tys.IntType) and ctx.module.is_constant(vid),
+                lambda vid, ty: isinstance(ty, tys.IntType) and ctx.is_constant(vid),
             )
             if len(int_consts) >= 2:
                 free_op = rng.choice(("OpSDiv", "OpSRem", "OpIMul", "OpIAdd"))
@@ -1061,7 +1061,7 @@ class PassFunctionCalls(FuzzerPass):
                     options = self._values_at(
                         ctx, point, lambda vid, ty: ty == param_ty
                     )
-                    constants = [o for o in options if ctx.module.is_constant(o)]
+                    constants = [o for o in options if ctx.is_constant(o)]
                     if constants:
                         options = constants  # trivial constants first (§3.3)
                 if not options:

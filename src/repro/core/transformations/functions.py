@@ -3,7 +3,9 @@ donor import, and inlining."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.context import Context
 from repro.core.livesafe import (
@@ -95,7 +97,7 @@ class AddParameter(Transformation):
                 None,
                 [*old_decl.operands, self.type_id],
             )
-            ctx.module.global_insts.append(decl)
+            ctx.module.add_global(decl)
 
         ctx.module.claim_id(self.fresh_parameter_id)
         function.params.append(
@@ -171,7 +173,7 @@ class PermuteFunctionParameters(Transformation):
             new_type_id = ctx.module.claim_id(self.fresh_function_type_id)
             old_decl = ctx.defs()[function.function_type_id]
             params = [int(old_decl.operands[1 + i]) for i in order]
-            ctx.module.global_insts.append(
+            ctx.module.add_global(
                 Instruction(
                     Op.TypeFunction,
                     new_type_id,
@@ -377,6 +379,22 @@ class InlineFunction(Transformation):
                 ctx.facts.add_dead_block(plan_map[old_label])
 
 
+@functools.lru_cache(maxsize=1024)
+def _parse_donor(
+    declarations: Sequence[str], function_lines: Sequence[str]
+) -> tuple[list[Instruction], Function] | None:
+    """Parse an ``AddFunction`` record's text (see ``AddFunction._parse``)."""
+    try:
+        decls = [parse_instruction(line) for line in declarations]
+        body = [parse_instruction(line) for line in function_lines]
+        shell = module_from_instructions(body)
+    except (ParseError, Exception):  # noqa: B014 - any malformed record fails Pre
+        return None
+    if len(shell.functions) != 1 or shell.global_insts:
+        return None
+    return decls, shell.functions[0]
+
+
 @dataclass
 class AddFunction(Transformation):
     """Import a donor function (§3.2).  The transformation encodes the full
@@ -401,15 +419,16 @@ class AddFunction(Transformation):
     # -- parsing helpers ---------------------------------------------------------
 
     def _parse(self) -> tuple[list[Instruction], Function] | None:
+        """The parsed donor record, shared by every replay of equal text.
+
+        The result is memoized and must stay read-only: ``precondition`` only
+        inspects it, and ``apply`` clones each declaration and the function
+        before remapping ids or making them live-safe.
+        """
         try:
-            decls = [parse_instruction(line) for line in self.declarations]
-            body = [parse_instruction(line) for line in self.function_lines]
-            shell = module_from_instructions(body)
-        except (ParseError, Exception):  # noqa: B014 - any malformed record fails Pre
-            return None
-        if len(shell.functions) != 1 or shell.global_insts:
-            return None
-        return decls, shell.functions[0]
+            return _parse_donor(tuple(self.declarations), tuple(self.function_lines))
+        except TypeError:  # unhashable (malformed) record: parse it uncached
+            return _parse_donor.__wrapped__(self.declarations, self.function_lines)
 
     def precondition(self, ctx: Context) -> bool:
         parsed = self._parse()
@@ -504,7 +523,7 @@ class AddFunction(Transformation):
                 resolved[donor_id] = existing
             else:
                 ctx.module.claim_id(copy.result_id)
-                ctx.module.global_insts.append(copy)
+                ctx.module.add_global(copy)
                 resolved[donor_id] = copy.result_id
             ctx.invalidate()
 

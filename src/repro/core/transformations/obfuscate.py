@@ -139,7 +139,7 @@ class ReplaceConstantWithUniform(Transformation):
         if name is None or name not in ctx.inputs:
             return False
         bound = ctx.inputs[name]
-        const_value = ctx.module.constant_value(current)
+        const_value = ctx.constant_value(current)
         if isinstance(ptr_ty.pointee, tys.BoolType):
             return isinstance(bound, bool) and bound == const_value
         if isinstance(ptr_ty.pointee, tys.IntType):

@@ -186,7 +186,7 @@ class OutlineFunction(Transformation):
                 tid = ctx.module.find_type_id(ty)
                 assert tid is not None
                 param_type_ids.append(tid)
-            ctx.module.global_insts.append(
+            ctx.module.add_global(
                 Instruction(
                     Op.TypeFunction,
                     fn_type_id,

@@ -92,7 +92,7 @@ class AddType(Transformation):
         assert structural is not None
         ctx.module.claim_id(self.fresh_id)
         inst = _type_decl(self.fresh_id, structural, self.params)
-        ctx.module.global_insts.append(inst)
+        ctx.module.add_global(inst)
 
 
 def _type_decl(result_id: int, ty: tys.Type, params: list) -> Instruction:
@@ -178,7 +178,7 @@ class AddConstant(Transformation):
         ctx.module.claim_id(self.fresh_id)
         if self.undef:
             inst = Instruction(Op.Undef, self.fresh_id, self.type_id)
-            ctx.module.global_insts.append(inst)
+            ctx.module.add_global(inst)
             # An undef's (zero) value is by construction never relied upon.
             ctx.facts.add_irrelevant(self.fresh_id)
             return
@@ -197,7 +197,7 @@ class AddConstant(Transformation):
             if isinstance(ty, tys.FloatType):
                 value = float(value)
             inst = Instruction(Op.Constant, self.fresh_id, self.type_id, [value])
-        ctx.module.global_insts.append(inst)
+        ctx.module.add_global(inst)
 
 
 @dataclass
@@ -261,7 +261,7 @@ class AddUniform(Transformation):
             pointer_type_id = ctx.module.claim_id(self.fresh_pointer_type_id)
             pointee_id = ctx.module.find_type_id(pointee)
             assert pointee_id is not None
-            ctx.module.global_insts.append(
+            ctx.module.add_global(
                 Instruction(
                     Op.TypePointer,
                     pointer_type_id,
@@ -270,7 +270,7 @@ class AddUniform(Transformation):
                 )
             )
         ctx.module.claim_id(self.fresh_id)
-        ctx.module.global_insts.append(
+        ctx.module.add_global(
             Instruction(
                 Op.Variable,
                 self.fresh_id,
@@ -336,5 +336,5 @@ class AddVariable(Transformation):
                 index += 1
             entry.instructions.insert(index, inst)
         else:
-            ctx.module.global_insts.append(inst)
+            ctx.module.add_global(inst)
         ctx.facts.add_irrelevant_pointee(self.fresh_id)

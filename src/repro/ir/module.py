@@ -8,14 +8,21 @@ module tracks an *id bound* from which fresh ids are allocated.
 
 Mutability: instructions, blocks, functions and modules are mutable on purpose
 — transformations edit modules in place — but :meth:`Module.clone` provides a
-cheap deep copy so that callers can transform copies while keeping originals
-pristine.
+deep copy so that callers can transform copies while keeping originals
+pristine.  The copy rebuilds every instruction, so it costs O(module); it
+carries over the derived caches (fingerprint, digest, type table) that are
+still valid, so a clone never recomputes them.
+
+Derived views — :meth:`Module.fingerprint`, :meth:`Module.content_digest` and
+:meth:`Module.type_table` — are cached per module version.
+:meth:`Module.add_global` is the only way to add a global declaration: it
+bumps the version, so no cached view can go stale mid-edit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.ir.opcodes import OP_INFO, Op, OperandKind, op_info
 from repro.ir import types as tys
@@ -291,6 +298,31 @@ class Function:
         return new
 
 
+def evaluate_constant(defs: dict[int, Instruction], const_id: int) -> object:
+    """Evaluate constant *const_id* through the def map *defs* (see
+    :meth:`Module.constant_value`)."""
+    inst = defs.get(const_id)
+    if inst is None:
+        raise IrError(f"no definition for %{const_id}")
+    if inst.opcode is Op.ConstantTrue:
+        return True
+    if inst.opcode is Op.ConstantFalse:
+        return False
+    if inst.opcode is Op.Constant:
+        return inst.operands[0]
+    if inst.opcode is Op.ConstantComposite:
+        return [evaluate_constant(defs, int(m)) for m in inst.operands]
+    raise IrError(f"%{const_id} is not a constant with a known value")
+
+
+def is_constant_decl(inst: Instruction | None) -> bool:
+    """True when *inst* declares a constant with a known value (not
+    ``OpUndef``)."""
+    if inst is None:
+        return False
+    return op_info(inst.opcode).is_constant_decl and inst.opcode is not Op.Undef
+
+
 @dataclass
 class Module:
     """A whole IR module.
@@ -307,17 +339,20 @@ class Module:
     entry_point_id: int | None = None
     entry_point_name: str = "main"
     names: dict[int, str] = field(default_factory=dict)
-    #: Mutation counter guarding the fingerprint/digest caches below.  Code
-    #: that edits the module structurally outside the helpers that already
-    #: call :meth:`touch` (``add_global``, ``map_instructions``, the
-    #: transformation machinery via ``Context.invalidate``, pass pipelines)
-    #: must call :meth:`touch` before the next ``fingerprint`` /
-    #: ``content_digest`` read.
+    #: Mutation counter guarding the fingerprint/digest/type-table caches
+    #: below.  Code that edits the module structurally outside the helpers
+    #: that already call :meth:`touch` (``add_global``, ``map_instructions``,
+    #: the transformation machinery via ``Context.invalidate``, pass
+    #: pipelines) must call :meth:`touch` before the next ``fingerprint`` /
+    #: ``content_digest`` / ``type_table`` read.
     _version: int = field(default=0, repr=False, compare=False)
     _fingerprint_cache: "tuple[int, tuple] | None" = field(
         default=None, repr=False, compare=False
     )
     _digest_cache: "tuple[int, str] | None" = field(
+        default=None, repr=False, compare=False
+    )
+    _type_table_cache: "tuple[int, dict[int, tys.Type]] | None" = field(
         default=None, repr=False, compare=False
     )
 
@@ -337,7 +372,8 @@ class Module:
 
         Transformations record their fresh ids explicitly (a design principle
         from the paper); on application they claim those ids.  Raises
-        :class:`IrError` if the id already names something.
+        :class:`IrError` if the id already names something.  Claiming an id
+        at or above the bound costs O(1) (see :meth:`is_fresh`).
         """
         if not self.is_fresh(wanted):
             raise IrError(f"id %{wanted} is not fresh")
@@ -345,10 +381,15 @@ class Module:
         return wanted
 
     def is_fresh(self, candidate: int) -> bool:
-        """True when *candidate* is positive and defined nowhere in the module."""
+        """True when *candidate* is positive and defined nowhere in the module.
+
+        Every defined id lies below ``id_bound`` (the validator's
+        ``check_id_bound`` rule), so an id at or above the bound is fresh
+        without a walk; only ids below it consult :meth:`def_map`.
+        """
         if candidate < 1:
             return False
-        return candidate not in self.def_map()
+        return candidate >= self.id_bound or candidate not in self.def_map()
 
     # -- traversal ---------------------------------------------------------------
 
@@ -420,7 +461,15 @@ class Module:
     # -- types and constants -------------------------------------------------------
 
     def type_table(self) -> dict[int, tys.Type]:
-        """Materialise structural types for every ``OpType*`` declaration."""
+        """Structural types for every ``OpType*`` declaration.
+
+        Cached per :attr:`_version` like :meth:`fingerprint`: repeated calls
+        on an unmutated module return the same dict, which callers must
+        treat as read-only.
+        """
+        cached = self._type_table_cache
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
         table: dict[int, tys.Type] = {}
         for inst in self.global_insts:
             op = inst.opcode
@@ -455,6 +504,7 @@ class Module:
                     table[int(inst.operands[0])],
                     tuple(table[int(p)] for p in inst.operands[1:]),
                 )
+        self._type_table_cache = (self._version, table)
         return table
 
     def type_of(self, value_id: int) -> tys.Type:
@@ -495,28 +545,23 @@ class Module:
         Composites evaluate to lists.  Raises :class:`IrError` for non-constant
         ids (including ``OpUndef``, whose value is unspecified).
         """
-        inst = self.get_instruction(const_id)
-        if inst.opcode is Op.ConstantTrue:
-            return True
-        if inst.opcode is Op.ConstantFalse:
-            return False
-        if inst.opcode is Op.Constant:
-            return inst.operands[0]
-        if inst.opcode is Op.ConstantComposite:
-            return [self.constant_value(int(m)) for m in inst.operands]
-        raise IrError(f"%{const_id} is not a constant with a known value")
+        return evaluate_constant(self.def_map(), const_id)
 
     def is_constant(self, result_id: int) -> bool:
         try:
             inst = self.get_instruction(result_id)
         except IrError:
             return False
-        return op_info(inst.opcode).is_constant_decl and inst.opcode is not Op.Undef
+        return is_constant_decl(inst)
 
     # -- global section editing ------------------------------------------------
 
     def add_global(self, inst: Instruction) -> int:
-        """Append a global declaration, returning its result id."""
+        """Append a global declaration, returning its result id.
+
+        The only way to add a global: it bumps the module version, so the
+        cached type table (and fingerprint/digest) can never go stale.
+        """
         self.global_insts.append(inst)
         assert inst.result_id is not None
         self.id_bound = max(self.id_bound, inst.result_id + 1)
@@ -545,22 +590,20 @@ class Module:
         new.entry_point_id = self.entry_point_id
         new.entry_point_name = self.entry_point_name
         new.names = dict(self.names)
-        # The clone is content-identical, so valid fingerprint/digest caches
-        # carry over (rebased to the clone's fresh version counter).
+        # The clone is content-identical, so valid fingerprint/digest/type
+        # table caches carry over (rebased to the clone's fresh version
+        # counter).  Cached values are never mutated, so sharing is safe.
         new._version = 0
-        fingerprint = self._fingerprint_cache
-        new._fingerprint_cache = (
-            (0, fingerprint[1])
-            if fingerprint is not None and fingerprint[0] == self._version
-            else None
-        )
-        digest = self._digest_cache
-        new._digest_cache = (
-            (0, digest[1])
-            if digest is not None and digest[0] == self._version
-            else None
-        )
+        new._fingerprint_cache = self._carried(self._fingerprint_cache)
+        new._digest_cache = self._carried(self._digest_cache)
+        new._type_table_cache = self._carried(self._type_table_cache)
         return new
+
+    def _carried(self, cached: "tuple[int, Any] | None") -> "tuple[int, Any] | None":
+        """*cached* rebased to version 0 if it is valid now, else None."""
+        if cached is not None and cached[0] == self._version:
+            return (0, cached[1])
+        return None
 
     def touch(self) -> None:
         """Mark the module as mutated, invalidating cached fingerprints."""

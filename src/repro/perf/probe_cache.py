@@ -354,6 +354,14 @@ class ProbeCache:
         return work
 
     def _remember_module(self, digest: str, module: Module) -> None:
+        # A snapshot already held under this digest is interchangeable with
+        # *module* when the id bounds match too (the digest ignores
+        # ``id_bound``, and mem2reg allocates fresh ids from it), so only
+        # refresh its LRU position instead of cloning a duplicate.
+        held = self._modules.get(digest)
+        if held is not None and held.id_bound == module.id_bound:
+            self._modules.move_to_end(digest)
+            return
         self._store(self._modules, digest, module.clone(), self._max_modules)
 
     @staticmethod

@@ -1,9 +1,11 @@
-"""Fingerprint/digest caching must be invisible: cached values are identical
-to fresh ones, and every mutation path invalidates them."""
+"""Fingerprint/digest/type-table caching must be invisible: cached values
+are identical to fresh ones, and every mutation path invalidates them."""
 
 from __future__ import annotations
 
 from repro.core.context import Context
+from repro.core.fuzzer import Fuzzer, FuzzerOptions
+from repro.core.transformation import apply_sequence
 from repro.ir import IntType, ModuleBuilder, VoidType
 from repro.ir.module import Instruction
 from repro.ir.opcodes import Op
@@ -104,3 +106,77 @@ class TestCloneCarriesCaches:
         fresh.functions[0].blocks[0].instructions[0].opcode = Op.IMul
         fresh.touch()
         assert clone.content_digest() == fresh.content_digest()
+
+
+def _uncached_type_table(module):
+    """``type_table()`` rebuilt from scratch, bypassing every cache."""
+    fresh = module.clone()
+    fresh._type_table_cache = None
+    return fresh.type_table()
+
+
+class TestTypeTableCache:
+    def test_repeated_reads_return_the_same_object(self):
+        module = _tiny()
+        assert module.type_table() is module.type_table()
+
+    def test_context_types_reads_the_module_table(self):
+        ctx = Context.start(_tiny(), {})
+        assert ctx.types() is ctx.module.type_table()
+
+    def test_add_global_invalidates(self):
+        module = _tiny()
+        before = module.type_table()
+        new_id = module.fresh_id()
+        module.add_global(Instruction(Op.TypeFloat, new_id, None, [32]))
+        after = module.type_table()
+        assert after is not before
+        assert new_id in after and new_id not in before
+        assert after == _uncached_type_table(module)
+
+    def test_touch_invalidates(self):
+        module = _tiny()
+        before = module.type_table()
+        module.touch()
+        assert module.type_table() is not before
+        assert module.type_table() == before
+
+    def test_context_invalidate_invalidates(self):
+        ctx = Context.start(_tiny(), {})
+        before = ctx.types()
+        ctx.invalidate()
+        assert ctx.types() is not before
+        assert ctx.types() == before
+
+    def test_clone_inherits_a_valid_table(self):
+        module = _tiny()
+        table = module.type_table()
+        assert module.clone().type_table() is table
+
+    def test_clone_does_not_inherit_a_stale_table(self):
+        module = _tiny()
+        table = module.type_table()
+        module.touch()
+        clone = module.clone()
+        assert clone._type_table_cache is None
+        assert clone.type_table() is not table
+        assert clone.type_table() == table
+
+    def test_table_matches_a_rebuild_after_every_fuzzed_step(
+        self, references, donors
+    ):
+        fuzzer = Fuzzer(donors, FuzzerOptions(max_transformations=40))
+        types_added = 0
+        for program in references[:3]:
+            for seed in (0, 1):
+                fuzzed = fuzzer.run(program.module, program.inputs, seed)
+                ctx = Context.start(program.module, program.inputs)
+                for transformation in fuzzed.transformations:
+                    before = len(ctx.types())
+                    apply_sequence(ctx, [transformation], validate_each=True)
+                    assert ctx.module.type_table() == _uncached_type_table(
+                        ctx.module
+                    )
+                    assert ctx.types() is ctx.module.type_table()
+                    types_added += len(ctx.types()) - before
+        assert types_added > 0, "no fuzzed step declared a type"
