@@ -13,7 +13,14 @@ from repro.ir.rewrite import remove_phi_predecessor
 
 class Pass(abc.ABC):
     """One optimization pass.  Passes mutate modules in place; the pipeline
-    owns cloning.  ``run`` returns True when anything changed."""
+    owns cloning.
+
+    ``run`` returns True when anything changed.  The flag is load-bearing
+    for cache soundness: on False the probe cache keeps the module's cached
+    content digest instead of recomputing it, so a pass that edits the
+    module's content (a function body, a global, a name) must return True.
+    Allocating ids without using them does not count as a change (the
+    digest ignores ``id_bound``)."""
 
     name: str = "pass"
 

@@ -32,99 +32,31 @@ class Cfg:
 
     @classmethod
     def build(cls, function: Function) -> "Cfg":
+        """The CFG of *function*, reusing the function's memoized analysis
+        (``Function._cfg_memo``) while its block shape is unchanged."""
+        shape = tuple(
+            (block.label_id, tuple(block.successors())) for block in function.blocks
+        )
+        memo = function._cfg_memo
+        if memo is not None and memo[0] == shape:
+            analysis = memo[1]
+        else:
+            analysis = _analyze(shape)
+            function._cfg_memo = (shape, analysis)
         cfg = cls(function)
-        for block in function.blocks:
-            cfg.successors[block.label_id] = block.successors()
-            cfg.predecessors.setdefault(block.label_id, [])
-        for label, succs in cfg.successors.items():
-            for succ in succs:
-                cfg.predecessors.setdefault(succ, []).append(label)
-        if function.blocks:
-            cfg._compute_reachability()
-            cfg._compute_dominators()
+        (
+            cfg.successors,
+            cfg.predecessors,
+            cfg.reachable,
+            cfg.idom,
+            cfg.rpo,
+            cfg._rpo_index,
+        ) = analysis
         return cfg
 
     @property
     def entry(self) -> int:
         return self.function.entry_block().label_id
-
-    def _compute_reachability(self) -> None:
-        worklist = [self.entry]
-        seen = {self.entry}
-        while worklist:
-            label = worklist.pop()
-            for succ in self.successors.get(label, []):
-                if succ not in seen:
-                    seen.add(succ)
-                    worklist.append(succ)
-        self.reachable = seen
-
-    def _reverse_postorder(self) -> list[int]:
-        order: list[int] = []
-        visited: set[int] = set()
-
-        def visit(label: int) -> None:
-            # Iterative DFS to keep recursion depth bounded.  Successors are
-            # visited in *reverse* terminator order, which makes the RPO of a
-            # structured program match its natural then-before-else,
-            # header-body-exit layout — the canonical order the block-layout
-            # pass normalises to.
-            stack: list[tuple[int, int]] = [(label, 0)]
-            visited.add(label)
-            while stack:
-                current, child_index = stack.pop()
-                succs = list(reversed(self.successors.get(current, [])))
-                if child_index < len(succs):
-                    stack.append((current, child_index + 1))
-                    succ = succs[child_index]
-                    if succ not in visited:
-                        visited.add(succ)
-                        stack.append((succ, 0))
-                else:
-                    order.append(current)
-
-        visit(self.entry)
-        order.reverse()
-        return order
-
-    def _compute_dominators(self) -> None:
-        """Cooper–Harvey–Kennedy iterative dominator computation."""
-        rpo = self._reverse_postorder()
-        self.rpo = rpo
-        self._rpo_index = {label: i for i, label in enumerate(rpo)}
-        idom: dict[int, int | None] = {label: None for label in rpo}
-        idom[self.entry] = self.entry
-
-        def intersect(a: int, b: int) -> int:
-            while a != b:
-                while self._rpo_index[a] > self._rpo_index[b]:
-                    a = idom[a]  # type: ignore[assignment]
-                while self._rpo_index[b] > self._rpo_index[a]:
-                    b = idom[b]  # type: ignore[assignment]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for label in rpo:
-                if label == self.entry:
-                    continue
-                preds = [
-                    p
-                    for p in self.predecessors.get(label, [])
-                    if p in self.reachable and idom.get(p) is not None
-                ]
-                if not preds:
-                    continue
-                new_idom = preds[0]
-                for pred in preds[1:]:
-                    new_idom = intersect(new_idom, pred)
-                if idom[label] != new_idom:
-                    idom[label] = new_idom
-                    changed = True
-
-        idom[self.entry] = None  # the entry has no immediate dominator
-        self.idom = idom
 
     # -- queries -----------------------------------------------------------------
 
@@ -185,6 +117,107 @@ class Cfg:
             for b in self.function.blocks
             if b.terminator is not None and not b.successors()
         ]
+
+
+def _analyze(shape: tuple) -> tuple:
+    """Successors, predecessors, reachable set, idom, RPO and RPO index of
+    a function whose blocks are *shape* (``(label, successor labels)`` in
+    block order).  Shared by every :class:`Cfg` built over that shape, so
+    consumers must treat the returned containers as read-only."""
+    successors: dict[int, list[int]] = {}
+    predecessors: dict[int, list[int]] = {}
+    for label, succs in shape:
+        successors[label] = list(succs)
+        predecessors.setdefault(label, [])
+    for label, succs in successors.items():
+        for succ in succs:
+            predecessors.setdefault(succ, []).append(label)
+    if not shape:
+        return successors, predecessors, set(), {}, [], {}
+    entry = shape[0][0]
+    reachable = _reachable(successors, entry)
+    rpo = _reverse_postorder(successors, entry)
+    rpo_index = {label: i for i, label in enumerate(rpo)}
+    idom = _dominators(predecessors, reachable, entry, rpo, rpo_index)
+    return successors, predecessors, reachable, idom, rpo, rpo_index
+
+
+def _reachable(successors: dict[int, list[int]], entry: int) -> set[int]:
+    worklist = [entry]
+    seen = {entry}
+    while worklist:
+        label = worklist.pop()
+        for succ in successors.get(label, []):
+            if succ not in seen:
+                seen.add(succ)
+                worklist.append(succ)
+    return seen
+
+
+def _reverse_postorder(successors: dict[int, list[int]], entry: int) -> list[int]:
+    # Iterative DFS to keep recursion depth bounded.  Successors are visited
+    # in *reverse* terminator order, which makes the RPO of a structured
+    # program match its natural then-before-else, header-body-exit layout —
+    # the canonical order the block-layout pass normalises to.
+    order: list[int] = []
+    visited = {entry}
+    stack: list[tuple[int, int]] = [(entry, 0)]
+    while stack:
+        current, child_index = stack.pop()
+        succs = list(reversed(successors.get(current, [])))
+        if child_index < len(succs):
+            stack.append((current, child_index + 1))
+            succ = succs[child_index]
+            if succ not in visited:
+                visited.add(succ)
+                stack.append((succ, 0))
+        else:
+            order.append(current)
+    order.reverse()
+    return order
+
+
+def _dominators(
+    predecessors: dict[int, list[int]],
+    reachable: set[int],
+    entry: int,
+    rpo: list[int],
+    rpo_index: dict[int, int],
+) -> dict[int, int | None]:
+    """Cooper–Harvey–Kennedy iterative dominator computation."""
+    idom: dict[int, int | None] = {label: None for label in rpo}
+    idom[entry] = entry
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while rpo_index[a] > rpo_index[b]:
+                a = idom[a]  # type: ignore[assignment]
+            while rpo_index[b] > rpo_index[a]:
+                b = idom[b]  # type: ignore[assignment]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for label in rpo:
+            if label == entry:
+                continue
+            preds = [
+                p
+                for p in predecessors.get(label, [])
+                if p in reachable and idom.get(p) is not None
+            ]
+            if not preds:
+                continue
+            new_idom = preds[0]
+            for pred in preds[1:]:
+                new_idom = intersect(new_idom, pred)
+            if idom[label] != new_idom:
+                idom[label] = new_idom
+                changed = True
+
+    idom[entry] = None  # the entry has no immediate dominator
+    return idom
 
 
 @dataclass

@@ -6,17 +6,25 @@ each of which is a list of basic blocks in an order that must respect
 dominance.  Every value-producing instruction has a unique *result id*; the
 module tracks an *id bound* from which fresh ids are allocated.
 
-Mutability: instructions, blocks, functions and modules are mutable on purpose
-— transformations edit modules in place — but :meth:`Module.clone` provides a
-deep copy so that callers can transform copies while keeping originals
-pristine.  The copy rebuilds every instruction, so it costs O(module); it
-carries over the derived caches (fingerprint, digest, type table) that are
-still valid, so a clone never recomputes them.
+Mutability: blocks, functions and module-level lists are mutable on purpose
+— transformations edit function bodies in place — but :meth:`Module.clone`
+provides a copy so that callers can transform copies while keeping
+originals pristine.  The copy rebuilds every function body, so it costs
+O(function code); it carries over the derived caches (fingerprint, digest,
+type table, and each function's CFG memo) that are still valid, so a clone
+never recomputes them.
 
-Derived views — :meth:`Module.fingerprint`, :meth:`Module.content_digest` and
-:meth:`Module.type_table` — are cached per module version.
-:meth:`Module.add_global` is the only way to add a global declaration: it
-bumps the version, so no cached view can go stale mid-edit.
+Global declarations are immutable values: once a global
+:class:`Instruction` is in a module it is never edited in place, so clones
+share the declaration objects and copy only the ``global_insts`` list.
+The list changes in exactly two ways — :meth:`Module.add_global` appends,
+and :meth:`Module.set_global` replaces a slot with an edited copy — and
+both bump the module's ``_globals_version``.
+
+Derived views — :meth:`Module.fingerprint` and :meth:`Module.content_digest`
+— are cached per module version (bumped by :meth:`Module.touch`);
+:meth:`Module.type_table` depends on the global section alone and is cached
+per ``_globals_version``, so function-body edits and ``touch`` keep it.
 """
 
 from __future__ import annotations
@@ -231,11 +239,21 @@ class Block:
 
 @dataclass
 class Function:
-    """A function: its ``OpFunction`` instruction, parameters, and blocks."""
+    """A function: its ``OpFunction`` instruction, parameters, and blocks.
+
+    ``_cfg_memo`` is ``(shape, analysis)`` from the last
+    :meth:`repro.ir.analysis.cfg.Cfg.build` over this function, where
+    *shape* is each block's label and successor labels in block order; the
+    build reuses *analysis* while the shape is unchanged.  The analysis is
+    never mutated, so clones share the memo.
+    """
 
     inst: Instruction
     params: list[Instruction] = field(default_factory=list)
     blocks: list[Block] = field(default_factory=list)
+    _cfg_memo: "tuple[tuple, tuple] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def result_id(self) -> int:
@@ -295,7 +313,13 @@ class Function:
         new.inst = self.inst.clone()
         new.params = [p.clone() for p in self.params]
         new.blocks = [b.clone() for b in self.blocks]
+        new._cfg_memo = self._cfg_memo
         return new
+
+    def __getstate__(self) -> dict:
+        # The CFG memo is derived state: leave it out of the modules sent to
+        # probe workers (the receiver rebuilds it on first use).
+        return {**self.__dict__, "_cfg_memo": None}
 
 
 def evaluate_constant(defs: dict[int, Instruction], const_id: int) -> object:
@@ -339,13 +363,17 @@ class Module:
     entry_point_id: int | None = None
     entry_point_name: str = "main"
     names: dict[int, str] = field(default_factory=dict)
-    #: Mutation counter guarding the fingerprint/digest/type-table caches
-    #: below.  Code that edits the module structurally outside the helpers
-    #: that already call :meth:`touch` (``add_global``, ``map_instructions``,
-    #: the transformation machinery via ``Context.invalidate``, pass
-    #: pipelines) must call :meth:`touch` before the next ``fingerprint`` /
-    #: ``content_digest`` / ``type_table`` read.
+    #: Mutation counter guarding the fingerprint/digest caches below.  Code
+    #: that edits the module structurally outside the helpers that already
+    #: call :meth:`touch` (``add_global``, ``set_global``,
+    #: ``map_instructions``, the transformation machinery via
+    #: ``Context.invalidate``, pass pipelines) must call :meth:`touch` before
+    #: the next ``fingerprint`` / ``content_digest`` read.
     _version: int = field(default=0, repr=False, compare=False)
+    #: Global-section counter guarding the type-table cache: bumped only by
+    #: :meth:`add_global` and :meth:`set_global`, the two ways the global
+    #: section may change.
+    _globals_version: int = field(default=0, repr=False, compare=False)
     _fingerprint_cache: "tuple[int, tuple] | None" = field(
         default=None, repr=False, compare=False
     )
@@ -463,12 +491,13 @@ class Module:
     def type_table(self) -> dict[int, tys.Type]:
         """Structural types for every ``OpType*`` declaration.
 
-        Cached per :attr:`_version` like :meth:`fingerprint`: repeated calls
-        on an unmutated module return the same dict, which callers must
-        treat as read-only.
+        Cached per :attr:`_globals_version`: the table depends on the global
+        section alone, so :meth:`touch` keeps it and repeated calls between
+        global-section edits return the same dict, which callers must treat
+        as read-only.
         """
         cached = self._type_table_cache
-        if cached is not None and cached[0] == self._version:
+        if cached is not None and cached[0] == self._globals_version:
             return cached[1]
         table: dict[int, tys.Type] = {}
         for inst in self.global_insts:
@@ -504,7 +533,7 @@ class Module:
                     table[int(inst.operands[0])],
                     tuple(table[int(p)] for p in inst.operands[1:]),
                 )
-        self._type_table_cache = (self._version, table)
+        self._type_table_cache = (self._globals_version, table)
         return table
 
     def type_of(self, value_id: int) -> tys.Type:
@@ -559,14 +588,27 @@ class Module:
     def add_global(self, inst: Instruction) -> int:
         """Append a global declaration, returning its result id.
 
-        The only way to add a global: it bumps the module version, so the
-        cached type table (and fingerprint/digest) can never go stale.
+        The only way to add a global: it bumps the module and global-section
+        versions, so the cached type table (and fingerprint/digest) can never
+        go stale.  *inst* must not be edited afterwards.
         """
         self.global_insts.append(inst)
         assert inst.result_id is not None
         self.id_bound = max(self.id_bound, inst.result_id + 1)
+        self._globals_version += 1
         self.touch()
         return inst.result_id
+
+    def set_global(self, index: int, inst: Instruction) -> None:
+        """Replace the global declaration in slot *index* with *inst*.
+
+        Globals are shared between clones, so an edit to a declaration is
+        made on a copy that takes over the slot here; the declaration that
+        was there is left untouched for every other module holding it.
+        """
+        self.global_insts[index] = inst
+        self._globals_version += 1
+        self.touch()
 
     def global_variables(self) -> list[Instruction]:
         return [i for i in self.global_insts if i.opcode is Op.Variable]
@@ -585,25 +627,23 @@ class Module:
     def clone(self) -> "Module":
         new = object.__new__(Module)
         new.id_bound = self.id_bound
-        new.global_insts = [inst.clone() for inst in self.global_insts]
+        # Global declarations are immutable, so the clone shares them.
+        new.global_insts = list(self.global_insts)
         new.functions = [f.clone() for f in self.functions]
         new.entry_point_id = self.entry_point_id
         new.entry_point_name = self.entry_point_name
         new.names = dict(self.names)
         # The clone is content-identical, so valid fingerprint/digest/type
         # table caches carry over (rebased to the clone's fresh version
-        # counter).  Cached values are never mutated, so sharing is safe.
+        # counters).  Cached values are never mutated, so sharing is safe.
         new._version = 0
-        new._fingerprint_cache = self._carried(self._fingerprint_cache)
-        new._digest_cache = self._carried(self._digest_cache)
-        new._type_table_cache = self._carried(self._type_table_cache)
+        new._globals_version = 0
+        new._fingerprint_cache = _carried(self._fingerprint_cache, self._version)
+        new._digest_cache = _carried(self._digest_cache, self._version)
+        new._type_table_cache = _carried(
+            self._type_table_cache, self._globals_version
+        )
         return new
-
-    def _carried(self, cached: "tuple[int, Any] | None") -> "tuple[int, Any] | None":
-        """*cached* rebased to version 0 if it is valid now, else None."""
-        if cached is not None and cached[0] == self._version:
-            return (0, cached[1])
-        return None
 
     def touch(self) -> None:
         """Mark the module as mutated, invalidating cached fingerprints."""
@@ -667,7 +707,25 @@ class Module:
         return digest
 
     def map_instructions(self, fn: Callable[[Instruction], None]) -> None:
-        """Apply *fn* to every instruction in the module, for bulk edits."""
-        for inst in self.all_instructions():
-            fn(inst)
+        """Apply *fn* to every instruction in the module, for bulk edits.
+
+        Function-body instructions are edited in place; a global is edited
+        on a copy that replaces it through :meth:`set_global` when *fn*
+        changed it.
+        """
+        for index, inst in enumerate(self.global_insts):
+            copy = inst.clone()
+            fn(copy)
+            if copy.key() != inst.key():
+                self.set_global(index, copy)
+        for function in self.functions:
+            for inst in function.all_instructions():
+                fn(inst)
         self.touch()
+
+
+def _carried(cached: "tuple[int, Any] | None", version: int) -> "tuple[int, Any] | None":
+    """*cached* rebased to version 0 if it is valid at *version*, else None."""
+    if cached is not None and cached[0] == version:
+        return (0, cached[1])
+    return None

@@ -35,8 +35,14 @@ def replace_value_uses(module: Module, old_id: int, new_id: int) -> int:
                             count += 1
                 elif inst.replace_uses(old_id, new_id):
                     count += 1
-    for inst in module.global_insts:
-        if inst.replace_uses(old_id, new_id):
+    # Globals are shared with clones, so a global that uses *old_id* is
+    # rewritten on a copy that takes over its slot.
+    for index, inst in enumerate(module.global_insts):
+        if old_id not in inst.operands:
+            continue
+        edited = inst.clone()
+        if edited.replace_uses(old_id, new_id):
+            module.set_global(index, edited)
             count += 1
     return count
 

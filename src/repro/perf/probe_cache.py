@@ -280,7 +280,7 @@ class ProbeCache:
             bugs = BugContext(enabled)
             bugs.current_pass = opt_pass.name
             try:
-                opt_pass.run(work, bugs)
+                changed = opt_pass.run(work, bugs)
             except CompilerCrash as crash:
                 # Reusable only when the whole trigger chain — bugs fired
                 # before the crash plus the crashing bug — is enabled.
@@ -298,7 +298,10 @@ class ProbeCache:
                     ),
                 )
                 raise
-            work.touch()
+            # A pass that reports no change left the module as it was (the
+            # ``Pass.run`` contract), so the cached digest still holds.
+            if changed:
+                work.touch()
             digest_out = work.content_digest()
             delta = frozenset(bugs.fired)
             self._store_stage(stage_key, ("ok", relevant, delta, digest_out))

@@ -42,6 +42,27 @@ MP_CONTEXT = multiprocessing.get_context(
 )
 
 
+def inherited_ends(*conns: multiprocessing.connection.Connection) -> tuple:
+    """The parent-side pipe ends a child about to start will hold a copy of.
+
+    A forked child inherits every descriptor open in the parent, including
+    the parent's end of its own request pipe; as long as the child holds
+    that copy, its ``recv()`` never sees EOF, so it would outlive a
+    SIGKILLed parent.  The child closes these first.  A spawned child
+    inherits nothing, so there is nothing to close.
+    """
+    return conns if MP_CONTEXT.get_start_method() == "fork" else ()
+
+
+def close_inherited(conns: tuple) -> None:
+    """Close, in the child, the parent-side ends :func:`inherited_ends` named."""
+    for conn in conns:
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+
 def _install_drain_handler(
     conn: multiprocessing.connection.Connection,
 ) -> None:
@@ -74,9 +95,11 @@ def _probe_worker_main(
     conn: multiprocessing.connection.Connection,
     target: Any,
     memory_limit_mb: int | None,
+    inherited: tuple,
 ) -> None:
     """Worker loop: receive a batch of ``(module, inputs)`` probes, answer
     with their outcomes in one round-trip."""
+    close_inherited(inherited)
     _install_drain_handler(conn)
     if memory_limit_mb is not None:
         try:
@@ -199,7 +222,15 @@ class SupervisedTarget:
         parent_conn, child_conn = MP_CONTEXT.Pipe()
         process = MP_CONTEXT.Process(
             target=_probe_worker_main,
-            args=(child_conn, self.target, self.config.memory_limit_mb),
+            # Only this target's end: another target's child forked later
+            # holds this child's parent end until its own EOF, so children
+            # of a killed parent still exit, in reverse fork order.
+            args=(
+                child_conn,
+                self.target,
+                self.config.memory_limit_mb,
+                inherited_ends(parent_conn),
+            ),
             daemon=True,
             name=f"probe-{self.target.name}",
         )

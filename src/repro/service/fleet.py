@@ -34,7 +34,12 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.robustness.journal import run_to_record
-from repro.robustness.supervisor import MP_CONTEXT, _install_drain_handler
+from repro.robustness.supervisor import (
+    MP_CONTEXT,
+    _install_drain_handler,
+    close_inherited,
+    inherited_ends,
+)
 
 
 def _sanitize_spec(spec: Any) -> Any:
@@ -53,9 +58,12 @@ _HARNESS_CACHE_SIZE = 4
 
 
 def _fleet_worker_main(
-    conn: multiprocessing.connection.Connection, worker_id: int
+    conn: multiprocessing.connection.Connection,
+    worker_id: int,
+    inherited: tuple,
 ) -> None:
     """Worker loop (runs in the forked child; never returns normally)."""
+    close_inherited(inherited)
     _install_drain_handler(conn)
     harnesses: dict[str, Any] = {}  # campaign_id -> harness, LRU order
 
@@ -148,7 +156,14 @@ class WorkerFleet:
         parent_conn, child_conn = MP_CONTEXT.Pipe()
         process = MP_CONTEXT.Process(
             target=_fleet_worker_main,
-            args=(child_conn, worker_id),
+            # Its own pipe's parent end and every earlier worker's.
+            args=(
+                child_conn,
+                worker_id,
+                inherited_ends(
+                    parent_conn, *(w.conn for w in self._workers.values())
+                ),
+            ),
             daemon=True,
             name=f"fleet-{worker_id}",
         )

@@ -9,6 +9,7 @@ from repro.core.transformation import apply_sequence
 from repro.ir import IntType, ModuleBuilder, VoidType
 from repro.ir.module import Instruction
 from repro.ir.opcodes import Op
+from repro.ir.rewrite import replace_value_uses
 
 
 def _tiny():
@@ -134,19 +135,39 @@ class TestTypeTableCache:
         assert new_id in after and new_id not in before
         assert after == _uncached_type_table(module)
 
-    def test_touch_invalidates(self):
+    def test_touch_keeps_the_table(self):
+        # The table depends on the global section alone; touch() marks a
+        # function-body edit, which cannot change it.
         module = _tiny()
         before = module.type_table()
         module.touch()
-        assert module.type_table() is not before
-        assert module.type_table() == before
+        assert module.type_table() is before
+        assert before == _uncached_type_table(module)
 
-    def test_context_invalidate_invalidates(self):
+    def test_context_invalidate_keeps_the_table(self):
         ctx = Context.start(_tiny(), {})
         before = ctx.types()
         ctx.invalidate()
-        assert ctx.types() is not before
-        assert ctx.types() == before
+        assert ctx.types() is before
+        assert before == _uncached_type_table(ctx.module)
+
+    def test_global_slot_rewrite_rebuilds(self):
+        module = _tiny()
+        int_type, void_type = (
+            module.find_type_id(IntType()),
+            module.find_type_id(VoidType()),
+        )
+        slot = next(
+            i for i, inst in enumerate(module.global_insts)
+            if inst.opcode is Op.TypeFunction
+        )
+        before = module.type_table()
+        replace_value_uses(module, void_type, int_type)  # void() -> int()
+        after = module.type_table()
+        assert after is not before
+        assert module.global_insts[slot].operands == [int_type]
+        assert after != before
+        assert after == _uncached_type_table(module)
 
     def test_clone_inherits_a_valid_table(self):
         module = _tiny()
@@ -156,11 +177,13 @@ class TestTypeTableCache:
     def test_clone_does_not_inherit_a_stale_table(self):
         module = _tiny()
         table = module.type_table()
-        module.touch()
+        new_id = module.fresh_id()
+        module.add_global(Instruction(Op.TypeFloat, new_id, None, [32]))
         clone = module.clone()
         assert clone._type_table_cache is None
         assert clone.type_table() is not table
-        assert clone.type_table() == table
+        assert new_id in clone.type_table()
+        assert clone.type_table() == _uncached_type_table(module)
 
     def test_table_matches_a_rebuild_after_every_fuzzed_step(
         self, references, donors
