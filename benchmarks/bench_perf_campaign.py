@@ -455,7 +455,7 @@ def bench_parallel_reduction(
     overhead (speculation waste is bounded by the adaptive window, and
     sleeping probes overlap even on one core).
     """
-    from repro.cli import _DelayedTarget
+    from repro.compilers.wrapper import DelayedTarget
 
     options = FuzzerOptions(max_transformations=max_transformations)
     harvest = Harness(
@@ -478,7 +478,7 @@ def bench_parallel_reduction(
 
     delayed = Harness(
         [
-            _DelayedTarget(make_target(name), probe_delay)
+            DelayedTarget(make_target(name), probe_delay)
             for name in NON_GPU_TARGET_NAMES
         ],
         reference_programs(),

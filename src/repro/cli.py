@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from repro.compilers import make_target, make_targets
+from repro.compilers.wrapper import DelayedTarget
 from repro.core.dedup import ReducedTest, deduplicate
 from repro.core.dedup_scale import stream_dedup
 from repro.core.fuzzer import Fuzzer, FuzzerOptions
@@ -65,44 +66,6 @@ def fuzz_main(argv: list[str] | None = None) -> int:
     print(f"applied {len(result.transformations)} transformations -> {args.out}")
     print(disassemble(result.variant))
     return 0
-
-
-class _DelayedTarget:
-    """Testing aid (``repro-reduce --probe-delay``): add fixed latency to
-    every probe so a reduction runs long enough for CI's fault-injection job
-    to ``SIGKILL`` it mid-round before resuming it."""
-
-    def __init__(self, target, delay: float) -> None:
-        self._target = target
-        self._delay = delay
-
-    @property
-    def name(self) -> str:
-        return self._target.name
-
-    @property
-    def version(self) -> str:
-        return self._target.version
-
-    @property
-    def gpu_type(self) -> str:
-        return self._target.gpu_type
-
-    @property
-    def enabled_bugs(self):
-        return self._target.enabled_bugs
-
-    @property
-    def probe_delay(self) -> float:
-        """Read by ``Harness.finding_probe_spec`` so parallel-reduction
-        workers rebuild the same delayed target."""
-        return self._delay
-
-    def run(self, module, inputs=None):
-        import time
-
-        time.sleep(self._delay)
-        return self._target.run(module, inputs)
 
 
 def reduce_main(argv: list[str] | None = None) -> int:
@@ -250,7 +213,7 @@ def reduce_main(argv: list[str] | None = None) -> int:
     transformations = sequence_from_json(record["transformations"])
     target = make_target(args.target)
     if args.probe_delay is not None:
-        target = _DelayedTarget(target, args.probe_delay)
+        target = DelayedTarget(target, args.probe_delay)
     robustness = None
     if args.probe_timeout is not None or args.probe_memory_mb is not None:
         from repro.robustness import RobustnessConfig

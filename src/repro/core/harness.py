@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 from repro.compilers.base import FAULT_KINDS, OutcomeKind, TargetOutcome
 from repro.compilers.pipeline import Target, optimize
+from repro.compilers.wrapper import DelayedTarget, find_wrapper
 from repro.core.fuzzer import Fuzzer, FuzzerOptions
 from repro.core.reducer import InterestingnessTest, ReductionResult, replay
 from repro.core.signature import (
@@ -59,24 +60,10 @@ class Finding:
         return self.kind == "crash"
 
 
-def _chain_attr(target: "object", attr: str):
-    """First non-``None`` *attr* along a target's wrapper chain.
-
-    Probe targets stack wrappers (caching, supervision, delay doubles); this
-    walks ``.target`` / ``._target`` links with a cycle guard, so callers
-    need not know the stacking order.
-    """
-    seen: set[int] = set()
-    current = target
-    while current is not None and id(current) not in seen:
-        value = getattr(current, attr, None)
-        if value is not None and not callable(value):
-            return value
-        seen.add(id(current))
-        current = getattr(current, "target", None) or getattr(
-            current, "_target", None
-        )
-    return None
+def _probe_delay(target: "object") -> float | None:
+    """The ``--probe-delay`` latency anywhere in *target*'s wrapper chain."""
+    delayed = find_wrapper(target, DelayedTarget)
+    return None if delayed is None else delayed.probe_delay
 
 
 #: Supervision fault kinds mapped to (finding kind, signature builder).
@@ -638,7 +625,7 @@ class Harness:
         if pending_count and pending_count < 2:
             return "tiny-seed-count"
         if (os.cpu_count() or 1) == 1 and not any(
-            _chain_attr(t, "probe_delay") for t in self.targets
+            _probe_delay(t) for t in self.targets
         ):
             # One CPU and purely compute-bound probes: worker processes just
             # time-slice the same core and pay fork + merge overhead on top.
@@ -795,7 +782,7 @@ class Harness:
                 "corpus; parallel reduction workers cannot rebuild it by name"
             )
         target = next(t for t in self.targets if t.name == finding.target_name)
-        probe_delay = _chain_attr(target, "probe_delay")
+        probe_delay = _probe_delay(target)
         return FindingProbeSpec(
             target_name=finding.target_name,
             program_name=finding.program_name,

@@ -2,8 +2,8 @@
 
 A supervised probe pays one IPC round-trip (send module, poll, receive
 outcome) per candidate.  :class:`ProbeBatch` amortizes that: callers hand it
-``[(module, inputs), ...]`` and one ``target.run_batch`` round-trip carries
-the whole window.  Targets without a ``run_batch`` method degrade to per-item
+``[(module, inputs), ...]`` and one ``target.run_batch`` request carries
+the whole window (the worker streams the outcomes back).  Targets without a ``run_batch`` method degrade to per-item
 ``run`` calls, so the API is safe to use unconditionally — results are
 byte-identical to serial probing either way.
 """

@@ -203,9 +203,9 @@ class FindingProbeSpec:
         )
         target = make_target(self.target_name)
         if self.probe_delay is not None:
-            from repro.cli import _DelayedTarget
+            from repro.compilers.wrapper import DelayedTarget
 
-            target = _DelayedTarget(target, self.probe_delay)
+            target = DelayedTarget(target, self.probe_delay)
         harness = Harness(
             [target],
             [program],

@@ -51,6 +51,7 @@ from repro.compilers.base import (
 )
 from repro.compilers.bugs import BUG_CATALOG, BugKind, bugs_for_pass
 from repro.compilers.pipeline import Target, tool_pipeline
+from repro.compilers.wrapper import TargetWrapper
 from repro.interp.errors import ExecError
 from repro.interp.interpreter import execute
 from repro.ir.module import IrError, Module
@@ -437,7 +438,7 @@ class ProbeCache:
         return ("memo", id(target), module.content_digest(), _freeze_inputs(inputs))
 
 
-class CachingTarget:
+class CachingTarget(TargetWrapper):
     """A drop-in target wrapper that routes probes through a :class:`ProbeCache`.
 
     Plain :class:`~repro.compilers.pipeline.Target` instances get the full
@@ -446,32 +447,9 @@ class CachingTarget:
     """
 
     def __init__(self, target: Any, cache: ProbeCache) -> None:
-        self.target = target
+        super().__init__(target)
         self.cache = cache
         self._staged = isinstance(target, Target)
-
-    # -- identity proxies ----------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.target.name
-
-    @property
-    def version(self) -> str:
-        return self.target.version
-
-    @property
-    def gpu_type(self) -> str:
-        return self.target.gpu_type
-
-    @property
-    def enabled_bugs(self):
-        return self.target.enabled_bugs
-
-    def set_timeout_override(self, timeout) -> None:
-        inner = getattr(self.target, "set_timeout_override", None)
-        if inner is not None:
-            inner(timeout)
 
     # -- probes --------------------------------------------------------------------
 

@@ -1,4 +1,9 @@
-"""Supervised probe execution: run target probes in a child process.
+"""Worker processes, and supervised probe execution on top of them.
+
+:class:`WorkerProcess` is the one forked worker in the package: a child
+that loops over a request pipe and streams one reply per finished item.
+The service's :class:`~repro.service.fleet.WorkerFleet` and
+:class:`SupervisedTarget` both run on it.
 
 In-process probes are fast but fragile: a hang, runaway allocation, or hard
 crash in a buggy optimization pass takes the whole campaign (and every
@@ -25,10 +30,11 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
-from dataclasses import dataclass
-from typing import Any
+import weakref
+from typing import Any, Callable, Iterable
 
-from repro.compilers.base import TargetOutcome
+from repro.compilers.base import OutcomeKind, TargetOutcome
+from repro.compilers.wrapper import TargetWrapper, find_wrapper
 from repro.observability import NULL_TRACER, as_tracer
 from repro.robustness.config import RobustnessConfig
 
@@ -36,45 +42,43 @@ from repro.robustness.config import RobustnessConfig
 #: starts from (probe children, service fleet workers, worker pools).
 #: ``fork`` keeps worker start-up cheap and lets non-picklable test doubles
 #: ride along; platforms without it (Windows, macOS spawn-default) fall back
-#: to the default context, which requires picklable targets.
+#: to the default context, which requires picklable serve functions.
 MP_CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )
 
+#: Every live :class:`WorkerProcess` this process holds.  A forked child
+#: inherits each one's parent-side pipe end; as long as it holds such a copy
+#: that worker's ``recv()`` never sees EOF, so it would outlive a SIGKILLed
+#: parent.  The child closes them all first and clears the registry.  A
+#: spawned child re-imports this module, so its registry starts empty.
+_LIVE: "weakref.WeakSet[WorkerProcess]" = weakref.WeakSet()
 
-def inherited_ends(*conns: multiprocessing.connection.Connection) -> tuple:
-    """The parent-side pipe ends a child about to start will hold a copy of.
-
-    A forked child inherits every descriptor open in the parent, including
-    the parent's end of its own request pipe; as long as the child holds
-    that copy, its ``recv()`` never sees EOF, so it would outlive a
-    SIGKILLed parent.  The child closes these first.  A spawned child
-    inherits nothing, so there is nothing to close.
-    """
-    return conns if MP_CONTEXT.get_start_method() == "fork" else ()
+#: How long a worker that was asked to exit (or whose pipe hit EOF) gets
+#: before it is SIGKILLed, and how long reaping a killed one may take.
+_REAP_SECONDS = 2.0
 
 
-def close_inherited(conns: tuple) -> None:
-    """Close, in the child, the parent-side ends :func:`inherited_ends` named."""
-    for conn in conns:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+class WorkerDied(Exception):
+    """The worker's pipe hit EOF; ``exitcode`` is how the process ended."""
+
+    def __init__(self, exitcode: int | None) -> None:
+        super().__init__(f"worker died (exit code {exitcode})")
+        self.exitcode = exitcode
 
 
 def _install_drain_handler(
     conn: multiprocessing.connection.Connection,
 ) -> None:
-    """Make ``SIGTERM`` an orderly drain for a probe worker.
+    """Make ``SIGTERM`` an orderly drain for a worker.
 
     Without a handler the default disposition kills the worker with exit
     code ``-SIGTERM``, indistinguishable from a hard death — a draining
     service would log its own shutdown as a worker crash.  The handler
     closes the request pipe (so a parent blocked on it sees EOF, not a
     torn frame) and exits 0.  ``os._exit`` is deliberate: the heap may be
-    mid-probe, and there is nothing worth unwinding — probe workers hold
-    no buffered results, every completed outcome was already sent.
+    mid-request, and there is nothing worth unwinding — every finished
+    item's reply was already sent.
     """
     import signal
 
@@ -91,15 +95,15 @@ def _install_drain_handler(
         pass  # not the main thread / unsupported: keep the default
 
 
-def _probe_worker_main(
+def _worker_main(
     conn: multiprocessing.connection.Connection,
-    target: Any,
+    serve: Callable[[Any], Iterable[Any]],
     memory_limit_mb: int | None,
-    inherited: tuple,
 ) -> None:
-    """Worker loop: receive a batch of ``(module, inputs)`` probes, answer
-    with their outcomes in one round-trip."""
-    close_inherited(inherited)
+    """The child: serve requests until EOF or the ``None`` sentinel."""
+    for worker in list(_LIVE):
+        worker.conn.close()
+    _LIVE.clear()
     _install_drain_handler(conn)
     if memory_limit_mb is not None:
         try:
@@ -111,83 +115,140 @@ def _probe_worker_main(
             pass  # unsupported platform: supervise without the memory cap
     while True:
         try:
-            batch = conn.recv()
+            request = conn.recv()
+            if request is None:
+                break
+            for reply in serve(request):
+                conn.send(reply)
+        except (EOFError, OSError, MemoryError):
+            break  # the parent went away, or a reply could not be sent
+    os._exit(0)
+
+
+class WorkerProcess:
+    """One forked worker and the parent's end of its pipe.
+
+    The child applies ``RLIMIT_AS`` (when *memory_limit_mb* is set) and
+    answers each request by sending every reply ``serve(request)`` yields,
+    so the parent sees each item as soon as it finishes.  It exits 0 on
+    pipe EOF, on the ``None`` sentinel, or on ``SIGTERM``; any other end is
+    a death, reported by :meth:`recv` with its exit code.
+    """
+
+    def __init__(
+        self,
+        serve: Callable[[Any], Iterable[Any]],
+        *,
+        name: str,
+        memory_limit_mb: int | None = None,
+    ) -> None:
+        self.conn, child_conn = MP_CONTEXT.Pipe()
+        self.process = MP_CONTEXT.Process(
+            target=_worker_main,
+            args=(child_conn, serve, memory_limit_mb),
+            daemon=True,
+            name=name,
+        )
+        _LIVE.add(self)  # before the fork: the child closes its own end too
+        self.process.start()
+        child_conn.close()  # the child keeps its own copy
+
+    def send(self, request: Any) -> bool:
+        """Queue *request* (``None`` asks the worker to exit); False when
+        the pipe is already broken."""
+        try:
+            self.conn.send(request)
+        except OSError:
+            return False
+        return True
+
+    def recv(self, timeout: float | None = None) -> Any:
+        """The worker's next reply.
+
+        Raises :class:`TimeoutError` when none arrives within *timeout*
+        seconds (the worker is left running), and :class:`WorkerDied` when
+        the pipe hits EOF (the worker is reaped first, so the exit code is
+        known).
+        """
+        try:
+            if timeout is None or self.conn.poll(timeout):
+                return self.conn.recv()
         except (EOFError, OSError):
-            return  # parent went away
-        if batch is None:
-            return  # orderly shutdown
-        # A MemoryError replies with the outcomes computed so far (the parent
-        # re-runs the rest on a fresh worker) and then restarts: the heap may
-        # be compromised.
-        outcomes: list = []
-        restart = False
+            self.kill(grace=_REAP_SECONDS)
+            raise WorkerDied(self.process.exitcode) from None
+        raise TimeoutError(f"no reply within {timeout:g}s")
+
+    def kill(self, grace: float = 0.0) -> None:
+        """Give the worker *grace* seconds to exit, then SIGKILL it; reap
+        it and close the pipe (idempotent)."""
+        _LIVE.discard(self)
+        if grace:
+            self.process.join(grace)
+        if self.process.is_alive():
+            self.process.kill()
+        self.process.join(timeout=_REAP_SECONDS)
+        self.conn.close()
+
+    def stop(self) -> None:
+        """Send the stop sentinel; :meth:`kill` the worker if it is still
+        up after the grace period."""
+        self.send(None)
+        self.kill(grace=_REAP_SECONDS)
+
+    def drain(self, timeout: float) -> bool:
+        """SIGTERM the worker and wait up to *timeout* for an orderly (exit
+        0) shutdown; reaps it either way.  True when it exited 0."""
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join(timeout)
+        clean = self.process.exitcode == 0
+        self.kill()
+        return clean
+
+
+class _ProbeServer:
+    """A probe worker's serve function: one outcome per ``(module, inputs)``.
+
+    After a ``MemoryError`` it answers ``RESOURCE`` and stops serving the
+    request: the heap may be compromised, so the parent restarts the worker
+    and reruns the rest of the request on a fresh one.
+    """
+
+    def __init__(self, target: Any) -> None:
+        self.target = target
+
+    def __call__(self, batch: list) -> Iterable[TargetOutcome]:
         for module, inputs in batch:
             try:
-                outcomes.append(target.run(module, inputs))
+                outcome = self.target.run(module, inputs)
             except MemoryError:
-                del module, inputs  # free headroom so the reply itself can send
-                outcomes.append(
-                    TargetOutcome.resource(
-                        "MemoryError: probe exceeded its memory limit"
-                    )
+                yield TargetOutcome.resource(
+                    "MemoryError: probe exceeded its memory limit"
                 )
-                restart = True
-                break
+                return
             except BaseException as exc:  # noqa: BLE001 - the whole point
-                outcomes.append(
-                    TargetOutcome.worker_crash(
-                        f"unhandled {type(exc).__name__}: {exc}"
-                    )
+                outcome = TargetOutcome.worker_crash(
+                    f"unhandled {type(exc).__name__}: {exc}"
                 )
-        try:
-            conn.send(outcomes)
-        except (BrokenPipeError, OSError, MemoryError):
-            return
-        if restart:
-            return
+            yield outcome
 
 
-@dataclass
-class _Worker:
-    process: Any
-    conn: multiprocessing.connection.Connection
-
-
-class SupervisedTarget:
+class SupervisedTarget(TargetWrapper):
     """A drop-in target wrapper that fault-isolates every probe.
 
-    Proxies the identity attributes the harness reads (``name`` & co.), so a
-    supervised target can stand anywhere a :class:`~repro.compilers.pipeline.
-    Target` does — including inside interestingness tests, where the timeout
-    bound is what keeps reduction from hanging on a flaky target.
+    Can stand anywhere a :class:`~repro.compilers.pipeline.Target` does —
+    including inside interestingness tests, where the timeout bound is what
+    keeps reduction from hanging on a flaky target.
     """
 
     def __init__(
         self, target: Any, config: RobustnessConfig, tracer: Any = NULL_TRACER
     ) -> None:
-        self.target = target
+        super().__init__(target)
         self.config = config
         self.tracer = as_tracer(tracer)
-        self._worker: _Worker | None = None
+        self._worker: WorkerProcess | None = None
         self._timeout_override: float | None = None
-
-    # -- identity proxies ----------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self.target.name
-
-    @property
-    def version(self) -> str:
-        return self.target.version
-
-    @property
-    def gpu_type(self) -> str:
-        return self.target.gpu_type
-
-    @property
-    def enabled_bugs(self):
-        return self.target.enabled_bugs
 
     # -- probe timeout -------------------------------------------------------------
 
@@ -214,61 +275,33 @@ class SupervisedTarget:
 
     # -- worker lifecycle ----------------------------------------------------------
 
-    def _ensure_worker(self) -> _Worker:
+    def _ensure_worker(self) -> WorkerProcess:
         if self._worker is not None and self._worker.process.is_alive():
             return self._worker
-        if self._worker is not None:
-            self._reap()
-        parent_conn, child_conn = MP_CONTEXT.Pipe()
-        process = MP_CONTEXT.Process(
-            target=_probe_worker_main,
-            # Only this target's end: another target's child forked later
-            # holds this child's parent end until its own EOF, so children
-            # of a killed parent still exit, in reverse fork order.
-            args=(
-                child_conn,
-                self.target,
-                self.config.memory_limit_mb,
-                inherited_ends(parent_conn),
-            ),
-            daemon=True,
+        self._kill_worker()
+        self._worker = WorkerProcess(
+            _ProbeServer(self.target),
             name=f"probe-{self.target.name}",
+            memory_limit_mb=self.config.memory_limit_mb,
         )
-        process.start()
-        child_conn.close()  # the parent end is ours; the child keeps its own
-        self._worker = _Worker(process, parent_conn)
         if self.tracer.enabled:
             self.tracer.emit(
-                "supervisor.worker_start", target=self.target.name, worker_pid=process.pid
+                "supervisor.worker_start",
+                target=self.target.name,
+                worker_pid=self._worker.process.pid,
             )
         return self._worker
 
-    def _reap(self, *, kill: bool = False) -> None:
-        worker = self._worker
-        if worker is None:
-            return
-        self._worker = None
-        try:
-            if kill and worker.process.is_alive():
-                worker.process.kill()
-            worker.process.join(timeout=1.0)
-        except (ValueError, OSError):  # pragma: no cover - already gone
-            pass
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+    def _kill_worker(self) -> None:
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            worker.kill()
 
     def close(self) -> None:
         """Shut the worker down cleanly (sends the stop sentinel)."""
-        worker = self._worker
-        if worker is None:
-            return
-        try:
-            worker.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self._reap()
+        worker, self._worker = self._worker, None
+        if worker is not None:
+            worker.stop()
 
     def drain(self, timeout: float = 5.0) -> bool:
         """SIGTERM the worker and wait for an orderly (exit 0) shutdown.
@@ -279,23 +312,12 @@ class SupervisedTarget:
         (the SIGTERM handler's orderly path); a worker that already died
         hard, or ignores SIGTERM past *timeout*, reports an unclean drain.
         """
-        worker = self._worker
-        if worker is None:
-            return True
-        clean = True
-        try:
-            if worker.process.is_alive():
-                worker.process.terminate()
-            worker.process.join(timeout=timeout)
-            clean = worker.process.exitcode == 0
-        except (ValueError, OSError):  # pragma: no cover - already gone
-            pass
-        self._reap(kill=True)
-        return clean
+        worker, self._worker = self._worker, None
+        return True if worker is None else worker.drain(timeout)
 
     def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
         try:
-            self._reap(kill=True)
+            self._kill_worker()
         except Exception:
             pass
 
@@ -306,85 +328,67 @@ class SupervisedTarget:
         return self.run_batch([(module, inputs)])[0]
 
     def run_batch(self, items: list) -> list:
-        """Evaluate ``[(module, inputs), ...]`` in one worker round-trip.
+        """Evaluate ``[(module, inputs), ...]``, one outcome per item, in
+        order — identical to per-item :meth:`run` calls.
 
-        Returns one outcome per item, in order, byte-identical to per-item
-        :meth:`run` calls.  The timeout budget scales with the batch size; a
-        worker that dies mid-batch answers for the items it finished and the
-        remainder re-runs individually on a fresh worker.
+        The worker streams one outcome per finished probe, and each is
+        awaited under the per-probe timeout.  A worker that hangs or dies
+        charges only the item in flight; the items after it rerun on a
+        fresh worker.
         """
         items = [(module, dict(inputs or {})) for module, inputs in items]
-        if not items:
-            return []
-        worker = None
+        outcomes: list = []
+        while len(outcomes) < len(items):
+            outcomes.extend(self._stream(items[len(outcomes):]))
+        return outcomes
+
+    def _stream(self, items: list) -> list:
+        """Outcomes for a prefix of *items* (at least one): up to and
+        including the first item whose worker faulted."""
         for _ in range(2):  # one retry if the previous worker died while idle
             worker = self._ensure_worker()
-            try:
-                worker.conn.send(items)
+            if worker.send(items):
                 break
-            except (BrokenPipeError, OSError):
-                self._reap(kill=True)
-                worker = None
-        if worker is None:
-            crash = TargetOutcome.worker_crash("probe worker unreachable")
-            return [crash] * len(items)
-
+            self._kill_worker()
+        else:
+            return [TargetOutcome.worker_crash("probe worker unreachable")]
         timeout = self.effective_timeout
-        budget = None if timeout is None else timeout * len(items)
-        try:
-            ready = worker.conn.poll(budget)
-        except (BrokenPipeError, OSError):
-            ready = False
-        if not ready:
-            self._reap(kill=True)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "supervisor.timeout",
-                    target=self.target.name,
-                    timeout_s=budget,
-                )
-            return [TargetOutcome.timeout(timeout)] * len(items)
-        try:
-            outcomes = worker.conn.recv()
-        except (EOFError, OSError):
-            exitcode = worker.process.exitcode
-            self._reap(kill=True)
-            detail = (
-                f"probe worker died (exit code {exitcode})"
-                if exitcode is not None
-                else "probe worker died mid-probe"
-            )
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "supervisor.worker_crash",
-                    target=self.target.name,
-                    exitcode=exitcode,
-                )
-            return [TargetOutcome.worker_crash(detail)] * len(items)
-        if not worker.process.is_alive():
-            self._reap()  # orderly post-fault restart (e.g. after MemoryError)
-        while len(outcomes) < len(items):  # finish what the dead worker left
-            outcomes.append(self.run(*items[len(outcomes)]))
+        outcomes: list = []
+        for _ in items:
+            try:
+                outcome = worker.recv(timeout)
+            except TimeoutError:
+                self._kill_worker()
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        "supervisor.timeout",
+                        target=self.target.name,
+                        timeout_s=timeout,
+                    )
+                return outcomes + [TargetOutcome.timeout(timeout)]
+            except WorkerDied as death:
+                self._worker = None
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        "supervisor.worker_crash",
+                        target=self.target.name,
+                        exitcode=death.exitcode,
+                    )
+                return outcomes + [
+                    TargetOutcome.worker_crash(
+                        f"probe worker died (exit code {death.exitcode})"
+                    )
+                ]
+            outcomes.append(outcome)
+            if outcome.kind is OutcomeKind.RESOURCE:
+                self.close()  # the worker stopped serving: restart it
+                break
         return outcomes
 
 
 def find_supervised(target: Any) -> SupervisedTarget | None:
-    """The :class:`SupervisedTarget` inside *target*'s wrapper chain, if any.
-
-    Probe targets stack wrappers (caching, delay doubles, supervision); this
-    walks ``.target`` / ``._target`` links until it finds the supervised
-    layer, with a cycle guard so a malformed chain can't loop forever.
-    """
-    seen: set[int] = set()
-    current = target
-    while current is not None and id(current) not in seen:
-        if isinstance(current, SupervisedTarget):
-            return current
-        seen.add(id(current))
-        current = getattr(current, "target", None) or getattr(
-            current, "_target", None
-        )
-    return None
+    """The :class:`SupervisedTarget` inside *target*'s wrapper chain, if any."""
+    return find_wrapper(target, SupervisedTarget)
 
 
 def supervise_targets(targets, config: RobustnessConfig, tracer: Any = None) -> list:

@@ -63,7 +63,7 @@ from repro.observability import as_tracer
 from repro.robustness.breaker import CircuitBreaker
 from repro.robustness.journal import read_jsonl, record_to_run
 from repro.service import state as st
-from repro.service.fleet import WorkerFleet, _sanitize_spec
+from repro.service.fleet import WorkerFleet, sanitize_spec
 from repro.service.leases import LeaseTable, Watchdog
 from repro.service.scheduler import (
     Batch,
@@ -815,7 +815,7 @@ class CampaignService:
                 resume=True,
                 stream_key=campaign_id,
             )
-            harness = _sanitize_spec(manifest.spec).build()
+            harness = sanitize_spec(manifest.spec).build()
             try:
                 references = {p.name: p for p in harness.references}
                 findings = []

@@ -10,6 +10,7 @@ from repro.compilers.base import OutcomeKind, TargetOutcome
 from repro.core.fuzzer import Fuzzer, FuzzerOptions
 from repro.core.harness import Harness
 from repro.core.transformation import sequence_to_json
+from repro.ir.printer import disassemble
 from repro.perf import CachingTarget, ProbeBatch, ProbeCache
 from repro.robustness import RobustnessConfig, SupervisedTarget
 from tests.robustness.faults import PROBE_TIMEOUT, FaultyTarget, result_key
@@ -78,6 +79,36 @@ class TestSupervisedBatch:
             supervised.close()
         assert len(outcomes) == 3
         assert all(o.kind is OutcomeKind.WORKER_CRASH for o in outcomes)
+
+    @pytest.mark.parametrize(
+        "mode, fault",
+        [("exit", OutcomeKind.WORKER_CRASH), ("hang", OutcomeKind.TIMEOUT)],
+        ids=["exit", "hang"],
+    )
+    def test_fault_mid_batch_charges_only_the_faulty_item(
+        self, references, mode, fault
+    ):
+        """A worker that dies or hangs on one item answers for that item
+        alone: the items after it rerun on a fresh worker, so the batch
+        equals per-item runs."""
+        program, other = references[0], references[1]
+        clean = (program.module, program.inputs)
+        items = [clean, (other.module, other.inputs), clean]
+        supervised = SupervisedTarget(
+            FaultyTarget(
+                mode,
+                reference_text=disassemble(program.module),
+                inner=make_target("SwiftShader"),
+            ),
+            RobustnessConfig(probe_timeout=PROBE_TIMEOUT),
+        )
+        try:
+            singles = [supervised.run(m, i) for m, i in items]
+            batched = supervised.run_batch(items)
+        finally:
+            supervised.close()
+        assert [o.kind for o in singles] == [OutcomeKind.OK, fault, OutcomeKind.OK]
+        assert batched == singles
 
 
 class _CountingBatchTarget:

@@ -42,6 +42,25 @@ def test_drain_reports_unclean_exit_for_stubborn_worker(straightline_module):
     assert target._worker is None
 
 
+def test_fleet_worker_drains_cleanly_on_sigterm():
+    from repro.service.fleet import WorkerFleet
+    from tests.service.doubles import WellBehavedSpec
+
+    fleet = WorkerFleet(1)
+    fleet.start()
+    try:
+        (worker_id,) = fleet.idle_workers()
+        assert fleet.send_batch(worker_id, "c", 0, WellBehavedSpec(), (1,))
+        replies = fleet.poll(5.0) + fleet.poll(5.0)  # "seed", then "done"
+        assert [e[2][0] for e in replies] == ["seed", "done"]  # worker is up
+        fleet._workers[worker_id].process.terminate()
+        events = fleet.poll(5.0)
+    finally:
+        fleet.stop()
+    assert events == [("dead", worker_id, 0)]  # the drain path, not a crash
+    assert fleet.alive_count() == 0
+
+
 def test_backoff_sleep_uses_jitter_when_given(monkeypatch):
     slept: list[float] = []
     monkeypatch.setattr(time, "sleep", slept.append)

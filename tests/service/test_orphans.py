@@ -44,6 +44,28 @@ print(*(t._ensure_worker().process.pid for t in targets), flush=True)
 time.sleep(120)
 """
 
+#: A 2-worker fleet and two probe children in one holder; ``{first}`` and
+#: ``{second}`` fix the fork order, so every child must close the pipe
+#: ends of workers forked before it, whichever kind they are.
+MIXED = """
+import time
+from repro.compilers import make_target
+from repro.robustness import RobustnessConfig, SupervisedTarget
+from repro.service.fleet import WorkerFleet
+def fleet():
+    fleet = WorkerFleet(2)
+    fleet.start()
+    return [w.process.pid for w in fleet._workers.values()], fleet
+def supervised():
+    config = RobustnessConfig(probe_timeout=5.0)
+    targets = [SupervisedTarget(make_target(n), config) for n in ("Mesa", "NVIDIA")]
+    return [t._ensure_worker().process.pid for t in targets], targets
+first, keep_first = {first}()
+second, keep_second = {second}()
+print(*first, *second, flush=True)
+time.sleep(120)
+"""
+
 
 def _exited(pid: int) -> bool:
     """True once *pid* is gone or a zombie waiting for its new parent."""
@@ -60,7 +82,7 @@ def _exited(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
 
-def _kill_holder_and_wait(script: str) -> list[int]:
+def _kill_holder_and_wait(script: str, workers_held: int = 2) -> list[int]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     holder = subprocess.Popen(
         [sys.executable, "-c", script],
@@ -71,7 +93,7 @@ def _kill_holder_and_wait(script: str) -> list[int]:
     workers: list[int] = []
     try:
         workers = [int(pid) for pid in holder.stdout.readline().split()]
-        assert len(workers) == 2
+        assert len(workers) == workers_held
         holder.send_signal(signal.SIGKILL)
         holder.wait(timeout=10)
         deadline = time.monotonic() + 5.0
@@ -97,3 +119,13 @@ def test_fleet_workers_exit_when_the_parent_is_killed():
 
 def test_supervised_probe_workers_exit_when_the_parent_is_killed():
     assert _kill_holder_and_wait(SUPERVISED) == []
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("fleet", "supervised"), ("supervised", "fleet")],
+    ids=["fleet-first", "supervised-first"],
+)
+def test_mixed_workers_exit_when_the_parent_is_killed(first, second):
+    script = MIXED.format(first=first, second=second)
+    assert _kill_holder_and_wait(script, workers_held=4) == []
