@@ -41,6 +41,7 @@ from common import format_table  # noqa: E402
 from repro.compilers import NON_GPU_TARGET_NAMES, make_target, make_targets  # noqa: E402
 from repro.core.fuzzer import FuzzerOptions  # noqa: E402
 from repro.core.harness import Harness  # noqa: E402
+from repro.core.reducer import reduce_transformations  # noqa: E402
 from repro.core.transformation import sequence_to_json  # noqa: E402
 from repro.corpus import donor_programs, reference_programs  # noqa: E402
 from repro.perf import default_worker_count  # noqa: E402
@@ -229,14 +230,16 @@ def bench_reduction(seeds: int, max_transformations: int, cap_per_signature: int
     identical = True
     for finding in findings:
         started = time.perf_counter()
-        plain = harness.reduce_finding(finding, use_cache=False)
+        plain = reduce_transformations(
+            finding.transformations, harness.make_interestingness_test(finding)
+        )
         uncached_seconds += time.perf_counter() - started
         # Every uncached interestingness test replays its candidate from
         # the original module, so tests_run counts full replays exactly.
         uncached_replays += plain.tests_run
 
         started = time.perf_counter()
-        fast = harness.reduce_finding(finding, use_cache=True)
+        fast = harness.reduce_finding(finding)
         cached_seconds += time.perf_counter() - started
         stats = fast.replay_stats
         for field in cached:

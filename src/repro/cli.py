@@ -20,7 +20,7 @@ from repro.compilers.wrapper import DelayedTarget
 from repro.core.dedup import ReducedTest, deduplicate
 from repro.core.dedup_scale import stream_dedup
 from repro.core.fuzzer import Fuzzer, FuzzerOptions
-from repro.core.harness import Harness
+from repro.core.harness import Finding, Harness
 from repro.core.reducer import replay
 from repro.core.transformation import sequence_from_json, sequence_to_json
 from repro.corpus import donor_programs, reference_programs
@@ -74,11 +74,6 @@ def reduce_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("log", type=Path, help="json produced by repro-fuzz")
     parser.add_argument("--target", required=True)
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="replay every candidate from scratch (disable prefix caching)",
-    )
     parser.add_argument(
         "--reduce-timeout",
         type=float,
@@ -232,20 +227,38 @@ def reduce_main(argv: list[str] | None = None) -> int:
     harness = Harness(
         [target],
         [program],
-        donor_programs(),
         robustness=robustness,
         probe_cache=args.probe_cache,
     )
     try:
-        run = harness.run_seed(record["seed"], program)
-        findings = [f for f in run.findings if f.target_name == target.name]
-        if not findings:
+        # The logged sequence replays to the fuzzed variant (Definition 2.5);
+        # classify it through the campaign's two flows.
+        ctx = replay(program.module, program.inputs, transformations)
+        probed = harness.targets[0]
+        classified, optimized_flow = harness.classify_variant(
+            probed,
+            harness.reference_outcome(probed, program),
+            ctx.module,
+            ctx.inputs,
+        )
+        if classified is None:
             print("the variant does not trigger a bug on this target")
             return 1
-        finding = findings[0]
+        signature, kind, ground_truth = classified
+        finding = Finding(
+            target_name=probed.name,
+            program_name=program.name,
+            seed=record["seed"],
+            signature=signature,
+            kind=kind,
+            optimized_flow=optimized_flow,
+            transformations=list(transformations),
+            original=program.module,
+            inputs=dict(program.inputs),
+            ground_truth_bug=ground_truth,
+        )
         reduction = harness.reduce_finding(
             finding,
-            use_cache=not args.no_cache,
             max_seconds=args.reduce_timeout,
             policy=policy,
             journal=args.reduce_journal,
@@ -310,7 +323,6 @@ def reduce_main(argv: list[str] | None = None) -> int:
         )
         print(f"result written to {args.out_json}")
     print("\n".join(diff_lines(program.module, variant)))
-    _ = transformations
     return 0
 
 

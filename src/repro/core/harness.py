@@ -12,6 +12,7 @@ again.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -370,7 +371,7 @@ class Harness:
         # Transformations may extend the input in sync with the module
         # (AddUniform); the variant runs on its own input binding.
         variant_inputs = fuzzed.context.inputs
-        optimized_variant: Module | None = None
+        optimized_variant = functools.cache(lambda: self._optimize(variant))
         skipped: list[str] = []
         faults: list[tuple[str, str]] = []
         self._fault_log = faults
@@ -384,42 +385,9 @@ class Harness:
                     )
                     continue
                 reference = self.reference_outcome(target, program)
-                optimized_flow = False
-                if (
-                    self.batch_probes
-                    and self.optimized_flow
-                    and hasattr(target, "run_batch")
-                ):
-                    # One supervised round-trip carries both flows.  The
-                    # optimized probe is computed eagerly (serial probes it
-                    # lazily), but classification order is unchanged, so the
-                    # findings are byte-identical for deterministic targets.
-                    if optimized_variant is None:
-                        optimized_variant = self._optimize(variant)
-                    outcomes = self._probe_batch(
-                        target,
-                        [
-                            (variant, variant_inputs),
-                            (optimized_variant, variant_inputs),
-                        ],
-                    )
-                    outcome = outcomes[0]
-                    classified = classify_outcome(outcome, reference)
-                    if classified is None:
-                        outcome = outcomes[1]
-                        classified = classify_outcome(outcome, reference)
-                        optimized_flow = True
-                else:
-                    outcome = self._probe(target, variant, variant_inputs)
-                    classified = classify_outcome(outcome, reference)
-                    if classified is None and self.optimized_flow:
-                        if optimized_variant is None:
-                            optimized_variant = self._optimize(variant)
-                        outcome = self._probe(
-                            target, optimized_variant, variant_inputs
-                        )
-                        classified = classify_outcome(outcome, reference)
-                        optimized_flow = True
+                classified, optimized_flow = self.classify_variant(
+                    target, reference, variant, variant_inputs, optimized_variant
+                )
                 if classified is None:
                     continue
                 signature, kind, ground_truth = classified
@@ -427,7 +395,7 @@ class Harness:
                 if self.robustness is not None and self.robustness.retries > 0:
                     from repro.robustness import verdict_is_stable
 
-                    probed = optimized_variant if optimized_flow else variant
+                    probed = optimized_variant() if optimized_flow else variant
                     nondeterministic = not verdict_is_stable(
                         lambda: self._probe(target, probed, variant_inputs),
                         lambda o: classify_outcome(o, reference),
@@ -491,6 +459,42 @@ class Harness:
             dur_s=round(time.perf_counter() - seed_started, 6),
         )
         return run
+
+    def classify_variant(
+        self,
+        target: Target,
+        reference: TargetOutcome,
+        variant: Module,
+        inputs: dict,
+        optimized: Callable[[], Module] | None = None,
+    ) -> tuple[tuple | None, bool]:
+        """Probe *variant* on *target* and classify it against *reference*
+        through Figure 1's two flows: the variant itself, then — when that
+        finds nothing and the harness tests the optimized flow — the
+        variant after the optimizer.  *optimized* builds (and memoizes) the
+        optimized variant; by default it is optimized on demand.  Returns
+        ``(classified, optimized_flow)``, with ``classified`` ``None`` when
+        neither flow shows a bug.
+
+        With ``batch_probes`` and a batching target, one supervised
+        round-trip carries both flows: the optimized probe runs eagerly,
+        but classification order is unchanged, so the result is identical
+        for deterministic targets."""
+        if optimized is None:
+            optimized = functools.cache(lambda: self._optimize(variant))
+        if self.batch_probes and self.optimized_flow and hasattr(target, "run_batch"):
+            outcomes = self._probe_batch(
+                target, [(variant, inputs), (optimized(), inputs)]
+            )
+            classified = classify_outcome(outcomes[0], reference)
+            if classified is not None:
+                return classified, False
+            return classify_outcome(outcomes[1], reference), True
+        classified = classify_outcome(self._probe(target, variant, inputs), reference)
+        if classified is not None or not self.optimized_flow:
+            return classified, False
+        outcome = self._probe(target, optimized(), inputs)
+        return classify_outcome(outcome, reference), True
 
     def run_campaign(
         self,
@@ -760,7 +764,6 @@ class Harness:
         self,
         finding: Finding,
         *,
-        use_cache: bool = True,
         decide: bool = False,
         policy: "object | None" = None,
     ) -> "object":
@@ -792,7 +795,6 @@ class Harness:
             signature=finding.signature,
             kind=finding.kind,
             optimized_flow=finding.optimized_flow,
-            use_cache=use_cache,
             robustness=self.robustness,
             decide=decide,
             policy=policy,
@@ -805,7 +807,6 @@ class Harness:
         findings: "dict[str, Finding]",
         workers: int,
         *,
-        use_cache: bool,
         policy: "object | None" = None,
     ) -> "object | None":
         """One :class:`~repro.perf.pool.WorkerPool` over *findings*
@@ -817,7 +818,7 @@ class Harness:
         try:
             specs = {
                 key: self.finding_probe_spec(
-                    finding, use_cache=use_cache, decide=policy is not None, policy=policy
+                    finding, decide=policy is not None, policy=policy
                 )
                 for key, finding in findings.items()
             }
@@ -832,7 +833,7 @@ class Harness:
         finding: Finding,
         key: str,
         pool: "object | None",
-        replayer: "object | None",
+        replayer: "object",
         *,
         policy: "object | None",
         journal: "object | None" = None,
@@ -865,7 +866,7 @@ class Harness:
                 supervised_target=find_supervised(target),
                 tracer=self.tracer,
                 metrics=self.metrics,
-                replay_stats=replayer.stats if replayer is not None else None,
+                replay_stats=replayer.stats,
             )
             deadline = oracle.deadline
         return ReductionSession(
@@ -881,23 +882,20 @@ class Harness:
         )
 
     def _begin_reduction(
-        self, finding: Finding, *, use_cache: bool, fault_tolerant: bool, **extra
-    ) -> tuple[float, "object | None"]:
+        self, finding: Finding, *, fault_tolerant: bool, **extra
+    ) -> tuple[float, "object"]:
         """Emit ``reduce.begin``; return the start time and the finding's
-        prefix-caching replayer (``None`` without *use_cache*)."""
+        prefix-caching replayer."""
         self.tracer.emit(
             "reduce.begin",
             target=finding.target_name,
             kind=finding.kind,
             signature=finding.signature,
             initial_length=len(finding.transformations),
-            cached=use_cache,
             fault_tolerant=fault_tolerant,
             **extra,
         )
         started = time.perf_counter()
-        if not use_cache:
-            return started, None
         from repro.perf.replay_cache import CachedReplayer
 
         return started, CachedReplayer(finding.original, finding.inputs)
@@ -907,7 +905,7 @@ class Harness:
         finding: Finding,
         result: ReductionResult,
         session: "object",
-        replayer: "object | None",
+        replayer: "object",
     ) -> None:
         """The optional §3.4 ``AddFunction`` post-pass, over a plain boolean
         view of the session's probe (a faulted probe rejects, which is
@@ -948,24 +946,22 @@ class Harness:
         self,
         finding: Finding,
         result: ReductionResult,
-        replayer: "object | None",
+        replayer: "object",
         started: float,
         *,
         workers: int | None = None,
     ) -> ReductionResult:
         """Shared reduction epilogue: stats attachment, metrics, and the
         ``reduce.end`` event (with speculation accounting when parallel)."""
-        if replayer is not None:
-            result.replay_stats = replayer.stats
+        result.replay_stats = replayer.stats
         elapsed = time.perf_counter() - started
         self.metrics.inc("reductions")
         self.metrics.inc("reduction_tests_run", result.tests_run)
         self.metrics.inc("reduction_chunks_removed", result.chunks_removed)
         self.metrics.observe("reduce_seconds", elapsed)
-        cache = result.replay_stats.to_json() if replayer is not None else None
-        if cache is not None:
-            for field_name, value in cache.items():
-                self.metrics.inc(f"replay.{field_name}", value)
+        cache = result.replay_stats.to_json()
+        for field_name, value in cache.items():
+            self.metrics.inc(f"replay.{field_name}", value)
         speculation = getattr(result, "speculation", None)
         extra: dict = {}
         if speculation is not None:
@@ -995,19 +991,19 @@ class Harness:
         )
         return result
 
-    def _module_probe_factory(self, finding: Finding, replayer: "object | None" = None):
+    def _module_probe_factory(
+        self, finding: Finding, replay_sequence: Callable[[Sequence], "object"]
+    ):
         """A pipeline ``module_probe``: maps the surviving sequence to the
         materialized module plus a module-level verdict test (the module
         analogue of :meth:`make_probe_test`), so module-stage passes probe
-        through the same fault classification as sequence passes."""
+        through the same fault classification as sequence passes.
+        *replay_sequence* maps a sequence to its replayed context."""
         target = next(t for t in self.targets if t.name == finding.target_name)
 
         def module_probe(sequence):
             reference = target.run(finding.original, finding.inputs)
-            if replayer is not None:
-                ctx = replayer.replay(sequence)
-            else:
-                ctx = replay(finding.original, finding.inputs, sequence)
+            ctx = replay_sequence(sequence)
 
             def module_verdict(module) -> "ProbeVerdict":
                 return self._verdict(finding, target, reference, module, ctx.inputs)
@@ -1023,7 +1019,9 @@ class Harness:
         journaled, fault-enveloped equivalent)."""
         from repro.core.reducer import spirv_reduce
 
-        module, module_verdict = self._module_probe_factory(finding)(transformations)
+        module, module_verdict = self._module_probe_factory(
+            finding, functools.partial(replay, finding.original, finding.inputs)
+        )(transformations)
 
         def is_interesting_module(candidate) -> bool:
             return bool(module_verdict(candidate).interesting)
@@ -1035,7 +1033,6 @@ class Harness:
         finding: Finding,
         *,
         shrink_function_payloads: bool = False,
-        use_cache: bool = True,
         max_seconds: float | None = None,
         policy: "object | None" = None,
         journal: "object | None" = None,
@@ -1050,10 +1047,10 @@ class Harness:
 
         With ``shrink_function_payloads`` the optional spirv-reduce-style
         post-pass also shrinks the functions encoded in any surviving
-        ``AddFunction`` transformations.  ``use_cache`` (the default) routes
-        candidate replays through a prefix-caching replayer; disable it to
-        reproduce the paper's pay-full-price reduction exactly (the reduced
-        sequences are identical either way — only the work differs).
+        ``AddFunction`` transformations.  Candidate replays go through a
+        prefix-caching :class:`~repro.perf.replay_cache.CachedReplayer`; the
+        reduced sequence is the one the paper's pay-full-price replay gives
+        (``make_interestingness_test(finding)`` is that uncached reference).
 
         ``max_seconds`` bounds the whole reduction's wall clock (the result is
         still a valid interesting subsequence, just not necessarily 1-minimal;
@@ -1111,15 +1108,13 @@ class Harness:
             )
             begin["passes"] = [p.name for p in pipeline.passes]
         started, replayer = self._begin_reduction(
-            finding, use_cache=use_cache, fault_tolerant=fault_tolerant, **begin
+            finding, fault_tolerant=fault_tolerant, **begin
         )
         if fault_tolerant:
             policy = self._resolve_reduction_policy(policy, max_seconds)
         pool = None
         if workers is not None and workers > 1:
-            pool = self._reduction_pool(
-                {"finding": finding}, workers, use_cache=use_cache, policy=policy
-            )
+            pool = self._reduction_pool({"finding": finding}, workers, policy=policy)
         try:
             if pipeline is not None:
                 result = pipeline.run(
@@ -1152,7 +1147,7 @@ class Harness:
                 )
                 session.run(batch=probe_batch or 1, metrics=self.metrics)
                 result = session.finalize()
-            if pool is not None and replayer is not None:
+            if pool is not None:
                 # Worker replay counters fold into the parent's registry over
                 # the same drain/merge path campaign metrics use.
                 replayer.stats.merge_json(pool.delta("finding").counters())
@@ -1168,7 +1163,7 @@ class Harness:
     def _pipeline_context(
         self,
         finding: Finding,
-        replayer: "object | None",
+        replayer: "object",
         pool: "object | None",
         policy: "object | None",
         *,
@@ -1192,7 +1187,7 @@ class Harness:
             probe_batch=probe_batch,
             tracer=self.tracer,
             metrics=self.metrics,
-            module_probe=self._module_probe_factory(finding, replayer),
+            module_probe=self._module_probe_factory(finding, replayer.replay),
         )
         if policy is None:
             return PipelineContext(
@@ -1212,7 +1207,7 @@ class Harness:
             resume=resume,
             supervised_target=find_supervised(target),
             max_seconds=policy.max_seconds,
-            replay_stats=replayer.stats if replayer is not None else None,
+            replay_stats=replayer.stats,
             **shared,
         )
 
@@ -1223,7 +1218,6 @@ class Harness:
         workers: int | None = None,
         window: int | None = None,
         shrink_function_payloads: bool = False,
-        use_cache: bool = True,
         max_seconds: float | None = None,
         policy: "object | None" = None,
         probe_batch: int | None = None,
@@ -1250,7 +1244,6 @@ class Harness:
             workers = default_worker_count()
         one_by_one = dict(
             shrink_function_payloads=shrink_function_payloads,
-            use_cache=use_cache,
             max_seconds=max_seconds,
             policy=policy,
             passes=passes,
@@ -1270,7 +1263,7 @@ class Harness:
         keyed = {f"finding-{index}": f for index, f in enumerate(findings)}
         pool = None
         if workers > 1 and keyed:
-            pool = self._reduction_pool(keyed, workers, use_cache=use_cache, policy=policy)
+            pool = self._reduction_pool(keyed, workers, policy=policy)
         if pool is None:
             return [self.reduce_finding(f, **one_by_one) for f in findings]
 
@@ -1278,7 +1271,7 @@ class Harness:
         try:
             for key, finding in keyed.items():
                 started, replayer = self._begin_reduction(
-                    finding, use_cache=use_cache, fault_tolerant=policy is not None
+                    finding, fault_tolerant=policy is not None
                 )
                 session = self._reduction_session(
                     finding,
@@ -1300,8 +1293,7 @@ class Harness:
             results = []
             for finding, session, replayer, started in entries:
                 result = session.finalize()
-                if replayer is not None:
-                    replayer.stats.merge_json(pool.delta(session.key).counters())
+                replayer.stats.merge_json(pool.delta(session.key).counters())
                 if shrink_function_payloads:
                     self._shrink_payloads(finding, result, session, replayer)
                 results.append(

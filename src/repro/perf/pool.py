@@ -185,7 +185,6 @@ class FindingProbeSpec:
     signature: str
     kind: str
     optimized_flow: bool
-    use_cache: bool = True
     robustness: Any = None  #: RobustnessConfig (picklable dataclass)
     decide: bool = False  #: run the FlakeHardenedOracle pipeline in-worker
     policy: Any = None  #: ReductionPolicy (decide mode only)
@@ -197,6 +196,7 @@ class FindingProbeSpec:
         from repro.core.harness import Finding, Harness
         from repro.core.transformation import sequence_from_json
         from repro.corpus import reference_programs
+        from repro.perf.replay_cache import CachedReplayer
 
         program = next(
             p for p in reference_programs() if p.name == self.program_name
@@ -224,11 +224,7 @@ class FindingProbeSpec:
             original=program.module,
             inputs=dict(program.inputs),
         )
-        replayer = None
-        if self.use_cache:
-            from repro.perf.replay_cache import CachedReplayer
-
-            replayer = CachedReplayer(finding.original, finding.inputs)
+        replayer = CachedReplayer(finding.original, finding.inputs)
         if self.decide:
             from repro.robustness import find_supervised
             from repro.robustness.config import ReductionPolicy
@@ -238,7 +234,7 @@ class FindingProbeSpec:
                 harness.make_probe_test(finding, replayer=replayer),
                 self.policy or ReductionPolicy(),
                 supervised_target=find_supervised(harness.targets[0]),
-                replay_stats=replayer.stats if replayer is not None else None,
+                replay_stats=replayer.stats,
             )
             return _ProbeRunner(
                 items, oracle=oracle, replayer=replayer, harness=harness

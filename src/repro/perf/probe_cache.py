@@ -57,6 +57,12 @@ from repro.interp.interpreter import execute
 from repro.ir.module import IrError, Module
 from repro.ir.validator import validate
 
+#: LRU caps of the outcome, stage and execution memos and the module store.
+MAX_OUTCOMES = 8192
+MAX_STAGES = 8192
+MAX_EXEC = 8192
+MAX_MODULES = 256
+
 
 @dataclass
 class ProbeCacheStats:
@@ -111,21 +117,9 @@ def _target_key(target: Target) -> tuple:
 class ProbeCache:
     """Memoizes probe outcomes, pipeline stages, and executions by digest."""
 
-    def __init__(
-        self,
-        *,
-        max_outcomes: int = 8192,
-        max_stages: int = 8192,
-        max_exec: int = 8192,
-        max_modules: int = 256,
-        verify_every: int = 0,
-    ) -> None:
+    def __init__(self, *, verify_every: int = 0) -> None:
         self.stats = ProbeCacheStats()
         self.verify_every = verify_every
-        self._max_outcomes = max_outcomes
-        self._max_stages = max_stages
-        self._max_exec = max_exec
-        self._max_modules = max_modules
         #: full-probe outcomes: key -> TargetOutcome
         self._outcomes: OrderedDict[tuple, TargetOutcome] = OrderedDict()
         #: stage memo: (digest_in, pass_name) -> list of records, each
@@ -168,7 +162,7 @@ class ProbeCache:
             return cached
         self.stats.outcome_misses += 1
         outcome = self._staged_run(target, module, digest, inputs_key, inputs)
-        self._store(self._outcomes, key, outcome, self._max_outcomes)
+        self._store(self._outcomes, key, outcome, MAX_OUTCOMES)
         return outcome
 
     def _maybe_verify(self, target, module, inputs, cached):
@@ -239,7 +233,7 @@ class ProbeCache:
                 record = ("ok", execute(final_module(), inputs, fuel=target.fuel))
             except ExecError as exc:
                 record = ("err", f"runtime fault: {type(exc).__name__}: {exc}")
-            self._store(self._exec, exec_key, record, self._max_exec)
+            self._store(self._exec, exec_key, record, MAX_EXEC)
         if record[0] == "ok":
             return TargetOutcome.ok(record[1], frozenset(fired))
         fired_invalid = [
@@ -330,7 +324,7 @@ class ProbeCache:
         if records is None:
             records = []
             self._stages[stage_key] = records
-            while len(self._stages) > self._max_stages:
+            while len(self._stages) > MAX_STAGES:
                 self._stages.popitem(last=False)
         self._stages.move_to_end(stage_key)
         # Drop records this one dominates (same fired set, smaller enabled).
@@ -366,7 +360,7 @@ class ProbeCache:
         if held is not None and held.id_bound == module.id_bound:
             self._modules.move_to_end(digest)
             return
-        self._store(self._modules, digest, module.clone(), self._max_modules)
+        self._store(self._modules, digest, module.clone(), MAX_MODULES)
 
     @staticmethod
     def _store(store: OrderedDict, key, value, cap: int) -> None:
@@ -429,7 +423,7 @@ class ProbeCache:
             self.stats.uncacheable += 1  # environment, not content: never cache
             return
         key = self._memo_key(target, module, inputs)
-        self._store(self._outcomes, key, outcome, self._max_outcomes)
+        self._store(self._outcomes, key, outcome, MAX_OUTCOMES)
 
     @staticmethod
     def _memo_key(target, module, inputs) -> tuple:

@@ -17,6 +17,7 @@ from repro.ir.analysis import cfg as cfg_module
 from repro.ir.analysis.cfg import Cfg
 from repro.ir.module import Module
 from repro.perf import ProbeCache
+from repro.perf import probe_cache as probe_cache_module
 
 _FIELDS = ("successors", "predecessors", "reachable", "idom", "rpo", "_rpo_index")
 
@@ -73,12 +74,14 @@ def test_reduction_never_mutates_a_memo(monkeypatch, references, donors):
         return analysis
 
     monkeypatch.setattr(cfg_module, "_analyze", analyze)
+    # A small module store, so evictions force prefix rebuilds too.
+    monkeypatch.setattr(probe_cache_module, "MAX_MODULES", 8)
     harness = Harness(
         [make_target("SwiftShader"), make_target("spirv-opt")],
         references,
         donors,
         FuzzerOptions(max_transformations=40),
-        probe_cache=ProbeCache(max_modules=8),
+        probe_cache=ProbeCache(),
     )
     findings = harness.run_campaign(range(8)).findings
     assert findings

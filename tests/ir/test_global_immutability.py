@@ -13,6 +13,7 @@ from repro.ir.module import Instruction, Module
 from repro.ir.opcodes import Op
 from repro.ir.rewrite import replace_value_uses
 from repro.perf import ProbeCache
+from repro.perf import probe_cache as probe_cache_module
 
 from tests.ir.test_fingerprint_cache import _tiny, _uncached_type_table
 
@@ -70,12 +71,14 @@ def test_fuzz_compile_and_reduce_never_edit_a_global(
                     pass
     assert not _edited(seen)
 
+    # A small module store, so evictions force prefix rebuilds too.
+    monkeypatch.setattr(probe_cache_module, "MAX_MODULES", 8)
     harness = Harness(
         [make_target("SwiftShader"), make_target("spirv-opt")],
         references,
         donors,
         FuzzerOptions(max_transformations=40),
-        probe_cache=ProbeCache(max_modules=8),
+        probe_cache=ProbeCache(),
     )
     findings = harness.run_campaign(range(8)).findings
     assert findings

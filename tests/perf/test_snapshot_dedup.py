@@ -1,6 +1,8 @@
 """The probe cache's module store keeps one snapshot per (digest, id bound):
 a stage miss whose output it already holds refreshes that snapshot's LRU
-position instead of cloning a duplicate, and nothing observable changes."""
+position instead of cloning a duplicate, and nothing observable changes.
+Every mid-pipeline module the cache materializes — an input clone, a held
+snapshot or a prefix rebuild — has the digest the stage memo promised."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ from repro.core.fuzzer import FuzzerOptions
 from repro.core.harness import Harness
 from repro.ir.module import Module
 from repro.perf import ProbeCache
+from repro.perf import probe_cache as probe_cache_module
 
 
 def _counting_clones(monkeypatch) -> list[int]:
@@ -24,7 +27,7 @@ def _counting_clones(monkeypatch) -> list[int]:
 
 
 def test_held_digest_is_not_cloned_again(monkeypatch, straightline_module):
-    cache = ProbeCache(max_modules=4)
+    cache = ProbeCache()
     digest = straightline_module.content_digest()
     cache._remember_module(digest, straightline_module)
     held = cache._modules[digest]
@@ -40,7 +43,7 @@ def test_held_digest_is_not_cloned_again(monkeypatch, straightline_module):
 
 
 def test_different_id_bound_replaces_the_snapshot(monkeypatch, straightline_module):
-    cache = ProbeCache(max_modules=4)
+    cache = ProbeCache()
     digest = straightline_module.content_digest()
     cache._remember_module(digest, straightline_module)
     wider = straightline_module.clone()
@@ -84,8 +87,22 @@ def test_fixed_triage_run_stats_are_unchanged(monkeypatch, references, donors):
         original(self, digest, module)
 
     monkeypatch.setattr(ProbeCache, "_remember_module", remember)
+    mismatches: list[tuple[int, str, str]] = []
+    rebuilds = [0]
+    materialize = ProbeCache._materialize
+
+    def checked_materialize(self, passes, enabled, module, digest, index, current):
+        held = current == digest or current in self._modules
+        work = materialize(self, passes, enabled, module, digest, index, current)
+        rebuilds[0] += not held
+        if work.content_digest() != current:
+            mismatches.append((index, current, work.content_digest()))
+        return work
+
+    monkeypatch.setattr(ProbeCache, "_materialize", checked_materialize)
     # A small store, so evictions force prefix rebuilds too.
-    cache = ProbeCache(max_modules=8)
+    monkeypatch.setattr(probe_cache_module, "MAX_MODULES", 8)
+    cache = ProbeCache()
     harness = Harness(
         [make_target("SwiftShader"), make_target("spirv-opt")],
         references,
@@ -103,3 +120,5 @@ def test_fixed_triage_run_stats_are_unchanged(monkeypatch, references, donors):
     ]
     assert cache.stats.to_json() == PINNED_STATS
     assert held_hits[0] > 0, "the run never re-stored a held digest"
+    assert rebuilds[0] == cache.stats.store_rebuilds > 0
+    assert not mismatches

@@ -43,6 +43,25 @@ def test_reduce_roundtrip(tmp_path, capsys):
     assert reduced, "no SwiftShader finding in 60 seeds"
 
 
+def test_reduce_replays_the_logged_sequence(tmp_path, capsys):
+    out = tmp_path / "variant.json"
+    fuzz_main(
+        [
+            "call_helper_0",
+            "--seed",
+            "0",
+            "--out",
+            str(out),
+            "--max-transformations",
+            "30",
+        ]
+    )
+    assert len(json.loads(out.read_text())["transformations"]) == 30
+    capsys.readouterr()
+    assert reduce_main([str(out), "--target", "SwiftShader"]) == 0
+    assert "reduced 30 ->" in capsys.readouterr().out
+
+
 def test_dedup_cli(tmp_path, capsys):
     logs = []
     for seed in (1, 2):
