@@ -20,7 +20,15 @@ class Pass(abc.ABC):
     content digest instead of recomputing it, so a pass that edits the
     module's content (a function body, a global, a name) must return True.
     Allocating ids without using them does not count as a change (the
-    digest ignores ``id_bound``)."""
+    digest ignores ``id_bound``).
+
+    A pass run sweeps the module once, not once per edit: it builds at most
+    one :class:`~repro.ir.rewrite.UseIndex` (or one use count) and rewrites
+    through it.  Injected bugs key on what a pass sees, so a rewrite of a
+    pass must keep the module state that every ``bugs.active``, ``fire``
+    and ``crash`` call sees, in the same order.
+    ``tests/compilers/test_pass_equivalence.py`` guards this against the
+    pre-rewrite pass bodies."""
 
     name: str = "pass"
 

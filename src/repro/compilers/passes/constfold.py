@@ -24,7 +24,7 @@ from repro.ir import types as tys
 from repro.ir.builder import ModuleBuilder
 from repro.ir.module import Instruction, Module
 from repro.ir.opcodes import Op
-from repro.ir.rewrite import remove_phi_predecessor, replace_value_uses
+from repro.ir.rewrite import UseIndex, remove_phi_predecessor
 
 _I32_MAX = 2**31 - 1
 _I32_MIN = -(2**31)
@@ -61,7 +61,9 @@ class ConstantFoldingPass(Pass):
     def run(self, module: Module, bugs: BugContext) -> bool:
         changed = False
         builder = ModuleBuilder.wrap(module)
+        uses = UseIndex(module)
         constants = module_constants(module)
+        globals_seen = len(module.global_insts)
 
         for function in module.functions:
             for block in list(function.blocks):
@@ -70,11 +72,16 @@ class ConstantFoldingPass(Pass):
                         module, builder, constants, inst, bugs
                     )
                     if folded is not None:
-                        replace_value_uses(module, inst.result_id, folded)
+                        uses.replace(inst.result_id, folded)
                         block.instructions.remove(inst)
-                        constants = module_constants(module)
+                        # Only an appended global can add a constant: a
+                        # re-slotted one has just its id operands rewritten,
+                        # and scalar constants have none.
+                        if len(module.global_insts) != globals_seen:
+                            constants = module_constants(module)
+                            globals_seen = len(module.global_insts)
                         changed = True
-            if self._fold_branches(module, function, constants, bugs):
+            if self._fold_branches(module, function, constants, uses):
                 changed = True
         return changed
 
@@ -178,7 +185,7 @@ class ConstantFoldingPass(Pass):
         module: Module,
         function,
         constants: dict[int, object],
-        bugs: BugContext,
+        uses: UseIndex,
     ) -> bool:
         """Turn constant conditional branches into plain branches."""
         changed = False
@@ -194,6 +201,7 @@ class ConstantFoldingPass(Pass):
             if taken == not_taken:
                 continue
             block.terminator = Instruction(Op.Branch, None, None, [taken])
+            uses.add(block.terminator)
             # The not-taken successor loses this predecessor edge, unless it
             # still has it through the taken path (impossible here: targets
             # differ and a block appears at most once per terminator side).

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from repro.compilers.base import BugContext
 from repro.compilers.passes.base import Pass
-from repro.ir.analysis.cfg import Cfg
 from repro.ir.module import Module
 from repro.ir.opcodes import Op
-from repro.ir.rewrite import replace_value_uses
+from repro.ir.rewrite import UseIndex
 
 #: Strict comparisons and the non-strict forms the injected bug relaxes them
 #: to (wrongly — off by one element/iteration).
@@ -37,6 +36,7 @@ class CopyPropagationPass(Pass):
     def run(self, module: Module, bugs: BugContext) -> bool:
         changed = False
         defs = module.def_map()
+        uses = UseIndex(module)
 
         # Chain depths must be measured before any rewriting collapses them.
         for function in module.functions:
@@ -46,22 +46,14 @@ class CopyPropagationPass(Pass):
                         self._check_chain_crash(defs, inst, bugs)
 
         for function in module.functions:
-            cfg = Cfg.build(function)
-            def_block: dict[int, int] = {}
-            for fn_block in function.blocks:
-                for fn_inst in fn_block.instructions:
-                    if fn_inst.result_id is not None:
-                        def_block[fn_inst.result_id] = fn_block.label_id
             for block in function.blocks:
                 for inst in list(block.instructions):
                     if inst.opcode is Op.CopyObject:
-                        replace_value_uses(module, inst.result_id, int(inst.operands[0]))
+                        uses.replace(inst.result_id, int(inst.operands[0]))
                         block.instructions.remove(inst)
                         changed = True
                     elif inst.opcode is Op.Phi:
-                        if self._simplify_phi(
-                            module, block, inst, defs, cfg, def_block, bugs
-                        ):
+                        if self._simplify_phi(uses, block, inst, defs, bugs):
                             changed = True
         return changed
 
@@ -79,7 +71,7 @@ class CopyPropagationPass(Pass):
             )
 
     def _simplify_phi(
-        self, module: Module, block, phi, defs, cfg, def_block, bugs: BugContext
+        self, uses: UseIndex, block, phi, defs, bugs: BugContext
     ) -> bool:
         pairs = phi.phi_pairs()
         values = [v for v, _ in pairs]
@@ -94,7 +86,7 @@ class CopyPropagationPass(Pass):
                 Op.ConstantFalse,
                 Op.ConstantComposite,
             ):
-                replace_value_uses(module, phi.result_id, values[0])
+                uses.replace(phi.result_id, values[0])
                 block.instructions.remove(phi)
                 return True
 

@@ -15,10 +15,12 @@ Injected bug sites:
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.compilers.base import BugContext
 from repro.compilers.passes.base import Pass, is_pure, remove_unreachable_blocks
-from repro.ir.module import Module
-from repro.ir.opcodes import TRAPPING_OPS, Op
+from repro.ir.module import Block, Instruction, Module
+from repro.ir.opcodes import Op
 
 
 class DeadCodeEliminationPass(Pass):
@@ -37,43 +39,54 @@ class DeadCodeEliminationPass(Pass):
                     )
             if remove_unreachable_blocks(function, bugs):
                 changed = True
-        if self._remove_unused_pure(module, bugs):
+        # How often each id is used module-wide; both removal steps keep it
+        # current as they delete instructions.
+        uses = Counter(
+            used for inst in module.all_instructions() for used in inst.used_ids()
+        )
+        if self._remove_unused_pure(module, uses):
             changed = True
-        if self._remove_dead_local_stores(module, bugs):
+        if self._remove_dead_local_stores(module, bugs, uses):
             changed = True
         if self._remove_uncalled_functions(module):
             changed = True
         return changed
 
-    def _remove_unused_pure(self, module: Module, bugs: BugContext) -> bool:
-        changed = False
-        while True:
-            used: set[int] = set()
-            for inst in module.all_instructions():
-                used.update(inst.used_ids())
-            removed_any = False
-            for function in module.functions:
-                for block in function.blocks:
-                    for inst in list(block.instructions):
-                        if inst.result_id is None or inst.result_id in used:
-                            continue
-                        if inst.opcode in TRAPPING_OPS:
-                            # A trapping instruction in reachable code cannot
-                            # be removed soundly in general; in our IR it can
-                            # (traps are UB, and UB-free programs never trap),
-                            # mirroring how real compilers treat UB.
-                            pass
-                        if is_pure(inst) and inst.opcode is not Op.Phi:
-                            block.instructions.remove(inst)
-                            removed_any = True
-                        elif inst.opcode is Op.Phi:
-                            block.instructions.remove(inst)
-                            removed_any = True
-            if not removed_any:
-                return changed
-            changed = True
+    def _remove_unused_pure(self, module: Module, uses: Counter[int]) -> bool:
+        """Delete pure body instructions whose result nothing uses, until
+        none is left.  A use-count worklist reaches the same fixpoint as
+        rescanning after every round: deleting an unused instruction only
+        lowers counts.  A phi cycle keeps itself alive.
 
-    def _remove_dead_local_stores(self, module: Module, bugs: BugContext) -> bool:
+        Trapping instructions go too.  That is unsound in general, but here
+        traps are UB and UB-free programs never trap, mirroring how real
+        compilers treat UB."""
+        definers: dict[int, list[tuple[Block, Instruction]]] = {}
+        for function in module.functions:
+            for block in function.blocks:
+                for inst in block.instructions:
+                    if inst.result_id is not None and is_pure(inst):
+                        definers.setdefault(inst.result_id, []).append((block, inst))
+        worklist = [result for result in definers if not uses[result]]
+        removed: set[int] = set()
+        edited: dict[int, Block] = {}
+        while worklist:
+            for block, inst in definers.pop(worklist.pop(), ()):
+                removed.add(id(inst))
+                edited[id(block)] = block
+                for used in inst.used_ids():
+                    uses[used] -= 1
+                    if not uses[used] and used in definers:
+                        worklist.append(used)
+        for block in edited.values():
+            block.instructions = [
+                inst for inst in block.instructions if id(inst) not in removed
+            ]
+        return bool(removed)
+
+    def _remove_dead_local_stores(
+        self, module: Module, bugs: BugContext, uses: Counter[int]
+    ) -> bool:
         """Remove stores to Function-storage variables that are never loaded.
 
         A variable is conservatively live when its pointer escapes through an
@@ -146,30 +159,21 @@ class DeadCodeEliminationPass(Pass):
                 if has_store:
                     bugs.fire("dce-store-accesschain")
             for block in function.blocks:
-                before = len(block.instructions)
-                block.instructions = [
-                    inst
-                    for inst in block.instructions
-                    if not (inst.opcode is Op.Store and _store_root(inst) in dead)
-                ]
-                if len(block.instructions) != before:
+                if _drop(
+                    block,
+                    lambda inst: inst.opcode is Op.Store and _store_root(inst) in dead,
+                    uses,
+                ):
                     changed = True
             # Remove the now-unreferenced variables themselves.
             for block in function.blocks:
-                before = len(block.instructions)
-                referenced: set[int] = set()
-                for inst in module.all_instructions():
-                    referenced.update(inst.used_ids())
-                block.instructions = [
-                    inst
-                    for inst in block.instructions
-                    if not (
-                        inst.opcode is Op.Variable
-                        and inst.result_id in dead
-                        and inst.result_id not in referenced
-                    )
-                ]
-                if len(block.instructions) != before:
+                if _drop(
+                    block,
+                    lambda inst: inst.opcode is Op.Variable
+                    and inst.result_id in dead
+                    and not uses[inst.result_id],
+                    uses,
+                ):
                     changed = True
         return changed
 
@@ -187,3 +191,19 @@ class DeadCodeEliminationPass(Pass):
                 changed = True
         module.functions = keep
         return changed
+
+
+def _drop(block: Block, doomed, uses: Counter[int]) -> bool:
+    """Delete the body instructions of *block* that *doomed* picks, then
+    take their uses off *uses* (so *doomed* sees the counts from before the
+    block's deletions).  Returns True when any was deleted."""
+    kept: list[Instruction] = []
+    dropped: list[Instruction] = []
+    for inst in block.instructions:
+        (dropped if doomed(inst) else kept).append(inst)
+    if not dropped:
+        return False
+    block.instructions = kept
+    for inst in dropped:
+        uses.subtract(inst.used_ids())
+    return True

@@ -27,7 +27,7 @@ from repro.ir.analysis.cfg import Cfg
 from repro.ir.builder import ModuleBuilder
 from repro.ir.module import Block, Function, Instruction, Module
 from repro.ir.opcodes import Op
-from repro.ir.rewrite import replace_value_uses
+from repro.ir.rewrite import UseIndex
 
 
 @dataclass
@@ -45,13 +45,14 @@ class Mem2RegPass(Pass):
     def run(self, module: Module, bugs: BugContext) -> bool:
         changed = False
         builder = ModuleBuilder.wrap(module)
+        uses = UseIndex(module)
         for function in module.functions:
             if not function.blocks:
                 continue
             cfg = Cfg.build(function)
             if len(cfg.reachable) != len(function.blocks):
                 continue  # conservatively skip functions with dead blocks
-            if self._promote_function(module, builder, function, cfg, bugs):
+            if self._promote_function(module, builder, uses, function, cfg, bugs):
                 changed = True
         return changed
 
@@ -89,6 +90,7 @@ class Mem2RegPass(Pass):
         self,
         module: Module,
         builder: ModuleBuilder,
+        uses: UseIndex,
         function: Function,
         cfg: Cfg,
         bugs: BugContext,
@@ -107,10 +109,7 @@ class Mem2RegPass(Pass):
 
         stacks = {s.variable_id: [s.initial_value_id] for s in states}
         by_var = {s.variable_id: s for s in states}
-        self._rename(
-            module, function, cfg, function.entry_block(), by_var, stacks, bugs,
-            layout_is_rpo,
-        )
+        self._rename(uses, function, cfg, function.entry_block(), by_var, stacks)
 
         # Injected layout-sensitivity: with a non-RPO layout, the pass pairs
         # phi values with predecessors by layout position instead of edge,
@@ -154,6 +153,7 @@ class Mem2RegPass(Pass):
         for state in states:
             for label, phi in state.phi_blocks.items():
                 function.block(label).instructions.insert(0, phi)
+                uses.add(phi)
         promoted = {s.variable_id for s in states}
         entry = function.entry_block()
         entry.instructions = [
@@ -225,14 +225,12 @@ class Mem2RegPass(Pass):
 
     def _rename(
         self,
-        module: Module,
+        uses: UseIndex,
         function: Function,
         cfg: Cfg,
         block: Block,
         by_var: dict[int, _PromotionState],
         stacks: dict[int, list[int]],
-        bugs: BugContext,
-        layout_is_rpo: bool,
     ) -> None:
         pushed: dict[int, int] = {}
 
@@ -248,7 +246,7 @@ class Mem2RegPass(Pass):
         for inst in list(block.instructions):
             if inst.opcode is Op.Load and int(inst.operands[0]) in by_var:
                 var_id = int(inst.operands[0])
-                replace_value_uses(module, inst.result_id, stacks[var_id][-1])
+                uses.replace(inst.result_id, stacks[var_id][-1])
                 block.instructions.remove(inst)
             elif inst.opcode is Op.Store and int(inst.operands[0]) in by_var:
                 push(int(inst.operands[0]), int(inst.operands[1]))
@@ -267,14 +265,7 @@ class Mem2RegPass(Pass):
         for child_label, parent in cfg.idom.items():
             if parent == block.label_id and child_label != block.label_id:
                 self._rename(
-                    module,
-                    function,
-                    cfg,
-                    function.block(child_label),
-                    by_var,
-                    stacks,
-                    bugs,
-                    layout_is_rpo,
+                    uses, function, cfg, function.block(child_label), by_var, stacks
                 )
 
         for var_id, count in pushed.items():

@@ -30,7 +30,7 @@ per ``_globals_version``, so function-body edits and ``touch`` keep it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from repro.ir.opcodes import OP_INFO, Op, OperandKind, op_info
 from repro.ir import types as tys
@@ -40,6 +40,47 @@ Operand = int | float | bool | str
 
 class IrError(Exception):
     """Raised on structurally invalid IR constructions or lookups."""
+
+
+class _IdPlan(NamedTuple):
+    """Where an opcode keeps its operand ids: ``positions`` within its
+    ``fixed`` single slots, then (``tail_ids``) every operand past them;
+    ``all_ids`` when every operand is an id.  ``fixed``, ``max_count`` and
+    ``even_tail`` bound the operand counts that
+    :meth:`Instruction.operand_slots` accepts (a rest kind is always last).
+    """
+
+    positions: tuple[int, ...]
+    fixed: int
+    tail_ids: bool
+    all_ids: bool
+    max_count: int | None
+    even_tail: bool
+
+    @staticmethod
+    def of(opcode: Op) -> "_IdPlan":
+        kinds = op_info(opcode).operands
+        single = (OperandKind.ID, OperandKind.LITERAL)
+        rest = kinds[-1] if kinds and kinds[-1] not in single else None
+        fixed = kinds[:-1] if rest is not None else kinds
+        tail_ids = rest is not None and rest is not OperandKind.LITERAL_REST
+        return _IdPlan(
+            positions=tuple(i for i, k in enumerate(fixed) if k is OperandKind.ID),
+            fixed=len(fixed),
+            tail_ids=tail_ids,
+            all_ids=OperandKind.LITERAL not in fixed and (rest is None or tail_ids),
+            max_count=(
+                len(fixed) if rest is None
+                else len(fixed) + 1 if rest is OperandKind.OPTIONAL_ID
+                else None
+            ),
+            even_tail=rest is OperandKind.PHI_REST,
+        )
+
+
+#: Each opcode's id plan, keyed by the opcode's value (a string, whose
+#: hash is cached, unlike an enum member's).
+_ID_PLANS: dict[str, _IdPlan] = {op.value: _IdPlan.of(op) for op in Op}
 
 
 @dataclass
@@ -105,14 +146,36 @@ class Instruction:
 
     def used_ids(self) -> list[int]:
         """All ids referenced by this instruction's operands and type."""
-        ids = [
-            operand
-            for kind, operand in self.operand_slots()
-            if kind is OperandKind.ID
-        ]
+        ids = self.operand_ids()
         if self.type_id is not None:
-            ids.append(self.type_id)
-        return [int(i) for i in ids]
+            ids.append(int(self.type_id))
+        return ids
+
+    def operand_ids(self) -> list[int]:
+        """The ids in this instruction's operand slots (type id excluded),
+        read through its opcode's :class:`_IdPlan`.  A malformed operand
+        count takes the :meth:`operand_slots` path, which raises."""
+        positions, fixed, tail_ids, all_ids, max_count, even_tail = _ID_PLANS[
+            self.opcode._value_
+        ]
+        operands = self.operands
+        count = len(operands)
+        if count != fixed and (
+            count < fixed
+            or (max_count is not None and count > max_count)
+            or (even_tail and (count - fixed) % 2)
+        ):
+            return [
+                int(operand)
+                for kind, operand in self.operand_slots()
+                if kind is OperandKind.ID
+            ]
+        if all_ids:
+            return list(map(int, operands))
+        ids = [int(operands[i]) for i in positions]
+        if tail_ids and count > fixed:
+            ids.extend(map(int, operands[fixed:]))
+        return ids
 
     def remap_ids(self, mapping: dict[int, int]) -> None:
         """Rewrite ids (operands, type, and result) through *mapping* in place.

@@ -11,6 +11,7 @@ reduction.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.ir.module import Block, Function, Instruction, IrError, Module
@@ -45,6 +46,76 @@ def replace_value_uses(module: Module, old_id: int, new_id: int) -> int:
             module.set_global(index, edited)
             count += 1
     return count
+
+
+class UseIndex:
+    """The value users of every id in *module*, for one pass run.
+
+    A pass makes one index per run and calls :meth:`replace` where it would
+    call :func:`replace_value_uses`: the same slots are rewritten (phi value
+    slots, other instructions through :meth:`Instruction.replace_uses`,
+    globals through :meth:`Module.set_global`), but only in the users of
+    the replaced id.  The rewrite is eager, so the module reads exactly as
+    it would after the module-wide sweep.
+
+    The index is built on the first replacement.  Globals added later are
+    indexed on the next one; an instruction a pass puts into a function
+    body after that must be registered with :meth:`add`.  Other edits to
+    indexed instructions may drop operands but never add an id.
+    Instructions a pass detaches stay indexed, so later replacements still
+    rewrite them; nothing reads a detached instruction's operands.
+    """
+
+    def __init__(self, module: Module) -> None:
+        self.module = module
+        self._users: defaultdict[int, list[Instruction]] | None = None
+        self._global_users: defaultdict[int, list[int]] = defaultdict(list)
+        self._globals_indexed = 0
+
+    def add(self, inst: Instruction) -> None:
+        """Register *inst*, just put into a function body."""
+        if self._users is not None:
+            self._register(inst)
+
+    def replace(self, old_id: int, new_id: int) -> None:
+        """Replace value uses of *old_id* with *new_id* module-wide."""
+        if self._users is None:
+            self._users = defaultdict(list)
+            for function in self.module.functions:
+                for block in function.blocks:
+                    for inst in block.all_instructions():
+                        self._register(inst)
+        self._index_new_globals()
+        users = self._users.pop(old_id, None)
+        if users:
+            for inst in users:
+                if inst.opcode is Op.Phi:
+                    operands = inst.operands
+                    for i in range(0, len(operands), 2):
+                        if int(operands[i]) == old_id:
+                            operands[i] = new_id
+                else:
+                    inst.replace_uses(old_id, new_id)
+            self._users[new_id].extend(users)
+        positions = self._global_users.pop(old_id, None)
+        if positions:
+            for index in positions:
+                edited = self.module.global_insts[index].clone()
+                if edited.replace_uses(old_id, new_id):
+                    self.module.set_global(index, edited)
+            self._global_users[new_id].extend(positions)
+
+    def _register(self, inst: Instruction) -> None:
+        users = self._users
+        for used in inst.operand_ids():
+            users[used].append(inst)
+
+    def _index_new_globals(self) -> None:
+        global_insts = self.module.global_insts
+        for index in range(self._globals_indexed, len(global_insts)):
+            for used in global_insts[index].operand_ids():
+                self._global_users[used].append(index)
+        self._globals_indexed = len(global_insts)
 
 
 def rewrite_phi_predecessor(block: Block, old_pred: int, new_pred: int) -> None:
