@@ -108,7 +108,8 @@ class BaselineHarness:
         cached = self._reference_outcomes.get(key)
         if cached is None:
             cached = target.run(compile_shader(program.shader), program.inputs)
-            self._reference_outcomes[key] = cached
+            if not cached.is_fault:  # a transient fault is re-probed
+                self._reference_outcomes[key] = cached
         return cached
 
     def run_seed(self, seed: int) -> list[BaselineFinding]:

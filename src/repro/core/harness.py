@@ -341,12 +341,16 @@ class Harness:
         # (a resumed campaign re-probes; an uninterrupted one hits the cache).
         # Counting them would make checkpoint/resume diverge from an
         # uninterrupted run.  Variant probes, which recur every seed, carry
-        # the fault budget instead.
+        # the fault budget instead.  A faulted outcome is never memoised:
+        # every finding whose reference faulted is discarded, so caching a
+        # transient fault would silence this target x program for as long
+        # as the harness lives.
         key = (target.name, program.name)
         cached = self._reference_outcomes.get(key)
         if cached is None:
             cached = target.run(program.module, program.inputs)
-            self._reference_outcomes[key] = cached
+            if not cached.is_fault:
+                self._reference_outcomes[key] = cached
             self.metrics.inc("reference_probes")
             self.tracer.emit(
                 "probe",

@@ -311,6 +311,8 @@ class _Execution:
         self.decisions: dict[str, dict] = {}
         self.policy = None
         self.oracles: dict[str, Any] = {}
+        #: Canonical-JSON memo shared by every pass scope's candidate keys.
+        self.key_memo: dict = {}
         if self.fault:
             from repro.robustness.config import ReductionPolicy
             from repro.robustness.journal import ReductionJournal
@@ -376,7 +378,8 @@ class _Execution:
             if key_fn is None:
                 def key_fn(candidate, _scope=scope):
                     return pass_scoped_key(
-                        _scope, ReductionJournal.candidate_key(candidate)
+                        _scope,
+                        ReductionJournal.candidate_key(candidate, self.key_memo),
                     )
 
             oracle = FlakeHardenedOracle(

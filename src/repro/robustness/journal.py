@@ -343,20 +343,34 @@ class ReductionJournal(Journal):
     config: dict | None = None
 
     @staticmethod
-    def candidate_key(candidate: Sequence) -> str:
+    def candidate_key(candidate: Sequence, memo: dict | None = None) -> str:
         """A process-stable content fingerprint of a candidate subsequence.
 
-        Real transformation sequences canonicalise through
-        :func:`~repro.core.transformation.sequence_to_json`; opaque test
-        doubles (the reducer treats elements as black boxes) fall back to
-        their ``repr``.
+        The SHA-1 of ``json.dumps(sequence_to_json(candidate),
+        sort_keys=True)``, built from each transformation's own canonical
+        JSON (the list brackets and ``", "`` separators are exactly what
+        ``json.dumps`` writes around them).  A reduction passes one *memo*
+        for all its lookups: it maps ``id(transformation)`` to the object
+        (held, so the id cannot be reused) and its JSON, so each
+        transformation is serialised once per reduction instead of once per
+        candidate.  Opaque test doubles (the reducer treats elements as
+        black boxes) fall back to their ``repr``.
         """
-        from repro.core.transformation import sequence_to_json
-
+        memo = {} if memo is None else memo
+        parts = []
         try:
-            payload = json.dumps(sequence_to_json(candidate), sort_keys=True)
+            for item in candidate:
+                entry = memo.get(id(item))
+                if entry is None:
+                    entry = memo[id(item)] = (
+                        item,
+                        json.dumps(item.to_json(), sort_keys=True),
+                    )
+                parts.append(entry[1])
         except (AttributeError, TypeError):
             payload = json.dumps([repr(item) for item in candidate])
+        else:
+            payload = "[" + ", ".join(parts) + "]"
         return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
     def append(self, record: dict) -> None:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.core.reducer import ReductionResult
@@ -171,7 +172,7 @@ class FlakeHardenedOracle:
         #: Candidate -> journal/memo key.  The pass pipeline injects a
         #: pass-scoped key function so decisions from different passes never
         #: collide in a shared journal.
-        self._key = key_fn or ReductionJournal.candidate_key
+        self._key = key_fn or partial(ReductionJournal.candidate_key, memo={})
         self._resume = dict(resume_records or {})
         self._target = supervised_target
         self.tracer = as_tracer(tracer)

@@ -104,6 +104,10 @@ def _worker_main(
     for worker in list(_LIVE):
         worker.conn.close()
     _LIVE.clear()
+    # A fleet worker supervises its own probes when its spec asks for it,
+    # and a daemonic process may not fork.  Its probe children need no
+    # daemon reaping: they exit on pipe EOF when it dies.
+    multiprocessing.current_process().daemon = False
     _install_drain_handler(conn)
     if memory_limit_mb is not None:
         try:

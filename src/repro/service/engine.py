@@ -23,7 +23,7 @@ Durability argument: every externally visible step is recorded (fsync)
 *before* the service acts on it — seed records before they count toward
 completion, state transitions before the phase they announce.  Because
 each seed record is a pure function of ``(spec, seed)`` (fleet workers
-build fresh harnesses and never quarantine locally) and the journal
+share one harness per spec and never quarantine locally) and the journal
 dedups by seed, any interleaving of crashes, restarts, and re-granted
 leases converges to the same journal contents — and ``result.json``
 excludes timestamps and execution statistics, so its bytes are identical
@@ -63,7 +63,7 @@ from repro.observability import as_tracer
 from repro.robustness.breaker import CircuitBreaker
 from repro.robustness.journal import read_jsonl, record_to_run
 from repro.service import state as st
-from repro.service.fleet import WorkerFleet, sanitize_spec
+from repro.service.fleet import HarnessCache, WorkerFleet
 from repro.service.leases import LeaseTable, Watchdog
 from repro.service.scheduler import (
     Batch,
@@ -210,6 +210,11 @@ class CampaignService:
             fault_budget=self.config.fault_budget,
         )
         self.fleet = WorkerFleet(self.config.workers)
+        #: Finalize's reduction harnesses, one per spec: a reduction is a
+        #: pure function of its finding, so campaigns sharing a spec share
+        #: the harness (see :class:`~repro.service.fleet._BatchServer` for
+        #: why nothing a harness carries leaks into a result).
+        self._harnesses = HarnessCache()
         self._active: dict[str, _Active] = {}
         self._draining = False
         self._recovered: list[str] = []
@@ -775,7 +780,7 @@ class CampaignService:
         # Findings and faults come straight from the journaled record dicts
         # (cached as they were appended; recovery pre-loads them from disk);
         # the harness (and Finding objects via record_to_run) are only
-        # rebuilt when the campaign asked for reduction.
+        # needed when the campaign asked for reduction.
         findings_json: list[dict] = []
         for seed in manifest.seeds:
             record = records[seed]
@@ -815,7 +820,7 @@ class CampaignService:
                 resume=True,
                 stream_key=campaign_id,
             )
-            harness = sanitize_spec(manifest.spec).build()
+            harness = self._harnesses.get(manifest.spec)
             try:
                 references = {p.name: p for p in harness.references}
                 findings = []
@@ -849,8 +854,10 @@ class CampaignService:
                             f"reduce-{index}", finding, result
                         )
                     )
-            finally:
-                harness.close()
+            except BaseException:
+                # It may have raised mid-probe: never reuse that harness.
+                self._harnesses.discard(manifest.spec)
+                raise
         payload = {
             "campaign": campaign_id,
             "seeds": list(manifest.seeds),
@@ -1050,12 +1057,14 @@ class CampaignService:
             self.step()
         clean = not self.leases.active()
         self.fleet.stop(drain=True)
+        self._harnesses.close()
         self.tracer.emit("service.drained", clean=clean)
         return clean
 
     def shutdown(self) -> None:
         """Hard stop (tests): kill the fleet, keep the store as-is."""
         self.fleet.stop(drain=False)
+        self._harnesses.close()
 
     def run_forever(self, *, install_signals: bool = True) -> int:
         """The ``repro-serve`` main loop: step until a drain is requested

@@ -5,19 +5,26 @@ Each worker is a :class:`~repro.robustness.supervisor.WorkerProcess`
 serving batch requests ``(campaign, index, spec, seeds)``: it runs every
 seed on a harness built from the spec, streams one ``("seed", ...)``
 message per completed seed (the engine's heartbeat *and* its journal
-feed), then ``("done", ...)`` with the batch's probe count.  The harness
-is cached per campaign — the same one-harness-many-seeds shape as a
-direct ``run_campaign`` — because seed runs are independent: each record
-stays a pure function of ``(spec, seed)`` regardless of which seeds shared
-the harness before it.  The cache is dropped on any batch error, and a
-batch re-executed after a lease expiry or worker death always lands on a
-freshly spawned worker, so at-least-once delivery composes with the
-journal's seed-keyed dedup into exactly-once, byte-identical results.
+feed), then ``("done", ...)`` with the batch's probe count.  Harnesses are
+cached per *spec*, not per campaign (:class:`HarnessCache`): every
+campaign submitted with the same spec reuses one harness, so a worker
+builds each spec once instead of once per campaign — the same
+one-harness-many-seeds shape as a direct ``run_campaign``, stretched
+across campaigns.  Records stay pure because seed runs are independent:
+each record is a function of ``(spec, seed)`` alone, whichever seeds —
+of this campaign or of an earlier one — shared the harness before it
+(:class:`_BatchServer` lists what a harness carries and why none of it
+leaks into a record).  A harness is dropped and closed on any batch
+error, and a batch re-executed after a lease expiry or worker death
+always lands on a freshly spawned worker, so at-least-once delivery
+composes with the journal's seed-keyed dedup into exactly-once,
+byte-identical results.
 
-Determinism guard: the worker strips ``quarantine_after`` from the spec's
-robustness config before building.  A worker-local quarantine would make a
-seed's record depend on which *other* seeds shared its batch; the service
-instead applies the fault budget post hoc over the journaled faults (see
+Determinism guard: the cache strips ``quarantine_after`` from the spec's
+robustness config before building (:func:`sanitize_spec`).  A
+worker-local quarantine would make a seed's record depend on which
+*other* seeds shared its harness; the service instead applies the fault
+budget post hoc over the journaled faults (see
 :mod:`repro.service.engine`).
 
 ``SIGTERM`` is an orderly drain (exit 0) so a draining service can tell
@@ -28,15 +35,17 @@ parent as a ``("dead", worker_id, exitcode)`` event with a nonzero code.
 from __future__ import annotations
 
 import dataclasses
+import json
 import multiprocessing.connection
 from typing import Any, Iterable
 
 from repro.robustness.journal import run_to_record
 from repro.robustness.supervisor import WorkerDied, WorkerProcess
+from repro.service.store import spec_to_json
 
 
 def sanitize_spec(spec: Any) -> Any:
-    """The spec a fleet worker actually builds: never quarantines locally."""
+    """The spec a cached harness is built from: never quarantines locally."""
     robustness = getattr(spec, "robustness", None)
     if robustness is None or robustness.quarantine_after is None:
         return spec
@@ -46,33 +55,89 @@ def sanitize_spec(spec: Any) -> Any:
     )
 
 
-#: Harnesses a worker keeps built at once (campaigns it recently served).
+#: Harnesses a cache keeps built at once (specs it recently served).
 _HARNESS_CACHE_SIZE = 4
 
 
-class _BatchServer:
-    """A fleet worker's serve function, with its per-campaign harness cache."""
+class HarnessCache:
+    """Built harnesses keyed by sanitised spec, least recently used first.
+
+    The key is the spec's type plus the canonical JSON of its sanitised
+    form (``CampaignSpec`` holds an unhashable ``FuzzerOptions``, so the
+    spec itself cannot be a dict key).  Every harness the cache drops —
+    by eviction, :meth:`discard` or :meth:`close` — is closed, which
+    reaps any supervised probe children it owns.
+    """
 
     def __init__(self) -> None:
-        self.harnesses: dict[str, Any] = {}  # campaign_id -> harness, LRU order
+        self._harnesses: dict[tuple, Any] = {}  # key -> harness, LRU order
 
-    def _close(self, campaign_id: str) -> None:
-        harness = self.harnesses.pop(campaign_id, None)
+    @staticmethod
+    def key(spec: Any) -> tuple:
+        canonical = json.dumps(spec_to_json(sanitize_spec(spec)), sort_keys=True)
+        return (type(spec).__qualname__, canonical)
+
+    def __len__(self) -> int:
+        return len(self._harnesses)
+
+    def get(self, spec: Any) -> Any:
+        """The cached harness for *spec*, built on a miss (most recent)."""
+        key = self.key(spec)
+        harness = self._harnesses.pop(key, None)
+        if harness is None:
+            harness = sanitize_spec(spec).build()
+        self._harnesses[key] = harness  # most recent last
+        while len(self._harnesses) > _HARNESS_CACHE_SIZE:
+            self._drop(next(iter(self._harnesses)))
+        return harness
+
+    def discard(self, spec: Any) -> None:
+        """Drop and close *spec*'s harness (it may be mid-probe)."""
+        self._drop(self.key(spec))
+
+    def close(self) -> None:
+        """Drop and close every harness."""
+        for key in list(self._harnesses):
+            self._drop(key)
+
+    def _drop(self, key: tuple) -> None:
+        harness = self._harnesses.pop(key, None)
         if harness is not None:
             try:
                 harness.close()
             except Exception:  # noqa: BLE001 - best-effort cleanup
                 pass
 
+
+class _BatchServer:
+    """A fleet worker's serve function, over one :class:`HarnessCache`.
+
+    A cached harness serves many campaigns, so everything it carries from
+    one batch to the next must leave seed records untouched:
+
+    - **metrics** are read only as deltas (a batch's probe count is the
+      counter's growth across the batch);
+    - the **quarantine budget** is stripped by :func:`sanitize_spec`, so
+      the harness's tracker counts faults but never quarantines;
+    - the **reference memo** holds only non-faulted outcomes
+      (:meth:`~repro.core.harness.Harness.reference_outcome`): a transient
+      reference fault is re-probed rather than silencing a target ×
+      program for every later campaign;
+    - the **probe cache** is off in service specs (HTTP submissions cannot
+      enable it), and even when a programmatic spec turns it on it is keyed
+      by content, so it changes which probes execute, never an outcome;
+    - ``DecorrelatedJitter`` state changes only the length of retry sleeps;
+    - the fuzzer, donors and references are read-only across seeds, as in
+      any direct campaign.
+    """
+
+    def __init__(self) -> None:
+        self.harnesses = HarnessCache()
+
     def __call__(self, request: tuple) -> Iterable[tuple]:
         campaign_id, batch_index, spec, seeds = request
         try:
-            harness = self.harnesses.pop(campaign_id, None)
-            if harness is None:
-                harness = sanitize_spec(spec).build()
-            self.harnesses[campaign_id] = harness  # most recent last
-            while len(self.harnesses) > _HARNESS_CACHE_SIZE:
-                self._close(next(iter(self.harnesses)))
+            harness = self.harnesses.get(spec)
             before = harness.metrics.counter("probes")
             for seed in seeds:
                 run = harness.run_seed(seed)
@@ -82,7 +147,7 @@ class _BatchServer:
         except GeneratorExit:
             raise
         except BaseException as exc:  # noqa: BLE001 - report, don't die
-            self._close(campaign_id)  # may be mid-probe; rebuild next time
+            self.harnesses.discard(spec)  # may be mid-probe; rebuild next time
             yield ("error", campaign_id, batch_index, f"{type(exc).__name__}: {exc}")
 
 

@@ -26,6 +26,7 @@ class _DoubleHarness:
         self.spec = spec
         self.references: list = []
         self.metrics = Metrics()
+        self.closed = False
 
     def run_seed(self, seed: int) -> SeedRun:
         self.spec.misbehave(seed)
@@ -35,7 +36,7 @@ class _DoubleHarness:
         )
 
     def close(self) -> None:
-        pass
+        self.closed = True
 
 
 @dataclass(frozen=True)
@@ -168,3 +169,53 @@ class SlowSpec:
 
     def build(self) -> _DoubleHarness:
         return _DoubleHarness(self)
+
+
+#: Every harness a :class:`CountingSpec` built in this process, in order.
+BUILDS: list = []
+
+
+@dataclass(frozen=True)
+class CountingSpec:
+    """Records each harness it builds in :data:`BUILDS` (an in-process
+    count: drive the fleet's batch server directly); raises on
+    *raise_seed*, every time."""
+
+    tag: str = "a"
+    raise_seed: int | None = None
+    robustness: object = None
+
+    def misbehave(self, seed: int) -> None:
+        if seed == self.raise_seed:
+            raise RuntimeError(f"seed {seed} raised")
+
+    def build(self) -> _DoubleHarness:
+        harness = _DoubleHarness(self)
+        BUILDS.append(harness)
+        return harness
+
+
+class _UnreducibleDoubleHarness(_DoubleHarness):
+    @property
+    def references(self) -> list:
+        raise RuntimeError("no references to reduce against")
+
+    @references.setter
+    def references(self, value) -> None:
+        pass
+
+
+@dataclass(frozen=True)
+class RaisingFinalizeSpec:
+    """Seeds run fine; a reducing finalize raises when it asks the harness
+    for its references (the fleet worker never does)."""
+
+    robustness: object = None
+
+    def misbehave(self, seed: int) -> None:
+        pass
+
+    def build(self) -> _UnreducibleDoubleHarness:
+        harness = _UnreducibleDoubleHarness(self)
+        BUILDS.append(harness)
+        return harness

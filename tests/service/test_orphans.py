@@ -1,13 +1,17 @@
-"""Forked workers must not outlive a SIGKILLed parent.
+"""Forked workers must not outlive a SIGKILLed parent, nor a stopped
+service.
 
 A forked child inherits the parent's end of its own request pipe (and of
 every pipe opened before it); unless it closes them, its ``recv()`` never
-sees EOF once the parent dies, and it lingers forever.  Each test SIGKILLs
-a process holding workers and checks that they exit within 5 s.
+sees EOF once the parent dies, and it lingers forever.  Each kill test
+SIGKILLs a process holding workers and checks that they exit within 5 s.
+The drain tests check that a service's cached finalize harness takes its
+supervised probe children down with it on ``drain()`` and ``shutdown()``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -17,7 +21,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.fuzzer import FuzzerOptions
+from repro.perf.parallel import CampaignSpec
+from repro.robustness import RobustnessConfig
 from repro.robustness.supervisor import MP_CONTEXT
+from repro.service import (
+    CampaignManifest,
+    CampaignService,
+    CampaignStore,
+    ServiceConfig,
+)
+from repro.service import state as st
 
 pytestmark = pytest.mark.skipif(
     MP_CONTEXT.get_start_method() != "fork", reason="needs fork workers"
@@ -129,3 +143,31 @@ def test_supervised_probe_workers_exit_when_the_parent_is_killed():
 def test_mixed_workers_exit_when_the_parent_is_killed(first, second):
     script = MIXED.format(first=first, second=second)
     assert _kill_holder_and_wait(script, workers_held=4) == []
+
+
+@pytest.mark.parametrize("stop", ["drain", "shutdown"])
+def test_no_probe_children_survive_a_stopped_service(tmp_path, stop):
+    spec = CampaignSpec(
+        kind="core",
+        target_names=("SwiftShader", "NVIDIA"),
+        reference_names=("arith_mix_0", "loop_sum_5"),
+        donor_names=("donor_math_0",),
+        options=FuzzerOptions(max_transformations=40),
+        robustness=RobustnessConfig(probe_timeout=5.0),
+    )
+    service = CampaignService(
+        CampaignStore(tmp_path / "store"),
+        ServiceConfig(workers=1, batch_size=2, poll_interval=0.02),
+    )
+    service.start()
+    try:
+        assert service.submit(CampaignManifest("c0", spec, (0, 1), reduce=1)) is None
+        service.run_until_idle(max_seconds=120)
+        assert service.store.state("c0") == st.DONE
+        # The fleet worker plus the cached finalize harness's probe child.
+        assert len(multiprocessing.active_children()) >= 2
+        if stop == "drain":
+            assert service.drain(max_seconds=30.0)
+    finally:
+        service.shutdown()
+    assert multiprocessing.active_children() == []
