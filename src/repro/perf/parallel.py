@@ -121,16 +121,18 @@ def spec_names_for(programs: Sequence, factory) -> tuple[str, ...]:
     return names
 
 
-def seed_shards(
-    seeds: Sequence[int], workers: int, *, per_worker: int = 4
-) -> list[list[int]]:
-    """Contiguous, order-preserving chunks of *seeds*; several per worker so
-    a slow chunk (seed cost varies with the variant) cannot serialize the
-    pool."""
+#: Campaign shards per worker: several, so a slow shard (seed cost varies
+#: with the variant) cannot serialize the pool.
+SHARDS_PER_WORKER = 4
+
+
+def seed_shards(seeds: Sequence[int], workers: int) -> list[list[int]]:
+    """Contiguous, order-preserving chunks of *seeds*,
+    :data:`SHARDS_PER_WORKER` per worker."""
     seeds = list(seeds)
     if not seeds:
         return []
-    count = min(len(seeds), max(1, workers) * max(1, per_worker))
+    count = min(len(seeds), max(1, workers) * SHARDS_PER_WORKER)
     base, extra = divmod(len(seeds), count)
     shards = []
     position = 0

@@ -1,9 +1,11 @@
 """One spec-keyed worker pool for campaign shards and reduction probes.
 
-A :class:`WorkerPool` owns one ``ProcessPoolExecutor`` whose workers are
-primed (via the initializer) with *specs*: picklable-or-inheritable recipes
-that build, once per worker per spec, a *runner* for that spec's items.
-Submissions ship only a spec key and a list of small items:
+A :class:`WorkerPool` runs its workers on
+:class:`~repro.robustness.supervisor.WorkerProcess`, the package's one
+forked worker.  Each worker's serve function holds the pool's *specs*:
+picklable-or-inheritable recipes that build, once per worker per spec, a
+*runner* for that spec's items.  Submissions ship only a spec key and a
+list of small items:
 
 * a :class:`~repro.perf.parallel.CampaignSpec` builds a campaign harness;
   its items are seeds and each reply is that seed's ``run_seed`` result.
@@ -18,12 +20,11 @@ Submissions ship only a spec key and a list of small items:
   :class:`~repro.robustness.reduction.FlakeHardenedOracle` decision record
   in ``decide`` mode.
 
-Under the ``fork`` start method the initializer arguments are inherited,
-never pickled, so even closure-heavy oracles ship on POSIX; elsewhere the
-spec must pickle (:meth:`WorkerPool.shippable` checks, callers fall back
-inline).
+Under the ``fork`` start method the specs are inherited, never pickled, so
+even closure-heavy oracles ship on POSIX; elsewhere the spec must pickle
+(:meth:`WorkerPool.shippable` checks, callers fall back inline).
 
-One worker entry point serves every spec.  It answers each item of a
+One serve function serves every spec.  It answers each item of a
 submission with ``("ok", value, None)`` or ``("error", type, message)`` —
 exceptions do not round-trip through pickling, and a failure in one item
 does not poison the others — and drains the runner's counters once per
@@ -36,33 +37,29 @@ parent's oracle raises it at *commit* time, so a speculative abort that
 never commits cannot kill a reduction.
 
 **Worker death.**  A worker that dies hard (``SIGKILL``, the OOM killer,
-``os._exit``) breaks the whole executor and loses every submission in
-flight.  The pool respawns and re-dispatches each lost item once, on its
-own and alone in the pool, so a second loss convicts that item; an item
-lost twice runs in the parent on a runner built from its spec — what a
-``workers=1`` run does anyway.  Runners are deterministic in their spec, so
-every recovered reply equals the one the dead worker would have sent.
+``os._exit``, a reply that would not pickle) loses only its own
+submission; the other workers' submissions run on.  The pool re-dispatches
+each lost item on its own to a fresh worker, so a second loss convicts that
+item; an item lost twice runs in the parent on a runner built from its
+spec — what a ``workers=1`` run does anyway.  Runners are deterministic in
+their spec, so every recovered reply equals the one the dead worker would
+have sent.  Like every ``WorkerProcess``, no pool worker outlives a
+SIGKILLed parent.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing.connection
 import pickle
 from collections import deque
 from contextlib import contextmanager
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as wait_futures
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.observability import Metrics
-from repro.robustness.supervisor import MP_CONTEXT
-
-#: Per-process state built lazily from the initializer's specs:
-#: ``{"specs": {key: spec}, "runners": {key: runner}}``.
-_STATE: dict[str, Any] = {}
+from repro.robustness.supervisor import MP_CONTEXT, WorkerDied, WorkerProcess
 
 
 class WorkerProbeError(RuntimeError):
@@ -243,50 +240,39 @@ class FindingProbeSpec:
         return _ProbeRunner(items, probe=probe, replayer=replayer, harness=harness)
 
 
-def _run_items(runner_for: Callable[[], Any], items: list) -> tuple[list, Any]:
-    """Run *items* on one runner: one reply per item, one drained delta."""
-    replies = []
-    runner = None
-    for item in items:
-        try:
-            runner = runner_for()
-            replies.append(("ok", runner.run(item), None))
-        except Exception as exc:  # noqa: BLE001 - marshalled to the parent
-            replies.append(("error", type(exc).__name__, str(exc)))
-    return replies, runner.drain() if runner is not None else None
+class _Runners:
+    """Runners built on first use, one per spec key.
 
+    A pool worker's serve function, answering each ``(key, items)`` request
+    with one ``(replies, delta)``; the parent keeps one more for the items
+    that kill workers.
+    """
 
-def _init_worker(specs: dict) -> None:
-    _STATE["specs"] = specs
-    _STATE["runners"] = {}
+    def __init__(self, specs: dict[str, Any]) -> None:
+        self.specs = specs
+        self.runners: dict[str, Any] = {}
 
+    def __call__(self, request: tuple[str, list]) -> Iterator[tuple[list, Any]]:
+        yield self.run(*request)
 
-def _runner_for(key: str) -> Any:
-    runner = _STATE["runners"].get(key)
-    if runner is None:
-        runner = _STATE["runners"][key] = _build_runner(_STATE["specs"][key])
-    return runner
+    def run(self, key: str, items: list) -> tuple[list, Any]:
+        """Run *items* on *key*'s runner: one reply per item, one drained
+        delta."""
+        replies = []
+        runner = None
+        for item in items:
+            try:
+                runner = self._runner(key)
+                replies.append(("ok", runner.run(item), None))
+            except Exception as exc:  # noqa: BLE001 - marshalled to the parent
+                replies.append(("error", type(exc).__name__, str(exc)))
+        return replies, runner.drain() if runner is not None else None
 
-
-def _work(key: str, items: list) -> tuple[list, Any]:
-    """The worker entry point: one submission on the runner for *key*."""
-    return _run_items(lambda: _runner_for(key), items)
-
-
-def _lost(future: Any) -> bool:
-    """Did a worker death lose this submission (or the executor break
-    before it was sent)?  Blocks until *future* finishes."""
-    return future is None or isinstance(future.exception(), BrokenProcessPool)
-
-
-def _outcome(future: Any, count: int) -> tuple[list, Any] | None:
-    """A finished submission's ``(replies, delta)``; ``None`` if lost."""
-    if _lost(future):
-        return None
-    error = future.exception()
-    if error is not None:  # e.g. a reply that would not pickle
-        return [("error", type(error).__name__, str(error))] * count, None
-    return future.result()
+    def _runner(self, key: str) -> Any:
+        runner = self.runners.get(key)
+        if runner is None:
+            runner = self.runners[key] = _build_runner(self.specs[key])
+        return runner
 
 
 class WorkerPool:
@@ -295,9 +281,10 @@ class WorkerPool:
     One pool serves many concurrent submitters (``Harness.reduce_all``
     drives one session per finding): every worker can run every spec, so a
     long reduction cannot strand idle workers behind a finished one.
-    ``capacity`` bounds the items a driver should keep in flight (twice the
-    workers, so workers never starve between result pickup and
-    redispatch).
+    Workers start on demand, up to ``workers``, and each runs one
+    submission at a time; the rest queue in the parent.  ``capacity``
+    bounds the items a driver should keep in flight (twice the workers, so
+    workers never starve between result pickup and redispatch).
     """
 
     def __init__(self, specs: dict[str, Any], workers: int | None) -> None:
@@ -306,19 +293,22 @@ class WorkerPool:
         self.specs = dict(specs)
         self.workers = workers if workers and workers > 0 else default_worker_count()
         self.capacity = self.workers * 2
-        self._executor: ProcessPoolExecutor | None = None
         self._tickets = itertools.count()
-        self._pending: dict[int, tuple[str, list, Any]] = {}
+        #: Submissions no worker has taken yet: ``(ticket, key, items)``.
+        self._queue: deque[tuple[int, str, list]] = deque()
+        self._workers: list[WorkerProcess] = []
+        #: The submission each busy worker is running.
+        self._busy: dict[WorkerProcess, tuple[int, str, list]] = {}
         #: Finished submissions not yet handed out: ``ticket -> (replies,
         #: recovered)``.
         self._done: dict[int, tuple[list, bool]] = {}
         self._deltas: dict[str, Metrics] = {}
-        self._parent_runners: dict[str, Any] = {}
+        self._parent = _Runners(self.specs)
 
     @staticmethod
     def shippable(spec: Any) -> bool:
-        """Can *spec* reach a worker? Always under ``fork`` (initializer args
-        are inherited); otherwise only if it pickles."""
+        """Can *spec* reach a worker? Always under ``fork`` (the serve
+        function is inherited); otherwise only if it pickles."""
         if MP_CONTEXT.get_start_method() == "fork":
             return True
         try:
@@ -327,20 +317,14 @@ class WorkerPool:
         except Exception:  # noqa: BLE001 - any pickling failure means "no"
             return False
 
-    @classmethod
-    def for_spec(cls, key: str, spec: Any, workers: int) -> "WorkerPool | None":
-        """A single-spec pool, or ``None`` when *spec* cannot reach worker
-        processes (the caller then runs inline)."""
-        return cls({key: spec}, workers) if cls.shippable(spec) else None
-
     # -- submissions ---------------------------------------------------------------
 
     def submit(self, key: str, items: Iterable) -> int:
         """Ship *items* to one worker in a single round-trip; returns the
         ticket :meth:`wait` / :meth:`result` answer under."""
         ticket = next(self._tickets)
-        items = list(items)
-        self._pending[ticket] = (key, items, self._dispatch(key, items))
+        self._queue.append((ticket, key, list(items)))
+        self._dispatch()
         return ticket
 
     def wait(self, timeout: float | None = None) -> dict[int, tuple[list, bool]]:
@@ -355,7 +339,7 @@ class WorkerPool:
     def result(self, ticket: int) -> list:
         """Block until submission *ticket* finishes; its replies."""
         while ticket not in self._done:
-            if not self._pending:
+            if not self._busy:
                 raise KeyError(f"no pending submission {ticket}")
             self._collect(None)
         return self._done.pop(ticket)[0]
@@ -378,80 +362,81 @@ class WorkerPool:
 
     # -- internals -----------------------------------------------------------------
 
-    def _ensure(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=MP_CONTEXT,
-                initializer=_init_worker,
-                initargs=(self.specs,),
-            )
-        return self._executor
+    def _spawn(self) -> WorkerProcess:
+        worker = WorkerProcess(_Runners(self.specs), name="pool-worker")
+        self._workers.append(worker)
+        return worker
 
-    def _dispatch(self, key: str, items: list) -> Any:
-        try:
-            return self._ensure().submit(_work, key, items)
-        except BrokenProcessPool:
-            return None  # lost before it left; _collect recovers it
+    def _dispatch(self) -> None:
+        """Hand queued submissions to idle workers, starting workers up to
+        ``workers``."""
+        idle = [worker for worker in self._workers if worker not in self._busy]
+        while self._queue:
+            if idle:
+                worker = idle.pop()
+            elif len(self._workers) < self.workers:
+                worker = self._spawn()
+            else:
+                return
+            submission = self._queue.popleft()
+            worker.send(submission[1:])  # a dead worker fails its recv
+            self._busy[worker] = submission
 
     def _absorb(self, key: str, delta: Any) -> None:
         if delta:
             self._deltas.setdefault(key, Metrics()).merge(delta)
 
     def _collect(self, timeout: float | None) -> None:
-        """Move finished submissions into ``_done``; after a worker death,
-        recover every submission the executor lost."""
-        futures = [future for _, _, future in self._pending.values()]
-        if not futures:
+        """Move finished submissions into ``_done`` (recovering any a worker
+        death lost), then refill the idle workers."""
+        busy = {worker.conn: worker for worker in self._busy}
+        if not busy:
             return
-        if None not in futures:
-            wait_futures(futures, timeout=timeout, return_when=FIRST_COMPLETED)
-        if any(future is None or (future.done() and _lost(future)) for future in futures):
-            # The executor is broken: everything still in flight is lost too.
-            wait_futures([future for future in futures if future is not None])
-        lost = []
-        for ticket, (key, items, future) in list(self._pending.items()):
-            if future is not None and not future.done():
+        for conn in multiprocessing.connection.wait(list(busy), timeout):
+            worker = busy[conn]
+            ticket, key, items = self._busy.pop(worker)
+            try:
+                replies, delta = worker.recv()
+            except WorkerDied:
+                self._workers.remove(worker)
+                self._done[ticket] = (self._recover(key, items), True)
                 continue
-            del self._pending[ticket]
-            outcome = _outcome(future, len(items))
-            if outcome is None:
-                lost.append((ticket, key, items))
-                continue
-            replies, delta = outcome
             self._absorb(key, delta)
             self._done[ticket] = (replies, False)
-        if lost:
-            self._respawn()
-            for ticket, key, items in lost:
-                self._done[ticket] = ([self._retry(key, item) for item in items], True)
+        self._dispatch()
 
-    def _retry(self, key: str, item: Any) -> tuple:
-        """Re-dispatch one lost item alone in the pool; lost again, it runs
-        in the parent on a runner built from its spec."""
-        outcome = _outcome(self._dispatch(key, [item]), 1)
-        if outcome is None:
-            self._respawn()
-            outcome = _run_items(lambda: self._parent_runner(key), [item])
-        replies, delta = outcome
-        self._absorb(key, delta)
-        return replies[0]
-
-    def _parent_runner(self, key: str) -> Any:
-        runner = self._parent_runners.get(key)
-        if runner is None:
-            runner = self._parent_runners[key] = _build_runner(self.specs[key])
-        return runner
-
-    def _respawn(self) -> None:
-        """Drop the broken executor; the next dispatch starts a fresh one."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+    def _recover(self, key: str, items: list) -> list:
+        """Re-dispatch a dead worker's items one at a time to a fresh
+        worker; an item lost again runs in the parent on a runner built
+        from its spec."""
+        replies = []
+        worker = None
+        for item in items:
+            if worker is None:
+                worker = self._spawn()
+            worker.send((key, [item]))
+            try:
+                (reply,), delta = worker.recv()
+            except WorkerDied:
+                self._workers.remove(worker)
+                worker = None
+                (reply,), delta = self._parent.run(key, [item])
+            self._absorb(key, delta)
+            replies.append(reply)
+        return replies
 
     def close(self) -> None:
-        self._respawn()
-        self._parent_runners.clear()
+        """Stop idle workers; kill busy ones — their replies are no longer
+        wanted (a discarded speculative probe, say)."""
+        for worker in self._workers:
+            if worker in self._busy:
+                worker.kill()
+            else:
+                worker.stop()
+        self._workers.clear()
+        self._busy.clear()
+        self._queue.clear()
+        self._parent.runners.clear()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -470,7 +455,8 @@ def owned_pool(
     if pool is not None or workers <= 1:
         yield pool
         return
-    owned = WorkerPool.for_spec(key, make_spec(), workers)
+    spec = make_spec()
+    owned = WorkerPool({key: spec}, workers) if WorkerPool.shippable(spec) else None
     try:
         yield owned
     finally:

@@ -2,8 +2,9 @@
 
 :class:`WorkerProcess` is the one forked worker in the package: a child
 that loops over a request pipe and streams one reply per finished item.
-The service's :class:`~repro.service.fleet.WorkerFleet` and
-:class:`SupervisedTarget` both run on it.
+The service's :class:`~repro.service.fleet.WorkerFleet`, the
+:class:`~repro.perf.pool.WorkerPool` behind parallel campaigns and
+reductions, and :class:`SupervisedTarget` all run on it.
 
 In-process probes are fast but fragile: a hang, runaway allocation, or hard
 crash in a buggy optimization pass takes the whole campaign (and every
@@ -38,8 +39,8 @@ from repro.compilers.wrapper import TargetWrapper, find_wrapper
 from repro.observability import NULL_TRACER, as_tracer
 from repro.robustness.config import RobustnessConfig
 
-#: The one multiprocessing context every worker process in the package
-#: starts from (probe children, service fleet workers, worker pools).
+#: The multiprocessing context of :class:`WorkerProcess`, the package's one
+#: forked worker (under probe children, fleet workers and pool workers).
 #: ``fork`` keeps worker start-up cheap and lets non-picklable test doubles
 #: ride along; platforms without it (Windows, macOS spawn-default) fall back
 #: to the default context, which requires picklable serve functions.
@@ -47,11 +48,12 @@ MP_CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )
 
-#: Every live :class:`WorkerProcess` this process holds.  A forked child
-#: inherits each one's parent-side pipe end; as long as it holds such a copy
-#: that worker's ``recv()`` never sees EOF, so it would outlive a SIGKILLed
-#: parent.  The child closes them all first and clears the registry.  A
-#: spawned child re-imports this module, so its registry starts empty.
+#: Every live :class:`WorkerProcess` this process holds — fleet, pool and
+#: probe workers alike.  A forked child inherits each one's parent-side pipe
+#: end; as long as it holds such a copy that worker's ``recv()`` never sees
+#: EOF, so it would outlive a SIGKILLed parent.  The child closes them all
+#: first and clears the registry.  A spawned child re-imports this module,
+#: so its registry starts empty.
 _LIVE: "weakref.WeakSet[WorkerProcess]" = weakref.WeakSet()
 
 #: How long a worker that was asked to exit (or whose pipe hit EOF) gets
@@ -104,8 +106,8 @@ def _worker_main(
     for worker in list(_LIVE):
         worker.conn.close()
     _LIVE.clear()
-    # A fleet worker supervises its own probes when its spec asks for it,
-    # and a daemonic process may not fork.  Its probe children need no
+    # A fleet or pool worker supervises its own probes when its spec asks
+    # for it, and a daemonic process may not fork.  Its probe children need no
     # daemon reaping: they exit on pipe EOF when it dies.
     multiprocessing.current_process().daemon = False
     _install_drain_handler(conn)

@@ -14,7 +14,7 @@ from repro.core.transformation import sequence_to_json
 from repro.corpus import reference_programs
 from repro.ir import IntType, ModuleBuilder, VoidType
 from repro.perf import CampaignSpec, spec_names_for
-from repro.perf.parallel import seed_shards
+from repro.perf.parallel import SHARDS_PER_WORKER, seed_shards
 
 
 def _finding_identity(finding):
@@ -82,7 +82,7 @@ class TestParallelCampaign:
             raise AssertionError("degraded campaign must not build a pool")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(pool_mod, "WorkerProcess", boom)
         seeds = range(4)
         serial = _small_harness(references, donors).run_campaign(seeds)
         harness = _small_harness(references, donors)
@@ -98,7 +98,7 @@ class TestParallelCampaign:
         def boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("degraded campaign must not build a pool")
 
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(pool_mod, "WorkerProcess", boom)
         harness = _small_harness(references, donors)
         result = harness.run_campaign(range(1), workers=4)
         assert harness.metrics.counter("parallel.degraded") == 1
@@ -110,7 +110,7 @@ class TestParallelCampaign:
         def boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("workers=1 must stay on the serial path")
 
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(pool_mod, "WorkerProcess", boom)
         result = _small_harness(references, donors).run_campaign(range(2), workers=1)
         assert len(result.seed_runs) == 2
 
@@ -146,9 +146,9 @@ class TestCampaignSpec:
 
     def test_sharding_preserves_order_and_covers_all_seeds(self):
         seeds = list(range(17))
-        shards = seed_shards(seeds, 3, per_worker=2)
+        shards = seed_shards(seeds, 3)
         assert [s for shard in shards for s in shard] == seeds
-        assert len(shards) == 6
+        assert len(shards) == 3 * SHARDS_PER_WORKER
         assert max(len(s) for s in shards) - min(len(s) for s in shards) <= 1
 
     def test_unknown_spec_kind_raises(self):

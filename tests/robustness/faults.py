@@ -128,14 +128,15 @@ class FlakyTarget:
 
 
 class _CrashyHarness:
-    """Kills its worker process for designated seeds; well-behaved in the
-    parent (``multiprocessing.parent_process()`` is None there), so the
-    pool's in-parent fallback can recover the lost seed.  Each run records
-    where it ran in its program name: ``crashy@worker`` or
-    ``crashy@parent``."""
+    """Kills its worker process for designated seeds, and takes half a
+    second over others; well-behaved in the parent
+    (``multiprocessing.parent_process()`` is None there), so the pool's
+    in-parent fallback can recover the lost seed.  Each run records where it
+    ran in its program name: ``crashy@worker`` or ``crashy@parent``."""
 
-    def __init__(self, kill_seeds) -> None:
+    def __init__(self, kill_seeds, slow_seeds=()) -> None:
         self.kill_seeds = set(kill_seeds)
+        self.slow_seeds = set(slow_seeds)
 
     def run_seed(self, seed: int):
         import multiprocessing
@@ -145,6 +146,8 @@ class _CrashyHarness:
         in_worker = multiprocessing.parent_process() is not None
         if seed in self.kill_seeds and in_worker:
             os._exit(42)
+        if seed in self.slow_seeds and in_worker:
+            time.sleep(0.5)
         return SeedRun(
             program_name="crashy@worker" if in_worker else "crashy@parent",
             seed=seed,
@@ -157,6 +160,7 @@ class CrashySpec:
     """A CampaignSpec stand-in whose harness kills workers on chosen seeds."""
 
     kill_seeds: tuple = ()
+    slow_seeds: tuple = ()
 
     def build(self) -> _CrashyHarness:
-        return _CrashyHarness(self.kill_seeds)
+        return _CrashyHarness(self.kill_seeds, self.slow_seeds)

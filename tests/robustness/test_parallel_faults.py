@@ -1,17 +1,20 @@
 """Worker death in parallel campaigns: one lost seed, not one lost campaign.
 
-After a worker death the pool re-dispatches each lost seed alone; only a
-seed lost a second time — the one that kills its worker — runs in the
-parent.
+A worker death loses only that worker's submission.  The pool re-dispatches
+each of its seeds alone; only a seed lost a second time — the one that
+kills its worker — runs in the parent.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import time
 
 from repro.compilers import make_targets
 from repro.core.harness import Harness
 from repro.corpus import donor_programs, reference_programs
 from repro.perf.parallel import seed_shards
-from repro.perf.pool import WorkerPool
+from repro.perf.pool import WorkerPool, reply_value
 
 from tests.robustness.faults import CrashySpec
 
@@ -48,6 +51,38 @@ def test_on_shard_result_sees_every_seed_in_order():
         [run for run in flattened if run.seed in shard]
         for shard in seed_shards(SEEDS, 2)
     ]
+
+
+def test_a_death_loses_only_the_dead_workers_submission():
+    # Seed 0 kills its worker at once; seed 4 keeps the other worker busy
+    # for half a second, so its shard is still in flight when the first dies.
+    spec = CrashySpec(kill_seeds=(0,), slow_seeds=(4,))
+    with WorkerPool({"campaign": spec}, 2) as pool:
+        doomed = pool.submit("campaign", [0, 1, 2, 3])
+        survivor = pool.submit("campaign", [4, 5, 6, 7])
+        finished: dict = {}
+        while len(finished) < 2:
+            finished.update(pool.wait())
+    survivor_replies, survivor_recovered = finished[survivor]
+    doomed_replies, doomed_recovered = finished[doomed]
+    assert (doomed_recovered, survivor_recovered) == (True, False)
+    survivors = [reply_value(reply) for reply in survivor_replies]
+    assert [run.seed for run in survivors] == [4, 5, 6, 7]
+    assert {run.program_name for run in survivors} == {"crashy@worker"}
+    runs = [reply_value(reply) for reply in doomed_replies] + survivors
+    assert [run.seed for run in runs] == SEEDS
+    assert _in_parent(runs) == [0]
+
+
+def test_close_kills_a_busy_worker_instead_of_waiting_for_it():
+    before = set(multiprocessing.active_children())
+    pool = WorkerPool({"campaign": CrashySpec(slow_seeds=(0,))}, 2)
+    pool.submit("campaign", [0])
+    started = time.monotonic()
+    pool.close()
+    assert time.monotonic() - started < 0.5  # the slow seed's own duration
+    assert set(multiprocessing.active_children()) <= before
+    assert pool.wait() == {}  # nothing pending: returns at once
 
 
 def test_only_the_killing_seeds_run_in_the_parent():

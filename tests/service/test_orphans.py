@@ -1,5 +1,5 @@
-"""Forked workers must not outlive a SIGKILLed parent, nor a stopped
-service.
+"""Forked workers — fleet, probe and pool workers — must not outlive a
+SIGKILLed parent, nor a stopped service.
 
 A forked child inherits the parent's end of its own request pipe (and of
 every pipe opened before it); unless it closes them, its ``recv()`` never
@@ -80,6 +80,24 @@ print(*first, *second, flush=True)
 time.sleep(120)
 """
 
+#: A 2-worker ``WorkerPool`` that has run work on both workers, optionally
+#: after a probe child was forked: pool workers must close that child's
+#: pipe end too, or they keep it alive.
+POOL = """
+import multiprocessing
+import time
+from repro.compilers import make_target
+from repro.perf.pool import CallableProbeSpec, WorkerPool
+from repro.robustness import RobustnessConfig, SupervisedTarget
+if {probe_first}:
+    target = SupervisedTarget(make_target("Mesa"), RobustnessConfig(probe_timeout=5.0))
+    target._ensure_worker()
+pool = WorkerPool({{"probe": CallableProbeSpec(test=bool, items=(1, 2))}}, 2)
+list(pool.map("probe", [[(0,)], [(1,)]]))
+print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+time.sleep(120)
+"""
+
 
 def _exited(pid: int) -> bool:
     """True once *pid* is gone or a zombie waiting for its new parent."""
@@ -143,6 +161,16 @@ def test_supervised_probe_workers_exit_when_the_parent_is_killed():
 def test_mixed_workers_exit_when_the_parent_is_killed(first, second):
     script = MIXED.format(first=first, second=second)
     assert _kill_holder_and_wait(script, workers_held=4) == []
+
+
+@pytest.mark.parametrize(
+    "probe_first, workers_held",
+    [(False, 2), (True, 3)],
+    ids=["pool", "supervised-then-pool"],
+)
+def test_pool_workers_exit_when_the_parent_is_killed(probe_first, workers_held):
+    script = POOL.format(probe_first=probe_first)
+    assert _kill_holder_and_wait(script, workers_held=workers_held) == []
 
 
 @pytest.mark.parametrize("stop", ["drain", "shutdown"])
