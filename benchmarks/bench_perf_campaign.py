@@ -285,6 +285,7 @@ def bench_hardened_reduction(
     tests) and cheap in *probes*: acceptance confirmation votes are the only
     extra work, bounded here at < 1.5x the raw reducer's tests-run.
     """
+    from repro.reduce import ReductionConfig
     from repro.robustness import ReductionPolicy
 
     harness = Harness(
@@ -314,7 +315,9 @@ def bench_hardened_reduction(
         raw_tests += raw.tests_run
 
         started = time.perf_counter()
-        hardened = harness.reduce_finding(finding, policy=ReductionPolicy())
+        hardened = harness.reduce_finding(
+            finding, ReductionConfig(policy=ReductionPolicy())
+        )
         hardened_seconds += time.perf_counter() - started
         hardened_tests += hardened.tests_run
         hardened_probes += hardened.stability["probes"]
@@ -359,7 +362,7 @@ def bench_pass_pipeline(
     chain's probe count, and its result must be worker-count invariant
     (K=1 vs K=2 byte-identical).
     """
-    from repro.reduce import DEFAULT_PASS_NAMES
+    from repro.reduce import DEFAULT_PASS_NAMES, ReductionConfig
 
     harness = Harness(
         [make_target(name) for name in NON_GPU_TARGET_NAMES],
@@ -384,7 +387,9 @@ def bench_pass_pipeline(
     identical = True
     for finding in findings:
         started = time.perf_counter()
-        chain = harness.reduce_finding(finding, shrink_function_payloads=True)
+        chain = harness.reduce_finding(
+            finding, ReductionConfig(shrink_function_payloads=True)
+        )
         cleaned = harness.spirv_cleanup(finding, chain.transformations)
         chain_seconds += time.perf_counter() - started
         chain_probes += chain.tests_run + cleaned.tests_run
@@ -392,7 +397,9 @@ def bench_pass_pipeline(
         chain_instructions += sum(1 for _ in cleaned.module.all_instructions())
 
         started = time.perf_counter()
-        piped = harness.reduce_finding(finding, passes=DEFAULT_PASS_NAMES)
+        piped = harness.reduce_finding(
+            finding, ReductionConfig(passes=DEFAULT_PASS_NAMES)
+        )
         pipeline_seconds += time.perf_counter() - started
         pipeline_probes += piped.tests_run
         pipeline_length += len(piped.transformations)
@@ -402,7 +409,7 @@ def bench_pass_pipeline(
             )
 
         parallel = harness.reduce_finding(
-            finding, passes=DEFAULT_PASS_NAMES, workers=2
+            finding, ReductionConfig(passes=DEFAULT_PASS_NAMES, workers=2)
         )
         identical = identical and (
             sequence_to_json(parallel.transformations)
@@ -459,6 +466,7 @@ def bench_parallel_reduction(
     sleeping probes overlap even on one core).
     """
     from repro.compilers.wrapper import DelayedTarget
+    from repro.reduce import ReductionConfig
 
     options = FuzzerOptions(max_transformations=max_transformations)
     harvest = Harness(
@@ -493,7 +501,7 @@ def bench_parallel_reduction(
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    fleet = delayed.reduce_all(findings, workers=workers)
+    fleet = delayed.reduce_all(findings, ReductionConfig(workers=workers))
     parallel_seconds = time.perf_counter() - started
 
     identical = all(

@@ -180,28 +180,7 @@ def reduce_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.resume and args.reduce_journal is None:
         parser.error("--resume requires --reduce-journal")
-    passes = None
-    if args.reduce_passes is not None:
-        from repro.reduce import DEFAULT_PASS_NAMES, PASS_REGISTRY
-
-        passes = []
-        for name in args.reduce_passes.split(","):
-            name = name.strip()
-            if not name:
-                continue
-            if name == "default":
-                passes.extend(DEFAULT_PASS_NAMES)
-            elif name in PASS_REGISTRY:
-                passes.append(name)
-            else:
-                parser.error(
-                    f"unknown reduction pass {name!r} "
-                    f"(available: {', '.join(sorted(PASS_REGISTRY))}, default)"
-                )
-        if not passes:
-            parser.error("--reduce-passes needs at least one pass name")
-    elif args.giveup is not None:
-        parser.error("--giveup requires --reduce-passes")
+    config = _reduction_config(parser, args)
 
     record = json.loads(args.log.read_text())
     program = _reference(record["reference"])
@@ -216,13 +195,6 @@ def reduce_main(argv: list[str] | None = None) -> int:
         robustness = RobustnessConfig(
             probe_timeout=args.probe_timeout,
             memory_limit_mb=args.probe_memory_mb,
-        )
-    policy = None
-    if args.reduce_retries is not None:
-        from repro.robustness import ReductionPolicy
-
-        policy = ReductionPolicy(
-            fault_retries=args.reduce_retries, max_seconds=args.reduce_timeout
         )
     harness = Harness(
         [target],
@@ -258,16 +230,7 @@ def reduce_main(argv: list[str] | None = None) -> int:
             ground_truth_bug=ground_truth,
         )
         reduction = harness.reduce_finding(
-            finding,
-            max_seconds=args.reduce_timeout,
-            policy=policy,
-            journal=args.reduce_journal,
-            resume=args.resume,
-            workers=args.reduce_workers,
-            window=args.reduce_window,
-            probe_batch=args.probe_batch,
-            passes=passes,
-            giveup=args.giveup,
+            finding, config, journal=args.reduce_journal, resume=args.resume
         )
         variant = harness.reduced_variant(finding, reduction)
     finally:
@@ -324,6 +287,33 @@ def reduce_main(argv: list[str] | None = None) -> int:
         print(f"result written to {args.out_json}")
     print("\n".join(diff_lines(program.module, variant)))
     return 0
+
+
+def _reduction_config(parser: argparse.ArgumentParser, args) -> "object":
+    """The :class:`~repro.reduce.ReductionConfig` for ``repro-reduce``'s
+    flags; an invalid combination exits through ``parser.error``."""
+    from repro.reduce import DEFAULT_PASS_NAMES, ReductionConfig
+    from repro.robustness import ReductionPolicy
+
+    passes = policy = None
+    if args.reduce_passes is not None:
+        passes = []
+        for name in filter(None, map(str.strip, args.reduce_passes.split(","))):
+            passes.extend(DEFAULT_PASS_NAMES if name == "default" else [name])
+    if args.reduce_retries is not None:
+        policy = ReductionPolicy(fault_retries=args.reduce_retries)
+    try:
+        return ReductionConfig(
+            passes=passes,
+            giveup=args.giveup,
+            workers=args.reduce_workers,
+            window=args.reduce_window,
+            probe_batch=args.probe_batch,
+            max_seconds=args.reduce_timeout,
+            policy=policy,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def dedup_main(argv: list[str] | None = None) -> int:

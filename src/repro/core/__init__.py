@@ -24,7 +24,6 @@ from repro.core.harness import (
     Harness,
     SeedRun,
     classify_outcome,
-    run_quick_campaign,
 )
 from repro.core.reducer import (
     PayloadShrinkResult,
@@ -84,7 +83,6 @@ __all__ = [
     "reduce_transformations",
     "replay",
     "shrink_add_function_payloads",
-    "run_quick_campaign",
     "score_against_ground_truth",
     "sequence_from_json",
     "sequence_to_json",

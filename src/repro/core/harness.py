@@ -214,6 +214,7 @@ class Harness:
         self.batch_probes = batch_probes
         self._probe_cache_shipped: dict[str, int] = {}
         self._probe_cache_emitted: dict[str, int] = {}
+        self._probe_batch_emitted: dict[str, int] = {}
         self.references = list(references)
         self.donors = list(donors)
         options = options or FuzzerOptions()
@@ -649,9 +650,8 @@ class Harness:
             name: self.metrics.counter(name)
             for name in ("probe_batch.batches", "probe_batch.probes")
         }
-        emitted = getattr(self, "_probe_batch_emitted", {})
         delta = {
-            name.split(".", 1)[1]: value - emitted.get(name, 0)
+            name.split(".", 1)[1]: value - self._probe_batch_emitted.get(name, 0)
             for name, value in current.items()
         }
         self._probe_batch_emitted = current
@@ -807,18 +807,16 @@ class Harness:
         )
 
     def _reduction_pool(
-        self,
-        findings: "dict[str, Finding]",
-        workers: int,
-        *,
-        policy: "object | None" = None,
+        self, findings: "dict[str, Finding]", config: "object"
     ) -> "object | None":
-        """One :class:`~repro.perf.pool.WorkerPool` over *findings*
-        (keyed by session key), whose workers run the fault-tolerant decision
-        pipeline when a *policy* is given; ``None`` when some finding cannot
-        be shipped to workers (the reductions then run inline)."""
+        """One :class:`~repro.perf.pool.WorkerPool` over *findings* (keyed by
+        session key), whose workers run the fault-tolerant decision pipeline
+        when the resolved *config* carries a policy; ``None`` when some
+        finding cannot be shipped to workers (the reductions then run
+        inline)."""
         from repro.perf.pool import WorkerPool
 
+        policy = config.policy
         try:
             specs = {
                 key: self.finding_probe_spec(
@@ -830,7 +828,7 @@ class Harness:
             return None
         if not all(WorkerPool.shippable(spec) for spec in specs.values()):
             return None
-        return WorkerPool(specs, workers)
+        return WorkerPool(specs, config.workers)
 
     def _reduction_session(
         self,
@@ -838,25 +836,23 @@ class Harness:
         key: str,
         pool: "object | None",
         replayer: "object",
+        config: "object",
         *,
-        policy: "object | None",
         journal: "object | None" = None,
         resume: bool = False,
-        workers: int | None = None,
-        window: int | None = None,
-        max_seconds: float | None = None,
     ) -> "object":
         """The one :class:`~repro.perf.parallel_reduce.ReductionSession` for
-        *finding*: fault-tolerant when a resolved *policy* is given (the
-        flake-hardened oracle is its commit hook), plain otherwise; inline
-        without a *pool*."""
+        *finding*: fault-tolerant when the resolved *config* carries a
+        policy (the flake-hardened oracle is its commit hook), plain
+        otherwise; inline without a *pool*."""
         from repro.perf.parallel_reduce import ReductionSession
 
         test = oracle = None
-        if policy is None:
+        if config.policy is None:
             if pool is None:  # a pooled session verifies in its workers
                 test = self.make_interestingness_test(finding, replayer=replayer)
-            deadline = None if max_seconds is None else time.monotonic() + max_seconds
+            budget = config.budget
+            deadline = None if budget is None else time.monotonic() + budget
         else:
             from repro.robustness import FlakeHardenedOracle, find_supervised
 
@@ -864,7 +860,7 @@ class Harness:
             oracle = FlakeHardenedOracle.for_reduction(
                 finding.transformations,
                 self.make_probe_test(finding, replayer=replayer),
-                policy,
+                config.policy,
                 journal=journal,
                 resume=resume,
                 supervised_target=find_supervised(target),
@@ -879,24 +875,27 @@ class Harness:
             oracle=oracle,
             pool=pool,
             key=key,
-            workers=workers or 1,
-            window=window,
+            workers=config.workers,
+            window=config.window,
             deadline=deadline,
             tracer=self.tracer,
         )
 
     def _begin_reduction(
-        self, finding: Finding, *, fault_tolerant: bool, **extra
+        self, finding: Finding, config: "object", pipeline: "object | None"
     ) -> tuple[float, "object"]:
         """Emit ``reduce.begin``; return the start time and the finding's
         prefix-caching replayer."""
+        extra = {} if pipeline is None else {
+            "passes": [p.name for p in pipeline.passes]
+        }
         self.tracer.emit(
             "reduce.begin",
             target=finding.target_name,
             kind=finding.kind,
             signature=finding.signature,
             initial_length=len(finding.transformations),
-            fault_tolerant=fault_tolerant,
+            fault_tolerant=config.policy is not None,
             **extra,
         )
         started = time.perf_counter()
@@ -926,25 +925,6 @@ class Harness:
         shrink = shrink_add_function_payloads(result.transformations, test)
         result.transformations = shrink.transformations
         result.tests_run += shrink.tests_run
-
-    def _resolve_reduction_policy(
-        self, policy: "object | None", max_seconds: float | None
-    ) -> "object":
-        from dataclasses import replace as dc_replace
-
-        from repro.robustness import ReductionPolicy
-
-        if policy is None:
-            return (
-                ReductionPolicy.from_robustness(
-                    self.robustness, max_seconds=max_seconds
-                )
-                if self.robustness is not None
-                else ReductionPolicy(max_seconds=max_seconds)
-            )
-        if policy.max_seconds is None and max_seconds is not None:
-            return dc_replace(policy, max_seconds=max_seconds)
-        return policy
 
     def _finish_reduce(
         self,
@@ -1035,170 +1015,154 @@ class Harness:
     def reduce_finding(
         self,
         finding: Finding,
+        config: "object | None" = None,
         *,
-        shrink_function_payloads: bool = False,
-        max_seconds: float | None = None,
-        policy: "object | None" = None,
         journal: "object | None" = None,
         resume: bool = False,
-        workers: int | None = None,
-        window: int | None = None,
-        probe_batch: int | None = None,
-        passes: "Sequence | None" = None,
-        giveup: int | None = None,
     ) -> ReductionResult:
-        """Delta-debug the finding's transformation sequence (§3.4).
+        """Delta-debug the finding's transformation sequence (§3.4) under
+        *config* (a :class:`~repro.reduce.ReductionConfig`, which documents
+        every knob; default: the paper's serial ddmin loop).
 
-        With ``shrink_function_payloads`` the optional spirv-reduce-style
-        post-pass also shrinks the functions encoded in any surviving
-        ``AddFunction`` transformations.  Candidate replays go through a
-        prefix-caching :class:`~repro.perf.replay_cache.CachedReplayer`; the
-        reduced sequence is the one the paper's pay-full-price replay gives
-        (``make_interestingness_test(finding)`` is that uncached reference).
+        Candidate replays go through a prefix-caching :class:`~repro.perf.
+        replay_cache.CachedReplayer`; the reduced sequence is the one the
+        paper's pay-full-price replay gives (``make_interestingness_test(
+        finding)`` is that uncached reference).
 
-        ``max_seconds`` bounds the whole reduction's wall clock (the result is
-        still a valid interesting subsequence, just not necessarily 1-minimal;
-        ``ReductionResult.timed_out`` is set).
-
-        Every reduction runs on the one commit-ordered engine
-        (:class:`~repro.perf.parallel_reduce.ReductionSession`).  The
-        **fault envelope** (:class:`~repro.robustness.FlakeHardenedOracle`
+        The **fault envelope** (:class:`~repro.robustness.FlakeHardenedOracle`
         as the engine's commit hook) engages whenever the harness supervises
-        its targets (a :class:`~repro.robustness.RobustnessConfig` was
-        given) or the caller passes any of *policy* (a :class:`~repro.
-        robustness.ReductionPolicy`), *journal* (a path or :class:`~repro.
-        robustness.ReductionJournal` for checkpoint/resume), or
-        ``resume=True``.  On a deterministic, well-behaved target it returns
-        the same reduced sequence as the plain reduction; under faults or
-        flaky verdicts it retries, votes, degrades to best-so-far, and —
-        with a journal — survives ``SIGKILL``.  Supervised probes are clamped
-        to the remaining ``max_seconds`` budget, so reduction cannot hang on
-        a target that stops answering.
+        its targets (a :class:`~repro.robustness.RobustnessConfig` was given),
+        the config carries a policy, or the call passes a *journal* (a path
+        or :class:`~repro.robustness.ReductionJournal` for checkpoint/resume)
+        or ``resume=True``.  On a deterministic, well-behaved target it
+        returns the same reduced sequence as the plain reduction; under
+        faults or flaky verdicts it retries, votes, degrades to best-so-far,
+        and — with a journal — survives ``SIGKILL``.
 
-        ``workers > 1`` probes candidates **speculatively in parallel** over
-        a pool of persistent worker processes (each rebuilding this
-        finding's probe — target, replayer, supervision and all — from a
-        picklable spec).  Verdicts commit in serial scan order, so the
-        reduced sequence, ``tests_run``, journal bytes, and accepted-chunk
-        history are byte-identical to the serial (window 1) run's for a
-        deterministic oracle; only the wall clock changes.  *window* caps
-        the speculation ramp (default ``workers * 4``), and
-        ``probe_batch > 1`` ships that many candidates per worker
-        round-trip, amortizing IPC.  A finding whose probe cannot be rebuilt
-        in a worker silently runs inline.
-
-        ``passes`` switches to the **creduce-style pass pipeline**
-        (:class:`~repro.reduce.PassPipeline`): a list of pass names /
-        instances (see :data:`~repro.reduce.DEFAULT_PASS_NAMES`) run in
-        groups to a global fixpoint with a per-pass give-up budget
-        (*giveup*, default 1000 consecutive rejections).  All other knobs —
-        fault envelope, journal/resume, worker pool, probe batching —
-        compose unchanged; ``shrink_function_payloads`` is ignored (the
-        ``payload-shrink`` pass subsumes it).
+        This is :meth:`reduce_all` of one finding, plus the per-finding
+        journal.
         """
-        fault_tolerant = (
-            policy is not None
-            or journal is not None
-            or resume
-            or self.robustness is not None
-        )
-        pipeline = None
-        begin: dict = {}
-        if passes is not None:
-            from repro.reduce import DEFAULT_GIVEUP, PassPipeline
+        return self._reduce([finding], config, journal=journal, resume=resume)[0]
 
-            pipeline = PassPipeline(
-                passes, giveup=giveup if giveup is not None else DEFAULT_GIVEUP
-            )
-            begin["passes"] = [p.name for p in pipeline.passes]
-        started, replayer = self._begin_reduction(
-            finding, fault_tolerant=fault_tolerant, **begin
+    def reduce_all(
+        self, findings: Sequence[Finding], config: "object | None" = None
+    ) -> list[ReductionResult]:
+        """Reduce *findings* under one *config* (see :meth:`reduce_finding`);
+        results come back in *findings* order, each byte-identical to what
+        :meth:`reduce_finding` produces alone.
+
+        With ``config.workers > 1`` the findings share **one worker pool**:
+        classic reductions run side by side with fair (round-robin)
+        candidate scheduling, so a stubborn reduction cannot starve the
+        others; pass pipelines take turns on it.
+        """
+        return self._reduce(findings, config)
+
+    def _reduce(
+        self,
+        findings: Sequence[Finding],
+        config: "object | None",
+        *,
+        journal: "object | None" = None,
+        resume: bool = False,
+    ) -> list[ReductionResult]:
+        """The one reduction body: each finding runs begin → session or
+        pipeline → run → finalize → shrink → finish.  Pooled classic
+        sessions run together; everything else runs finding by finding."""
+        from repro.perf.parallel_reduce import run_sessions
+        from repro.reduce import ReductionConfig
+
+        config = (config or ReductionConfig()).resolve(
+            robustness=self.robustness, journaled=journal is not None or resume
         )
-        if fault_tolerant:
-            policy = self._resolve_reduction_policy(policy, max_seconds)
+        keyed = {f"finding-{index}": f for index, f in enumerate(findings)}
         pool = None
-        if workers is not None and workers > 1:
-            pool = self._reduction_pool({"finding": finding}, workers, policy=policy)
+        if config.workers > 1 and keyed:
+            pool = self._reduction_pool(keyed, config)
+        items = list(keyed.items())
+        together = pool is not None and config.passes is None
+        groups = [items] if together else [[item] for item in items]
+        batch = config.probe_batch or 1
+        results = []
         try:
-            if pipeline is not None:
-                result = pipeline.run(
-                    finding.transformations,
-                    self._pipeline_context(
-                        finding,
-                        replayer,
-                        pool,
-                        policy,
-                        journal=journal,
-                        resume=resume,
-                        workers=workers or 1,
-                        window=window,
-                        probe_batch=probe_batch,
-                        max_seconds=max_seconds,
-                    ),
-                )
-            else:
-                session = self._reduction_session(
-                    finding,
-                    "finding",
-                    pool,
-                    replayer,
-                    policy=policy,
-                    journal=journal,
-                    resume=resume,
-                    workers=workers,
-                    window=window,
-                    max_seconds=max_seconds,
-                )
-                session.run(batch=probe_batch or 1, metrics=self.metrics)
-                result = session.finalize()
-            if pool is not None:
-                # Worker replay counters fold into the parent's registry over
-                # the same drain/merge path campaign metrics use.
-                replayer.stats.merge_json(pool.delta("finding").counters())
+            for group in groups:
+                entries = []
+                for key, finding in group:
+                    pipeline = config.pipeline()
+                    started, replayer = self._begin_reduction(
+                        finding, config, pipeline
+                    )
+                    session = result = None
+                    if pipeline is None:
+                        session = self._reduction_session(
+                            finding, key, pool, replayer, config,
+                            journal=journal, resume=resume,
+                        )
+                    else:
+                        result = pipeline.run(
+                            finding.transformations,
+                            self._pipeline_context(
+                                finding, key, replayer, pool, config,
+                                journal=journal, resume=resume,
+                            ),
+                        )
+                    entries.append((key, finding, started, replayer, session, result))
+                sessions = [s for *_, s, _ in entries if s is not None]
+                if pool is not None:
+                    run_sessions(pool, sessions, batch=batch, metrics=self.metrics)
+                else:
+                    for session in sessions:
+                        session.run(batch=batch, metrics=self.metrics)
+                for key, finding, started, replayer, session, result in entries:
+                    if session is not None:
+                        result = session.finalize()
+                    if pool is not None:
+                        # Worker replay counters fold into the parent's
+                        # registry over the same drain/merge path campaign
+                        # metrics use.
+                        replayer.stats.merge_json(pool.delta(key).counters())
+                    if config.shrink_function_payloads:
+                        self._shrink_payloads(finding, result, session, replayer)
+                    results.append(
+                        self._finish_reduce(
+                            finding, result, replayer, started,
+                            workers=config.workers,
+                        )
+                    )
         finally:
             if pool is not None:
                 pool.close()
-        if shrink_function_payloads and pipeline is None:
-            self._shrink_payloads(finding, result, session, replayer)
-        return self._finish_reduce(
-            finding, result, replayer, started, workers=workers
-        )
+        return results
 
     def _pipeline_context(
         self,
         finding: Finding,
+        key: str,
         replayer: "object",
         pool: "object | None",
-        policy: "object | None",
+        config: "object",
         *,
         journal: "object | None",
         resume: bool,
-        workers: int,
-        window: int | None,
-        probe_batch: int | None,
-        max_seconds: float | None,
     ) -> "object":
         """A :class:`~repro.reduce.PipelineContext` over this finding's
-        probes: the fault-tolerant verdict test when a resolved *policy* is
-        given, the plain interestingness test otherwise."""
+        probes: the fault-tolerant verdict test when the resolved *config*
+        carries a policy, the plain interestingness test otherwise."""
         from repro.reduce import PipelineContext
 
         shared = dict(
-            workers=workers,
-            window=window,
+            config=config,
             pool=pool,
-            pool_key="finding",
-            probe_batch=probe_batch,
+            pool_key=key,
             tracer=self.tracer,
             metrics=self.metrics,
             module_probe=self._module_probe_factory(finding, replayer.replay),
         )
-        if policy is None:
+        if config.policy is None:
             return PipelineContext(
                 is_interesting=self.make_interestingness_test(
                     finding, replayer=replayer
                 ),
-                max_seconds=max_seconds,
                 **shared,
             )
         from repro.robustness import find_supervised
@@ -1206,108 +1170,12 @@ class Harness:
         target = next(t for t in self.targets if t.name == finding.target_name)
         return PipelineContext(
             verdict_test=self.make_probe_test(finding, replayer=replayer),
-            policy=policy,
             journal=journal,
             resume=resume,
             supervised_target=find_supervised(target),
-            max_seconds=policy.max_seconds,
             replay_stats=replayer.stats,
             **shared,
         )
-
-    def reduce_all(
-        self,
-        findings: Sequence[Finding],
-        *,
-        workers: int | None = None,
-        window: int | None = None,
-        shrink_function_payloads: bool = False,
-        max_seconds: float | None = None,
-        policy: "object | None" = None,
-        probe_batch: int | None = None,
-        passes: "Sequence | None" = None,
-        giveup: int | None = None,
-    ) -> list[ReductionResult]:
-        """Reduce a campaign's findings **concurrently over one shared worker
-        pool** with fair (round-robin) candidate scheduling, so a stubborn
-        reduction cannot starve the others.  Results come back in *findings*
-        order and each is byte-identical to what a serial
-        :meth:`reduce_finding` would have produced (the same session, the
-        same commit protocol).  ``workers=1`` — or a finding set that cannot
-        be shipped to workers — is exactly the serial loop.
-
-        With ``passes`` each finding runs the creduce-style pass pipeline
-        via :meth:`reduce_finding` in sequence — per-finding ddmin legs still
-        use their own worker pool, but the cross-finding fleet scheduling is
-        reserved for the single-pass reducer.
-        """
-        from repro.perf.parallel import default_worker_count
-
-        findings = list(findings)
-        if workers is None or workers <= 0:
-            workers = default_worker_count()
-        one_by_one = dict(
-            shrink_function_payloads=shrink_function_payloads,
-            max_seconds=max_seconds,
-            policy=policy,
-            passes=passes,
-            giveup=giveup,
-        )
-        if passes is not None:
-            return [
-                self.reduce_finding(
-                    f, workers=workers, window=window, probe_batch=probe_batch, **one_by_one
-                )
-                for f in findings
-            ]
-        from repro.perf.parallel_reduce import run_sessions
-
-        if policy is not None or self.robustness is not None:
-            policy = self._resolve_reduction_policy(policy, max_seconds)
-        keyed = {f"finding-{index}": f for index, f in enumerate(findings)}
-        pool = None
-        if workers > 1 and keyed:
-            pool = self._reduction_pool(keyed, workers, policy=policy)
-        if pool is None:
-            return [self.reduce_finding(f, **one_by_one) for f in findings]
-
-        entries = []
-        try:
-            for key, finding in keyed.items():
-                started, replayer = self._begin_reduction(
-                    finding, fault_tolerant=policy is not None
-                )
-                session = self._reduction_session(
-                    finding,
-                    key,
-                    pool,
-                    replayer,
-                    policy=policy,
-                    workers=workers,
-                    window=window,
-                    max_seconds=max_seconds,
-                )
-                entries.append((finding, session, replayer, started))
-            run_sessions(
-                pool,
-                [session for _, session, _, _ in entries],
-                batch=probe_batch or 1,
-                metrics=self.metrics,
-            )
-            results = []
-            for finding, session, replayer, started in entries:
-                result = session.finalize()
-                replayer.stats.merge_json(pool.delta(session.key).counters())
-                if shrink_function_payloads:
-                    self._shrink_payloads(finding, result, session, replayer)
-                results.append(
-                    self._finish_reduce(
-                        finding, result, replayer, started, workers=workers
-                    )
-                )
-            return results
-        finally:
-            pool.close()
 
     def reduced_variant(
         self, finding: Finding, reduction: ReductionResult
@@ -1317,14 +1185,3 @@ class Harness:
             finding.original, finding.inputs, reduction.transformations
         ).module
 
-
-def run_quick_campaign(
-    targets: Sequence[Target],
-    references: Sequence[CorpusProgram],
-    donors: Sequence[CorpusProgram],
-    seeds: Sequence[int],
-    options: FuzzerOptions | None = None,
-) -> CampaignResult:
-    """Convenience wrapper used by examples and benchmarks."""
-    harness = Harness(targets, references, donors, options)
-    return harness.run_campaign(seeds)

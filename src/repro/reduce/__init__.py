@@ -14,6 +14,7 @@ from repro.reduce.pipeline import (
     PassStats,
     PipelineContext,
     PipelineResult,
+    ReductionConfig,
     ReductionPass,
     pass_scoped_key,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "PayloadShrinkPass",
     "PipelineContext",
     "PipelineResult",
+    "ReductionConfig",
     "ReductionPass",
     "SpirvCleanupPass",
     "TypeBatchRemovalPass",

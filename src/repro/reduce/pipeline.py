@@ -58,6 +58,118 @@ from repro.perf.parallel_reduce import SpeculationStats
 DEFAULT_GIVEUP = 1000
 
 
+@dataclass(frozen=True)
+class ReductionConfig:
+    """What stays fixed for a whole reduction run — the only way these knobs
+    reach :meth:`~repro.core.harness.Harness.reduce_finding` and
+    :meth:`~repro.core.harness.Harness.reduce_all`.
+
+    No setting is silently dropped: a combination that would ignore one
+    raises ``ValueError`` here.
+    """
+
+    #: Run the **creduce-style pass pipeline** (:class:`PassPipeline`) over
+    #: these pass names / instances (see :data:`~repro.reduce.
+    #: DEFAULT_PASS_NAMES`), in groups to a global fixpoint; ``None`` runs
+    #: the paper's single ddmin loop.  Every other knob composes with it.
+    passes: tuple | None = None
+    #: The pipeline's per-pass give-up budget: consecutive rejections before
+    #: a greedy pass is abandoned (``None`` = :data:`DEFAULT_GIVEUP`).
+    #: Needs ``passes``.
+    giveup: int | None = None
+    #: Probe candidates **speculatively in parallel** over this many
+    #: persistent worker processes, each rebuilding the finding's probe from
+    #: a picklable spec (``0`` = one per CPU).  Verdicts commit in serial
+    #: scan order, so the reduced sequence, ``tests_run``, journal bytes and
+    #: accepted-chunk history are byte-identical at every count for a
+    #: deterministic oracle; only the wall clock changes.  A finding whose
+    #: probe cannot be rebuilt in a worker runs inline.
+    workers: int = 1
+    #: Cap on the speculation window (in-flight candidates; default
+    #: ``workers * 4``).
+    window: int | None = None
+    #: Ship this many candidates per worker round-trip, amortizing IPC.
+    probe_batch: int | None = None
+    #: Wall-clock budget for each finding's reduction: on exhaustion the
+    #: result is the best-so-far interesting sequence (``timed_out`` set,
+    #: not necessarily 1-minimal), never an exception; supervised probes are
+    #: clamped to what remains of it.
+    max_seconds: float | None = None
+    #: A :class:`~repro.robustness.ReductionPolicy` — fault retries,
+    #: flake-hardened voting, degradation thresholds.  Setting one engages
+    #: the fault envelope (see :meth:`resolve`).
+    policy: Any = None
+    #: Run the §3.4 spirv-reduce-style post-pass that shrinks the functions
+    #: encoded in surviving ``AddFunction`` transformations.  The classic
+    #: reducer only: a pipeline lists the ``payload-shrink`` pass instead.
+    shrink_function_payloads: bool = False
+
+    def __post_init__(self) -> None:
+        if self.passes is not None:
+            object.__setattr__(self, "passes", tuple(self.passes))
+            self.pipeline()  # unknown, duplicate or no passes raise here
+        elif self.giveup is not None:
+            raise ValueError(
+                "giveup budgets the pass pipeline; it needs passes "
+                "(--giveup requires --reduce-passes)"
+            )
+        if self.shrink_function_payloads and self.passes is not None:
+            raise ValueError(
+                "shrink_function_payloads is the classic reducer's post-pass; "
+                "with passes, list the payload-shrink pass instead"
+            )
+        budget = getattr(self.policy, "max_seconds", None)
+        if None not in (budget, self.max_seconds) and budget != self.max_seconds:
+            raise ValueError(
+                f"two reduction budgets: max_seconds={self.max_seconds} and "
+                f"policy.max_seconds={budget}; set one"
+            )
+
+    def pipeline(self) -> "PassPipeline | None":
+        """The pass pipeline this config runs; ``None`` for the classic
+        reducer."""
+        if self.passes is None:
+            return None
+        giveup = DEFAULT_GIVEUP if self.giveup is None else self.giveup
+        return PassPipeline(self.passes, giveup=giveup)
+
+    def resolve(
+        self, *, robustness: Any = None, journaled: bool = False
+    ) -> "ReductionConfig":
+        """This config as one run uses it: ``workers=0`` becomes one per CPU,
+        and a fault-tolerant run gets its policy carrying the run's budget.
+        A run is fault-tolerant when this config has a policy, the harness
+        supervises its targets under *robustness* (whose backoff the default
+        policy inherits), or the call journals (*journaled*: a journal or
+        ``resume``).  A plain run has no policy."""
+        from dataclasses import replace
+
+        from repro.perf.parallel import default_worker_count
+
+        policy = self.policy
+        if policy is not None or robustness is not None or journaled:
+            from repro.robustness.config import ReductionPolicy
+
+            if policy is None:
+                policy = (
+                    ReductionPolicy.from_robustness(robustness)
+                    if robustness is not None
+                    else ReductionPolicy()
+                )
+            if policy.max_seconds is None and self.max_seconds is not None:
+                policy = replace(policy, max_seconds=self.max_seconds)
+        return replace(
+            self, workers=self.workers or default_worker_count(), policy=policy
+        )
+
+    @property
+    def budget(self) -> float | None:
+        """The run's wall-clock budget in seconds (``None`` = unbounded)."""
+        if self.max_seconds is not None:
+            return self.max_seconds
+        return getattr(self.policy, "max_seconds", None)
+
+
 def pass_scoped_key(pass_name: str, base_key: str) -> str:
     """Journal/memo key for a candidate probed by *pass_name*.
 
@@ -128,22 +240,20 @@ class PipelineContext:
     Exactly one of ``is_interesting`` (plain boolean oracle) or
     ``verdict_test`` (a :class:`~repro.robustness.reduction.ProbeVerdict`
     test routed through the fault envelope + journal) must be set.
+    ``config`` carries the run's fixed knobs (workers, window, probe batch,
+    budget, policy); the rest are the run's live objects.
     ``module_probe`` maps the final sequence to ``(module, module_verdict)``
     for module-stage passes; without it they are skipped.
     """
 
     is_interesting: Callable | None = None
     verdict_test: Callable | None = None
-    policy: Any = None
+    config: ReductionConfig = ReductionConfig()
     journal: Any = None
     resume: bool = False
     supervised_target: Any = None
-    workers: int = 1
-    window: int | None = None
     pool: Any = None
     pool_key: str = "reduction"
-    probe_batch: int | None = None
-    max_seconds: float | None = None
     tracer: Any = None
     metrics: Any = None
     replay_stats: Any = None
@@ -293,8 +403,9 @@ class _Execution:
         self.current = list(transformations)
         self.positions: list[int] | None = list(range(len(self.sequence)))
         self.fault = ctx.verdict_test is not None
+        budget = ctx.config.budget
         self.deadline: float | None = (
-            time.monotonic() + ctx.max_seconds if ctx.max_seconds is not None else None
+            time.monotonic() + budget if budget is not None else None
         )
         self.stats = {p.name: PassStats(p.name) for p in pipeline.passes}
         self.histories: list = []
@@ -321,7 +432,7 @@ class _Execution:
             #: One stability ledger shared by every per-pass oracle, so the
             #: pipeline's stability is the sum of its passes' decisions.
             self.stability = OracleStability()
-            self.policy = ctx.policy or ReductionPolicy()
+            self.policy = ctx.config.policy or ReductionPolicy()
             journal = ctx.journal
             if journal is not None and not isinstance(journal, ReductionJournal):
                 journal = ReductionJournal(journal)
@@ -436,7 +547,7 @@ class _Execution:
         ctx = self.ctx
         before_len = len(self.current)
         oracle = self.oracle_for(run.name) if self.fault else None
-        workers = max(1, ctx.workers or 1)
+        workers = max(1, ctx.config.workers)
         items, positions, given = self.current, None, None
         if workers > 1 and ctx.pool is not None and self.positions is not None:
             items, positions, given = self.sequence, self.positions, ctx.pool
@@ -456,13 +567,13 @@ class _Execution:
                 key=ctx.pool_key,
                 positions=positions,
                 workers=workers,
-                window=ctx.window,
+                window=ctx.config.window,
                 verify=False,
                 deadline=self.deadline,
                 tracer=self.tracer,
                 stats=self.speculation if pool is not None else None,
             )
-            session.run(batch=ctx.probe_batch or 1, metrics=ctx.metrics)
+            session.run(batch=ctx.config.probe_batch or 1, metrics=ctx.metrics)
             result = session.finalize(report=False)
         # Every committed candidate is a probe, including one whose decision
         # aborted the leg.

@@ -60,6 +60,7 @@ from repro.core.dedup_scale import (
     reduced_tests_from_record,
 )
 from repro.observability import as_tracer
+from repro.reduce import ReductionConfig
 from repro.robustness.breaker import CircuitBreaker
 from repro.robustness.journal import read_jsonl, record_to_run
 from repro.service import state as st
@@ -830,14 +831,15 @@ class CampaignService:
                     findings.extend(
                         record_to_run(records[seed], references).findings
                     )
+                config = ReductionConfig(passes=manifest.reduce_passes or None)
                 for index, finding in enumerate(findings[: manifest.reduce]):
                     result = harness.reduce_finding(
                         finding,
+                        config,
                         journal=self.store.reduce_journal_path(
                             campaign_id, index
                         ),
                         resume=True,
-                        passes=list(manifest.reduce_passes) or None,
                     )
                     reductions.append(
                         {

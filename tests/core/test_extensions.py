@@ -21,6 +21,7 @@ from repro.corpus import donor_programs, reference_programs
 from repro.interp import execute
 from repro.ir import types as tys
 from repro.ir.opcodes import Op
+from repro.reduce import ReductionConfig
 
 
 class TestAddUniform:
@@ -134,7 +135,9 @@ class TestPayloadShrinking:
 
     def test_harness_flag(self):
         harness, finding, _ = self._finding_with_add_function()
-        reduction = harness.reduce_finding(finding, shrink_function_payloads=True)
+        reduction = harness.reduce_finding(
+            finding, ReductionConfig(shrink_function_payloads=True)
+        )
         test = harness.make_interestingness_test(finding)
         assert test(reduction.transformations)
 

@@ -12,6 +12,7 @@ from repro.core.harness import Harness
 from repro.core.transformation import sequence_to_json
 from repro.ir.printer import disassemble
 from repro.perf import CachingTarget, ProbeBatch, ProbeCache
+from repro.reduce import ReductionConfig
 from repro.robustness import RobustnessConfig, SupervisedTarget
 from tests.robustness.faults import PROBE_TIMEOUT, FaultyTarget, result_key
 
@@ -199,7 +200,7 @@ class TestBatchedFlows:
         finding = plain_harness.run_campaign(range(8)).findings[0]
         plain = plain_harness.reduce_finding(finding)
         batched = _harness(references, donors).reduce_finding(
-            finding, workers=2, probe_batch=2
+            finding, ReductionConfig(workers=2, probe_batch=2)
         )
         assert sequence_to_json(batched.transformations) == sequence_to_json(
             plain.transformations

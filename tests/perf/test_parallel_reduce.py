@@ -21,6 +21,7 @@ from repro.core.harness import Harness
 from repro.core.reducer import reduce_transformations
 from repro.core.transformation import sequence_to_json
 from repro.perf import WorkerProbeError, parallel_reduce
+from repro.reduce import ReductionConfig
 
 ITEMS = list(range(40))
 
@@ -173,7 +174,7 @@ def _harness(references, donors):
 
 
 class TestHarnessParallelReduction:
-    """reduce_finding(workers=K) and reduce_all on real findings."""
+    """reduce_finding and reduce_all at ``workers=K`` on real findings."""
 
     @pytest.fixture(scope="class")
     def findings(self, references, donors):
@@ -186,7 +187,7 @@ class TestHarnessParallelReduction:
     ):
         harness = _harness(references, donors)
         serial = harness.reduce_finding(findings[0])
-        parallel = harness.reduce_finding(findings[0], workers=2)
+        parallel = harness.reduce_finding(findings[0], ReductionConfig(workers=2))
         assert parallel.to_json() == serial.to_json()
         assert sequence_to_json(parallel.transformations) == sequence_to_json(
             serial.transformations
@@ -197,7 +198,7 @@ class TestHarnessParallelReduction:
         subset = findings[:3]
         harness = _harness(references, donors)
         serial = [harness.reduce_finding(f) for f in subset]
-        fleet = harness.reduce_all(subset, workers=2)
+        fleet = harness.reduce_all(subset, ReductionConfig(workers=2))
         assert len(fleet) == len(serial)
         for one, other in zip(fleet, serial):
             assert one.to_json() == other.to_json()
@@ -213,7 +214,9 @@ class TestHarnessParallelReduction:
         harness = _harness(references, donors)
         serial = harness.reduce_finding(findings[0], journal=tmp_path / "serial.jsonl")
         batched = harness.reduce_finding(
-            findings[0], journal=tmp_path / "batched.jsonl", workers=2, probe_batch=3
+            findings[0],
+            ReductionConfig(workers=2, probe_batch=3),
+            journal=tmp_path / "batched.jsonl",
         )
         assert harness.metrics.counter("probe_batch.batches") > 0
         assert batched.to_json() == serial.to_json()
@@ -227,5 +230,5 @@ class TestHarnessParallelReduction:
     ):
         harness = _harness(references, donors)
         serial = [harness.reduce_finding(f) for f in findings[:1]]
-        fleet = harness.reduce_all(findings[:1], workers=1)
+        fleet = harness.reduce_all(findings[:1], ReductionConfig(workers=1))
         assert [r.to_json() for r in fleet] == [r.to_json() for r in serial]

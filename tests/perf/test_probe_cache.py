@@ -17,6 +17,7 @@ from repro.core.fuzzer import Fuzzer, FuzzerOptions
 from repro.core.harness import Harness
 from repro.core.transformation import sequence_to_json
 from repro.perf import CachedOptimizer, CachingTarget, ProbeCache
+from repro.reduce import ReductionConfig
 from tests.robustness.faults import result_key
 
 TARGET_NAMES = ["SwiftShader", "spirv-opt", "NVIDIA", "Mesa"]
@@ -132,7 +133,7 @@ class TestCachedCampaignAndReduction:
         finding = plain_harness.run_campaign(range(8)).findings[0]
         plain = plain_harness.reduce_finding(finding)
         cached_harness = _campaign_harness(references, donors, probe_cache=True)
-        cached = cached_harness.reduce_finding(finding, workers=2)
+        cached = cached_harness.reduce_finding(finding, ReductionConfig(workers=2))
         assert sequence_to_json(cached.transformations) == sequence_to_json(
             plain.transformations
         )

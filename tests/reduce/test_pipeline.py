@@ -18,6 +18,7 @@ from repro.reduce import (
     DEFAULT_PASS_NAMES,
     PassPipeline,
     PipelineContext,
+    ReductionConfig,
 )
 
 ITEMS = list(range(40))
@@ -105,7 +106,10 @@ class TestDdminEquivalence:
         oracle = SubsetOracle(frozenset({3, 17, 29}))
         bare = reduce_transformations(ITEMS, oracle)
         piped = PassPipeline(["ddmin"]).run(
-            ITEMS, PipelineContext(is_interesting=oracle, workers=workers)
+            ITEMS,
+            PipelineContext(
+                is_interesting=oracle, config=ReductionConfig(workers=workers)
+            ),
         )
         assert piped.transformations == bare.transformations
         assert piped.tests_run == bare.tests_run
@@ -120,7 +124,10 @@ class TestDdminEquivalence:
         )
         bare = reduce_transformations(ITEMS, oracle)
         piped = PassPipeline(["ddmin"]).run(
-            ITEMS, PipelineContext(is_interesting=oracle, workers=workers)
+            ITEMS,
+            PipelineContext(
+                is_interesting=oracle, config=ReductionConfig(workers=workers)
+            ),
         )
         assert piped.transformations == bare.transformations
         assert piped.tests_run == bare.tests_run

@@ -12,7 +12,9 @@ from repro.compilers import make_targets
 from repro.core.fuzzer import FuzzerOptions
 from repro.core.harness import Harness
 from repro.corpus import donor_programs, reference_programs
-from repro.reduce import DEFAULT_PASS_NAMES
+from repro.reduce import DEFAULT_PASS_NAMES, ReductionConfig
+
+PIPELINE = ReductionConfig(passes=DEFAULT_PASS_NAMES)
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +35,10 @@ class TestPipelineVsChain:
         harness, result = campaign
         for finding in result.findings[:3]:
             chain = harness.reduce_finding(
-                finding, shrink_function_payloads=True
+                finding, ReductionConfig(shrink_function_payloads=True)
             )
             cleaned = harness.spirv_cleanup(finding, chain.transformations)
-            piped = harness.reduce_finding(finding, passes=DEFAULT_PASS_NAMES)
+            piped = harness.reduce_finding(finding, PIPELINE)
             assert len(piped.transformations) <= len(chain.transformations)
             if piped.cleaned_module is not None:
                 piped_insts = sum(
@@ -53,7 +55,7 @@ class TestPipelineVsChain:
     def test_per_pass_stats_cover_the_pipeline(self, campaign):
         harness, result = campaign
         finding = result.findings[0]
-        piped = harness.reduce_finding(finding, passes=DEFAULT_PASS_NAMES)
+        piped = harness.reduce_finding(finding, PIPELINE)
         assert [s.name for s in piped.pass_stats] == list(DEFAULT_PASS_NAMES)
         ddmin = next(s for s in piped.pass_stats if s.name == "ddmin")
         assert ddmin.runs >= 1 and ddmin.probes > 0
@@ -64,10 +66,10 @@ class TestWorkerInvariance:
         harness, result = campaign
         finding = result.findings[0]
         serial = harness.reduce_finding(
-            finding, passes=DEFAULT_PASS_NAMES, workers=1
+            finding, ReductionConfig(passes=DEFAULT_PASS_NAMES, workers=1)
         )
         parallel = harness.reduce_finding(
-            finding, passes=DEFAULT_PASS_NAMES, workers=2
+            finding, ReductionConfig(passes=DEFAULT_PASS_NAMES, workers=2)
         )
         assert parallel.transformations == serial.transformations
         assert parallel.tests_run == serial.tests_run
@@ -81,7 +83,7 @@ class TestReduceAll:
     def test_reduce_all_routes_through_the_pipeline(self, campaign):
         harness, result = campaign
         reductions = harness.reduce_all(
-            result.findings[:2], passes=("type-batch", "ddmin")
+            result.findings[:2], ReductionConfig(passes=("type-batch", "ddmin"))
         )
         assert len(reductions) == 2
         for reduction in reductions:
@@ -97,7 +99,7 @@ class TestSerialTrace:
     ``reduce.round`` per chunk size, no speculation events — and neither
     path counts as a parallel reduction."""
 
-    def _reduce_traced(self, tmp_path, name, finding, **kwargs):
+    def _reduce_traced(self, tmp_path, name, finding, config=None):
         path = tmp_path / f"{name}.jsonl"
         harness = Harness(
             make_targets(),
@@ -106,7 +108,7 @@ class TestSerialTrace:
             FuzzerOptions(max_transformations=100),
             tracer=path,
         )
-        harness.reduce_finding(finding, **kwargs)
+        harness.reduce_finding(finding, config)
         events = [json.loads(line) for line in path.read_text().splitlines()]
         return harness, events
 
@@ -115,7 +117,7 @@ class TestSerialTrace:
         finding = result.findings[0]
         classic, classic_events = self._reduce_traced(tmp_path, "classic", finding)
         piped, piped_events = self._reduce_traced(
-            tmp_path, "piped", finding, passes=["ddmin"]
+            tmp_path, "piped", finding, ReductionConfig(passes=["ddmin"])
         )
 
         def rounds(events):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.reduce import PassPipeline, PipelineContext
+from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
 from repro.robustness import ProbeVerdict, ReductionPolicy
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -37,7 +37,10 @@ def oracle(candidate) -> ProbeVerdict:
 
 def run_pipeline(journal, *, resume=False, test=oracle, passes=PASSES, giveup=None):
     ctx = PipelineContext(
-        verdict_test=test, policy=POLICY, journal=journal, resume=resume
+        verdict_test=test,
+        config=ReductionConfig(policy=POLICY),
+        journal=journal,
+        resume=resume,
     )
     return PassPipeline(passes, giveup=giveup).run(SEQUENCE, ctx)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.perf.pool import CallableProbeSpec, WorkerPool
-from repro.reduce import PassPipeline, PipelineContext
+from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
 from repro.robustness import ProbeVerdict, ReductionPolicy, reduce_with_faults
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -98,7 +98,9 @@ def write_fault_journal(path: Path):
 
 
 def write_pipeline_journal(path: Path):
-    ctx = PipelineContext(verdict_test=TYPED_ORACLE, policy=POLICY, journal=path)
+    ctx = PipelineContext(
+        verdict_test=TYPED_ORACLE, config=ReductionConfig(policy=POLICY), journal=path
+    )
     return PassPipeline(["ddmin", "type-batch"]).run(TYPED, ctx)
 
 
@@ -148,7 +150,7 @@ class TestGoldenJournals:
         else:
             ctx = PipelineContext(
                 verdict_test=counting(TYPED_ORACLE),
-                policy=POLICY,
+                config=ReductionConfig(policy=POLICY),
                 journal=journal,
                 resume=True,
             )
@@ -182,7 +184,9 @@ class TestPipelineClassicParity:
             piped = PassPipeline(["ddmin"]).run(
                 items,
                 PipelineContext(
-                    verdict_test=oracle, policy=POLICY, workers=workers, pool=pool
+                    verdict_test=oracle,
+                    config=ReductionConfig(policy=POLICY, workers=workers),
+                    pool=pool,
                 ),
             )
         finally:

@@ -11,6 +11,7 @@ from repro.core.harness import Harness
 from repro.core.transformation import sequence_to_json
 from repro.corpus import donor_programs, reference_programs
 from repro.ir.printer import disassemble
+from repro.reduce import ReductionConfig
 from repro.robustness import RobustnessConfig
 
 from tests.robustness.faults import (
@@ -173,12 +174,16 @@ class TestReductionParity:
 
     def test_reduction_time_budget_returns_best_so_far(self, nvidia_finding):
         harness, finding = nvidia_finding
-        exhausted = harness.reduce_finding(finding, max_seconds=0.0)
+        exhausted = harness.reduce_finding(
+            finding, ReductionConfig(max_seconds=0.0)
+        )
         assert exhausted.timed_out
         assert exhausted.final_length == len(finding.transformations)
 
         unbounded = harness.reduce_finding(finding)
-        generous = harness.reduce_finding(finding, max_seconds=300.0)
+        generous = harness.reduce_finding(
+            finding, ReductionConfig(max_seconds=300.0)
+        )
         assert not generous.timed_out
         assert sequence_to_json(generous.transformations) == sequence_to_json(
             unbounded.transformations

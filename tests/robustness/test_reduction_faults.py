@@ -179,7 +179,7 @@ class TestDegradation:
         one degraded reduction: one ``reduce.degraded`` event, a counter of
         1, and the same ``degraded``/``stability`` as the classic path."""
         from repro.observability import Metrics, Tracer, read_trace
-        from repro.reduce import PassPipeline, PipelineContext
+        from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
 
         def failing_oracle():
             calls = {"n": 0}
@@ -200,7 +200,7 @@ class TestDegradation:
                 SEQUENCE,
                 PipelineContext(
                     verdict_test=failing_oracle(),
-                    policy=FAST,
+                    config=ReductionConfig(policy=FAST),
                     tracer=tracer,
                     metrics=metrics,
                 ),
