@@ -355,13 +355,15 @@ def bench_pass_pipeline(
 ) -> dict:
     """The creduce-style pass pipeline vs the pre-pipeline chain.
 
-    The chain is what the harness did before the scheduler existed: ddmin
-    with the payload post-pass (``shrink_function_payloads=True``) followed
-    by a standalone spirv-reduce cleanup.  The pipeline must never leave a
+    The chain is what the harness did before the scheduler existed: ddmin,
+    then the payload post-pass (``shrink_add_function_payloads``) on its
+    result, then a standalone spirv-reduce cleanup.  The pipeline must never leave a
     *larger* result (sequence or module) and must stay within 1.25x the
     chain's probe count, and its result must be worker-count invariant
     (K=1 vs K=2 byte-identical).
     """
+    from repro.core.reducer import shrink_add_function_payloads
+    from repro.perf.replay_cache import CachedReplayer
     from repro.reduce import DEFAULT_PASS_NAMES, ReductionConfig
 
     harness = Harness(
@@ -387,12 +389,16 @@ def bench_pass_pipeline(
     identical = True
     for finding in findings:
         started = time.perf_counter()
-        chain = harness.reduce_finding(
-            finding, ReductionConfig(shrink_function_payloads=True)
+        reduced = harness.reduce_finding(finding)
+        chain = shrink_add_function_payloads(
+            reduced.transformations,
+            harness.make_interestingness_test(
+                finding, replayer=CachedReplayer(finding.original, finding.inputs)
+            ),
         )
         cleaned = harness.spirv_cleanup(finding, chain.transformations)
         chain_seconds += time.perf_counter() - started
-        chain_probes += chain.tests_run + cleaned.tests_run
+        chain_probes += reduced.tests_run + chain.tests_run + cleaned.tests_run
         chain_length += len(chain.transformations)
         chain_instructions += sum(1 for _ in cleaned.module.all_instructions())
 

@@ -157,8 +157,8 @@ def reduce_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--reduce-passes",
         default=None,
-        help="run the creduce-style pass pipeline instead of the single "
-        "ddmin loop: a comma-separated pass list (available: type-batch, "
+        help="the creduce-style pass pipeline to run instead of ddmin "
+        "alone: a comma-separated pass list (available: type-batch, "
         "ddmin, payload-shrink, cleanup; 'default' expands to all four), "
         "scheduled in groups to a global fixpoint",
     )
@@ -168,7 +168,8 @@ def reduce_main(argv: list[str] | None = None) -> int:
         default=None,
         help="per-pass give-up budget: consecutive rejections before a "
         "greedy pass is abandoned for the invocation (default: 1000, "
-        "creduce's constant; only meaningful with --reduce-passes)",
+        "creduce's constant; needs --reduce-passes with a pass besides "
+        "ddmin)",
     )
     parser.add_argument(
         "--out-json",
@@ -295,7 +296,7 @@ def _reduction_config(parser: argparse.ArgumentParser, args) -> "object":
     from repro.reduce import DEFAULT_PASS_NAMES, ReductionConfig
     from repro.robustness import ReductionPolicy
 
-    passes = policy = None
+    passes, policy = ReductionConfig.passes, None
     if args.reduce_passes is not None:
         passes = []
         for name in filter(None, map(str.strip, args.reduce_passes.split(","))):

@@ -694,9 +694,14 @@ class Harness:
         finding, candidate replays reuse prefix snapshots and verdicts are
         memoized — results stay byte-identical to the uncached predicate.
         """
-        probe_test = self.make_probe_test(finding, replayer=replayer)
+        probe_test = None
 
         def is_interesting(candidate: Sequence[Transformation]) -> bool:
+            nonlocal probe_test
+            if probe_test is None:
+                # Built on first use: a pooled reduction never probes here,
+                # so it runs no reference probe here either.
+                probe_test = self.make_probe_test(finding, replayer=replayer)
             return probe_test(candidate).interesting
 
         if replayer is not None:
@@ -830,65 +835,11 @@ class Harness:
             return None
         return WorkerPool(specs, config.workers)
 
-    def _reduction_session(
-        self,
-        finding: Finding,
-        key: str,
-        pool: "object | None",
-        replayer: "object",
-        config: "object",
-        *,
-        journal: "object | None" = None,
-        resume: bool = False,
-    ) -> "object":
-        """The one :class:`~repro.perf.parallel_reduce.ReductionSession` for
-        *finding*: fault-tolerant when the resolved *config* carries a
-        policy (the flake-hardened oracle is its commit hook), plain
-        otherwise; inline without a *pool*."""
-        from repro.perf.parallel_reduce import ReductionSession
-
-        test = oracle = None
-        if config.policy is None:
-            if pool is None:  # a pooled session verifies in its workers
-                test = self.make_interestingness_test(finding, replayer=replayer)
-            budget = config.budget
-            deadline = None if budget is None else time.monotonic() + budget
-        else:
-            from repro.robustness import FlakeHardenedOracle, find_supervised
-
-            target = next(t for t in self.targets if t.name == finding.target_name)
-            oracle = FlakeHardenedOracle.for_reduction(
-                finding.transformations,
-                self.make_probe_test(finding, replayer=replayer),
-                config.policy,
-                journal=journal,
-                resume=resume,
-                supervised_target=find_supervised(target),
-                tracer=self.tracer,
-                metrics=self.metrics,
-                replay_stats=replayer.stats,
-            )
-            deadline = oracle.deadline
-        return ReductionSession(
-            finding.transformations,
-            test=test,
-            oracle=oracle,
-            pool=pool,
-            key=key,
-            workers=config.workers,
-            window=config.window,
-            deadline=deadline,
-            tracer=self.tracer,
-        )
-
     def _begin_reduction(
-        self, finding: Finding, config: "object", pipeline: "object | None"
+        self, finding: Finding, config: "object", pipeline: "object"
     ) -> tuple[float, "object"]:
         """Emit ``reduce.begin``; return the start time and the finding's
         prefix-caching replayer."""
-        extra = {} if pipeline is None else {
-            "passes": [p.name for p in pipeline.passes]
-        }
         self.tracer.emit(
             "reduce.begin",
             target=finding.target_name,
@@ -896,35 +847,12 @@ class Harness:
             signature=finding.signature,
             initial_length=len(finding.transformations),
             fault_tolerant=config.policy is not None,
-            **extra,
+            passes=[p.name for p in pipeline.passes],
         )
         started = time.perf_counter()
         from repro.perf.replay_cache import CachedReplayer
 
         return started, CachedReplayer(finding.original, finding.inputs)
-
-    def _shrink_payloads(
-        self,
-        finding: Finding,
-        result: ReductionResult,
-        session: "object",
-        replayer: "object",
-    ) -> None:
-        """The optional §3.4 ``AddFunction`` post-pass, over a plain boolean
-        view of the session's probe (a faulted probe rejects, which is
-        conservative for a greedy shrink)."""
-        from repro.core.reducer import shrink_add_function_payloads
-
-        if session.oracle is not None:
-            probe = session.oracle.verdict_test
-            test = lambda candidate: probe(candidate).interesting  # noqa: E731
-        else:
-            test = session.test or self.make_interestingness_test(
-                finding, replayer=replayer
-            )
-        shrink = shrink_add_function_payloads(result.transformations, test)
-        result.transformations = shrink.transformations
-        result.tests_run += shrink.tests_run
 
     def _finish_reduce(
         self,
@@ -1022,7 +950,7 @@ class Harness:
     ) -> ReductionResult:
         """Delta-debug the finding's transformation sequence (§3.4) under
         *config* (a :class:`~repro.reduce.ReductionConfig`, which documents
-        every knob; default: the paper's serial ddmin loop).
+        every knob; default: the paper's serial ddmin pass).
 
         Candidate replays go through a prefix-caching :class:`~repro.perf.
         replay_cache.CachedReplayer`; the reduced sequence is the one the
@@ -1052,9 +980,9 @@ class Harness:
         :meth:`reduce_finding` produces alone.
 
         With ``config.workers > 1`` the findings share **one worker pool**:
-        classic reductions run side by side with fair (round-robin)
+        their pipelines' ddmin legs run side by side with fair (round-robin)
         candidate scheduling, so a stubborn reduction cannot starve the
-        others; pass pipelines take turns on it.
+        others.
         """
         return self._reduce(findings, config)
 
@@ -1066,9 +994,11 @@ class Harness:
         journal: "object | None" = None,
         resume: bool = False,
     ) -> list[ReductionResult]:
-        """The one reduction body: each finding runs begin → session or
-        pipeline → run → finalize → shrink → finish.  Pooled classic
-        sessions run together; everything else runs finding by finding."""
+        """The one reduction body: each finding runs begin → its config's
+        pass pipeline → finish.  Over a pool, the current ddmin legs of all
+        findings run together, round-robin; inline, finding by finding."""
+        from dataclasses import replace
+
         from repro.perf.parallel_reduce import run_sessions
         from repro.reduce import ReductionConfig
 
@@ -1079,53 +1009,45 @@ class Harness:
         pool = None
         if config.workers > 1 and keyed:
             pool = self._reduction_pool(keyed, config)
-        items = list(keyed.items())
-        together = pool is not None and config.passes is None
-        groups = [items] if together else [[item] for item in items]
-        batch = config.probe_batch or 1
+        if pool is None:
+            config = replace(config, workers=1)  # an unshippable finding
+        groups = [list(keyed)] if pool is not None else [[key] for key in keyed]
         results = []
         try:
             for group in groups:
-                entries = []
-                for key, finding in group:
+                begun, legs, reduced = {}, {}, {}
+                for key in group:
+                    finding = keyed[key]
                     pipeline = config.pipeline()
                     started, replayer = self._begin_reduction(
                         finding, config, pipeline
                     )
-                    session = result = None
-                    if pipeline is None:
-                        session = self._reduction_session(
-                            finding, key, pool, replayer, config,
-                            journal=journal, resume=resume,
-                        )
-                    else:
-                        result = pipeline.run(
-                            finding.transformations,
-                            self._pipeline_context(
-                                finding, key, replayer, pool, config,
-                                journal=journal, resume=resume,
-                            ),
-                        )
-                    entries.append((key, finding, started, replayer, session, result))
-                sessions = [s for *_, s, _ in entries if s is not None]
-                if pool is not None:
-                    run_sessions(pool, sessions, batch=batch, metrics=self.metrics)
-                else:
-                    for session in sessions:
-                        session.run(batch=batch, metrics=self.metrics)
-                for key, finding, started, replayer, session, result in entries:
-                    if session is not None:
-                        result = session.finalize()
+                    begun[key] = (finding, started, replayer)
+                    context = self._pipeline_context(
+                        finding, key, replayer, pool, config,
+                        journal=journal, resume=resume,
+                    )
+                    _advance(
+                        key, pipeline.steps(finding.transformations, context),
+                        legs, reduced,
+                    )
+                while legs:
+                    run_sessions(
+                        [session for _, session in legs.values()],
+                        batch=config.probe_batch or 1,
+                        metrics=self.metrics,
+                    )
+                    for key, (steps, _) in list(legs.items()):
+                        _advance(key, steps, legs, reduced)
+                for key, (finding, started, replayer) in begun.items():
                     if pool is not None:
                         # Worker replay counters fold into the parent's
                         # registry over the same drain/merge path campaign
                         # metrics use.
                         replayer.stats.merge_json(pool.delta(key).counters())
-                    if config.shrink_function_payloads:
-                        self._shrink_payloads(finding, result, session, replayer)
                     results.append(
                         self._finish_reduce(
-                            finding, result, replayer, started,
+                            finding, reduced[key], replayer, started,
                             workers=config.workers,
                         )
                     )
@@ -1185,3 +1107,12 @@ class Harness:
             finding.original, finding.inputs, reduction.transformations
         ).module
 
+
+def _advance(key: str, steps, legs: dict, reduced: dict) -> None:
+    """Resume a finding's pipeline *steps* to its next ddmin leg (kept in
+    *legs*) or to its result (moved to *reduced*)."""
+    try:
+        legs[key] = (steps, next(steps))
+    except StopIteration as done:
+        legs.pop(key, None)
+        reduced[key] = done.value

@@ -2,8 +2,12 @@
 (§3.4; speculative parallelism is C-Reduce-style, beyond the paper).
 
 Every ddmin reduction in the package — serial or parallel, plain or
-fault-tolerant, standalone or a pass-pipeline leg — runs through one
-:class:`ReductionSession` over one :class:`SpeculativeReduction` engine.
+fault-tolerant — runs through one :class:`ReductionSession` over one
+:class:`SpeculativeReduction` engine.  The reducers build their sessions as
+ddmin *legs* of a :class:`~repro.reduce.PassPipeline`, which yields each
+leg to its caller: :meth:`ReductionSession.run` drives one leg, and
+:func:`run_sessions` drives the current legs of many reductions (the
+findings of one ``reduce_all``) together over one shared worker pool.
 :func:`~repro.core.reducer.reduce_transformations` stays as the paper's
 reference loop that the identity tests compare against.
 
@@ -36,7 +40,10 @@ in the calling process and emits only the reference loop's
 :func:`run_sessions`) ramps its window adaptively — small after an
 acceptance (where speculation is likely wasted), doubling while rejections
 commit (where the all-reject assumption is holding) — and the ramp is a
-function of the committed verdict stream only, never of timing.
+function of the committed verdict stream only, never of timing.  Every
+engine event carries its session's ``key`` (``finding-N`` under the
+harness), so the rounds of reductions sharing a pool can be told apart in
+one trace.
 
 **The fault envelope is the commit hook**: a fault-tolerant session hands
 the engine a :class:`~repro.robustness.reduction.FlakeHardenedOracle`,
@@ -186,10 +193,12 @@ class SpeculativeReduction:
         window: int = 8,
         lookup: Callable[[list], tuple | None] | None = None,
         on_commit: Callable[[list, dict | None, str], bool] | None = None,
+        key: str = "reduction",
         tracer: Any = None,
         stats: SpeculationStats | None = None,
     ) -> None:
         self.items = list(items)
+        self.key = key
         self.current: list[int] = (
             list(positions) if positions is not None else list(range(len(self.items)))
         )
@@ -287,6 +296,7 @@ class SpeculativeReduction:
             if self.tracer.enabled and self.speculative:
                 self.tracer.emit(
                     "reduce.dispatch",
+                    key=self.key,
                     count=len(out),
                     in_flight=in_flight,
                     chunk_size=out[0].chunk,
@@ -396,6 +406,7 @@ class SpeculativeReduction:
         if self.tracer.enabled and self.speculative:
             self.tracer.emit(
                 "reduce.commit",
+                key=self.key,
                 chunk_size=candidate.chunk,
                 start=candidate.start,
                 end=candidate.end,
@@ -403,7 +414,10 @@ class SpeculativeReduction:
             )
             if wasted:
                 self.tracer.emit(
-                    "reduce.speculate", wasted=wasted, chunk_size=candidate.chunk
+                    "reduce.speculate",
+                    key=self.key,
+                    wasted=wasted,
+                    chunk_size=candidate.chunk,
                 )
 
     def _discard_speculation(self) -> int:
@@ -426,6 +440,7 @@ class SpeculativeReduction:
         if self.tracer.enabled:
             self.tracer.emit(
                 "reduce.round",
+                key=self.key,
                 chunk_size=self._ladder[self._round_index],
                 tried=self._round_tried,
                 removed=self._round_removed,
@@ -437,8 +452,9 @@ class SpeculativeReduction:
 
 
 class ReductionSession:
-    """One ddmin reduction from start to finish: build, verify, drive,
-    finalize — every ddmin reduction in the package runs as one.
+    """One ddmin reduction (a pipeline's ddmin leg) from start to finish:
+    build, drive, finalize — every ddmin reduction in the package runs as
+    one.
 
     A session is *plain* (``test``, a boolean interestingness test) or
     *fault-tolerant* (``oracle``, a :class:`~repro.robustness.reduction.
@@ -449,11 +465,11 @@ class ReductionSession:
     is the base map from the sequence under reduction into *items*, the
     sequence the pool's workers were built over.
 
-    The input is verified at construction: a non-interesting input raises
-    ``ValueError``; in fault mode a faulted or aborted verification
-    degrades the session instead, and no engine is built.  :meth:`finalize`
-    returns the result — fault-tolerant sessions degrade to best-so-far
-    with a structured reason rather than raise.
+    With ``verify`` (plain sessions only; a pipeline verifies its input
+    before its first leg) the input is verified at construction: a
+    non-interesting input raises ``ValueError``.  :meth:`finalize` returns
+    the result — fault-tolerant sessions stop at best-so-far with a
+    structured ``degraded`` reason rather than raise.
     """
 
     def __init__(
@@ -486,16 +502,9 @@ class ReductionSession:
         self.error: BaseException | None = None
         self.degraded: str | None = None
         self.detail = ""
-        self.engine: SpeculativeReduction | None = None
-        self._verify_tests = int(verify)  # billed even when it stops the run
+        self._verify_tests = int(verify)
         if verify:
-            if oracle is None:
-                self._verify_plain()
-            else:
-                stop = oracle.check_input(self.sequence)
-                if stop is not None:
-                    self.degraded, self.detail = stop
-                    return
+            self._verify_plain()
         engine = SpeculativeReduction(
             self.items,
             positions=self.positions,
@@ -504,6 +513,7 @@ class ReductionSession:
             ),
             lookup=oracle.lookup if oracle is not None else None,
             on_commit=oracle.commit if oracle is not None else None,
+            key=key,
             tracer=tracer,
             stats=stats,
         )
@@ -514,20 +524,15 @@ class ReductionSession:
 
     @property
     def active(self) -> bool:
-        return self.error is None and self.engine is not None and not self.engine.done
+        return self.error is None and not self.engine.done
 
     # -- build ---------------------------------------------------------------------
 
     def _verify_plain(self) -> None:
         if self.test is not None:
             verified = self.test(self.sequence)
-        else:
-            # No parent-side test: verify through the workers.
-            from repro.perf.pool import reply_value
-
-            ticket = self.pool.submit(self.key, [tuple(self.positions)])
-            (reply,) = self.pool.result(ticket)
-            verified = reply_value(reply)
+        else:  # no parent-side test: verify through the workers
+            verified = verify_in_pool(self.pool, self.key, self.positions)
         if not verified:
             raise ValueError("the full transformation sequence is not interesting")
 
@@ -537,11 +542,9 @@ class ReductionSession:
         """Drive the engine to completion: over the pool, or inline one
         candidate at a time."""
         if self.pool is not None:
-            run_sessions(self.pool, [self], batch=batch, metrics=metrics)
+            run_sessions([self], batch=batch, metrics=metrics)
             return
         engine = self.engine
-        if engine is None:
-            return
         try:
             while not engine.done:
                 if self.deadline is not None and time.monotonic() >= self.deadline:
@@ -584,53 +587,42 @@ class ReductionSession:
 
     # -- finalize ------------------------------------------------------------------
 
-    def finalize(self, *, report: bool = True) -> ReductionResult:
-        """The reduction result.  Plain sessions re-raise a probe error;
-        fault-tolerant sessions degrade to the best-so-far sequence (the last
-        committed acceptance).  ``report=False`` attaches the degradation
-        without emitting its metrics and event, for a caller that reports
-        once for a larger run (a pass-pipeline leg)."""
-        oracle = self.oracle
-        if oracle is None:
-            if self.error is not None:
-                raise self.error
-            return self.engine.result(verify_tests=self._verify_tests)
-        from repro.robustness.reduction import _apply_degradation, degradation
-
+    def finalize(self) -> ParallelReductionResult:
+        """The reduction result.  Plain sessions re-raise a probe error; a
+        fault-tolerant session that failed a decision stops at the
+        best-so-far sequence (the last committed acceptance) and records
+        why in ``degraded``/``detail`` — its pipeline reports that once for
+        the whole run."""
         if self.error is not None:
+            if self.oracle is None:
+                raise self.error
+            from repro.robustness.reduction import degradation
+
             self.degraded, self.detail = degradation(self.error)
-        if self.engine is None:  # verification stopped the reduction
-            result = ReductionResult(
-                transformations=list(self.sequence),
-                tests_run=self._verify_tests,
-                chunks_removed=0,
-                initial_length=len(self.sequence),
-            )
-        else:
-            result = self.engine.result(verify_tests=self._verify_tests)
-            if self.degraded is not None:
-                # Best-so-far, not a finished ddmin trajectory.
-                result.history = []
-        oracle.release()
-        return _apply_degradation(
-            result,
-            oracle.stability,
-            self.degraded,
-            self.detail,
-            oracle.tracer if report else as_tracer(None),
-            oracle.metrics if report else None,
-        )
+        result = self.engine.result(verify_tests=self._verify_tests)
+        if self.degraded is not None:
+            result.history = []  # best-so-far, not a finished ddmin trajectory
+        return result
+
+
+def verify_in_pool(pool: Any, key: str, positions: Sequence[int]) -> bool:
+    """The verify probe of the sequence at *positions*, run by a worker of
+    *pool* under *key* (a pooled reduction never probes in the parent)."""
+    from repro.perf.pool import reply_value
+
+    (reply,) = pool.result(pool.submit(key, [tuple(positions)]))
+    return bool(reply_value(reply))
 
 
 def run_sessions(
-    pool: Any,
     sessions: Sequence[ReductionSession],
     *,
     batch: int = 1,
     metrics: Any = None,
 ) -> None:
-    """Drive *sessions* over one shared :class:`~repro.perf.pool.WorkerPool`
-    until every engine finishes (or errors out).
+    """Drive *sessions* until every engine finishes (or errors out): inline
+    sessions one after another, pooled ones together over their one shared
+    :class:`~repro.perf.pool.WorkerPool`.
 
     Fairness: dispatch rotates round-robin across active sessions, one
     submission per turn, so a large reduction cannot starve a small one.
@@ -642,7 +634,13 @@ def run_sessions(
     verdicts are pure functions of the candidate, so re-probing is sound —
     and the sessions it hit count one ``worker_recoveries`` each.
     """
-    sessions = [s for s in sessions if s.engine is not None]
+    for session in sessions:
+        if session.pool is None:
+            session.run(batch=batch, metrics=metrics)
+    sessions = [s for s in sessions if s.pool is not None]
+    if not sessions:
+        return
+    pool = sessions[0].pool
     batch = max(1, batch)
     submitted: dict[int, tuple[ReductionSession, list[_Candidate]]] = {}
     rotation = 0

@@ -10,7 +10,7 @@ survivors, and the module cleanup runs once the sequence has stabilised.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.reduce.pipeline import PassRun
 
@@ -25,16 +25,17 @@ def _type_name(transformation) -> str:
 
 class DdminPass:
     """The §3.4 chunked delta-debugging pass over the transformation
-    sequence, delegated to the speculative parallel engine (and, in fault
-    mode, the flake-hardened oracle).  Exempt from the give-up budget: its
-    halving schedule bounds it, and budgeting parent-side probes but not
-    pool workers would break cross-worker-count byte-identity."""
+    sequence: one leg on the speculative parallel engine (and, in fault
+    mode, the flake-hardened oracle), yielded to the pipeline's caller.
+    Exempt from the give-up budget: its halving schedule bounds it, and
+    budgeting parent-side probes but not pool workers would break
+    cross-worker-count byte-identity."""
 
     name = "ddmin"
     stage = "sequence"
 
-    def run(self, run: PassRun) -> None:
-        run.ddmin()
+    def run(self, run: PassRun) -> Iterator:
+        return run.ddmin()
 
 
 class TypeBatchRemovalPass:

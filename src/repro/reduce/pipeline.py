@@ -4,7 +4,9 @@ Creduce structures reduction as many small *passes* run in groups to a
 global fixpoint under a give-up budget (``GIVEUP_CONSTANT``); ReduKtor
 showed that combining general delta passes with domain-specific cleanup
 passes beats either alone.  :class:`PassPipeline` brings that scheduling to
-the transformation-sequence reducer:
+the transformation-sequence reducer, and every reduction runs as one: the
+paper's reducer is ``PassPipeline(["ddmin"])``, the default
+:class:`ReductionConfig`.
 
 * **Pass protocol** — a pass has a ``name``, a ``stage`` (``"sequence"``
   passes edit the transformation list, ``"module"`` passes edit the
@@ -25,6 +27,20 @@ the transformation-sequence reducer:
   saying yes.  The ddmin pass is exempt: its halving schedule already
   bounds it, and budgeting it serially but not inside pool workers would
   break cross-worker-count byte-identity.
+* **Yielded legs** — a ddmin leg is one :class:`~repro.perf.parallel_reduce.
+  ReductionSession` that the pipeline *yields* to its caller instead of
+  running it: :meth:`PassPipeline.steps` is a generator that yields each
+  leg's session and, once the caller has run it, absorbs its result.
+  :meth:`PassPipeline.run` drives its own legs one by one;
+  :meth:`~repro.core.harness.Harness.reduce_all` drives the current legs of
+  every finding through one :func:`~repro.perf.parallel_reduce.
+  run_sessions` over a shared worker pool, round-robin.  A leg runs inline
+  at window 1, or speculatively over a pool — the caller's, or, for
+  ``workers > 1`` without one, its own.  A harness-built pool rebuilds the
+  *original* finding sequence in its workers, so the leg hands the session
+  the pipeline's positions map as its base; once a pass has *mutated* an
+  element in place (payload shrinking) the map is void and later ddmin legs
+  run inline — cheap, because they happen after the big first leg.
 * **Fault envelope + journal** — with a verdict test, every probe routes
   through a per-pass :class:`~repro.robustness.reduction.FlakeHardenedOracle`
   sharing one :class:`~repro.robustness.journal.ReductionJournal`; decisions
@@ -32,26 +48,24 @@ the transformation-sequence reducer:
   so passes never collide and a SIGKILL'd pipeline resumes byte-identically
   mid-pass.  A pipeline-config record after the header pins the pass list
   and budget; resuming with a different configuration raises ``ValueError``.
-* **One engine** — a ddmin leg is one :class:`~repro.perf.parallel_reduce.
-  ReductionSession`, the same session the classic reducers build: inline at
-  window 1, or speculative over a worker pool, with the pass's oracle as
-  its commit hook in fault mode.  A harness-built pool rebuilds the
-  *original* finding sequence in its workers, so the leg hands the session
-  the pipeline's positions map as its base; once a pass has *mutated* an
-  element in place (payload shrinking) the map is void and later ddmin legs
-  run inline — cheap, because they happen after the big first leg.
+  A ddmin-only pipeline has nothing to pin (ddmin ignores the budget) and
+  keeps the classic formats: no config record, unscoped keys with the
+  verify probe in the ddmin scope, no per-pass stats in the result — unless
+  the journal it resumes already holds a config record, whose format it
+  then keeps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from functools import partial
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Generator, Iterator, Protocol, Sequence
+from typing import runtime_checkable
 
-from repro.core.reducer import ReductionResult
 from repro.observability import as_tracer
-from repro.perf.parallel_reduce import SpeculationStats
+from repro.perf.parallel_reduce import ParallelReductionResult, SpeculationStats
 
 #: Creduce's GIVEUP_CONSTANT: consecutive rejections before a greedy pass
 #: is abandoned for this invocation.
@@ -68,14 +82,14 @@ class ReductionConfig:
     raises ``ValueError`` here.
     """
 
-    #: Run the **creduce-style pass pipeline** (:class:`PassPipeline`) over
-    #: these pass names / instances (see :data:`~repro.reduce.
-    #: DEFAULT_PASS_NAMES`), in groups to a global fixpoint; ``None`` runs
-    #: the paper's single ddmin loop.  Every other knob composes with it.
-    passes: tuple | None = None
+    #: The **creduce-style pass pipeline** (:class:`PassPipeline`) to run:
+    #: pass names / instances (see :data:`~repro.reduce.DEFAULT_PASS_NAMES`),
+    #: in groups to a global fixpoint.  The default is the paper's single
+    #: ddmin pass.  Every other knob composes with it.
+    passes: tuple = ("ddmin",)
     #: The pipeline's per-pass give-up budget: consecutive rejections before
     #: a greedy pass is abandoned (``None`` = :data:`DEFAULT_GIVEUP`).
-    #: Needs ``passes``.
+    #: Needs a pass besides ddmin, which is never budgeted.
     giveup: int | None = None
     #: Probe candidates **speculatively in parallel** over this many
     #: persistent worker processes, each rebuilding the finding's probe from
@@ -99,24 +113,15 @@ class ReductionConfig:
     #: flake-hardened voting, degradation thresholds.  Setting one engages
     #: the fault envelope (see :meth:`resolve`).
     policy: Any = None
-    #: Run the §3.4 spirv-reduce-style post-pass that shrinks the functions
-    #: encoded in surviving ``AddFunction`` transformations.  The classic
-    #: reducer only: a pipeline lists the ``payload-shrink`` pass instead.
-    shrink_function_payloads: bool = False
 
     def __post_init__(self) -> None:
-        if self.passes is not None:
-            object.__setattr__(self, "passes", tuple(self.passes))
-            self.pipeline()  # unknown, duplicate or no passes raise here
-        elif self.giveup is not None:
+        object.__setattr__(self, "passes", tuple(self.passes))
+        pipeline = self.pipeline()  # unknown, duplicate or no passes raise here
+        if self.giveup is not None and not pipeline.budgeted:
             raise ValueError(
-                "giveup budgets the pass pipeline; it needs passes "
-                "(--giveup requires --reduce-passes)"
-            )
-        if self.shrink_function_payloads and self.passes is not None:
-            raise ValueError(
-                "shrink_function_payloads is the classic reducer's post-pass; "
-                "with passes, list the payload-shrink pass instead"
+                "giveup budgets the pass pipeline's greedy passes, never ddmin; "
+                "it needs another pass (--giveup requires --reduce-passes "
+                "with a pass besides ddmin)"
             )
         budget = getattr(self.policy, "max_seconds", None)
         if None not in (budget, self.max_seconds) and budget != self.max_seconds:
@@ -125,11 +130,8 @@ class ReductionConfig:
                 f"policy.max_seconds={budget}; set one"
             )
 
-    def pipeline(self) -> "PassPipeline | None":
-        """The pass pipeline this config runs; ``None`` for the classic
-        reducer."""
-        if self.passes is None:
-            return None
+    def pipeline(self) -> "PassPipeline":
+        """The pass pipeline this config runs."""
         giveup = DEFAULT_GIVEUP if self.giveup is None else self.giveup
         return PassPipeline(self.passes, giveup=giveup)
 
@@ -186,12 +188,13 @@ def pass_scoped_key(pass_name: str, base_key: str) -> str:
 class ReductionPass(Protocol):
     """One reduction pass.  ``stage`` is ``"sequence"`` or ``"module"``;
     ``run`` drives the :class:`PassRun` probe surface and never touches
-    pipeline state directly."""
+    pipeline state directly.  A pass with ddmin legs returns them
+    (:meth:`PassRun.ddmin`) for the pipeline to yield to its caller."""
 
     name: str
     stage: str
 
-    def run(self, run: "PassRun") -> None: ...
+    def run(self, run: "PassRun") -> Iterator | None: ...
 
 
 @dataclass
@@ -218,9 +221,11 @@ class PassStats:
 
 
 @dataclass
-class PipelineResult(ReductionResult):
-    """A :class:`~repro.core.reducer.ReductionResult` plus per-pass stats
-    and the cleanup pass's module (when it ran)."""
+class PipelineResult(ParallelReductionResult):
+    """A :class:`~repro.perf.parallel_reduce.ParallelReductionResult` plus
+    per-pass stats and the cleanup pass's module (when it ran).  A
+    ddmin-only pipeline in the classic format carries no per-pass stats, so
+    its JSON is the classic reducer's."""
 
     pass_stats: list[PassStats] = field(default_factory=list)
     #: The module after the ``cleanup`` (spirv-reduce) pass; ``None`` when no
@@ -229,7 +234,8 @@ class PipelineResult(ReductionResult):
 
     def to_json(self) -> dict:
         data = super().to_json()
-        data["passes"] = [stats.to_json() for stats in self.pass_stats]
+        if self.pass_stats:
+            data["passes"] = [stats.to_json() for stats in self.pass_stats]
         return data
 
 
@@ -248,7 +254,7 @@ class PipelineContext:
 
     is_interesting: Callable | None = None
     verdict_test: Callable | None = None
-    config: ReductionConfig = ReductionConfig()
+    config: ReductionConfig = field(default_factory=ReductionConfig)
     journal: Any = None
     resume: bool = False
     supervised_target: Any = None
@@ -351,10 +357,13 @@ class PassRun:
         """Install the (reduced) module a module-stage pass produced."""
         self._exec.module = module
 
-    def ddmin(self) -> None:
-        """Run the chunked delta-debugging leg over the engines (exempt from
-        the give-up budget — its halving schedule already bounds it)."""
-        self._exec.run_ddmin(self)
+    def ddmin(self) -> Iterator:
+        """The chunked delta-debugging leg, for a pass to return from
+        ``run``: yields the leg's one :class:`~repro.perf.parallel_reduce.
+        ReductionSession` for the pipeline's caller to run, then absorbs its
+        result.  Exempt from the give-up budget — its halving schedule
+        already bounds it."""
+        return self._exec.ddmin_leg(self)
 
 
 class PassPipeline:
@@ -376,23 +385,47 @@ class PassPipeline:
             raise ValueError(f"duplicate pass names: {names}")
         self.giveup = giveup
 
-    def run(self, transformations: Sequence, ctx=None) -> PipelineResult:
-        """Reduce *transformations* to the pipeline fixpoint.
+    @property
+    def budgeted(self) -> bool:
+        """Does the give-up budget reach any pass?  Not in a ddmin-only
+        pipeline: ddmin is exempt, so there is nothing to budget — nor for a
+        journal to pin, and the pipeline keeps the classic formats."""
+        return [p.name for p in self.passes] != ["ddmin"]
+
+    def steps(
+        self, transformations: Sequence, ctx=None
+    ) -> Generator[Any, None, PipelineResult]:
+        """Reduce *transformations* to the pipeline fixpoint, yielding each
+        ddmin leg's :class:`~repro.perf.parallel_reduce.ReductionSession`
+        for the caller to run (``session.run`` or ``run_sessions``) before
+        resuming; returns the :class:`PipelineResult`.
 
         *ctx* is a :class:`PipelineContext`, or a bare callable treated as a
         plain interestingness test.  Raises ``ValueError`` when the input is
         genuinely non-interesting, exactly like the raw reducer.
         """
-        if callable(ctx):
-            ctx = PipelineContext(is_interesting=ctx)
-        if ctx is None or (ctx.is_interesting is None and ctx.verdict_test is None):
-            raise ValueError("PipelineContext needs is_interesting or verdict_test")
-        execution = _Execution(self, ctx, transformations)
-        return execution.run()
+        return _Execution(self, _as_context(ctx), transformations).steps()
 
+    def run(self, transformations: Sequence, ctx=None) -> PipelineResult:
+        """:meth:`steps`, running each yielded leg in turn."""
+        ctx = _as_context(ctx)
+        steps = self.steps(transformations, ctx)
+        try:
+            while True:
+                next(steps).run(batch=ctx.config.probe_batch or 1, metrics=ctx.metrics)
+        except StopIteration as done:
+            return done.value
+
+
+def _as_context(ctx) -> PipelineContext:
+    if callable(ctx):
+        ctx = PipelineContext(is_interesting=ctx)
+    if ctx is None or (ctx.is_interesting is None and ctx.verdict_test is None):
+        raise ValueError("PipelineContext needs is_interesting or verdict_test")
+    return ctx
 
 class _Execution:
-    """Single-use state machine for one :meth:`PassPipeline.run`."""
+    """Single-use state machine for one :meth:`PassPipeline.steps`."""
 
     def __init__(self, pipeline: PassPipeline, ctx: PipelineContext, transformations):
         self.pipeline = pipeline
@@ -403,6 +436,10 @@ class _Execution:
         self.current = list(transformations)
         self.positions: list[int] | None = list(range(len(self.sequence)))
         self.fault = ctx.verdict_test is not None
+        #: Pass-scoped journal keys and per-pass result stats, unless a
+        #: ddmin-only pipeline keeps the classic formats (see
+        #: :meth:`_prepare_journal`).
+        self.scoped = pipeline.budgeted
         budget = ctx.config.budget
         self.deadline: float | None = (
             time.monotonic() + budget if budget is not None else None
@@ -448,6 +485,9 @@ class _Execution:
     # -- oracle / journal plumbing -------------------------------------------------
 
     def _prepare_journal(self) -> None:
+        """Open the journal.  A journal being resumed keeps its format: a
+        config record means scoped keys (and must match this pipeline), and
+        decisions without one are a classic ddmin journal's."""
         from repro.robustness.journal import ReductionJournal
 
         if self.journal is None:
@@ -463,10 +503,16 @@ class _Execution:
             "giveup": self.giveup,
         }
         existing = self.journal.config
-        if existing is None:
+        if existing is not None:
+            self.scoped = True
+        elif self.decisions:
+            existing = {"pipeline": ["ddmin"], "giveup": self.giveup}
+        else:
             # Fresh run — or a resume killed before the config record landed.
-            self.journal.append(config)
-        elif (
+            if self.scoped:
+                self.journal.append(config)
+            return
+        if (
             existing.get("pipeline") != config["pipeline"]
             or existing.get("giveup") != config["giveup"]
         ):
@@ -479,20 +525,19 @@ class _Execution:
     def oracle_for(self, scope: str, verdict_test=None, key_fn=None):
         """One long-lived flake-hardened oracle per pass scope.  Long-lived
         so its memo deduplicates repeat candidates across scheduler rounds —
-        each scoped key journals at most once, keeping resumed journals
+        each key journals at most once, keeping resumed journals
         byte-identical."""
-        from repro.robustness.journal import ReductionJournal
         from repro.robustness.reduction import FlakeHardenedOracle
 
         oracle = self.oracles.get(scope)
         if oracle is None:
             if key_fn is None:
-                def key_fn(candidate, _scope=scope):
-                    return pass_scoped_key(
-                        _scope,
-                        ReductionJournal.candidate_key(candidate, self.key_memo),
-                    )
-
+                # Bound to plain values, not to ``self``: an oracle that
+                # referred back here would make a cycle, and the finding's
+                # replay snapshots would outlive the run until a full GC.
+                key_fn = partial(
+                    _candidate_key, scope if self.scoped else None, self.key_memo
+                )
             oracle = FlakeHardenedOracle(
                 verdict_test or self.ctx.verdict_test,
                 self.policy,
@@ -538,9 +583,30 @@ class _Execution:
             return bool(oracle([module]))
         return bool(_as_probe_verdict(verdict_test(module)).interesting)
 
+    def _verify(self) -> bool:
+        """The verify probe: ``False`` when a fault stops the run before it
+        starts; a genuinely non-interesting input raises ``ValueError``."""
+        ctx = self.ctx
+        if self.fault:
+            self._prepare_journal()
+            oracle = self.oracle_for("verify" if self.scoped else "ddmin")
+            stop = oracle.check_input(self.sequence)
+            if stop is not None:
+                self.degraded, self.detail = stop
+            return stop is None
+        if ctx.pool is not None and ctx.config.workers > 1:
+            from repro.perf.parallel_reduce import verify_in_pool
+
+            verified = verify_in_pool(ctx.pool, ctx.pool_key, self.positions)
+        else:
+            verified = ctx.is_interesting(self.sequence)
+        if not verified:
+            raise ValueError("the full transformation sequence is not interesting")
+        return True
+
     # -- the ddmin leg ---------------------------------------------------------------
 
-    def run_ddmin(self, run: PassRun) -> None:
+    def ddmin_leg(self, run: PassRun) -> Iterator:
         from repro.perf.parallel_reduce import ReductionSession
         from repro.perf.pool import CallableProbeSpec, owned_pool
 
@@ -551,13 +617,17 @@ class _Execution:
         items, positions, given = self.current, None, None
         if workers > 1 and ctx.pool is not None and self.positions is not None:
             items, positions, given = self.sequence, self.positions, ctx.pool
-        # Without a caller's pool, only a plain leg builds one of its own.
-        own_workers = workers if ctx.pool is None and not self.fault else 1
+        # Without the caller's pool, a leg of several workers builds its own.
         with owned_pool(
             given,
             ctx.pool_key,
-            own_workers,
-            lambda: CallableProbeSpec(test=ctx.is_interesting, items=tuple(items)),
+            workers if ctx.pool is None else 1,
+            lambda: CallableProbeSpec(
+                test=ctx.is_interesting if oracle is None else ctx.verdict_test,
+                items=tuple(items),
+                decide=oracle is not None,
+                policy=self.policy,
+            ),
         ) as pool:
             session = ReductionSession(
                 items,
@@ -573,8 +643,8 @@ class _Execution:
                 tracer=self.tracer,
                 stats=self.speculation if pool is not None else None,
             )
-            session.run(batch=ctx.config.probe_batch or 1, metrics=ctx.metrics)
-            result = session.finalize(report=False)
+            yield session
+            result = session.finalize()
         # Every committed candidate is a probe, including one whose decision
         # aborted the leg.
         probes = session.engine.tests_run
@@ -589,37 +659,31 @@ class _Execution:
             self.positions = list(session.engine.current)
         self.current = list(result.transformations)
         self.histories.extend(result.history)
-        if result.timed_out or result.degraded == "budget-exhausted":
+        if result.timed_out:
             self.timed_out = True
-        elif result.degraded:
-            self.degraded = result.degraded
-            self.detail = session.detail
+        elif session.degraded is not None:
+            self.degraded, self.detail = session.degraded, session.detail
 
     # -- scheduling ------------------------------------------------------------------
 
-    def run(self) -> PipelineResult:
+    def steps(self) -> Generator[Any, None, PipelineResult]:
         self.tests_total = 1  # the verify probe
-        if self.fault:
-            self._prepare_journal()
-            stop = self.oracle_for("verify").check_input(self.sequence)
-            if stop is not None:
-                self.degraded, self.detail = stop
-                return self._finish()
-        elif not self.ctx.is_interesting(self.sequence):
-            raise ValueError("the full transformation sequence is not interesting")
-
-        sequence_passes = [p for p in self.pipeline.passes if p.stage == "sequence"]
-        module_passes = [p for p in self.pipeline.passes if p.stage != "sequence"]
-        pending = {p.name for p in sequence_passes}
-        sweep = 0
         try:
+            if not self._verify():
+                return self._finish()
+            sequence_passes = [
+                p for p in self.pipeline.passes if p.stage == "sequence"
+            ]
+            module_passes = [p for p in self.pipeline.passes if p.stage != "sequence"]
+            pending = {p.name for p in sequence_passes}
+            sweep = 0
             while pending and not self.stopped:
                 sweep += 1
                 for reduction_pass in sequence_passes:
                     if reduction_pass.name not in pending or self.stopped:
                         continue
                     pending.discard(reduction_pass.name)
-                    run = self._invoke(reduction_pass, sweep)
+                    run = yield from self._invoke(reduction_pass, sweep)
                     if run is not None and run.changed:
                         pending.update(
                             p.name
@@ -631,13 +695,15 @@ class _Execution:
                 for reduction_pass in module_passes:
                     if self.stopped:
                         break
-                    self._invoke(reduction_pass, sweep)
+                    yield from self._invoke(reduction_pass, sweep)
         finally:
             if self.ctx.supervised_target is not None:
                 self.ctx.supervised_target.set_timeout_override(None)
         return self._finish()
 
-    def _invoke(self, reduction_pass: ReductionPass, sweep: int) -> PassRun | None:
+    def _invoke(
+        self, reduction_pass: ReductionPass, sweep: int
+    ) -> Generator[Any, None, PassRun | None]:
         from repro.robustness.reduction import ReductionAborted
 
         if self.out_of_time():
@@ -649,7 +715,9 @@ class _Execution:
         accepted_before = run.stats.accepted
         removed_before = run.stats.removed
         try:
-            reduction_pass.run(run)
+            legs = reduction_pass.run(run)
+            if legs is not None:
+                yield from legs
         except ReductionAborted as abort:
             self.degraded = abort.reason
             self.detail = abort.detail
@@ -687,11 +755,14 @@ class _Execution:
             initial_length=len(self.sequence),
             timed_out=self.timed_out,
             history=list(self.histories),
-            pass_stats=[self.stats[p.name] for p in self.pipeline.passes],
+            speculation=self.speculation if self.speculation.mode == "pool" else None,
+            pass_stats=(
+                [self.stats[p.name] for p in self.pipeline.passes]
+                if self.scoped
+                else []
+            ),
             cleaned_module=self.module,
         )
-        if self.speculation.mode == "pool":
-            result.speculation = self.speculation
         if self.fault:
             _apply_degradation(
                 result,
@@ -702,6 +773,15 @@ class _Execution:
                 self.ctx.metrics,
             )
         return result
+
+
+def _candidate_key(scope: str | None, memo: dict, candidate) -> str:
+    """A sequence candidate's journal/memo key: pass-scoped, or the classic
+    unscoped key when *scope* is ``None``."""
+    from repro.robustness.journal import ReductionJournal
+
+    key = ReductionJournal.candidate_key(candidate, memo)
+    return key if scope is None else pass_scoped_key(scope, key)
 
 
 def _module_content_key(module: Any) -> str:

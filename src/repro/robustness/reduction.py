@@ -197,44 +197,6 @@ class FlakeHardenedOracle:
         self.deadline: float | None = None
         self.last_verdict_faulted = False  #: last decision fell to the fault budget
 
-    @classmethod
-    def for_reduction(
-        cls,
-        sequence: Sequence,
-        verdict_test: VerdictTest,
-        policy: ReductionPolicy | None = None,
-        *,
-        journal: "ReductionJournal | str | None" = None,
-        resume: bool = False,
-        supervised_target: Any = None,
-        tracer: Any = None,
-        metrics: Any = None,
-        replay_stats: Any = None,
-    ) -> "FlakeHardenedOracle":
-        """The oracle for one fresh reduction of *sequence*: journal opened
-        (resumed decisions loaded) and wall-clock deadline set."""
-        policy = policy or ReductionPolicy()
-        if journal is not None and not isinstance(journal, ReductionJournal):
-            journal = ReductionJournal(journal)
-        resume_records: dict[str, dict] = {}
-        if journal is not None:
-            resume_records = journal.prepare(
-                ReductionJournal.candidate_key(sequence), len(sequence), resume=resume
-            )
-        oracle = cls(
-            verdict_test,
-            policy,
-            journal=journal,
-            resume_records=resume_records,
-            supervised_target=supervised_target,
-            tracer=tracer,
-            metrics=metrics,
-            replay_stats=replay_stats,
-        )
-        if policy.max_seconds is not None:
-            oracle.deadline = time.monotonic() + policy.max_seconds
-        return oracle
-
     # -- InterestingnessTest surface ----------------------------------------------
 
     def __call__(self, candidate: Sequence) -> bool:
@@ -317,11 +279,6 @@ class FlakeHardenedOracle:
                 self.journal.append(record)
         verdict = self._memo[key] = bool(record["verdict"])
         return verdict
-
-    def release(self) -> None:
-        """Drop the probe-timeout clamp: the reduction is over."""
-        if self._target is not None:
-            self._target.set_timeout_override(None)
 
     # -- decision pipeline ---------------------------------------------------------
 
@@ -493,9 +450,8 @@ def _apply_degradation(
     tracer: Any,
     metrics: Any,
 ) -> ReductionResult:
-    """The shared fault-tolerant tail (sessions and the pass pipeline):
-    attach ``degraded``/``stability`` and emit the degradation metrics +
-    tracer event."""
+    """The pass pipeline's fault-tolerant tail: attach ``degraded`` /
+    ``stability`` and emit the degradation metrics + tracer event."""
     if result.timed_out and degraded is None:
         degraded = "budget-exhausted"
     result.degraded = degraded
@@ -528,8 +484,6 @@ def reduce_with_faults(
     replay_stats: Any = None,
     workers: int = 1,
     window: int | None = None,
-    pool: Any = None,
-    pool_key: str = "reduction",
 ) -> ReductionResult:
     """Delta-debug *transformations* through the fault-tolerant pipeline.
 
@@ -553,23 +507,24 @@ def reduce_with_faults(
     A genuinely non-interesting input still raises ``ValueError`` exactly as
     the raw reducer does — that is a caller bug, not a target fault.
 
-    This is a short entry point into the one reduction engine
-    (:class:`~repro.perf.parallel_reduce.ReductionSession`) with a
-    :class:`FlakeHardenedOracle` as its commit hook.  ``workers > 1`` (or an
-    explicit *pool*) decides candidates speculatively in worker processes;
-    decisions commit in serial scan order, so the result *and* the journal
-    are byte-identical to a serial run's for a deterministic oracle.  An
-    oracle that cannot be shipped to worker processes (unpicklable and no
+    This is ``PassPipeline(["ddmin"])`` in fault mode: one ddmin leg on the
+    reduction engine (:class:`~repro.perf.parallel_reduce.ReductionSession`)
+    with a :class:`FlakeHardenedOracle` as its commit hook.  ``workers > 1``
+    decides candidates speculatively in worker processes; decisions commit
+    in serial scan order, so the result *and* the journal are
+    byte-identical to a serial run's for a deterministic oracle.  An oracle
+    that cannot be shipped to worker processes (unpicklable and no
     ``fork``) silently runs inline.
     """
-    from repro.perf.parallel_reduce import ReductionSession
-    from repro.perf.pool import CallableProbeSpec, owned_pool
+    from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
 
-    sequence = list(transformations)
-    oracle = FlakeHardenedOracle.for_reduction(
-        sequence,
-        verdict_test,
-        policy,
+    ctx = PipelineContext(
+        verdict_test=verdict_test,
+        config=ReductionConfig(
+            workers=workers,
+            window=window,
+            policy=policy or ReductionPolicy(),
+        ),
         journal=journal,
         resume=resume,
         supervised_target=supervised_target,
@@ -577,23 +532,4 @@ def reduce_with_faults(
         metrics=metrics,
         replay_stats=replay_stats,
     )
-    with owned_pool(
-        pool,
-        pool_key,
-        workers,
-        lambda: CallableProbeSpec(
-            test=verdict_test, items=tuple(sequence), decide=True, policy=oracle.policy
-        ),
-    ) as pool:
-        session = ReductionSession(
-            sequence,
-            oracle=oracle,
-            pool=pool,
-            key=pool_key,
-            workers=max(2, workers) if pool is not None else 1,
-            window=window,
-            deadline=oracle.deadline,
-            tracer=oracle.tracer,
-        )
-        session.run()
-        return session.finalize()
+    return PassPipeline(["ddmin"]).run(transformations, ctx)

@@ -831,7 +831,9 @@ class CampaignService:
                     findings.extend(
                         record_to_run(records[seed], references).findings
                     )
-                config = ReductionConfig(passes=manifest.reduce_passes or None)
+                config = ReductionConfig(
+                    passes=manifest.reduce_passes or ReductionConfig.passes
+                )
                 for index, finding in enumerate(findings[: manifest.reduce]):
                     result = harness.reduce_finding(
                         finding,

@@ -21,7 +21,6 @@ from repro.corpus import donor_programs, reference_programs
 from repro.interp import execute
 from repro.ir import types as tys
 from repro.ir.opcodes import Op
-from repro.reduce import ReductionConfig
 
 
 class TestAddUniform:
@@ -132,14 +131,6 @@ class TestPayloadShrinking:
             if isinstance(t, AddFunction)
         )
         assert after_lines <= before_lines
-
-    def test_harness_flag(self):
-        harness, finding, _ = self._finding_with_add_function()
-        reduction = harness.reduce_finding(
-            finding, ReductionConfig(shrink_function_payloads=True)
-        )
-        test = harness.make_interestingness_test(finding)
-        assert test(reduction.transformations)
 
     def test_noop_without_add_function(self):
         from repro.core.transformations import ToggleFunctionControl

@@ -7,6 +7,7 @@ run's worker count and fault policy in one place, and ``reduce_finding`` is
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -17,7 +18,8 @@ from repro.core.fuzzer import FuzzerOptions
 from repro.core.harness import Harness
 from repro.corpus import donor_programs, reference_programs
 from repro.perf import default_worker_count
-from repro.reduce import DEFAULT_GIVEUP, ReductionConfig
+from repro.perf.replay_cache import CachedReplayer
+from repro.reduce import DEFAULT_GIVEUP, DEFAULT_PASS_NAMES, ReductionConfig
 from repro.robustness import ReductionPolicy, RobustnessConfig
 
 from tests.test_cli_reduce_golden import LOG
@@ -27,12 +29,10 @@ class TestRejections:
     def test_giveup_needs_passes(self):
         with pytest.raises(ValueError, match="giveup"):
             ReductionConfig(giveup=200)
-        assert ReductionConfig(passes=["ddmin"], giveup=200).giveup == 200
-
-    def test_shrink_payloads_is_classic_only(self):
-        with pytest.raises(ValueError, match="payload-shrink"):
-            ReductionConfig(passes=["ddmin"], shrink_function_payloads=True)
-        assert ReductionConfig(shrink_function_payloads=True).passes is None
+        with pytest.raises(ValueError, match="giveup"):
+            ReductionConfig(passes=["ddmin"], giveup=200)
+        budgeted = ReductionConfig(passes=["ddmin", "type-batch"], giveup=200)
+        assert budgeted.giveup == 200
 
     def test_one_budget(self):
         with pytest.raises(ValueError, match="two reduction budgets"):
@@ -74,7 +74,12 @@ class TestResolve:
         pipeline = config.pipeline()
         assert [p.name for p in pipeline.passes] == ["type-batch", "ddmin"]
         assert pipeline.giveup == DEFAULT_GIVEUP
-        assert ReductionConfig().pipeline() is None
+
+    def test_the_default_is_ddmin_alone(self):
+        assert ReductionConfig() == ReductionConfig(passes=["ddmin"])
+        pipeline = ReductionConfig().pipeline()
+        assert [p.name for p in pipeline.passes] == ["ddmin"]
+        assert not pipeline.budgeted
 
     def test_zero_workers_means_one_per_cpu(self):
         assert ReductionConfig().resolve().workers == 1
@@ -118,18 +123,26 @@ def _reduce_events(path):
     return events
 
 
+def _arith_mix_findings(seeds):
+    program = next(p for p in reference_programs() if p.name == "arith_mix_0")
+    harness = Harness(
+        [make_target("SwiftShader")], [program], donor_programs(), FuzzerOptions()
+    )
+    return [f for seed in seeds for f in harness.run_seed(seed, program).findings]
+
+
 class TestOneBody:
     @pytest.fixture(scope="class")
     def finding(self):
-        program = next(p for p in reference_programs() if p.name == "arith_mix_0")
-        harness = Harness(
-            [make_target("SwiftShader")],
-            [program],
-            donor_programs(),
-            FuzzerOptions(),
-        )
-        (finding,) = harness.run_seed(0, program).findings
+        (finding,) = _arith_mix_findings([0])
         return finding
+
+    @pytest.fixture(scope="class")
+    def findings(self):
+        """Three SwiftShader crashes of different lengths and signatures."""
+        findings = _arith_mix_findings([0, 3, 9])
+        assert len(findings) == 3
+        return findings
 
     def _traced(self, tmp_path, name, reduce):
         path = tmp_path / f"{name}.jsonl"
@@ -163,3 +176,65 @@ class TestOneBody:
         assert batch_events == alone_events
         assert alone_events[0]["ev"] == "reduce.begin"
         assert alone_events[-1]["ev"] == "reduce.end"
+
+    def test_pooled_pipelines_match_each_finding_alone(self, findings):
+        config = ReductionConfig(passes=DEFAULT_PASS_NAMES, workers=2)
+        harness = Harness([make_target("SwiftShader")], reference_programs())
+        try:
+            pooled = harness.reduce_all(findings, config)
+            alone = [harness.reduce_finding(f, config) for f in findings]
+        finally:
+            harness.close()
+        assert [json.dumps(r.to_json()) for r in pooled] == [
+            json.dumps(r.to_json()) for r in alone
+        ]
+        assert [r.history for r in pooled] == [r.history for r in alone]
+
+    def test_pooled_rounds_are_keyed_by_finding(self, findings, tmp_path):
+        """In one pooled trace the rounds of different findings interleave;
+        grouped by their ``key``, each finding's rounds are the ones it
+        emits when reduced alone."""
+        config = ReductionConfig(workers=2)
+        _, pooled = self._traced(
+            tmp_path, "pooled", lambda h: h.reduce_all(findings, config)
+        )
+
+        def rounds(events, key):
+            return [
+                {k: v for k, v in event.items() if k != "key"}
+                for event in events
+                if event["ev"] == "reduce.round" and event["key"] == key
+            ]
+
+        for index, finding in enumerate(findings):
+            _, alone = self._traced(
+                tmp_path,
+                f"alone-{index}",
+                lambda h: [h.reduce_finding(finding, config)],
+            )
+            assert rounds(pooled, f"finding-{index}") == rounds(alone, "finding-0")
+            assert rounds(alone, "finding-0")
+
+    @pytest.mark.parametrize(
+        "passes", [("ddmin",), DEFAULT_PASS_NAMES], ids=["ddmin", "default"]
+    )
+    def test_a_journaled_reduction_frees_its_replayer(self, finding, passes, tmp_path):
+        """No reference cycle keeps a finished fault-tolerant reduction's
+        replay snapshots alive until the next full garbage collection."""
+
+        def replayers():
+            return sum(isinstance(o, CachedReplayer) for o in gc.get_objects())
+
+        harness = Harness([make_target("SwiftShader")], reference_programs())
+        gc.collect()
+        gc.disable()
+        try:
+            before = replayers()
+            harness.reduce_finding(
+                finding, ReductionConfig(passes=passes), journal=tmp_path / "j.jsonl"
+            )
+            after = replayers()
+        finally:
+            gc.enable()
+            harness.close()
+        assert after == before

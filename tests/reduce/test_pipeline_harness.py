@@ -11,6 +11,7 @@ import pytest
 from repro.compilers import make_targets
 from repro.core.fuzzer import FuzzerOptions
 from repro.core.harness import Harness
+from repro.core.reducer import shrink_add_function_payloads
 from repro.corpus import donor_programs, reference_programs
 from repro.reduce import DEFAULT_PASS_NAMES, ReductionConfig
 
@@ -34,8 +35,9 @@ class TestPipelineVsChain:
     def test_never_larger_than_the_prepipeline_chain(self, campaign):
         harness, result = campaign
         for finding in result.findings[:3]:
-            chain = harness.reduce_finding(
-                finding, ReductionConfig(shrink_function_payloads=True)
+            chain = shrink_add_function_payloads(
+                harness.reduce_finding(finding).transformations,
+                harness.make_interestingness_test(finding),
             )
             cleaned = harness.spirv_cleanup(finding, chain.transformations)
             piped = harness.reduce_finding(finding, PIPELINE)

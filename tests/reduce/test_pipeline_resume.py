@@ -95,6 +95,12 @@ class TestInProcessResume:
         with pytest.raises(ValueError, match="different pass pipeline"):
             run_pipeline(journal, resume=True, giveup=7)
 
+    def test_a_classic_journal_pins_ddmin_alone(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        run_pipeline(journal, passes=("ddmin",))
+        with pytest.raises(ValueError, match="different pass pipeline"):
+            run_pipeline(journal, resume=True)
+
     def test_config_record_lands_in_the_journal(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         run_pipeline(journal)

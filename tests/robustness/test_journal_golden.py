@@ -160,6 +160,51 @@ class TestGoldenJournals:
         assert journal.read_bytes() == (GOLDEN / fixture).read_bytes()
 
 
+    def test_ddmin_pipeline_writes_the_classic_journal(self, tmp_path):
+        """A ddmin-only pipeline has nothing to pin: no config record,
+        unscoped keys, and no per-pass stats in its JSON."""
+        journal = tmp_path / "journal.jsonl"
+        ctx = PipelineContext(
+            verdict_test=FAULT_ORACLE,
+            config=ReductionConfig(policy=POLICY),
+            journal=journal,
+        )
+        result = PassPipeline(["ddmin"]).run(SEQUENCE, ctx)
+        assert journal.read_bytes() == (
+            GOLDEN / "reduce_with_faults.jsonl"
+        ).read_bytes()
+        assert "passes" not in result.to_json()
+
+    def test_pre_upgrade_ddmin_pipeline_journal_resumes(self, tmp_path):
+        """``pipeline_ddmin.jsonl`` was written by a ddmin-only pipeline
+        before the classic reducer became one, with a config record and
+        pass-scoped keys.  Resuming it keeps that format: nothing is probed
+        and the journal stays byte-identical."""
+        fixture = (GOLDEN / "pipeline_ddmin.jsonl").read_bytes()
+        journal = tmp_path / "journal.jsonl"
+        journal.write_bytes(fixture)
+        probed = []
+
+        def counting(candidate):
+            probed.append(tuple(candidate))
+            return FAULT_ORACLE(candidate)
+
+        ctx = PipelineContext(
+            verdict_test=counting,
+            config=ReductionConfig(policy=POLICY),
+            journal=journal,
+            resume=True,
+        )
+        resumed = PassPipeline(["ddmin"]).run(SEQUENCE, ctx)
+        classic = write_fault_journal(tmp_path / "classic.jsonl")
+        assert probed == []
+        assert journal.read_bytes() == fixture
+        assert [stats.name for stats in resumed.pass_stats] == ["ddmin"]
+        assert resumed.transformations == classic.transformations
+        assert resumed.tests_run == classic.tests_run
+        assert resumed.stability == classic.stability
+
+
 class TestPipelineClassicParity:
     """``PassPipeline(["ddmin"])`` in fault mode is the classic fault-tolerant
     reduction: same sequence, tests, accepted-chunk history and stability.
