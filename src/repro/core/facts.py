@@ -54,6 +54,8 @@ class FactManager:
     irrelevant_pointees: set[int] = field(default_factory=set)
     livesafe_functions: set[int] = field(default_factory=set)
     _synonym_parent: dict[DataDescriptor, DataDescriptor] = field(default_factory=dict)
+    #: Per union-find root: the sorted plain ids of its class.
+    _plain_members: dict[DataDescriptor, tuple[int, ...]] = field(default_factory=dict)
 
     # -- dead blocks -----------------------------------------------------------
 
@@ -101,14 +103,25 @@ class FactManager:
         self._synonym_parent[descriptor] = root
         return root
 
+    def _plain_members_of(self, root: DataDescriptor) -> tuple[int, ...]:
+        """The sorted plain ids in *root*'s class; a descriptor the relation
+        has not seen yet is a class of its own."""
+        members = self._plain_members.get(root)
+        if members is not None:
+            return members
+        return (root.object_id,) if root.is_plain else ()
+
     def add_synonym(self, a: DataDescriptor, b: DataDescriptor) -> None:
         """Record ``Synonymous(a, b)``."""
         root_a, root_b = self._find(a), self._find(b)
         if root_a != root_b:
             self._synonym_parent[root_b] = root_a
+            self._plain_members[root_a] = tuple(
+                sorted(self._plain_members_of(root_a) + self._plain_members_of(root_b))
+            )
+            self._plain_members.pop(root_b, None)
         else:
-            self._synonym_parent.setdefault(a, root_a)
-            self._synonym_parent.setdefault(b, root_a)
+            self._plain_members.setdefault(root_a, self._plain_members_of(root_a))
         # Make sure both descriptors are registered for enumeration.
         self._synonym_parent.setdefault(a, root_a)
         self._synonym_parent.setdefault(b, root_a)
@@ -121,16 +134,11 @@ class FactManager:
         return self._find(a) == self._find(b)
 
     def plain_synonyms_of(self, value_id: int) -> list[int]:
-        """All *other* plain ids recorded synonymous with *value_id*."""
+        """All *other* plain ids recorded synonymous with *value_id*, sorted."""
         me = plain(value_id)
         if me not in self._synonym_parent:
             return []
-        root = self._find(me)
-        return sorted(
-            d.object_id
-            for d in self._synonym_parent
-            if d.is_plain and d.object_id != value_id and self._find(d) == root
-        )
+        return [m for m in self._plain_members[self._find(me)] if m != value_id]
 
     def indexed_synonym_targets(self) -> list[DataDescriptor]:
         """All indexed descriptors known to the synonym relation."""
@@ -151,6 +159,7 @@ class FactManager:
             irrelevant_pointees=set(self.irrelevant_pointees),
             livesafe_functions=set(self.livesafe_functions),
             _synonym_parent=dict(self._synonym_parent),
+            _plain_members=dict(self._plain_members),
         )
 
     def forget_ids(self, ids: set[int]) -> None:
@@ -163,17 +172,15 @@ class FactManager:
         self.irrelevant_uses = {
             (inst, k) for inst, k in self.irrelevant_uses if inst not in ids
         }
-        doomed = [d for d in self._synonym_parent if d.object_id in ids]
-        if doomed:
-            survivors = [
-                (a, b)
-                for a in self._synonym_parent
-                for b in self._synonym_parent
-                if a != b
-                and a.object_id not in ids
-                and b.object_id not in ids
-                and self._find(a) == self._find(b)
-            ]
-            self._synonym_parent = {}
-            for a, b in survivors:
-                self.add_synonym(a, b)
+        if not any(d.object_id in ids for d in self._synonym_parent):
+            return
+        classes: dict[DataDescriptor, list[DataDescriptor]] = {}
+        for d in self._synonym_parent:
+            if d.object_id not in ids:
+                classes.setdefault(self._find(d), []).append(d)
+        self._synonym_parent = {}
+        self._plain_members = {}
+        # A survivor left without a class-mate has no fact left to state.
+        for first, *rest in classes.values():
+            for d in rest:
+                self.add_synonym(first, d)

@@ -196,19 +196,14 @@ class FuzzerPass(abc.ABC):
         if located is None:
             return []
         function, block, index = located
-        availability = ctx.availability(function)
         anchor = block.instructions[index] if index < len(block.instructions) else None
-        result = []
-        for value_id in availability.ids_available_at(block.label_id, anchor):
-            inst = ctx.defs().get(value_id)
-            if inst is None or inst.type_id is None:
-                continue
-            if op_info(inst.opcode).is_type_decl:
-                continue
-            ty = ctx.types().get(inst.type_id)
-            if ty is not None and predicate(value_id, ty):
-                result.append(value_id)
-        return result
+        return [
+            value_id
+            for value_id, ty in ctx.availability(function).typed_available_at(
+                block.label_id, anchor
+            )
+            if ty is not None and predicate(value_id, ty)
+        ]
 
     def _body_instructions(self, ctx: Context) -> list[Instruction]:
         result = []

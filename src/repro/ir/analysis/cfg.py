@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.module import Block, Function, Instruction, Module
+from repro.ir.module import Block, Function, Instruction, Module, TypedId, typed_id
 
 
 @dataclass
@@ -264,6 +264,10 @@ class Availability:
     Global declarations and function parameters are available everywhere;
     a local definition is available at uses it strictly precedes in its own
     block, and everywhere in blocks its block strictly dominates.
+
+    :meth:`typed_available_at` answers from an index built lazily over the
+    function as it stands at the first query, so the owner must drop the
+    object after mutating the module (``Context.invalidate`` does).
     """
 
     def __init__(self, module: Module, function: Function) -> None:
@@ -283,6 +287,14 @@ class Availability:
             for inst in block.instructions:
                 if inst.result_id is not None:
                     self._def_block[inst.result_id] = block.label_id
+        #: Per block label, in layout order: its typed definitions, and the
+        #: number of them preceding each of its instructions (keyed by
+        #: ``id(inst)``).  Built on the first positional query.
+        self._block_defs: dict[int, tuple[list[TypedId], dict[int, int]]] | None = None
+        #: Per queried block label: ``(head, tail)`` — globals, params and the
+        #: definitions of strict dominators laid out before the block, then
+        #: those of strict dominators laid out after it.
+        self._dominating: dict[int, tuple[list[TypedId], list[TypedId]]] = {}
 
     def available_at(self, def_id: int, block_label: int, use_inst: Instruction | None) -> bool:
         """Is *def_id* usable by *use_inst* residing in block *block_label*?
@@ -304,15 +316,61 @@ class Availability:
 
     def ids_available_at(self, block_label: int, use_inst: Instruction | None) -> list[int]:
         """All value ids available at the given position (excluding labels)."""
-        result: list[int] = []
-        for inst in self.module.global_insts:
-            if inst.result_id is not None:
-                result.append(inst.result_id)
-        result.extend(p.result_id for p in self.function.params if p.result_id)
-        for block in self.function.blocks:
-            for inst in block.instructions:
-                if inst.result_id is None:
-                    continue
-                if self.available_at(inst.result_id, block_label, use_inst):
-                    result.append(inst.result_id)
+        return [value_id for value_id, _ in self.typed_available_at(block_label, use_inst)]
+
+    def typed_available_at(
+        self, block_label: int, use_inst: Instruction | None
+    ) -> list[TypedId]:
+        """``(id, value type or None)`` of every id available at the given
+        position: globals in declaration order, then params, then the
+        definitions of the block's strict dominators and of its own prefix,
+        in layout order.  A fresh list the caller may keep."""
+        block_defs = self._index()
+        head, tail = self._dominating_defs(block_label)
+        result = list(head)
+        own = block_defs.get(block_label)
+        if own is not None:
+            defs, preceding = own
+            if use_inst is None:
+                result += defs
+            else:
+                result += defs[: preceding.get(id(use_inst), len(defs))]
+        result += tail
         return result
+
+    def _index(self) -> dict[int, tuple[list[TypedId], dict[int, int]]]:
+        if self._block_defs is None:
+            table = self.module.type_table()
+            self._block_defs = {}
+            for block in self.function.blocks:
+                defs: list[TypedId] = []
+                preceding: dict[int, int] = {}
+                for inst in block.instructions:
+                    preceding[id(inst)] = len(defs)
+                    if inst.result_id is not None:
+                        defs.append(typed_id(inst, table))
+                self._block_defs[block.label_id] = (defs, preceding)
+        return self._block_defs
+
+    def _dominating_defs(self, block_label: int) -> tuple[list[TypedId], list[TypedId]]:
+        cached = self._dominating.get(block_label)
+        if cached is not None:
+            return cached
+        table = self.module.type_table()
+        head = list(self.module.typed_globals())
+        head += [typed_id(p, table) for p in self.function.params if p.result_id]
+        tail: list[TypedId] = []
+        dominators: set[int] = set()
+        if block_label in self.cfg.reachable:
+            runner = self.cfg.idom.get(block_label)
+            while runner is not None:
+                dominators.add(runner)
+                runner = self.cfg.idom.get(runner)
+        out = head
+        for label, (defs, _) in self._index().items():
+            if label == block_label:
+                out = tail
+            elif label in dominators:
+                out.extend(defs)
+        cached = self._dominating[block_label] = (head, tail)
+        return cached

@@ -23,8 +23,9 @@ both bump the module's ``_globals_version``.
 
 Derived views — :meth:`Module.fingerprint` and :meth:`Module.content_digest`
 — are cached per module version (bumped by :meth:`Module.touch`);
-:meth:`Module.type_table` depends on the global section alone and is cached
-per ``_globals_version``, so function-body edits and ``touch`` keep it.
+:meth:`Module.type_table` and :meth:`Module.typed_globals` depend on the
+global section alone and are cached per ``_globals_version``, so
+function-body edits and ``touch`` keep them.
 """
 
 from __future__ import annotations
@@ -402,6 +403,19 @@ def evaluate_constant(defs: dict[int, Instruction], const_id: int) -> object:
     raise IrError(f"%{const_id} is not a constant with a known value")
 
 
+#: A result id paired with the structural type of the value it names, or
+#: None when it names no typed value (a type declaration, or a result whose
+#: type id is missing or undeclared).
+TypedId = tuple[int, "tys.Type | None"]
+
+
+def typed_id(inst: Instruction, table: dict[int, tys.Type]) -> TypedId:
+    """*inst*'s result id and value type, looked up in type table *table*."""
+    if inst.type_id is None or op_info(inst.opcode).is_type_decl:
+        return inst.result_id, None
+    return inst.result_id, table.get(inst.type_id)
+
+
 def is_constant_decl(inst: Instruction | None) -> bool:
     """True when *inst* declares a constant with a known value (not
     ``OpUndef``)."""
@@ -444,6 +458,9 @@ class Module:
         default=None, repr=False, compare=False
     )
     _type_table_cache: "tuple[int, dict[int, tys.Type]] | None" = field(
+        default=None, repr=False, compare=False
+    )
+    _typed_globals_cache: "tuple[int, list[TypedId]] | None" = field(
         default=None, repr=False, compare=False
     )
 
@@ -599,6 +616,25 @@ class Module:
         self._type_table_cache = (self._globals_version, table)
         return table
 
+    def typed_globals(self) -> "list[TypedId]":
+        """``(id, value type or None)`` of every global declaration with a
+        result id, in declaration order (see :func:`typed_id`).
+
+        Cached per :attr:`_globals_version` like :meth:`type_table`; callers
+        must treat the list as read-only.
+        """
+        cached = self._typed_globals_cache
+        if cached is not None and cached[0] == self._globals_version:
+            return cached[1]
+        table = self.type_table()
+        typed = [
+            typed_id(inst, table)
+            for inst in self.global_insts
+            if inst.result_id is not None
+        ]
+        self._typed_globals_cache = (self._globals_version, typed)
+        return typed
+
     def type_of(self, value_id: int) -> tys.Type:
         """Structural type of the value produced by *value_id*."""
         inst = self.get_instruction(value_id)
@@ -705,6 +741,9 @@ class Module:
         new._digest_cache = _carried(self._digest_cache, self._version)
         new._type_table_cache = _carried(
             self._type_table_cache, self._globals_version
+        )
+        new._typed_globals_cache = _carried(
+            self._typed_globals_cache, self._globals_version
         )
         return new
 

@@ -297,6 +297,8 @@ class CampaignService:
                     "store-write-failed",
                     retry_after=self.config.shed_retry_after,
                 )
+            # A torn leftover that recovery flagged is gone: submit replaced it.
+            self._broken.pop(manifest.campaign_id, None)
             batches = plan_batches(
                 manifest.campaign_id, manifest.seeds, self.config.batch_size
             )

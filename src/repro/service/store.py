@@ -13,11 +13,13 @@ Every file here is a view over the one sealed-JSONL
 :class:`~repro.robustness.journal.Journal`, sharing its CRC-32 seals,
 fsyncs, torn-tail rule and :class:`~repro.robustness.chaos.FileOps` chaos
 seam.  ``meta.jsonl`` lines are fsync'd before the service acts on the
-transition they record.  Loading folds the record *prefix* up to the first
-invalid line — a torn tail is expected and harmless; an invalid line
-**followed by** valid ones is interior corruption, and
-:meth:`CampaignStore.check` (classifying the lines of the same scan)
-reports it loudly rather than merging records across the gap.
+transition they record; the submit record and the initial ``QUEUED``
+state are written together by one atomic :meth:`Journal.replace`.
+Loading folds the record *prefix* up to the first invalid line — a torn
+tail is expected and harmless; an invalid line **followed by** valid ones
+is interior corruption, and :meth:`CampaignStore.check` (classifying the
+lines of the same scan) reports it loudly rather than merging records
+across the gap.
 
 ``result.json`` is one sealed record written atomically
 (:meth:`Journal.replace`) and contains **no timestamps or execution
@@ -173,7 +175,10 @@ class CampaignStore:
         )
 
     def exists(self, campaign_id: str) -> bool:
-        return self.meta_path(campaign_id).exists()
+        """True once the campaign's meta holds a verified record.  Submit
+        writes its records in one atomic replace, so a meta with none —
+        a torn line left by a crash mid-submit — was never accepted."""
+        return any(record is not None for record, _ in self._meta(campaign_id).scan())
 
     def disk_free(self) -> int:
         """Free bytes under the store root (the load-shedding signal); goes
@@ -201,10 +206,13 @@ class CampaignStore:
         """Create the campaign directory and durably record the submission
         (spec, seeds, budgets) plus the initial ``QUEUED`` state.
 
-        If any of the durable writes fails (ENOSPC mid-submit), the
-        freshly created directory is removed best-effort before the error
-        propagates — a rejected-by-the-disk submission must not leave a
-        half-born campaign for ``check_all`` to flag forever.
+        Both records land in one :meth:`Journal.replace`, so a crash leaves
+        the whole submission or none of it; a leftover meta holding no
+        verified record (see :meth:`exists`) is replaced.  If a durable
+        write fails (ENOSPC mid-submit), a freshly created directory is
+        removed best-effort before the error propagates — a
+        rejected-by-the-disk submission must not leave a half-born
+        campaign for ``check_all`` to flag forever.
         """
         directory = self.campaign_dir(manifest.campaign_id)
         if self.exists(manifest.campaign_id):
@@ -214,24 +222,23 @@ class CampaignStore:
         created = not directory.exists()
         directory.mkdir(parents=True, exist_ok=True)
         try:
-            self._meta(manifest.campaign_id).append(
-                {
-                    "v": META_VERSION,
-                    "type": "submit",
-                    "campaign": manifest.campaign_id,
-                    "tenant": manifest.tenant,
-                    "seeds": list(manifest.seeds),
-                    "reduce": manifest.reduce,
-                    "reduce_passes": list(manifest.reduce_passes),
-                    "max_seconds": manifest.max_seconds,
-                    "max_probes": manifest.max_probes,
-                    "spec": spec_to_json(manifest.spec),
-                },
+            self._meta(manifest.campaign_id).replace(
+                [
+                    {
+                        "v": META_VERSION,
+                        "type": "submit",
+                        "campaign": manifest.campaign_id,
+                        "tenant": manifest.tenant,
+                        "seeds": list(manifest.seeds),
+                        "reduce": manifest.reduce,
+                        "reduce_passes": list(manifest.reduce_passes),
+                        "max_seconds": manifest.max_seconds,
+                        "max_probes": manifest.max_probes,
+                        "spec": spec_to_json(manifest.spec),
+                    },
+                    {"v": META_VERSION, "type": "state", "state": st.QUEUED},
+                ]
             )
-            self._meta(manifest.campaign_id).append(
-                {"v": META_VERSION, "type": "state", "state": st.QUEUED}
-            )
-            self.fileops.fsync_dir(directory)
             self.fileops.fsync_dir(self.campaigns_dir)
         except OSError:
             if created:
@@ -254,8 +261,9 @@ class CampaignStore:
         raise StoreError(f"campaign {campaign_id!r} has no submit record")
 
     def state(self, campaign_id: str) -> str | None:
-        """Current state folded from the meta history (``None`` before the
-        first state record — only possible mid-submit crash)."""
+        """Current state folded from the meta history (``None`` when it
+        holds no state record: a never-accepted submission, see
+        :meth:`exists`)."""
         current = None
         for record in self.history(campaign_id):
             if record.get("type") == "state":
@@ -361,7 +369,7 @@ class CampaignStore:
         write are expected debris, not corruption.)
         """
         violations: list[str] = []
-        if not self.exists(campaign_id):
+        if not self.meta_path(campaign_id).exists():
             return [f"{campaign_id}: no meta.jsonl"]
         entries = self._meta(campaign_id).scan()
         bad = [index for index, (record, _) in enumerate(entries) if record is None]

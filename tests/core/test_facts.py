@@ -100,3 +100,27 @@ class TestSynonyms:
         assert not facts.is_irrelevant(5)
         assert facts.are_synonymous(plain(6), plain(7))
         assert not facts.are_synonymous(plain(5), plain(6))
+
+    def test_plain_synonyms_after_forget_ids(self):
+        facts = FactManager()
+        facts.add_synonym(plain(5), plain(6))
+        facts.add_synonym(plain(6), plain(7))
+        facts.add_synonym(DataDescriptor(5, (0,)), plain(8))
+        facts.add_synonym(plain(8), plain(9))
+        facts.add_synonym(plain(10), plain(11))
+        facts.forget_ids({5, 10})
+        assert facts.plain_synonyms_of(6) == [7]
+        assert facts.plain_synonyms_of(7) == [6]
+        assert facts.plain_synonyms_of(8) == [9]
+        assert facts.plain_synonyms_of(5) == []
+        assert facts.plain_synonyms_of(11) == []
+        facts.add_synonym(plain(7), plain(9))
+        assert facts.plain_synonyms_of(6) == [7, 8, 9]
+
+    def test_clone_keeps_synonym_classes_apart(self):
+        facts = FactManager()
+        facts.add_synonym(plain(1), plain(2))
+        copy = facts.clone()
+        copy.add_synonym(plain(2), plain(3))
+        assert facts.plain_synonyms_of(1) == [2]
+        assert copy.plain_synonyms_of(1) == [2, 3]

@@ -117,6 +117,32 @@ def test_backpressure_rejects_explicitly_and_owns_no_disk(tmp_path):
         service.shutdown()
 
 
+def test_resubmit_replaces_a_torn_submit_left_by_a_crash(tmp_path):
+    """A crash mid-submit used to leave a meta holding only a torn submit
+    line: recovery flagged it and a resubmit was refused as a duplicate.
+    Submit now writes atomically and replaces such a leftover."""
+    manifest = CampaignManifest("c1", WellBehavedSpec(), (0, 1))
+    pristine = CampaignStore(tmp_path / "pristine")
+    pristine.submit(manifest)
+    submit_line = pristine.meta_path("c1").read_bytes().split(b"\n")[0]
+    service = _service(tmp_path)
+    store = service.store
+    store.campaign_dir("c1").mkdir(parents=True)
+    store.meta_path("c1").write_bytes(submit_line[: len(submit_line) // 2])
+    assert not store.exists("c1")
+    assert store.check_all() == ["c1: meta does not start with submit"]
+    service.start()
+    try:
+        assert service.healthz()["broken_campaigns"] == ["c1"]
+        assert service.submit(manifest) is None
+        assert "broken_campaigns" not in service.healthz()
+        service.run_until_idle(max_seconds=60)
+    finally:
+        service.shutdown()
+    assert store.state("c1") == st.DONE
+    assert store.check_all() == []
+
+
 def test_worker_crash_requeues_exactly_once(tmp_path):
     spec = CrashOnceSpec(marker=str(tmp_path / "crashed"), crash_seed=2)
     service = _service(tmp_path, trace=True)

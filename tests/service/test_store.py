@@ -72,6 +72,23 @@ def test_duplicate_submit_raises(tmp_path):
         store.submit(_manifest())
 
 
+def test_submit_replaces_only_a_meta_without_verified_records(tmp_path):
+    store = CampaignStore(tmp_path)
+    store.campaign_dir("c1").mkdir(parents=True)
+    store.meta_path("c1").write_bytes(b'{"v": 1, "type": "submit", "camp')
+    assert not store.exists("c1")
+    store.submit(_manifest())
+    assert [r["type"] for r in store.history("c1")] == ["submit", "state"]
+    assert store.check("c1") == []
+    # A meta holding any verified record is a campaign, corrupt or not.
+    store.transition("c1", st.RUNNING)
+    lines = store.meta_path("c1").read_bytes().splitlines(keepends=True)
+    store.meta_path("c1").write_bytes(b"bit rot\n" + b"".join(lines[1:]))
+    with pytest.raises(StoreError):
+        store.submit(_manifest())
+    assert store.meta_path("c1").read_bytes().startswith(b"bit rot\n")
+
+
 def test_transitions_follow_the_whitelist(tmp_path):
     store = CampaignStore(tmp_path)
     store.submit(_manifest())
