@@ -200,12 +200,16 @@ def bench_tracing(seeds: int, max_transformations: int) -> dict:
 
 
 def bench_reduction(seeds: int, max_transformations: int, cap_per_signature: int) -> dict:
-    """Cached vs uncached reduction on the RQ2 workload (non-GPU targets)."""
+    """Cached vs uncached reduction on the RQ2 workload (non-GPU targets).
+
+    The harness probes uncached, so both arms pay the same per-probe cost
+    and the comparison isolates the replay cache."""
     harness = Harness(
         [make_target(name) for name in NON_GPU_TARGET_NAMES],
         reference_programs(),
         donor_programs(),
         FuzzerOptions(max_transformations=max_transformations),
+        probe_cache=False,
     )
     campaign = harness.run_campaign(range(seeds))
     per_signature: dict[tuple[str, str], int] = {}
@@ -569,10 +573,11 @@ def bench_probe_throughput(
     (every candidate is new content), keeping the measurement honest.
     Three comparisons, all verified byte-identical:
 
-    * cached (``probe_cache=True``) vs uncached probes/sec — CI gate:
-      >= 1.5x;
-    * batched supervised probes vs plain probes — identity only (batching
-      trades latency for IPC, the win needs real per-probe latency);
+    * cached (the default harness) vs uncached (``probe_cache=False``)
+      probes/sec — CI gate: >= 1.5x;
+    * batched supervised probes vs plain probes, both uncached — identity
+      only (batching trades latency for IPC, the win needs real per-probe
+      latency);
     * ``workers=N`` vs serial with auto-degrade enabled — CI gate: the
       parallel path must never *lose* (>= 0.95x serial), which on one CPU
       means the degrade heuristic must fire.
@@ -653,13 +658,16 @@ def bench_probe_throughput(
     # Best-of-two on each timed arm (fresh harness per trial): the gates sit
     # close enough to the real ratios that single-shot scheduler jitter on a
     # small CI box would flake them.
-    uncached_seconds, uncached_probes, plain_identity = run_workload(build())
-    cached_harness = build(probe_cache=True)
-    cached_seconds, cached_probes, cached_identity = run_workload(cached_harness)
-    cached_seconds = min(
-        cached_seconds, run_workload(build(probe_cache=True))[0]
+    # The cached arm is the default harness, as every caller builds it.
+    uncached_seconds, uncached_probes, plain_identity = run_workload(
+        build(probe_cache=False)
     )
-    uncached_seconds = min(uncached_seconds, run_workload(build())[0])
+    cached_harness = build()
+    cached_seconds, cached_probes, cached_identity = run_workload(cached_harness)
+    cached_seconds = min(cached_seconds, run_workload(build())[0])
+    uncached_seconds = min(
+        uncached_seconds, run_workload(build(probe_cache=False))[0]
+    )
     cache_stats = cached_harness.probe_cache.stats.to_json()
 
     uncached_pps = uncached_probes / uncached_seconds if uncached_seconds else 0.0
@@ -670,7 +678,9 @@ def bench_probe_throughput(
     # Batched supervised probes: identity check (the payoff is IPC
     # amortization, visible only with real per-probe latency).
     batched_harness = build(
-        robustness=RobustnessConfig(probe_timeout=300.0), batch_probes=True
+        robustness=RobustnessConfig(probe_timeout=300.0),
+        batch_probes=True,
+        probe_cache=False,
     )
     try:
         started = time.perf_counter()

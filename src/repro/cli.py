@@ -70,7 +70,9 @@ def fuzz_main(argv: list[str] | None = None) -> int:
 
 def reduce_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Reduce a transformation log against one target."
+        description="Reduce a transformation log against one target.  "
+        "Probes are memoized by module content hash for the whole "
+        "reduction; the result is identical to uncached probing."
     )
     parser.add_argument("log", type=Path, help="json produced by repro-fuzz")
     parser.add_argument("--target", required=True)
@@ -140,13 +142,6 @@ def reduce_main(argv: list[str] | None = None) -> int:
         "default: 4x --reduce-workers",
     )
     parser.add_argument(
-        "--probe-cache",
-        action="store_true",
-        help="memoize interestingness probes by module content hash "
-        "(byte-identical reduced sequence; big win on shared pipeline "
-        "prefixes)",
-    )
-    parser.add_argument(
         "--probe-batch",
         type=int,
         default=None,
@@ -201,7 +196,6 @@ def reduce_main(argv: list[str] | None = None) -> int:
         [target],
         [program],
         robustness=robustness,
-        probe_cache=args.probe_cache,
     )
     try:
         # The logged sequence replays to the fuzzed variant (Definition 2.5);
@@ -420,7 +414,12 @@ def dedup_main(argv: list[str] | None = None) -> int:
 
 
 def campaign_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Run a small fuzzing campaign.")
+    parser = argparse.ArgumentParser(
+        description="Run a small fuzzing campaign.  Probes are memoized by "
+        "module content hash within each seed (the memo is cleared when a "
+        "seed starts; --metrics shows its probe_cache.* counters); findings "
+        "are identical to uncached probing."
+    )
     parser.add_argument("--seeds", type=int, default=50)
     parser.add_argument("--max-transformations", type=int, default=120)
     parser.add_argument(
@@ -449,7 +448,8 @@ def campaign_main(argv: list[str] | None = None) -> int:
         type=int,
         default=0,
         help="re-probe each finding this many times; verdicts that do not "
-        "reproduce are flagged nondeterministic (kept apart by dedup)",
+        "reproduce are flagged nondeterministic (kept apart by dedup); "
+        "turns the probe memo off, since a memoized re-probe cannot flake",
     )
     parser.add_argument(
         "--quarantine-after",
@@ -487,12 +487,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         help="print a live line per completed seed",
     )
     parser.add_argument(
-        "--probe-cache",
-        action="store_true",
-        help="memoize probes by module content hash (results are identical; "
-        "auto-disabled when --retries > 0, which needs live re-probes)",
-    )
-    parser.add_argument(
         "--batch-probes",
         action="store_true",
         help="carry both probe flows of a seed in one supervised round-trip "
@@ -525,7 +519,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         FuzzerOptions(max_transformations=args.max_transformations),
         robustness=robustness,
         tracer=args.trace,
-        probe_cache=args.probe_cache,
         batch_probes=args.batch_probes,
     )
     workers = args.workers if args.workers != 0 else None
@@ -568,13 +561,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         print(f"{flaky} finding(s) flagged nondeterministic")
     for name, reason in result.quarantined.items():
         print(f"quarantined {name}: {reason}")
-    if harness.probe_cache is not None:
-        stats = harness.probe_cache.stats
-        print(
-            f"probe cache: {stats.probes} probes "
-            f"({stats.outcome_hits} outcome hits, {stats.stage_hits} stage "
-            f"hits, {stats.exec_hits} execution hits)"
-        )
     if args.metrics:
         print()
         print(harness.metrics.render())

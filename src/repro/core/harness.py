@@ -165,7 +165,7 @@ class Harness:
         robustness: "object | None" = None,
         tracer: "object | None" = None,
         metrics: Metrics | None = None,
-        probe_cache: "bool | object" = False,
+        probe_cache: "bool | object" = True,
         batch_probes: bool = False,
     ) -> None:
         from repro.robustness import QuarantineTracker, supervise_targets
@@ -182,11 +182,17 @@ class Harness:
             if robustness is not None
             else list(targets)
         )
-        #: Opt-in content-hash probe cache (``True`` or a ProbeCache
-        #: instance).  Incompatible with verdict-stability retries — a cached
-        #: re-probe could never observe flakiness — so retries win and the
-        #: cache is disabled with a traced reason.
+        #: Content-hash probe cache, on by default (``False`` keeps the
+        #: uncached reference path the soundness suites compare against).
+        #: Incompatible with verdict-stability retries — a cached re-probe
+        #: could never observe flakiness — so retries win and the cache is
+        #: disabled with a traced reason.
         self.probe_cache = None
+        #: Whether :meth:`run_seed` clears the memos when a seed starts: a
+        #: seed's variant is new content, so nothing but the reference
+        #: probes recurs across seeds.  A ProbeCache instance passed in is
+        #: the caller's (it may be shared), and so is its lifetime.
+        self._seed_scoped_cache = False
         if probe_cache:
             if robustness is not None and robustness.retries > 0:
                 self.metrics.inc("probe_cache.disabled")
@@ -197,10 +203,9 @@ class Harness:
             else:
                 from repro.perf.probe_cache import CachingTarget, ProbeCache
 
+                self._seed_scoped_cache = not isinstance(probe_cache, ProbeCache)
                 self.probe_cache = (
-                    probe_cache
-                    if isinstance(probe_cache, ProbeCache)
-                    else ProbeCache()
+                    ProbeCache() if self._seed_scoped_cache else probe_cache
                 )
                 self.targets = [
                     CachingTarget(t, self.probe_cache) for t in self.targets
@@ -370,6 +375,8 @@ class Harness:
             program = self.references[seed % len(self.references)]
         self.tracer.emit("seed.begin", seed=seed, program=program.name)
         seed_started = time.perf_counter()
+        if self._seed_scoped_cache:
+            self.probe_cache.clear()
         fuzzed = self.fuzzer.run(program.module, program.inputs, seed)
         run = SeedRun(program.name, seed, len(fuzzed.transformations))
         variant = fuzzed.variant

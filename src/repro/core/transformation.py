@@ -79,6 +79,11 @@ class Transformation(abc.ABC):
 
     @classmethod
     def from_json(cls, record: dict[str, Any]) -> "Transformation":
+        if record["type"] not in TRANSFORMATION_REGISTRY:
+            # The library registers itself on import; a caller that decodes
+            # before anything imported it still gets the library's types.
+            import repro.core.transformations  # noqa: F401
+
         klass = TRANSFORMATION_REGISTRY[record["type"]]
         kwargs = {}
         for field in dataclasses.fields(klass):  # type: ignore[arg-type]

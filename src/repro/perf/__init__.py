@@ -19,48 +19,42 @@ batched supervised probes — all byte-identical to the uncached, unbatched
 paths.
 """
 
-from repro.perf.batch import ProbeBatch
-from repro.perf.parallel import CampaignSpec, default_worker_count, spec_names_for
-from repro.perf.parallel_reduce import (
-    ParallelReductionResult,
-    ReductionSession,
-    SpeculationStats,
-    SpeculativeReduction,
-    parallel_reduce,
-)
-from repro.perf.probe_cache import (
-    CachedOptimizer,
-    CachingTarget,
-    ProbeCache,
-    ProbeCacheStats,
-)
-from repro.perf.pool import (
-    CallableProbeSpec,
-    FindingProbeSpec,
-    WorkerPool,
-    WorkerProbeError,
-)
-from repro.perf.replay_cache import CachedInterestingness, CachedReplayer, ReplayStats
+import importlib
 
-__all__ = [
-    "CachedInterestingness",
-    "CachedOptimizer",
-    "CachedReplayer",
-    "CachingTarget",
-    "CallableProbeSpec",
-    "CampaignSpec",
-    "FindingProbeSpec",
-    "ParallelReductionResult",
-    "ProbeBatch",
-    "ProbeCache",
-    "ProbeCacheStats",
-    "ReductionSession",
-    "ReplayStats",
-    "SpeculationStats",
-    "SpeculativeReduction",
-    "WorkerPool",
-    "WorkerProbeError",
-    "default_worker_count",
-    "parallel_reduce",
-    "spec_names_for",
-]
+#: Each re-exported name and the submodule that defines it.  The package
+#: imports nothing up front (PEP 562): a harness needs only
+#: :mod:`repro.perf.probe_cache`, and importing every sibling with it would
+#: add the pools and the reduction engine to every start-up.  The
+#: ``parallel_reduce`` function is imported from its submodule of the same
+#: name (``from repro.perf.parallel_reduce import parallel_reduce``).
+_EXPORTS = {
+    "ProbeBatch": "batch",
+    "CampaignSpec": "parallel",
+    "default_worker_count": "parallel",
+    "spec_names_for": "parallel",
+    "ParallelReductionResult": "parallel_reduce",
+    "ReductionSession": "parallel_reduce",
+    "SpeculationStats": "parallel_reduce",
+    "SpeculativeReduction": "parallel_reduce",
+    "CachedOptimizer": "probe_cache",
+    "CachingTarget": "probe_cache",
+    "ProbeCache": "probe_cache",
+    "ProbeCacheStats": "probe_cache",
+    "CallableProbeSpec": "pool",
+    "FindingProbeSpec": "pool",
+    "WorkerPool": "pool",
+    "WorkerProbeError": "pool",
+    "CachedInterestingness": "replay_cache",
+    "CachedReplayer": "replay_cache",
+    "ReplayStats": "replay_cache",
+}
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+
+
+__all__ = sorted(_EXPORTS)

@@ -50,7 +50,7 @@ class CampaignSpec:
     trace: str | None = None
     #: Probe-throughput layer (core only): each worker gets its own
     #: content-hash probe cache / batched probing, mirroring the parent.
-    probe_cache: bool = False
+    probe_cache: bool = True
     batch_probes: bool = False
 
     def build(self):

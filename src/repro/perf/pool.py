@@ -186,7 +186,7 @@ class FindingProbeSpec:
     decide: bool = False  #: run the FlakeHardenedOracle pipeline in-worker
     policy: Any = None  #: ReductionPolicy (decide mode only)
     probe_delay: float | None = None  #: CLI --probe-delay, for journal tests
-    probe_cache: bool = False  #: give each worker its own content-hash cache
+    probe_cache: bool = True  #: give each worker its own content-hash cache
 
     def build(self) -> _ProbeRunner:
         from repro.compilers import make_target

@@ -864,6 +864,10 @@ class CampaignService:
                 # It may have raised mid-probe: never reuse that harness.
                 self._harnesses.discard(manifest.spec)
                 raise
+            # The harness outlives this campaign; its probe cache should not
+            # (the next campaign's findings are new content).
+            if harness.probe_cache is not None:
+                harness.probe_cache.clear()
         payload = {
             "campaign": campaign_id,
             "seeds": list(manifest.seeds),

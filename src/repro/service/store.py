@@ -78,8 +78,8 @@ def spec_from_json(data: dict):
             RobustnessConfig(**robustness) if robustness is not None else None
         ),
         trace=data.get("trace"),
-        probe_cache=data.get("probe_cache", False),
-        batch_probes=data.get("batch_probes", False),
+        probe_cache=data.get("probe_cache", CampaignSpec.probe_cache),
+        batch_probes=data.get("batch_probes", CampaignSpec.batch_probes),
     )
 
 

@@ -180,7 +180,7 @@ def _harness(references, donors, **kwargs):
 class TestBatchedFlows:
     def test_batched_campaign_findings_identical(self, references, donors):
         seeds = range(8)
-        plain = _harness(references, donors).run_campaign(seeds)
+        plain = _harness(references, donors, probe_cache=False).run_campaign(seeds)
         batched_harness = _harness(
             references,
             donors,
@@ -196,7 +196,7 @@ class TestBatchedFlows:
         assert batched_harness.metrics.counter("probe_batch.batches") > 0
 
     def test_batched_speculative_reduction_identical(self, references, donors):
-        plain_harness = _harness(references, donors)
+        plain_harness = _harness(references, donors, probe_cache=False)
         finding = plain_harness.run_campaign(range(8)).findings[0]
         plain = plain_harness.reduce_finding(finding)
         batched = _harness(references, donors).reduce_finding(

@@ -20,7 +20,8 @@ from repro.core.fuzzer import FuzzerOptions
 from repro.core.harness import Harness
 from repro.core.reducer import reduce_transformations
 from repro.core.transformation import sequence_to_json
-from repro.perf import WorkerProbeError, parallel_reduce
+from repro.perf import WorkerProbeError
+from repro.perf.parallel_reduce import parallel_reduce
 from repro.reduce import ReductionConfig
 
 ITEMS = list(range(40))

@@ -106,7 +106,9 @@ def _campaign_harness(references, donors, **kwargs):
 class TestCachedCampaignAndReduction:
     def test_campaign_findings_identical(self, references, donors):
         seeds = range(8)
-        plain = _campaign_harness(references, donors).run_campaign(seeds)
+        plain = _campaign_harness(references, donors, probe_cache=False).run_campaign(
+            seeds
+        )
         cached_harness = _campaign_harness(references, donors, probe_cache=True)
         cached = cached_harness.run_campaign(seeds)
         assert result_key(cached) == result_key(plain)
@@ -114,7 +116,7 @@ class TestCachedCampaignAndReduction:
         assert cached_harness.probe_cache.stats.probes > 0
 
     def test_serial_reduction_identical(self, references, donors):
-        plain_harness = _campaign_harness(references, donors)
+        plain_harness = _campaign_harness(references, donors, probe_cache=False)
         finding = plain_harness.run_campaign(range(8)).findings[0]
         plain = plain_harness.reduce_finding(finding)
         cached_harness = _campaign_harness(references, donors, probe_cache=True)
@@ -129,7 +131,7 @@ class TestCachedCampaignAndReduction:
         assert cached_harness.probe_cache.stats.stage_hits > 0
 
     def test_speculative_reduction_identical(self, references, donors):
-        plain_harness = _campaign_harness(references, donors)
+        plain_harness = _campaign_harness(references, donors, probe_cache=False)
         finding = plain_harness.run_campaign(range(8)).findings[0]
         plain = plain_harness.reduce_finding(finding)
         cached_harness = _campaign_harness(references, donors, probe_cache=True)

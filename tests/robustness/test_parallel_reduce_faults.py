@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.reducer import reduce_transformations
-from repro.perf import parallel_reduce
+from repro.perf.parallel_reduce import parallel_reduce
 from repro.robustness import ProbeVerdict, ReductionPolicy, reduce_with_faults
 
 SEQUENCE = list("abcdefghijkl")

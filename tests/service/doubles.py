@@ -2,8 +2,9 @@
 
 Each double mimics :class:`repro.perf.parallel.CampaignSpec` just enough
 for the fleet and the finalizer: ``build()`` returns a harness exposing
-``run_seed`` / ``references`` / ``metrics`` / ``close``.  Seed runs carry
-no findings, so the journal records round-trip without a corpus.
+``run_seed`` / ``references`` / ``metrics`` / ``probe_cache`` / ``close``.
+Seed runs carry no findings, so the journal records round-trip without a
+corpus.
 
 The "once" doubles misbehave only until their marker file exists (created
 *before* the fault fires), so the first lease on the poisoned seed fails
@@ -26,6 +27,7 @@ class _DoubleHarness:
         self.spec = spec
         self.references: list = []
         self.metrics = Metrics()
+        self.probe_cache = None
         self.closed = False
 
     def run_seed(self, seed: int) -> SeedRun:

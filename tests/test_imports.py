@@ -8,6 +8,7 @@ else.  Here each import runs in its own subprocess.
 
 from __future__ import annotations
 
+import json
 import os
 import pkgutil
 import subprocess
@@ -29,6 +30,31 @@ NAMES = sorted(
 def test_imports_first_in_a_fresh_interpreter(name):
     completed = subprocess.run(
         [sys.executable, "-c", f"import {name}"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+def test_decoding_a_sequence_needs_only_the_protocol_module():
+    """Transformation classes register themselves when the library is
+    imported; decoding must not depend on who imported it first."""
+    from repro.core.transformation import sequence_to_json
+    from repro.core.transformations import AddConstant, ToggleFunctionControl
+
+    records = sequence_to_json(
+        [AddConstant(2, 1, True), ToggleFunctionControl(5, "Inline")]
+    )
+    code = (
+        "import json, sys\n"
+        "from repro.core.transformation import sequence_from_json, sequence_to_json\n"
+        "records = json.loads(sys.argv[1])\n"
+        "assert sequence_to_json(sequence_from_json(records)) == records\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(records)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
