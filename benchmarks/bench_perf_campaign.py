@@ -559,8 +559,8 @@ def bench_probe_throughput(
     max_transformations: int,
     max_findings: int,
 ) -> dict:
-    """The probe-throughput engine: content-hash compile caching, batched
-    supervised probes, and campaign auto-degrade.
+    """The probe-throughput engine: content-hash compile caching and
+    campaign auto-degrade.
 
     The workload is the full triage loop the probe engine exists to speed
     up: a campaign, the reduction of its findings, a cross-target dedup
@@ -571,19 +571,14 @@ def bench_probe_throughput(
     they are where the content-hash cache pays; the campaign adds
     cross-target stage sharing and the reduction is the cache's worst case
     (every candidate is new content), keeping the measurement honest.
-    Three comparisons, all verified byte-identical:
+    Two comparisons, both verified byte-identical:
 
     * cached (the default harness) vs uncached (``probe_cache=False``)
       probes/sec — CI gate: >= 1.5x;
-    * batched supervised probes vs plain probes, both uncached — identity
-      only (batching trades latency for IPC, the win needs real per-probe
-      latency);
     * ``workers=N`` vs serial with auto-degrade enabled — CI gate: the
       parallel path must never *lose* (>= 0.95x serial), which on one CPU
       means the degrade heuristic must fire.
     """
-    from repro.robustness import RobustnessConfig
-
     options = FuzzerOptions(max_transformations=max_transformations)
 
     def build(**kwargs):
@@ -675,25 +670,6 @@ def bench_probe_throughput(
     cache_speedup = cached_pps / uncached_pps if uncached_pps else None
     cached_identical = cached_identity == plain_identity
 
-    # Batched supervised probes: identity check (the payoff is IPC
-    # amortization, visible only with real per-probe latency).
-    batched_harness = build(
-        robustness=RobustnessConfig(probe_timeout=300.0),
-        batch_probes=True,
-        probe_cache=False,
-    )
-    try:
-        started = time.perf_counter()
-        batched_campaign = batched_harness.run_campaign(range(seeds))
-        batched_seconds = time.perf_counter() - started
-    finally:
-        batched_harness.close()
-    batched_identical = [
-        _finding_identity(f) for f in batched_campaign.findings
-    ] == plain_identity[0]
-    batches = batched_harness.metrics.counter("probe_batch.batches")
-    batched_probes = batched_harness.metrics.counter("probe_batch.probes")
-
     # Parallel campaign with auto-degrade: must never lose to serial.
     def timed_campaign(**kwargs):
         harness = build()
@@ -719,7 +695,7 @@ def bench_probe_throughput(
     )
     parallel_degraded = parallel_harness.metrics.counter("parallel.degraded") > 0
 
-    identical = cached_identical and batched_identical and parallel_identical
+    identical = cached_identical and parallel_identical
     within_bound = bool(
         identical
         and cache_speedup is not None
@@ -741,10 +717,6 @@ def bench_probe_throughput(
         "cache_speedup": round(cache_speedup, 3) if cache_speedup else None,
         "cache_stats": cache_stats,
         "cached_identical": cached_identical,
-        "batched_seconds": round(batched_seconds, 3),
-        "batches": batches,
-        "batched_probes": batched_probes,
-        "batched_identical": batched_identical,
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "parallel_ratio": round(parallel_ratio, 3) if parallel_ratio else None,
@@ -1354,11 +1326,6 @@ def main(argv: list[str] | None = None) -> int:
                 "stage hits / misses",
                 f"{probe_throughput['cache_stats']['stage_hits']} / "
                 f"{probe_throughput['cache_stats']['stage_misses']}",
-            ],
-            [
-                "probe-throughput",
-                "batches (probes)",
-                f"{probe_throughput['batches']} ({probe_throughput['batched_probes']})",
             ],
             [
                 "probe-throughput",

@@ -142,14 +142,6 @@ def reduce_main(argv: list[str] | None = None) -> int:
         "default: 4x --reduce-workers",
     )
     parser.add_argument(
-        "--probe-batch",
-        type=int,
-        default=None,
-        help="ship this many speculation candidates per worker round-trip "
-        "(any --reduce-workers > 1 run, fault-tolerant or not; verdicts "
-        "still commit in serial order)",
-    )
-    parser.add_argument(
         "--reduce-passes",
         default=None,
         help="the creduce-style pass pipeline to run instead of ddmin "
@@ -303,7 +295,6 @@ def _reduction_config(parser: argparse.ArgumentParser, args) -> "object":
             giveup=args.giveup,
             workers=args.reduce_workers,
             window=args.reduce_window,
-            probe_batch=args.probe_batch,
             max_seconds=args.reduce_timeout,
             policy=policy,
         )
@@ -486,12 +477,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print a live line per completed seed",
     )
-    parser.add_argument(
-        "--batch-probes",
-        action="store_true",
-        help="carry both probe flows of a seed in one supervised round-trip "
-        "per target (amortizes IPC; findings are identical)",
-    )
     args = parser.parse_args(argv)
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal")
@@ -519,7 +504,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         FuzzerOptions(max_transformations=args.max_transformations),
         robustness=robustness,
         tracer=args.trace,
-        batch_probes=args.batch_probes,
     )
     workers = args.workers if args.workers != 0 else None
     if workers is None:

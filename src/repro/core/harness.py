@@ -166,7 +166,6 @@ class Harness:
         tracer: "object | None" = None,
         metrics: Metrics | None = None,
         probe_cache: "bool | object" = True,
-        batch_probes: bool = False,
     ) -> None:
         from repro.robustness import QuarantineTracker, supervise_targets
 
@@ -216,10 +215,8 @@ class Harness:
             self._optimize = CachedOptimizer(self.probe_cache)
         else:
             self._optimize = optimize
-        self.batch_probes = batch_probes
         self._probe_cache_shipped: dict[str, int] = {}
         self._probe_cache_emitted: dict[str, int] = {}
-        self._probe_batch_emitted: dict[str, int] = {}
         self.references = list(references)
         self.donors = list(donors)
         options = options or FuzzerOptions()
@@ -262,29 +259,8 @@ class Harness:
         self.tracer.emit(
             "probe", target=target.name, outcome=outcome.kind.value
         )
-        self._note_fault(target, outcome)
-        return outcome
-
-    def _probe_batch(self, target: Target, items: list) -> list[TargetOutcome]:
-        """Like :meth:`_probe` for a window of ``(module, inputs)`` probes —
-        one supervised round-trip, same per-probe accounting."""
-        from repro.perf.batch import ProbeBatch
-
-        started = time.perf_counter()
-        outcomes = ProbeBatch(target, metrics=self.metrics).run(items)
-        self.metrics.observe("probe_seconds", time.perf_counter() - started)
-        for outcome in outcomes:
-            self.metrics.inc("probes")
-            self.tracer.emit(
-                "probe", target=target.name, outcome=outcome.kind.value
-            )
-            self._note_fault(target, outcome)
-        return outcomes
-
-    def _note_fault(self, target: Target, outcome: TargetOutcome) -> None:
-        """Quarantine/fault accounting shared by single and batched probes."""
         if not outcome.is_fault:
-            return
+            return outcome
         kind = outcome.kind.value
         self.metrics.inc("faults")
         self.metrics.inc(f"faults.{kind}")
@@ -302,6 +278,7 @@ class Harness:
                 target=target.name,
                 reason=self.quarantine.report().get(target.name, ""),
             )
+        return outcome
 
     # -- probe-cache accounting ------------------------------------------------------
 
@@ -486,22 +463,9 @@ class Harness:
         variant after the optimizer.  *optimized* builds (and memoizes) the
         optimized variant; by default it is optimized on demand.  Returns
         ``(classified, optimized_flow)``, with ``classified`` ``None`` when
-        neither flow shows a bug.
-
-        With ``batch_probes`` and a batching target, one supervised
-        round-trip carries both flows: the optimized probe runs eagerly,
-        but classification order is unchanged, so the result is identical
-        for deterministic targets."""
+        neither flow shows a bug."""
         if optimized is None:
             optimized = functools.cache(lambda: self._optimize(variant))
-        if self.batch_probes and self.optimized_flow and hasattr(target, "run_batch"):
-            outcomes = self._probe_batch(
-                target, [(variant, inputs), (optimized(), inputs)]
-            )
-            classified = classify_outcome(outcomes[0], reference)
-            if classified is not None:
-                return classified, False
-            return classify_outcome(outcomes[1], reference), True
         classified = classify_outcome(self._probe(target, variant, inputs), reference)
         if classified is not None or not self.optimized_flow:
             return classified, False
@@ -621,9 +585,6 @@ class Harness:
         cache_delta = self._probe_cache_event_delta()
         if cache_delta is not None:
             extra["probe_cache"] = cache_delta
-        batch_delta = self._probe_batch_event_delta()
-        if batch_delta is not None:
-            extra["probe_batch"] = batch_delta
         self.tracer.emit(
             "campaign.end",
             seeds=len(seeds),
@@ -648,24 +609,6 @@ class Harness:
             return "single-cpu-no-probe-latency-to-hide"
         return None
 
-    def _probe_batch_event_delta(self) -> dict | None:
-        """Batch counters accrued since the last emitted event (see
-        :meth:`_probe_cache_event_delta` for the delta discipline)."""
-        if not self.batch_probes:
-            return None
-        current = {
-            name: self.metrics.counter(name)
-            for name in ("probe_batch.batches", "probe_batch.probes")
-        }
-        delta = {
-            name.split(".", 1)[1]: value - self._probe_batch_emitted.get(name, 0)
-            for name, value in current.items()
-        }
-        self._probe_batch_emitted = current
-        if not any(delta.values()):
-            return None
-        return delta
-
     def campaign_spec(self) -> "object":
         """A picklable spec that rebuilds this harness in a worker process."""
         from repro.compilers import make_target
@@ -686,7 +629,6 @@ class Harness:
             # Workers append to the same trace file (O_APPEND line atomicity).
             trace=str(trace_path) if trace_path is not None else None,
             probe_cache=self.probe_cache is not None,
-            batch_probes=self.batch_probes,
         )
 
     # -- reduction support ---------------------------------------------------------
@@ -1039,11 +981,7 @@ class Harness:
                         legs, reduced,
                     )
                 while legs:
-                    run_sessions(
-                        [session for _, session in legs.values()],
-                        batch=config.probe_batch or 1,
-                        metrics=self.metrics,
-                    )
+                    run_sessions([session for _, session in legs.values()])
                     for key, (steps, _) in list(legs.items()):
                         _advance(key, steps, legs, reduced)
                 for key, (finding, started, replayer) in begun.items():

@@ -73,7 +73,6 @@ def summarize(records: Iterable[dict]) -> dict:
         "wasted_speculation": 0,
         "cache": Counter(),
         "probe_cache": Counter(),
-        "probe_batch": Counter(),
         "dedup_runs": 0,
         "dedup_tests": 0,
         "dedup_reports": 0,
@@ -175,8 +174,6 @@ def summarize(records: Iterable[dict]) -> dict:
         elif event == "campaign.end":
             for field, value in (record.get("probe_cache") or {}).items():
                 summary["probe_cache"][field] += value
-            for field, value in (record.get("probe_batch") or {}).items():
-                summary["probe_batch"][field] += value
         elif event == "reduce.dispatch":
             summary["reduce_dispatches"] += 1
             summary["reduce_dispatched"] += record.get("count", 0)
@@ -381,12 +378,8 @@ def render(summary: dict) -> str:
                 ],
             )
         )
-    if summary["probe_cache"] or summary["probe_batch"]:
+    if summary["probe_cache"]:
         cache = summary["probe_cache"]
-        batch = summary["probe_batch"]
-        batches = batch.get("batches", 0)
-        batched = batch.get("probes", 0)
-        mean_batch = f"{batched / batches:.1f}" if batches else "n/a"
         sections.append(
             "\nprobe cache:\n"
             + _table(
@@ -403,7 +396,6 @@ def render(summary: dict) -> str:
                     ["hits verified identical", cache.get("verified", 0)],
                     ["poisoned evictions", cache.get("poisoned", 0)],
                     ["fault outcomes not cached", cache.get("uncacheable", 0)],
-                    ["probe batches (mean size)", f"{batches} ({mean_batch})"],
                 ],
             )
         )

@@ -12,11 +12,9 @@ reductions are byte-identical to uncached ones.  Campaign shards and
 reduction probes fan out over one spec-keyed :class:`WorkerPool`
 (:mod:`repro.perf.pool`) with one worker-death rule.
 
-The probe-throughput layer (:mod:`repro.perf.probe_cache` /
-:mod:`repro.perf.batch`) extends the same discipline down into compilation:
-content-hash memoization of pipelines, per-pass stages, and executions, plus
-batched supervised probes — all byte-identical to the uncached, unbatched
-paths.
+The probe-throughput layer (:mod:`repro.perf.probe_cache`) extends the same
+discipline down into compilation: content-hash memoization of pipelines,
+per-pass stages, and executions — byte-identical to the uncached path.
 """
 
 import importlib
@@ -28,7 +26,6 @@ import importlib
 #: ``parallel_reduce`` function is imported from its submodule of the same
 #: name (``from repro.perf.parallel_reduce import parallel_reduce``).
 _EXPORTS = {
-    "ProbeBatch": "batch",
     "CampaignSpec": "parallel",
     "default_worker_count": "parallel",
     "spec_names_for": "parallel",

@@ -49,9 +49,8 @@ class CampaignSpec:
     #: O_APPEND line atomicity to share the file with the parent.
     trace: str | None = None
     #: Probe-throughput layer (core only): each worker gets its own
-    #: content-hash probe cache / batched probing, mirroring the parent.
+    #: content-hash probe cache, mirroring the parent.
     probe_cache: bool = True
-    batch_probes: bool = False
 
     def build(self):
         """Construct a fresh harness equivalent to the one that produced
@@ -74,7 +73,6 @@ class CampaignSpec:
                 robustness=self.robustness,
                 tracer=self.trace,
                 probe_cache=self.probe_cache,
-                batch_probes=self.batch_probes,
             )
         if self.kind == "baseline":
             from repro.baseline import source_programs

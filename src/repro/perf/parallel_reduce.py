@@ -538,11 +538,11 @@ class ReductionSession:
 
     # -- drive ---------------------------------------------------------------------
 
-    def run(self, *, batch: int = 1, metrics: Any = None) -> None:
+    def run(self) -> None:
         """Drive the engine to completion: over the pool, or inline one
         candidate at a time."""
         if self.pool is not None:
-            run_sessions([self], batch=batch, metrics=metrics)
+            run_sessions([self])
             return
         engine = self.engine
         try:
@@ -614,43 +614,27 @@ def verify_in_pool(pool: Any, key: str, positions: Sequence[int]) -> bool:
     return bool(reply_value(reply))
 
 
-def run_sessions(
-    sessions: Sequence[ReductionSession],
-    *,
-    batch: int = 1,
-    metrics: Any = None,
-) -> None:
+def run_sessions(sessions: Sequence[ReductionSession]) -> None:
     """Drive *sessions* until every engine finishes (or errors out): inline
     sessions one after another, pooled ones together over their one shared
     :class:`~repro.perf.pool.WorkerPool`.
 
     Fairness: dispatch rotates round-robin across active sessions, one
-    submission per turn, so a large reduction cannot starve a small one.
-    ``batch > 1`` packs that many speculation candidates into a single
-    worker round-trip (amortizing IPC) for plain and fault-tolerant
-    sessions alike; verdicts still commit in serial order, so results are
-    unchanged.  A hard worker death is the pool's business (see
+    candidate per turn, so a large reduction cannot starve a small one.
+    A hard worker death is the pool's business (see
     :mod:`repro.perf.pool`): every lost candidate still gets its verdict —
     verdicts are pure functions of the candidate, so re-probing is sound —
     and the sessions it hit count one ``worker_recoveries`` each.
     """
     for session in sessions:
         if session.pool is None:
-            session.run(batch=batch, metrics=metrics)
+            session.run()
     sessions = [s for s in sessions if s.pool is not None]
     if not sessions:
         return
     pool = sessions[0].pool
-    batch = max(1, batch)
-    submitted: dict[int, tuple[ReductionSession, list[_Candidate]]] = {}
+    submitted: dict[int, tuple[ReductionSession, _Candidate]] = {}
     rotation = 0
-
-    def submit(session: ReductionSession, candidates: list[_Candidate]) -> None:
-        if len(candidates) > 1 and metrics is not None:
-            metrics.inc("probe_batch.batches")
-            metrics.inc("probe_batch.probes", len(candidates))
-        ticket = pool.submit(session.key, [c.indices for c in candidates])
-        submitted[ticket] = (session, candidates)
 
     while True:
         now = time.monotonic()
@@ -664,8 +648,7 @@ def run_sessions(
         if not active and not submitted:
             break
 
-        in_flight = sum(len(candidates) for _, candidates in submitted.values())
-        capacity = pool.capacity - in_flight
+        capacity = pool.capacity - len(submitted)
         if active and capacity > 0:
             progressed = True
             while capacity > 0 and progressed:
@@ -676,12 +659,10 @@ def run_sessions(
                     session = active[(rotation + offset) % len(active)]
                     if not session.active:
                         continue
-                    candidates = session.engine.take_dispatch(
-                        min(batch, capacity)
-                    )
-                    if candidates:
-                        submit(session, candidates)
-                        capacity -= len(candidates)
+                    for candidate in session.engine.take_dispatch(1):
+                        ticket = pool.submit(session.key, [candidate.indices])
+                        submitted[ticket] = (session, candidate)
+                        capacity -= 1
                         progressed = True
                     if session.commit():
                         progressed = True  # an acceptance opened new candidates
@@ -695,13 +676,12 @@ def run_sessions(
             timeout = max(0.0, min(deadlines) - time.monotonic())
         touched: dict[int, ReductionSession] = {}
         recovered: dict[int, ReductionSession] = {}
-        for ticket, (payloads, was_lost) in pool.wait(timeout).items():
-            session, candidates = submitted.pop(ticket)
+        for ticket, ((payload,), was_lost) in pool.wait(timeout).items():
+            session, candidate = submitted.pop(ticket)
             if was_lost:
                 recovered[id(session)] = session
             if session.active:
-                for candidate, item in zip(candidates, payloads):
-                    session.deliver(candidate, item)
+                session.deliver(candidate, payload)
                 touched[id(session)] = session
         for session in recovered.values():
             session.engine.stats.worker_recoveries += 1
@@ -725,8 +705,6 @@ def parallel_reduce(
     spec: Any = None,
     pool: Any = None,
     pool_key: str = "reduction",
-    batch: int | None = None,
-    metrics: Any = None,
 ) -> ParallelReductionResult:
     """Delta-debug *transformations* with speculative parallel probing.
 
@@ -767,7 +745,7 @@ def parallel_reduce(
             deadline=None if max_seconds is None else time.monotonic() + max_seconds,
             tracer=tracer,
         )
-        session.run(batch=batch or 1, metrics=metrics)
+        session.run()
         result = session.finalize()
     result.speculation = session.engine.stats
     return result

@@ -408,35 +408,23 @@ class ProbeCache:
 
     def memo_run(self, target: Any, module: Module, inputs: dict | None = None):
         """Outcome-memo for targets we can't stage (supervised, doubles)."""
-        cached = self.peek(target, module, inputs)
+        self.stats.probes += 1
+        key = self._memo_key(target, module, inputs)
+        cached = self._outcomes.get(key)
         if cached is not None:
+            self._outcomes.move_to_end(key)
+            self.stats.outcome_hits += 1
             verified = self._maybe_verify(target, module, inputs, cached)
             if verified is not None:
                 return verified
             return cached
         outcome = target.run(module, inputs)
-        self.store_memo(target, module, inputs, outcome)
-        return outcome
-
-    def peek(self, target: Any, module: Module, inputs: dict | None = None):
-        """Memo lookup without computing on miss (used by batched paths)."""
-        self.stats.probes += 1
-        key = self._memo_key(target, module, inputs)
-        cached = self._outcomes.get(key)
-        if cached is None:
-            return None
-        self._outcomes.move_to_end(key)
-        self.stats.outcome_hits += 1
-        return cached
-
-    def store_memo(self, target, module, inputs, outcome) -> None:
-        """Record a computed outcome for a generic target (faults excluded)."""
         self.stats.outcome_misses += 1
         if outcome.kind in FAULT_KINDS:
             self.stats.uncacheable += 1  # environment, not content: never cache
-            return
-        key = self._memo_key(target, module, inputs)
-        self._store(self._outcomes, key, outcome, MAX_OUTCOMES)
+        else:
+            self._store(self._outcomes, key, outcome, MAX_OUTCOMES)
+        return outcome
 
     @staticmethod
     def _memo_key(target, module, inputs) -> tuple:
@@ -464,27 +452,6 @@ class CachingTarget(TargetWrapper):
         if self._staged:
             return self.cache.run(self.target, module, inputs)
         return self.cache.memo_run(self.target, module, inputs)
-
-    def run_batch(self, items):
-        """Evaluate ``[(module, inputs), ...]``, forwarding only cache misses."""
-        inner_batch = getattr(self.target, "run_batch", None)
-        if self._staged or inner_batch is None:
-            return [self.run(module, inputs) for module, inputs in items]
-        outcomes: list = [None] * len(items)
-        misses: list[int] = []
-        for i, (module, inputs) in enumerate(items):
-            hit = self.cache.peek(self.target, module, inputs)
-            if hit is not None:
-                outcomes[i] = hit
-            else:
-                misses.append(i)
-        if misses:
-            fresh = inner_batch([items[i] for i in misses])
-            for i, outcome in zip(misses, fresh):
-                module, inputs = items[i]
-                self.cache.store_memo(self.target, module, inputs, outcome)
-                outcomes[i] = outcome
-        return outcomes
 
 
 class CachedOptimizer:

@@ -102,8 +102,6 @@ class ReductionConfig:
     #: Cap on the speculation window (in-flight candidates; default
     #: ``workers * 4``).
     window: int | None = None
-    #: Ship this many candidates per worker round-trip, amortizing IPC.
-    probe_batch: int | None = None
     #: Wall-clock budget for each finding's reduction: on exhaustion the
     #: result is the best-so-far interesting sequence (``timed_out`` set,
     #: not necessarily 1-minimal), never an exception; supervised probes are
@@ -246,8 +244,8 @@ class PipelineContext:
     Exactly one of ``is_interesting`` (plain boolean oracle) or
     ``verdict_test`` (a :class:`~repro.robustness.reduction.ProbeVerdict`
     test routed through the fault envelope + journal) must be set.
-    ``config`` carries the run's fixed knobs (workers, window, probe batch,
-    budget, policy); the rest are the run's live objects.
+    ``config`` carries the run's fixed knobs (workers, window, budget,
+    policy); the rest are the run's live objects.
     ``module_probe`` maps the final sequence to ``(module, module_verdict)``
     for module-stage passes; without it they are skipped.
     """
@@ -412,7 +410,7 @@ class PassPipeline:
         steps = self.steps(transformations, ctx)
         try:
             while True:
-                next(steps).run(batch=ctx.config.probe_batch or 1, metrics=ctx.metrics)
+                next(steps).run()
         except StopIteration as done:
             return done.value
 

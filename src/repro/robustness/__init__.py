@@ -30,73 +30,52 @@ targets misbehave:
   backstop).
 """
 
-from repro.robustness.breaker import CircuitBreaker
-from repro.robustness.chaos import (
-    REAL_FILEOPS,
-    ChaosFileOps,
-    ChaosKill,
-    Fault,
-    FileOps,
-    slow_loris_post,
-    truncated_post,
-)
-from repro.robustness.config import ReductionPolicy, RobustnessConfig
-from repro.robustness.journal import (
-    CampaignJournal,
-    Journal,
-    ReductionJournal,
-    parse_record,
-    record_to_run,
-    run_to_record,
-    seal_record,
-)
-from repro.robustness.quarantine import QuarantineTracker
-from repro.robustness.reduction import (
-    FlakeHardenedOracle,
-    ProbeVerdict,
-    ReductionAborted,
-    reduce_with_faults,
-)
-from repro.robustness.retry import (
-    DecorrelatedJitter,
-    backoff_sleep,
-    verdict_is_stable,
-)
-from repro.robustness.supervisor import (
-    SupervisedTarget,
-    close_targets,
-    find_supervised,
-    supervise_targets,
-)
+import importlib
 
-__all__ = [
-    "CampaignJournal",
-    "ChaosFileOps",
-    "ChaosKill",
-    "CircuitBreaker",
-    "DecorrelatedJitter",
-    "Fault",
-    "FileOps",
-    "FlakeHardenedOracle",
-    "Journal",
-    "ProbeVerdict",
-    "QuarantineTracker",
-    "REAL_FILEOPS",
-    "ReductionAborted",
-    "ReductionJournal",
-    "ReductionPolicy",
-    "RobustnessConfig",
-    "SupervisedTarget",
-    "backoff_sleep",
-    "close_targets",
-    "find_supervised",
-    "parse_record",
-    "record_to_run",
-    "reduce_with_faults",
-    "run_to_record",
-    "seal_record",
-    "slow_loris_post",
-    "supervise_targets",
-    "truncated_post",
-    "verdict_is_stable",
-]
+#: Each re-exported name and the submodule that defines it.  The package
+#: imports nothing up front (PEP 562): a campaign harness needs only
+#: :mod:`~repro.robustness.quarantine` and
+#: :mod:`~repro.robustness.supervisor`, and importing every sibling with
+#: them would add the reduction envelope, the journals, the chaos seam
+#: (with ``socket``) and the breaker to every start-up.
+_EXPORTS = {
+    "CircuitBreaker": "breaker",
+    "REAL_FILEOPS": "chaos",
+    "ChaosFileOps": "chaos",
+    "ChaosKill": "chaos",
+    "Fault": "chaos",
+    "FileOps": "chaos",
+    "slow_loris_post": "chaos",
+    "truncated_post": "chaos",
+    "ReductionPolicy": "config",
+    "RobustnessConfig": "config",
+    "CampaignJournal": "journal",
+    "Journal": "journal",
+    "ReductionJournal": "journal",
+    "parse_record": "journal",
+    "record_to_run": "journal",
+    "run_to_record": "journal",
+    "seal_record": "journal",
+    "QuarantineTracker": "quarantine",
+    "FlakeHardenedOracle": "reduction",
+    "ProbeVerdict": "reduction",
+    "ReductionAborted": "reduction",
+    "reduce_with_faults": "reduction",
+    "DecorrelatedJitter": "retry",
+    "backoff_sleep": "retry",
+    "verdict_is_stable": "retry",
+    "SupervisedTarget": "supervisor",
+    "close_targets": "supervisor",
+    "find_supervised": "supervisor",
+    "supervise_targets": "supervisor",
+}
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+
+
+__all__ = sorted(_EXPORTS)

@@ -213,30 +213,30 @@ class WorkerProcess:
 
 
 class _ProbeServer:
-    """A probe worker's serve function: one outcome per ``(module, inputs)``.
+    """A probe worker's serve function: one outcome per ``(module, inputs)``
+    request.
 
-    After a ``MemoryError`` it answers ``RESOURCE`` and stops serving the
-    request: the heap may be compromised, so the parent restarts the worker
-    and reruns the rest of the request on a fresh one.
+    A ``MemoryError`` is answered with ``RESOURCE``: the heap may be
+    compromised, so the parent stops the worker and the next probe starts a
+    fresh one.
     """
 
     def __init__(self, target: Any) -> None:
         self.target = target
 
-    def __call__(self, batch: list) -> Iterable[TargetOutcome]:
-        for module, inputs in batch:
-            try:
-                outcome = self.target.run(module, inputs)
-            except MemoryError:
-                yield TargetOutcome.resource(
-                    "MemoryError: probe exceeded its memory limit"
-                )
-                return
-            except BaseException as exc:  # noqa: BLE001 - the whole point
-                outcome = TargetOutcome.worker_crash(
-                    f"unhandled {type(exc).__name__}: {exc}"
-                )
-            yield outcome
+    def __call__(self, request: tuple) -> Iterable[TargetOutcome]:
+        module, inputs = request
+        try:
+            outcome = self.target.run(module, inputs)
+        except MemoryError:
+            outcome = TargetOutcome.resource(
+                "MemoryError: probe exceeded its memory limit"
+            )
+        except BaseException as exc:  # noqa: BLE001 - the whole point
+            outcome = TargetOutcome.worker_crash(
+                f"unhandled {type(exc).__name__}: {exc}"
+            )
+        yield outcome
 
 
 class SupervisedTarget(TargetWrapper):
@@ -330,66 +330,42 @@ class SupervisedTarget(TargetWrapper):
     # -- the probe -----------------------------------------------------------------
 
     def run(self, module: Any, inputs: dict | None = None) -> TargetOutcome:
-        """Compile and execute *module* under supervision."""
-        return self.run_batch([(module, inputs)])[0]
-
-    def run_batch(self, items: list) -> list:
-        """Evaluate ``[(module, inputs), ...]``, one outcome per item, in
-        order — identical to per-item :meth:`run` calls.
-
-        The worker streams one outcome per finished probe, and each is
-        awaited under the per-probe timeout.  A worker that hangs or dies
-        charges only the item in flight; the items after it rerun on a
-        fresh worker.
-        """
-        items = [(module, dict(inputs or {})) for module, inputs in items]
-        outcomes: list = []
-        while len(outcomes) < len(items):
-            outcomes.extend(self._stream(items[len(outcomes):]))
-        return outcomes
-
-    def _stream(self, items: list) -> list:
-        """Outcomes for a prefix of *items* (at least one): up to and
-        including the first item whose worker faulted."""
+        """Compile and execute *module* under supervision: one request to
+        the worker, one outcome back within the per-probe timeout."""
+        request = (module, dict(inputs or {}))
         for _ in range(2):  # one retry if the previous worker died while idle
             worker = self._ensure_worker()
-            if worker.send(items):
+            if worker.send(request):
                 break
             self._kill_worker()
         else:
-            return [TargetOutcome.worker_crash("probe worker unreachable")]
+            return TargetOutcome.worker_crash("probe worker unreachable")
         timeout = self.effective_timeout
-        outcomes: list = []
-        for _ in items:
-            try:
-                outcome = worker.recv(timeout)
-            except TimeoutError:
-                self._kill_worker()
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "supervisor.timeout",
-                        target=self.target.name,
-                        timeout_s=timeout,
-                    )
-                return outcomes + [TargetOutcome.timeout(timeout)]
-            except WorkerDied as death:
-                self._worker = None
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "supervisor.worker_crash",
-                        target=self.target.name,
-                        exitcode=death.exitcode,
-                    )
-                return outcomes + [
-                    TargetOutcome.worker_crash(
-                        f"probe worker died (exit code {death.exitcode})"
-                    )
-                ]
-            outcomes.append(outcome)
-            if outcome.kind is OutcomeKind.RESOURCE:
-                self.close()  # the worker stopped serving: restart it
-                break
-        return outcomes
+        try:
+            outcome = worker.recv(timeout)
+        except TimeoutError:
+            self._kill_worker()
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    "supervisor.timeout",
+                    target=self.target.name,
+                    timeout_s=timeout,
+                )
+            return TargetOutcome.timeout(timeout)
+        except WorkerDied as death:
+            self._worker = None
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    "supervisor.worker_crash",
+                    target=self.target.name,
+                    exitcode=death.exitcode,
+                )
+            return TargetOutcome.worker_crash(
+                f"probe worker died (exit code {death.exitcode})"
+            )
+        if outcome.kind is OutcomeKind.RESOURCE:
+            self.close()  # the worker's heap may be compromised: restart it
+        return outcome
 
 
 def find_supervised(target: Any) -> SupervisedTarget | None:

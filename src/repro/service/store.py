@@ -56,7 +56,10 @@ def spec_to_json(spec) -> dict:
 
 
 def spec_from_json(data: dict):
-    """Rebuild the :class:`CampaignSpec` persisted by :func:`spec_to_json`."""
+    """Rebuild the :class:`CampaignSpec` persisted by :func:`spec_to_json`.
+
+    Keys the spec no longer has are ignored, such as the flag for the
+    removed probe batching that older submit records still carry."""
     from repro.core.fuzzer import FuzzerOptions
     from repro.perf.parallel import CampaignSpec
     from repro.robustness import RobustnessConfig
@@ -79,7 +82,6 @@ def spec_from_json(data: dict):
         ),
         trace=data.get("trace"),
         probe_cache=data.get("probe_cache", CampaignSpec.probe_cache),
-        batch_probes=data.get("batch_probes", CampaignSpec.batch_probes),
     )
 
 

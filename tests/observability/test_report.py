@@ -200,6 +200,20 @@ class TestRenderGolden:
     def test_golden_output(self):
         assert render(summarize(EVENTS)) == GOLDEN
 
+    def test_a_campaign_end_from_the_batching_era_still_renders(self):
+        """Traces written while probes could be batched carry a
+        ``probe_batch`` delta on ``campaign.end``; the report ignores it."""
+        end = {
+            "v": 1,
+            "ev": "campaign.end",
+            "seeds": 2,
+            "probe_cache": {"probes": 10, "outcome_hits": 4},
+        }
+        legacy = {**end, "probe_batch": {"batches": 3, "probes": 6}}
+        text = render(summarize(EVENTS + [legacy]))
+        assert text == render(summarize(EVENTS + [end]))
+        assert "probe cache:" in text and "batch" not in text
+
 
 class TestReportMain:
     def test_renders_trace_file(self, tmp_path, capsys):

@@ -207,22 +207,22 @@ class TestHarnessParallelReduction:
                 other.transformations
             )
 
-    def test_fault_path_probe_batch_matches_serial(
+    def test_fault_path_pooled_matches_serial(
         self, references, donors, findings, tmp_path
     ):
-        # One batching rule: probe_batch applies to fault-tolerant sessions
-        # too, and batched decisions still commit (and journal) in order.
+        # Fault-tolerant decisions probed over the pool still commit (and
+        # journal) in serial order.
         harness = _harness(references, donors)
         serial = harness.reduce_finding(findings[0], journal=tmp_path / "serial.jsonl")
-        batched = harness.reduce_finding(
+        pooled = harness.reduce_finding(
             findings[0],
-            ReductionConfig(workers=2, probe_batch=3),
-            journal=tmp_path / "batched.jsonl",
+            ReductionConfig(workers=2),
+            journal=tmp_path / "pooled.jsonl",
         )
-        assert harness.metrics.counter("probe_batch.batches") > 0
-        assert batched.to_json() == serial.to_json()
-        assert batched.history == serial.history
-        assert (tmp_path / "batched.jsonl").read_bytes() == (
+        assert pooled.speculation.mode == "pool"
+        assert pooled.to_json() == serial.to_json()
+        assert pooled.history == serial.history
+        assert (tmp_path / "pooled.jsonl").read_bytes() == (
             tmp_path / "serial.jsonl"
         ).read_bytes()
 

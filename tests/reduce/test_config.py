@@ -160,7 +160,7 @@ class TestOneBody:
         [
             ReductionConfig(),
             ReductionConfig(passes=["ddmin"]),
-            ReductionConfig(workers=2, probe_batch=2),
+            ReductionConfig(workers=2),
         ],
         ids=["classic", "pipeline", "pooled"],
     )

@@ -6,12 +6,13 @@ import pytest
 
 from repro.compilers import make_target
 from repro.compilers.base import OutcomeKind
-from repro.core.harness import classify_outcome
-from repro.corpus import reference_programs
+from repro.core.fuzzer import FuzzerOptions
+from repro.core.harness import Harness, classify_outcome
+from repro.corpus import donor_programs, reference_programs
 from repro.ir.printer import disassemble
 from repro.robustness import RobustnessConfig, SupervisedTarget
 
-from tests.robustness.faults import PROBE_TIMEOUT, FaultyTarget
+from tests.robustness.faults import PROBE_TIMEOUT, FaultyTarget, result_key
 
 
 @pytest.fixture()
@@ -120,6 +121,58 @@ class TestSupervisedOutcomes:
             assert recovered.kind is OutcomeKind.OK
         finally:
             supervised.close()
+
+    @pytest.mark.parametrize(
+        "mode, fault",
+        [("hang", OutcomeKind.TIMEOUT), ("oom", OutcomeKind.RESOURCE)],
+        ids=["hang", "oom"],
+    )
+    def test_next_probe_runs_on_a_fresh_worker(self, program, mode, fault):
+        """A worker that hung or ran out of memory is replaced: the next
+        probe answers exactly as it would in process."""
+        other = reference_programs()[1]
+        faulty = FaultyTarget(
+            mode,
+            reference_text=disassemble(program.module),
+            inner=make_target("SwiftShader"),
+        )
+        supervised = _supervised(faulty)
+        try:
+            clean = supervised.run(program.module, program.inputs)
+            assert clean == faulty.run(program.module, program.inputs)
+            first_pid = supervised._worker.process.pid
+            assert supervised.run(other.module, other.inputs).kind is fault
+            assert supervised.run(program.module, program.inputs) == clean
+            assert supervised._worker.process.pid != first_pid
+        finally:
+            supervised.close()
+
+
+def test_supervised_campaign_equals_the_in_process_reference():
+    """Supervision changes where a probe runs, never what it answers: one
+    request and one outcome per probe, so the findings and the probe count
+    equal the uncached in-process campaign's."""
+
+    def campaign(**kwargs):
+        harness = Harness(
+            [make_target("SwiftShader"), make_target("NVIDIA")],
+            reference_programs()[:4],
+            donor_programs(),
+            FuzzerOptions(max_transformations=40),
+            **kwargs,
+        )
+        try:
+            return harness.run_campaign(range(8)), harness.metrics.counter("probes")
+        finally:
+            harness.close()
+
+    plain, plain_probes = campaign(probe_cache=False)
+    supervised, supervised_probes = campaign(
+        robustness=RobustnessConfig(probe_timeout=30.0)
+    )
+    assert plain.findings, "workload produced no findings to compare"
+    assert result_key(supervised) == result_key(plain)
+    assert supervised_probes == plain_probes
 
 
 def _vm_size_mb() -> int:

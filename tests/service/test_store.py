@@ -51,6 +51,49 @@ def test_spec_round_trips_through_json():
     assert rebuilt == spec
 
 
+@pytest.mark.parametrize("batched", [True, False])
+def test_the_removed_batching_flag_is_ignored(batched):
+    """Submit records written before probe batching was removed carry its
+    ``batch_probes`` key; they load into the spec they described."""
+    stored = spec_to_json(_spec())
+    legacy = {**stored, "batch_probes": batched}
+    assert spec_from_json(legacy) == spec_from_json(stored) == _spec()
+
+
+def test_a_recovered_legacy_submit_record_runs_to_done(tmp_path, monkeypatch):
+    from repro.service import CampaignService, ServiceConfig
+    from repro.service import store as store_module
+
+    spec = CampaignSpec(
+        kind="core",
+        target_names=("SwiftShader",),
+        reference_names=("arith_mix_0",),
+        donor_names=("donor_math_0",),
+        options=FuzzerOptions(max_transformations=40),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            store_module,
+            "spec_to_json",
+            lambda spec: {**spec_to_json(spec), "batch_probes": True},
+        )
+        CampaignStore(tmp_path).submit(_manifest(spec=spec, seeds=(0, 1)))
+    (submit, _) = CampaignStore(tmp_path).history("c1")
+    assert submit["spec"]["batch_probes"] is True
+    service = CampaignService(
+        CampaignStore(tmp_path),
+        ServiceConfig(workers=1, batch_size=2, poll_interval=0.02),
+    )
+    service.start()
+    try:
+        assert service.store.manifest("c1").spec == spec
+        service.run_until_idle(max_seconds=120)
+    finally:
+        service.shutdown()
+    assert service.store.state("c1") == st.DONE
+    assert service.store.check_all() == []
+
+
 def test_submit_records_manifest_and_queued_state(tmp_path):
     store = CampaignStore(tmp_path)
     store.submit(_manifest())

@@ -3,8 +3,8 @@
 The fixtures under ``golden/reduce_cli/`` pin what ``repro-reduce`` writes
 for the ``arith_mix_0`` seed-0 log (a 47-transformation SwiftShader crash)
 under four flag sets: the default reducer, the pass pipeline with a give-up
-budget, speculative workers with probe batching, and the fault-tolerant
-journaling reducer (whose journal bytes are pinned too).  Reworking how the
+budget, speculative workers, and the fault-tolerant journaling reducer
+(whose journal bytes are pinned too).  Reworking how the
 CLI maps its flags onto the reducer must leave every byte unchanged.
 Regenerate them only for an intentional change of the reduction result.
 """
@@ -23,7 +23,7 @@ LOG = GOLDEN / "arith_mix_0_seed0.json"
 CASES = {
     "default": [],
     "passes_default_giveup200": ["--reduce-passes", "default", "--giveup", "200"],
-    "workers2_batch2": ["--reduce-workers", "2", "--probe-batch", "2"],
+    "workers2": ["--reduce-workers", "2"],
 }
 
 

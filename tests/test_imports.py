@@ -61,3 +61,33 @@ def test_decoding_a_sequence_needs_only_the_protocol_module():
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def test_a_campaign_harness_imports_no_reduction_or_service_robustness():
+    """A default campaign harness needs only quarantine accounting and
+    probe supervision; ``repro.robustness`` resolves its re-exports on first
+    use, so the reduction envelope, journals, chaos seam and breaker stay
+    unimported."""
+    code = (
+        "import sys\n"
+        "from repro.compilers import make_targets\n"
+        "from repro.core.harness import Harness\n"
+        "from repro.corpus import donor_programs, reference_programs\n"
+        "Harness(make_targets(), reference_programs(), donor_programs())\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    loaded = set(completed.stdout.split())
+    assert "repro.robustness.supervisor" in loaded
+    unused = {
+        f"repro.robustness.{name}"
+        for name in ("reduction", "journal", "chaos", "breaker")
+    }
+    assert not loaded & unused, sorted(loaded & unused)
