@@ -12,6 +12,7 @@ again.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import time
 from dataclasses import dataclass, field
@@ -364,73 +365,81 @@ class Harness:
         skipped: list[str] = []
         faults: list[tuple[str, str]] = []
         self._fault_log = faults
+        # The targets branch from one variant: scope the probe cache's
+        # module store to this loop (reductions keep no snapshots).
+        fan_out = (
+            self.probe_cache.fan_out()
+            if self.probe_cache is not None
+            else contextlib.nullcontext()
+        )
         try:
-            for target in self.targets:
-                if self.quarantine.is_quarantined(target.name):
-                    skipped.append(target.name)
-                    self.metrics.inc("skipped_probes")
-                    self.tracer.emit(
-                        "probe.skipped", seed=seed, target=target.name
+            with fan_out:
+                for target in self.targets:
+                    if self.quarantine.is_quarantined(target.name):
+                        skipped.append(target.name)
+                        self.metrics.inc("skipped_probes")
+                        self.tracer.emit(
+                            "probe.skipped", seed=seed, target=target.name
+                        )
+                        continue
+                    reference = self.reference_outcome(target, program)
+                    classified, optimized_flow = self.classify_variant(
+                        target, reference, variant, variant_inputs, optimized_variant
                     )
-                    continue
-                reference = self.reference_outcome(target, program)
-                classified, optimized_flow = self.classify_variant(
-                    target, reference, variant, variant_inputs, optimized_variant
-                )
-                if classified is None:
-                    continue
-                signature, kind, ground_truth = classified
-                nondeterministic = False
-                if self.robustness is not None and self.robustness.retries > 0:
-                    from repro.robustness import verdict_is_stable
+                    if classified is None:
+                        continue
+                    signature, kind, ground_truth = classified
+                    nondeterministic = False
+                    if self.robustness is not None and self.robustness.retries > 0:
+                        from repro.robustness import verdict_is_stable
 
-                    probed = optimized_variant() if optimized_flow else variant
-                    nondeterministic = not verdict_is_stable(
-                        lambda: self._probe(target, probed, variant_inputs),
-                        lambda o: classify_outcome(o, reference),
-                        (signature, kind),
-                        retries=self.robustness.retries,
-                        backoff=self.robustness.retry_backoff,
-                        jitter=self._retry_jitter,
-                    )
-                    self.metrics.inc("retries")
-                    if nondeterministic:
-                        self.metrics.inc("retries.unstable")
+                        probed = optimized_variant() if optimized_flow else variant
+                        nondeterministic = not verdict_is_stable(
+                            lambda: self._probe(target, probed, variant_inputs),
+                            lambda o: classify_outcome(o, reference),
+                            (signature, kind),
+                            retries=self.robustness.retries,
+                            backoff=self.robustness.retry_backoff,
+                            jitter=self._retry_jitter,
+                        )
+                        self.metrics.inc("retries")
+                        if nondeterministic:
+                            self.metrics.inc("retries.unstable")
+                        self.tracer.emit(
+                            "retry",
+                            seed=seed,
+                            target=target.name,
+                            stable=not nondeterministic,
+                        )
+                    self.metrics.inc("findings")
+                    self.metrics.inc(f"findings.{kind}")
                     self.tracer.emit(
-                        "retry",
+                        "finding",
                         seed=seed,
                         target=target.name,
-                        stable=not nondeterministic,
-                    )
-                self.metrics.inc("findings")
-                self.metrics.inc(f"findings.{kind}")
-                self.tracer.emit(
-                    "finding",
-                    seed=seed,
-                    target=target.name,
-                    kind=kind,
-                    signature=signature,
-                    optimized_flow=optimized_flow,
-                    nondeterministic=nondeterministic,
-                    # The Figure 6 type set, so trace files are a
-                    # streamable dedup input (see dedup_scale).
-                    types=sorted(effective_types(fuzzed.transformations)),
-                )
-                run.findings.append(
-                    Finding(
-                        target_name=target.name,
-                        program_name=program.name,
-                        seed=seed,
-                        signature=signature,
                         kind=kind,
+                        signature=signature,
                         optimized_flow=optimized_flow,
-                        transformations=list(fuzzed.transformations),
-                        original=program.module,
-                        inputs=dict(program.inputs),
-                        ground_truth_bug=ground_truth,
                         nondeterministic=nondeterministic,
+                        # The Figure 6 type set, so trace files are a
+                        # streamable dedup input (see dedup_scale).
+                        types=sorted(effective_types(fuzzed.transformations)),
                     )
-                )
+                    run.findings.append(
+                        Finding(
+                            target_name=target.name,
+                            program_name=program.name,
+                            seed=seed,
+                            signature=signature,
+                            kind=kind,
+                            optimized_flow=optimized_flow,
+                            transformations=list(fuzzed.transformations),
+                            original=program.module,
+                            inputs=dict(program.inputs),
+                            ground_truth_bug=ground_truth,
+                            nondeterministic=nondeterministic,
+                        )
+                    )
         finally:
             self._fault_log = None
         run.skipped_targets = tuple(skipped)

@@ -518,13 +518,53 @@ class Module:
 
         Block labels map to synthetic ``OpLabel`` instructions.
         """
+        # A flat walk in ``all_instructions`` order (this runs on every
+        # transformation context): ``count`` entries that collapse into a
+        # smaller map mean a duplicate, which the slow walk then names.
         defs: dict[int, Instruction] = {}
+        count = 0
+        for inst in self.global_insts:
+            if inst.result_id is not None:
+                defs[inst.result_id] = inst
+                count += 1
+        for function in self.functions:
+            defs[function.inst.result_id] = function.inst
+            count += 1
+            for param in function.params:
+                if param.result_id is not None:
+                    defs[param.result_id] = param
+                    count += 1
+            for block in function.blocks:
+                # The synthetic label, built the way ``Instruction.clone``
+                # builds one: a label needs no ``__post_init__`` checks.
+                label = object.__new__(Instruction)
+                label.opcode = Op.Label
+                label.result_id = block.label_id
+                label.type_id = None
+                label.operands = []
+                defs[block.label_id] = label
+                count += 1
+                for inst in block.instructions:
+                    if inst.result_id is not None:
+                        defs[inst.result_id] = inst
+                        count += 1
+                term = block.terminator
+                if term is not None and term.result_id is not None:
+                    defs[term.result_id] = term
+                    count += 1
+        if count != len(defs):
+            self._raise_duplicate_definition()
+        return defs
+
+    def _raise_duplicate_definition(self) -> None:
+        """Raise for the first id :meth:`all_instructions` defines twice."""
+        seen: set[int] = set()
         for inst in self.all_instructions():
             if inst.result_id is not None:
-                if inst.result_id in defs:
+                if inst.result_id in seen:
                     raise IrError(f"duplicate definition of %{inst.result_id}")
-                defs[inst.result_id] = inst
-        return defs
+                seen.add(inst.result_id)
+        raise AssertionError("def_map counted a duplicate that is not there")
 
     def get_instruction(self, result_id: int) -> Instruction:
         inst = self.def_map().get(result_id)

@@ -43,11 +43,21 @@ new content); the campaign service clears its finalize harness's cache once
 a campaign's reductions end; a loop of reductions keeps the harness-wide
 LRU, because successive reductions probe variants of the same reference
 programs.  :meth:`clear` keeps the stats.
+
+The module store is narrower: it lives for one *fan-out*, several targets
+probing the same input (``with cache.fan_out():``, which
+:meth:`~repro.core.harness.Harness.run_seed` wraps around its target loop).
+There the targets branch from shared pipeline prefixes, so a stored
+snapshot saves replaying one.  Outside a fan-out — every reduction — nothing
+is stored, because a reduction's candidates are new content that almost
+never reads a snapshot back; a mid-pipeline materialization replays the
+recorded prefix instead, as it does for an evicted snapshot.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -67,9 +77,10 @@ from repro.ir.validator import validate
 
 #: LRU caps of the outcome, stage and execution memos and the module store.
 #: The validation memo shares the execution memo's cap.  The module store
-#: is small: each snapshot is a whole module, most are never read back (128
-#: of 361 over a 40-seed campaign, 1 of 1,418 over 20 reductions), and an
-#: evicted one is rebuilt by replaying its recorded prefix.
+#: is small and lives for one fan-out (see the module docstring): each
+#: snapshot is a whole module, most are never read back even there (128 of
+#: 361 over a 40-seed campaign), and an evicted one is rebuilt by replaying
+#: its recorded prefix.
 MAX_OUTCOMES = 8192
 MAX_STAGES = 8192
 MAX_EXEC = 8192
@@ -145,8 +156,10 @@ class ProbeCache:
         self._validate: OrderedDict[str, tuple] = OrderedDict()
         #: module snapshots keyed by digest, for rematerializing mid-pipeline
         #: state without replaying the prefix.  Entries are frozen: always
-        #: stored and handed out as clones.
+        #: stored and handed out as clones.  Filled only inside
+        #: :meth:`fan_out`, and emptied when the outermost scope ends.
         self._modules: OrderedDict[str, Module] = OrderedDict()
+        self._fan_out_depth = 0
 
     def clear(self) -> None:
         """Evict everything (stats survive — they feed the report)."""
@@ -155,6 +168,20 @@ class ProbeCache:
         self._exec.clear()
         self._validate.clear()
         self._modules.clear()
+
+    @contextmanager
+    def fan_out(self):
+        """Scope in which several targets probe the same input: stage
+        outputs are kept as module snapshots for the other targets' shared
+        prefixes.  Scopes nest; leaving the outermost one (also by an
+        exception) empties the store."""
+        self._fan_out_depth += 1
+        try:
+            yield
+        finally:
+            self._fan_out_depth -= 1
+            if not self._fan_out_depth:
+                self._modules.clear()
 
     # -- full probes ---------------------------------------------------------------
 
@@ -365,6 +392,8 @@ class ProbeCache:
         return work
 
     def _remember_module(self, digest: str, module: Module) -> None:
+        if not self._fan_out_depth:
+            return
         # A snapshot already held under this digest is interchangeable with
         # *module* when the id bounds match too (the digest ignores
         # ``id_bound``, and mem2reg allocates fresh ids from it), so only
