@@ -21,6 +21,7 @@ records ``cpu_count`` so numbers from different machines are comparable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -554,7 +555,7 @@ def bench_parallel_reduction(
     }
 
 
-#: Timed trials per arm of the probe-throughput cache gate.
+#: Timed trials per arm of the probe-throughput cache and parallel gates.
 PROBE_TRIALS = 5
 
 
@@ -581,9 +582,10 @@ def bench_probe_throughput(
     * cached (the default harness) vs uncached (``probe_cache=False``)
       probes/sec over the median of ``PROBE_TRIALS`` interleaved trials per
       arm — CI gate: >= 1.5x;
-    * ``workers=N`` vs serial with auto-degrade enabled — CI gate: the
-      parallel path must never *lose* (>= 0.95x serial), which on one CPU
-      means the degrade heuristic must fire.
+    * ``workers=N`` vs serial with auto-degrade enabled, campaign seconds
+      over the median of ``PROBE_TRIALS`` interleaved trials per arm — CI
+      gate: the parallel path must never *lose* (>= 0.95x serial), which
+      on one CPU means the degrade heuristic must fire.
     """
     options = FuzzerOptions(max_transformations=max_transformations)
 
@@ -612,8 +614,10 @@ def bench_probe_throughput(
     def triage_sweep(harness, reductions, repeats=5):
         """Cross-target dedup of each reduced variant: probe it (and its
         optimized form) on every target, ``repeats`` times over for
-        stability classification.  Returns the outcome kinds — part of the
-        byte-identity check."""
+        stability classification.  The targets branch from one variant, so
+        each variant's probes run in one probe-cache fan-out scope, as
+        ``Harness.run_seed`` scopes its targets.  Returns the outcome kinds
+        — part of the byte-identity check."""
         from repro.core.reducer import replay
 
         kinds = []
@@ -627,11 +631,19 @@ def bench_probe_throughput(
                 program.module, program.inputs, reduction.transformations
             )
             optimized = harness._optimize(ctx.module)
-            for _ in range(repeats):
-                for target in harness.targets:
-                    one = harness._probe(target, ctx.module, ctx.inputs)
-                    two = harness._probe(target, optimized, ctx.inputs)
-                    kinds.append((target.name, one.kind.value, two.kind.value))
+            fan_out = (
+                harness.probe_cache.fan_out()
+                if harness.probe_cache is not None
+                else contextlib.nullcontext()
+            )
+            with fan_out:
+                for _ in range(repeats):
+                    for target in harness.targets:
+                        one = harness._probe(target, ctx.module, ctx.inputs)
+                        two = harness._probe(target, optimized, ctx.inputs)
+                        kinds.append(
+                            (target.name, one.kind.value, two.kind.value)
+                        )
         return kinds
 
     def run_workload(harness):
@@ -696,19 +708,26 @@ def bench_probe_throughput(
         campaign = harness.run_campaign(range(seeds), **kwargs)
         return time.perf_counter() - started, campaign, harness
 
-    # Interleave the trials (s,p,p,s): the box's clock drifts slowly under
-    # sustained load, so back-to-back arms see different baselines.
-    serial_seconds, serial_campaign, _ = timed_campaign()
-    parallel_seconds, parallel_campaign, parallel_harness = timed_campaign(
-        workers=workers
+    # PROBE_TRIALS interleaved trials per arm, gated on the ratio of the
+    # medians like the cache gate: a best-of-two read 0.93x-1.36x run to run.
+    campaign_arms = {"serial": [], "parallel": []}
+    findings = {"serial": [], "parallel": []}
+    parallel_harness = None
+    for trial in range(PROBE_TRIALS):
+        order = ("serial", "parallel") if trial % 2 == 0 else ("parallel", "serial")
+        for arm in order:
+            kwargs = {"workers": workers} if arm == "parallel" else {}
+            seconds, campaign, harness = timed_campaign(**kwargs)
+            campaign_arms[arm].append(seconds)
+            findings[arm].append([_finding_identity(f) for f in campaign.findings])
+            if arm == "parallel" and parallel_harness is None:
+                parallel_harness = harness
+    serial_seconds = statistics.median(campaign_arms["serial"])
+    parallel_seconds = statistics.median(campaign_arms["parallel"])
+    parallel_identical = all(
+        trial == findings["serial"][0]
+        for trial in findings["serial"] + findings["parallel"]
     )
-    parallel_seconds = min(
-        parallel_seconds, timed_campaign(workers=workers)[0]
-    )
-    serial_seconds = min(serial_seconds, timed_campaign()[0])
-    parallel_identical = [
-        _finding_identity(f) for f in parallel_campaign.findings
-    ] == [_finding_identity(f) for f in serial_campaign.findings]
     parallel_ratio = (
         serial_seconds / parallel_seconds if parallel_seconds else None
     )
@@ -740,6 +759,10 @@ def bench_probe_throughput(
         "cached_identical": cached_identical,
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
+        "serial_trial_seconds": [round(t, 3) for t in campaign_arms["serial"]],
+        "parallel_trial_seconds": [
+            round(t, 3) for t in campaign_arms["parallel"]
+        ],
         "parallel_ratio": round(parallel_ratio, 3) if parallel_ratio else None,
         "parallel_degraded": parallel_degraded,
         "parallel_identical": parallel_identical,

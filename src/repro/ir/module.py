@@ -9,10 +9,10 @@ module tracks an *id bound* from which fresh ids are allocated.
 Mutability: blocks, functions and module-level lists are mutable on purpose
 — transformations edit function bodies in place — but :meth:`Module.clone`
 provides a copy so that callers can transform copies while keeping
-originals pristine.  The copy rebuilds every function body, so it costs
-O(function code); it carries over the derived caches (fingerprint, digest,
-type table, and each function's CFG memo) that are still valid, so a clone
-never recomputes them.
+originals pristine.  The copy rebuilds every function body (instructions
+and blocks are slotted, so that is a few attribute copies per node); it
+carries over every derived cache below that is still valid, and each
+function's CFG memo, so a clone never recomputes them.
 
 Global declarations are immutable values: once a global
 :class:`Instruction` is in a module it is never edited in place, so clones
@@ -21,17 +21,30 @@ The list changes in exactly two ways — :meth:`Module.add_global` appends,
 and :meth:`Module.set_global` replaces a slot with an edited copy — and
 both bump the module's ``_globals_version``.
 
-Derived views — :meth:`Module.fingerprint` and :meth:`Module.content_digest`
-— are cached per module version (bumped by :meth:`Module.touch`);
-:meth:`Module.type_table` and :meth:`Module.typed_globals` depend on the
-global section alone and are cached per ``_globals_version``, so
-function-body edits and ``touch`` keep them.
+Derived views and the version that keys each cache:
+
+* :meth:`Module.fingerprint` and :meth:`Module.content_digest` — the
+  module ``_version``, bumped by :meth:`Module.touch` on every edit;
+* :meth:`Module.type_table`, :meth:`Module.typed_globals` and the
+  digest's encoding of the global section — ``_globals_version``, so
+  function-body edits and ``touch`` keep them.  ``add_global`` extends a
+  valid table and typed-globals list by the new declaration (what a
+  rebuild would give); ``set_global`` leaves them to be rebuilt.
+
+The digest hashes a flat, self-delimiting encoding (each part preceded by
+its count, each instruction by its operand count) marshalled at version 2,
+which keeps every value's type and writes no back-references: equal bytes
+decode to equal fingerprints, and the bytes do not depend on which objects
+happen to be shared.  ``fingerprint()`` stays the nested tuple that
+reduction journals hash.
 """
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple
+from hashlib import blake2b
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.ir.opcodes import OP_INFO, Op, OperandKind, op_info
 from repro.ir import types as tys
@@ -84,7 +97,7 @@ class _IdPlan(NamedTuple):
 _ID_PLANS: dict[str, _IdPlan] = {op.value: _IdPlan.of(op) for op in Op}
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     """A single IR instruction.
 
@@ -262,7 +275,7 @@ class Instruction:
         return format_instruction(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     """A basic block: a label id, body instructions, and one terminator."""
 
@@ -416,6 +429,38 @@ def typed_id(inst: Instruction, table: dict[int, tys.Type]) -> TypedId:
     return inst.result_id, table.get(inst.type_id)
 
 
+def _declared_type(inst: Instruction, table: dict[int, tys.Type]) -> "tys.Type | None":
+    """The structural type that ``OpType*`` declaration *inst* declares,
+    its member types looked up in type table *table*; None when *inst*
+    declares no type.  Raises ``KeyError`` for a member type missing from
+    *table*."""
+    op = inst.opcode
+    operands = inst.operands
+    if op is Op.TypeVoid:
+        return tys.VoidType()
+    if op is Op.TypeBool:
+        return tys.BoolType()
+    if op is Op.TypeInt:
+        return tys.IntType(int(operands[0]), bool(operands[1]))
+    if op is Op.TypeFloat:
+        return tys.FloatType(int(operands[0]))
+    if op is Op.TypeVector:
+        return tys.VectorType(table[int(operands[0])], int(operands[1]))
+    if op is Op.TypeArray:
+        return tys.ArrayType(table[int(operands[0])], int(operands[1]))
+    if op is Op.TypeStruct:
+        return tys.StructType(tuple(table[int(m)] for m in operands))
+    if op is Op.TypePointer:
+        return tys.PointerType(
+            tys.STORAGE_BY_NAME[str(operands[0])], table[int(operands[1])]
+        )
+    if op is Op.TypeFunction:
+        return tys.FunctionType(
+            table[int(operands[0])], tuple(table[int(p)] for p in operands[1:])
+        )
+    return None
+
+
 def is_constant_decl(inst: Instruction | None) -> bool:
     """True when *inst* declares a constant with a known value (not
     ``OpUndef``)."""
@@ -447,9 +492,9 @@ class Module:
     #: ``Context.invalidate``, pass pipelines) must call :meth:`touch` before
     #: the next ``fingerprint`` / ``content_digest`` read.
     _version: int = field(default=0, repr=False, compare=False)
-    #: Global-section counter guarding the type-table cache: bumped only by
-    #: :meth:`add_global` and :meth:`set_global`, the two ways the global
-    #: section may change.
+    #: Global-section counter guarding the type-table, typed-globals and
+    #: globals-encoding caches: bumped only by :meth:`add_global` and
+    #: :meth:`set_global`, the two ways the global section may change.
     _globals_version: int = field(default=0, repr=False, compare=False)
     _fingerprint_cache: "tuple[int, tuple] | None" = field(
         default=None, repr=False, compare=False
@@ -461,6 +506,9 @@ class Module:
         default=None, repr=False, compare=False
     )
     _typed_globals_cache: "tuple[int, list[TypedId]] | None" = field(
+        default=None, repr=False, compare=False
+    )
+    _globals_encoding_cache: "tuple[int, bytes] | None" = field(
         default=None, repr=False, compare=False
     )
 
@@ -621,38 +669,9 @@ class Module:
             return cached[1]
         table: dict[int, tys.Type] = {}
         for inst in self.global_insts:
-            op = inst.opcode
-            rid = inst.result_id
-            if op is Op.TypeVoid:
-                table[rid] = tys.VoidType()
-            elif op is Op.TypeBool:
-                table[rid] = tys.BoolType()
-            elif op is Op.TypeInt:
-                table[rid] = tys.IntType(int(inst.operands[0]), bool(inst.operands[1]))
-            elif op is Op.TypeFloat:
-                table[rid] = tys.FloatType(int(inst.operands[0]))
-            elif op is Op.TypeVector:
-                table[rid] = tys.VectorType(
-                    table[int(inst.operands[0])], int(inst.operands[1])
-                )
-            elif op is Op.TypeArray:
-                table[rid] = tys.ArrayType(
-                    table[int(inst.operands[0])], int(inst.operands[1])
-                )
-            elif op is Op.TypeStruct:
-                table[rid] = tys.StructType(
-                    tuple(table[int(m)] for m in inst.operands)
-                )
-            elif op is Op.TypePointer:
-                table[rid] = tys.PointerType(
-                    tys.STORAGE_BY_NAME[str(inst.operands[0])],
-                    table[int(inst.operands[1])],
-                )
-            elif op is Op.TypeFunction:
-                table[rid] = tys.FunctionType(
-                    table[int(inst.operands[0])],
-                    tuple(table[int(p)] for p in inst.operands[1:]),
-                )
+            declared = _declared_type(inst, table)
+            if declared is not None:
+                table[inst.result_id] = declared
         self._type_table_cache = (self._globals_version, table)
         return table
 
@@ -728,15 +747,52 @@ class Module:
         """Append a global declaration, returning its result id.
 
         The only way to add a global: it bumps the module and global-section
-        versions, so the cached type table (and fingerprint/digest) can never
-        go stale.  *inst* must not be edited afterwards.
+        versions, so no cached view can go stale.  A valid type table and
+        typed-globals list are extended by *inst* rather than dropped (see
+        :meth:`_extend_type_views`).  *inst* must not be edited afterwards.
         """
         self.global_insts.append(inst)
         assert inst.result_id is not None
         self.id_bound = max(self.id_bound, inst.result_id + 1)
         self._globals_version += 1
+        self._extend_type_views(inst)
         self.touch()
         return inst.result_id
+
+    def _extend_type_views(self, inst: Instruction) -> None:
+        """Carry the type table and typed-globals list, if valid before
+        *inst* was appended, over to the new global-section version.
+
+        The result is what a rebuild would give: the rebuild decodes the
+        earlier declarations exactly as before, then *inst* against the
+        table they make.  Clones share the cached dict and list, so an
+        extension makes new ones.  A view that cannot be extended stays
+        stale, and its next read rebuilds it (and raises, for a member type
+        that is not declared).
+        """
+        version = self._globals_version - 1
+        cached = self._type_table_cache
+        if cached is None or cached[0] != version:
+            return
+        table = cached[1]
+        rid = inst.result_id
+        try:
+            declared = _declared_type(inst, table)
+        except KeyError:
+            return
+        if declared is not None:
+            table = {**table, rid: declared}
+        self._type_table_cache = (version + 1, table)
+        typed = self._typed_globals_cache
+        if typed is None or typed[0] != version:
+            return
+        # A new type changes an earlier entry only if that global names
+        # the new id as its type (a use before the declaration).
+        if declared is None or all(g.type_id != rid for g in self.global_insts):
+            self._typed_globals_cache = (
+                version + 1,
+                [*typed[1], typed_id(inst, table)],
+            )
 
     def set_global(self, index: int, inst: Instruction) -> None:
         """Replace the global declaration in slot *index* with *inst*.
@@ -785,6 +841,9 @@ class Module:
         new._typed_globals_cache = _carried(
             self._typed_globals_cache, self._globals_version
         )
+        new._globals_encoding_cache = _carried(
+            self._globals_encoding_cache, self._globals_version
+        )
         return new
 
     def touch(self) -> None:
@@ -824,29 +883,65 @@ class Module:
         return fingerprint
 
     def content_digest(self) -> str:
-        """A compact, stable content hash of :meth:`fingerprint`.
+        """A compact content hash covering exactly what :meth:`fingerprint`
+        covers (``id_bound`` and ``entry_point_name`` excluded).
 
         The digest keys the compile/probe caches (:mod:`repro.perf.
         probe_cache`): equal digests mean structurally identical modules.
-        Cached per :attr:`_version` alongside the fingerprint.
+        Cached per :attr:`_version`; the global section's encoding is
+        cached per :attr:`_globals_version` (:meth:`_globals_encoding`), so
+        a function-body edit re-encodes the functions alone.
         """
         cached = self._digest_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        import pickle
-        from hashlib import blake2b
-
-        # Pickle rather than repr: ~4x faster to serialize, and still sound
-        # as a cache key — equal bytes decode to equal fingerprints, so a
-        # digest collision implies structural equality.  (Pickle memoization
-        # can make *equal* fingerprints serialize differently when their
-        # object sharing differs; that only costs a cache miss, never a
-        # wrong hit.)
-        digest = blake2b(
-            pickle.dumps(self.fingerprint(), protocol=5), digest_size=16
-        ).hexdigest()
+        # The functions, encoded flat after the globals: each part is
+        # preceded by its count and each instruction by its operand count
+        # (see ``_flatten``), a missing terminator is a None where an
+        # opcode would be, and the entry point and sorted names close it.
+        # The encoding parses back one way only, and marshal keeps the
+        # type of every value (1 vs True, 0.0 vs -0.0), so equal bytes mean
+        # equal fingerprints.  Version 2 writes no back-references, so the
+        # bytes do not depend on which objects are shared.
+        flat: list = [len(self.functions)]
+        append = flat.append
+        for function in self.functions:
+            _flatten(flat, (function.inst,))
+            append(len(function.params))
+            _flatten(flat, function.params)
+            append(len(function.blocks))
+            for block in function.blocks:
+                append(block.label_id)
+                append(len(block.instructions))
+                _flatten(flat, block.instructions)
+                if block.terminator is None:
+                    append(None)
+                else:
+                    _flatten(flat, (block.terminator,))
+        append(self.entry_point_id)
+        append(len(self.names))
+        for item in sorted(self.names.items()):
+            flat.extend(item)
+        # A marshal stream is read back to its exact end, so the globals'
+        # stream delimits itself ahead of the functions'.
+        hasher = blake2b(self._globals_encoding(), digest_size=16)
+        hasher.update(marshal.dumps(flat, 2))
+        digest = hasher.hexdigest()
         self._digest_cache = (self._version, digest)
         return digest
+
+    def _globals_encoding(self) -> bytes:
+        """The global section's part of :meth:`content_digest`: its count
+        and each declaration, flat, as marshal bytes.  Cached per
+        :attr:`_globals_version` as bytes (which pickle, unlike a hasher)."""
+        cached = self._globals_encoding_cache
+        if cached is not None and cached[0] == self._globals_version:
+            return cached[1]
+        flat: list = [len(self.global_insts)]
+        _flatten(flat, self.global_insts)
+        encoded = marshal.dumps(flat, 2)
+        self._globals_encoding_cache = (self._globals_version, encoded)
+        return encoded
 
     def map_instructions(self, fn: Callable[[Instruction], None]) -> None:
         """Apply *fn* to every instruction in the module, for bulk edits.
@@ -864,6 +959,18 @@ class Module:
             for inst in function.all_instructions():
                 fn(inst)
         self.touch()
+
+
+def _flatten(flat: list, insts: "Iterable[Instruction]") -> None:
+    """Append each of *insts* to *flat* as its opcode value, result id,
+    type id and operand count, then its operands."""
+    extend = flat.extend
+    for inst in insts:
+        operands = inst.operands
+        extend(
+            (inst.opcode._value_, inst.result_id, inst.type_id, len(operands))
+        )
+        extend(operands)
 
 
 def _carried(cached: "tuple[int, Any] | None", version: int) -> "tuple[int, Any] | None":

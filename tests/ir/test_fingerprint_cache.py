@@ -60,6 +60,7 @@ class TestFingerprintCache:
         # And the new cached value matches a from-scratch recomputation.
         module._fingerprint_cache = None
         module._digest_cache = None
+        module._globals_encoding_cache = None
         assert module.content_digest() == after
 
     def test_direct_mutation_plus_touch_invalidates(self):
@@ -114,6 +115,23 @@ def _uncached_type_table(module):
     fresh = module.clone()
     fresh._type_table_cache = None
     return fresh.type_table()
+
+
+def _uncached_typed_globals(module):
+    """``typed_globals()`` rebuilt from scratch, bypassing every cache."""
+    fresh = module.clone()
+    fresh._type_table_cache = None
+    fresh._typed_globals_cache = None
+    return fresh.typed_globals()
+
+
+def _assert_views_hold(module, clone, new_id):
+    """Both modules' type views equal a rebuild and hold *new_id*."""
+    for copy in (module, clone):
+        assert copy.type_table() == _uncached_type_table(copy)
+        assert new_id in copy.type_table()
+        assert copy.typed_globals() == _uncached_typed_globals(copy)
+        assert (new_id, None) in copy.typed_globals()
 
 
 class TestTypeTableCache:
@@ -177,13 +195,27 @@ class TestTypeTableCache:
     def test_clone_does_not_inherit_a_stale_table(self):
         module = _tiny()
         table = module.type_table()
-        new_id = module.fresh_id()
-        module.add_global(Instruction(Op.TypeFloat, new_id, None, [32]))
+        typed = module.typed_globals()
+        float_id = module.fresh_id()
+        module.add_global(Instruction(Op.TypeFloat, float_id, None, [32]))
         clone = module.clone()
-        assert clone._type_table_cache is None
-        assert clone.type_table() is not table
-        assert new_id in clone.type_table()
-        assert clone.type_table() == _uncached_type_table(module)
+        _assert_views_hold(module, clone, float_id)
+        # The views the clones shared before the edit are left as they were.
+        assert float_id not in table
+        assert float_id not in dict(typed)
+        # A slot rewrite (void() -> int()) rebuilds both modules' views.
+        int_type = module.find_type_id(IntType())
+        slot = next(
+            i for i, inst in enumerate(module.global_insts)
+            if inst.opcode is Op.TypeFunction
+        )
+        fn_type = module.global_insts[slot]
+        for copy in (module, clone):
+            copy.set_global(
+                slot, Instruction(Op.TypeFunction, fn_type.result_id, None, [int_type])
+            )
+            assert copy.type_table()[fn_type.result_id].return_type == IntType()
+        _assert_views_hold(module, clone, float_id)
 
     def test_table_matches_a_rebuild_after_every_fuzzed_step(
         self, references, donors
@@ -196,8 +228,12 @@ class TestTypeTableCache:
                 ctx = Context.start(program.module, program.inputs)
                 for transformation in fuzzed.transformations:
                     before = len(ctx.types())
+                    ctx.module.typed_globals()  # extended, not rebuilt
                     apply_sequence(ctx, [transformation], validate_each=True)
                     assert ctx.module.type_table() == _uncached_type_table(
+                        ctx.module
+                    )
+                    assert ctx.module.typed_globals() == _uncached_typed_globals(
                         ctx.module
                     )
                     assert ctx.types() is ctx.module.type_table()
