@@ -120,13 +120,23 @@ class BugContext:
     Passes consult :meth:`active` before taking a buggy code path and call
     :meth:`crash` at crash-bug sites.  ``fired`` records which miscompilation
     bugs actually rewrote something, giving the evaluation ground truth.
+
+    ``consulted`` records every bug id :meth:`active` was asked about (a
+    :meth:`crash` site asks too).  The probe cache lets a pass run recorded
+    under one target serve any target that agrees on the consulted bugs, so
+    passes consult a bug only once its trigger holds (the contract is on
+    :class:`~repro.compilers.passes.base.Pass`): an early query changes no
+    output, but makes the run unshareable with every target that disagrees
+    about that bug.
     """
 
     enabled: frozenset[str] = frozenset()
     fired: set[str] = field(default_factory=set)
     current_pass: str = ""
+    consulted: set[str] = field(default_factory=set)
 
     def active(self, bug_id: str) -> bool:
+        self.consulted.add(bug_id)
         return bug_id in self.enabled
 
     def fire(self, bug_id: str) -> None:

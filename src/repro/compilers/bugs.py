@@ -122,10 +122,12 @@ _NO_BUGS: frozenset[str] = frozenset()
 def bugs_for_pass(pass_name: str) -> frozenset[str]:
     """The bug ids hosted by *pass_name* (empty for bug-free passes).
 
-    The probe cache keys per-stage memo entries by
-    ``enabled_bugs & bugs_for_pass(name)``: a pass's behaviour depends only
-    on the module content and its *own* enabled bugs, so entries are shared
-    across targets whose bug sets differ only in other passes' bugs.
+    The probe cache looks per-stage memo entries up by
+    ``enabled_bugs & bugs_for_pass(name)``: a pass asks only about its *own*
+    bugs, so its behaviour depends only on the module content and those
+    answers, and entries are shared across targets whose bug sets differ
+    only in other passes' bugs (``tests/compilers/test_bug_consults.py``
+    checks the first half).
     """
     return _BUGS_BY_PASS.get(pass_name, _NO_BUGS)
 

@@ -28,7 +28,17 @@ class Pass(abc.ABC):
     pass must keep the module state that every ``bugs.active``, ``fire``
     and ``crash`` call sees, in the same order.
     ``tests/compilers/test_pass_equivalence.py`` guards this against the
-    pre-rewrite pass bodies."""
+    pre-rewrite pass bodies.
+
+    A pass asks about a bug (``bugs.active`` or ``bugs.crash``) only once
+    the bug's trigger holds, after the cheap test that decides whether the
+    buggy path could change anything, and only about its own bugs
+    (:func:`~repro.compilers.bugs.bugs_for_pass`).  The probe cache shares
+    a pass run with every target that agrees on the bugs the run asked
+    about (:attr:`~repro.compilers.base.BugContext.consulted`), so a query
+    made up front costs cache reuse; a query about another pass's bug
+    would make that sharing unsound.
+    ``tests/compilers/test_bug_consults.py`` checks the second rule."""
 
     name: str = "pass"
 

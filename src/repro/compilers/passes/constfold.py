@@ -110,15 +110,19 @@ class ConstantFoldingPass(Pass):
                 )
                 return None  # correct compilers refuse to fold a trap
             value = _INT_FOLDS[op](a, b)
-            if op is Op.SRem and bugs.active("constfold-srem-floor") and (a < 0) != (b < 0) and a % b != 0:
+            if (
+                op is Op.SRem
+                and (a < 0) != (b < 0)
+                and a % b != 0
+                and bugs.active("constfold-srem-floor")
+            ):
                 value = wrap_i32(a % b)  # Python floor remainder: wrong sign
                 bugs.fire("constfold-srem-floor")
-            if (
-                op in (Op.IAdd, Op.ISub, Op.IMul)
-                and bugs.active("constfold-overflow-saturate")
-            ):
+            if op in (Op.IAdd, Op.ISub, Op.IMul):
                 raw = {Op.IAdd: a + b, Op.ISub: a - b, Op.IMul: a * b}[op]
-                if not _I32_MIN <= raw <= _I32_MAX:
+                if not _I32_MIN <= raw <= _I32_MAX and bugs.active(
+                    "constfold-overflow-saturate"
+                ):
                     value = _I32_MAX if raw > 0 else _I32_MIN
                     bugs.fire("constfold-overflow-saturate")
             return builder.int_const(value)

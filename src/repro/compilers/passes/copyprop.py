@@ -95,12 +95,13 @@ class CopyPropagationPass(Pass):
         # to the non-strict form, shifting every loop built on it by one
         # iteration.  Structurally valid by construction; terminating because
         # the relaxed bound still decreases/advances.
-        if bugs.active("copyprop-phi-compare") and len(values) >= 2:
+        if len(values) >= 2:
             sources = [defs.get(v) for v in values]
             if (
                 all(s is not None and s.opcode in _RELAXABLE_COMPARES for s in sources)
                 and len({s.opcode for s in sources}) == 1
                 and len(set(values)) >= 2
+                and bugs.active("copyprop-phi-compare")
             ):
                 seen_ids = set()
                 for source in sources:

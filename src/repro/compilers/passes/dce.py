@@ -91,10 +91,11 @@ class DeadCodeEliminationPass(Pass):
 
         A variable is conservatively live when its pointer escapes through an
         access chain or a call — unless the ``dce-store-accesschain`` bug is
-        active, in which case access-chain loads are (wrongly) ignored.
+        active, in which case access-chain loads are (wrongly) ignored.  The
+        bug is consulted only where that changes something: a variable
+        loaded only through access chains, otherwise dead, that is stored to.
         """
         changed = False
-        buggy = bugs.active("dce-store-accesschain")
         for function in module.functions:
             local_vars = {
                 inst.result_id
@@ -140,24 +141,29 @@ class DeadCodeEliminationPass(Pass):
                                 live.add(used)
                             elif used in root:
                                 live.add(root[used])  # pointer escapes
-            if not buggy:
-                live |= chain_loaded
             dead = local_vars - live
 
             def _store_root(inst) -> int | None:
                 pointer = int(inst.operands[0])
                 return root.get(pointer)
 
-            if not dead:
-                continue
-            if buggy and (dead & chain_loaded):
-                has_store = any(
-                    inst.opcode is Op.Store and _store_root(inst) in (dead & chain_loaded)
+            # Without stores to drop, wrongly killing a chain-loaded variable
+            # changes nothing (its access chains keep it referenced).
+            chain_dead = dead & chain_loaded
+            if (
+                chain_dead
+                and any(
+                    inst.opcode is Op.Store and _store_root(inst) in chain_dead
                     for block in function.blocks
                     for inst in block.all_instructions()
                 )
-                if has_store:
-                    bugs.fire("dce-store-accesschain")
+                and bugs.active("dce-store-accesschain")
+            ):
+                bugs.fire("dce-store-accesschain")
+            else:
+                dead -= chain_loaded
+            if not dead:
+                continue
             for block in function.blocks:
                 if _drop(
                     block,

@@ -103,11 +103,11 @@ class InlinePass(Pass):
                     if not self._should_inline(module, callee, bugs):
                         continue
                     buggy_binding = (
-                        bugs.active("inline-arg-reuse")
-                        and len(callee.params) >= 2
+                        len(callee.params) >= 2
                         # Same-typed parameters only: the wrong binding must
                         # stay type-correct (miscompile, not invalid IR).
                         and len({p.type_id for p in callee.params}) == 1
+                        and bugs.active("inline-arg-reuse")
                     )
                     if buggy_binding:
                         bugs.fire("inline-arg-reuse")

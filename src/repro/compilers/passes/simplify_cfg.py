@@ -61,9 +61,6 @@ class SimplifyCfgPass(Pass):
     def _drop_kill_edges(self, function: Function, bugs: BugContext) -> bool:
         """Injected miscompilation: redirect conditional edges away from
         reachable OpKill blocks."""
-        if not bugs.active("simplifycfg-kill-drop"):
-            return False
-        changed = False
         kill_blocks = {
             b.label_id
             for b in function.blocks
@@ -71,8 +68,9 @@ class SimplifyCfgPass(Pass):
             and b.terminator.opcode is Op.Kill
             and not b.instructions
         }
-        if not kill_blocks:
+        if not kill_blocks or not bugs.active("simplifycfg-kill-drop"):
             return False
+        changed = False
         for block in function.blocks:
             term = block.terminator
             if term is None or term.opcode is not Op.BranchConditional:
@@ -112,15 +110,14 @@ class SimplifyCfgPass(Pass):
             block.instructions.extend(succ.instructions)
             block.terminator = succ.terminator
             function.blocks.remove(succ)
-            if bugs.active("simplifycfg-stale-phi"):
-                # Forgetting the phi fix-up leaves successors' phis naming the
-                # merged-away block: invalid IR escapes the pass.
-                if any(
-                    function.block(next_label).phis()
-                    for next_label in block.successors()
-                ):
-                    bugs.fire("simplifycfg-stale-phi")
-                    return True
+            # Forgetting the phi fix-up leaves successors' phis naming the
+            # merged-away block: invalid IR escapes the pass.
+            if any(
+                function.block(next_label).phis()
+                for next_label in block.successors()
+            ) and bugs.active("simplifycfg-stale-phi"):
+                bugs.fire("simplifycfg-stale-phi")
+                return True
             for next_label in block.successors():
                 rewrite_phi_predecessor(
                     function.block(next_label), succ_label, block.label_id

@@ -12,18 +12,22 @@ with different chunks removed — so most of that work is recomputation.
 * **full-probe outcomes** — ``(target identity, digest, inputs)`` →
   :class:`~repro.compilers.base.TargetOutcome`;
 * **per-pass stages** — ``(digest_in, pass_name)`` → records of
-  ``(enabled bugs, fired bugs, digest_out)``, so two candidates sharing a
-  long pipeline prefix (the common case during reduction) replay the shared
-  prefix as dictionary lookups and only run the suffix.  Entries are shared
-  across targets because a pass's behaviour depends only on the module
-  content and *its own* enabled bugs (see
-  :func:`repro.compilers.bugs.bugs_for_pass`) — and, further, a record
-  computed under enabled set ``R`` that fired ``F`` serves any target whose
-  relevant set ``S`` satisfies ``F ⊆ S ⊆ R``: bugs in ``R`` that did not
-  trigger on this content cannot change behaviour when disabled, so one
-  bug-heavy target's run answers for every subset-configured target
-  (Table 2's bug sets are deliberately subset-ordered, so this is the
-  common case);
+  ``(consulted-off bugs, fired bugs, digest_out)``, so two candidates sharing
+  a long pipeline prefix (the common case during reduction) replay the
+  shared prefix as dictionary lookups and only run the suffix.  Entries are
+  shared across targets because a pass's behaviour depends only on the
+  module content and the answers to the bug queries it made
+  (:attr:`~repro.compilers.base.BugContext.consulted`, always a subset of
+  :func:`repro.compilers.bugs.bugs_for_pass`).  A record computed under
+  relevant set ``R`` that consulted ``C`` and fired ``F`` keeps
+  ``O = C − R``, the bugs the pass asked about while they were disabled,
+  and serves any target whose relevant set ``S`` has ``F ⊆ S`` and
+  ``S ∩ O = ∅``: a bug the pass never asked about cannot steer it, a bug in
+  ``O`` must stay disabled, and a bug of ``R`` that was asked about but did
+  not fire cannot change behaviour when disabled.  Passes consult a bug
+  only once its trigger holds, so most runs consult few bugs and one run
+  answers for targets whose bug sets are not subset-ordered (the older
+  ``F ⊆ S ⊆ R`` rule is the special case ``C = all of the pass's bugs``);
 * **execution/validation** — ``(digest, inputs, fuel)`` → result, shared
   across *all* targets whose pipelines converge on the same optimized module.
 
@@ -146,10 +150,15 @@ class ProbeCache:
         #: full-probe outcomes: key -> TargetOutcome
         self._outcomes: OrderedDict[tuple, TargetOutcome] = OrderedDict()
         #: stage memo: (digest_in, pass_name) -> list of records, each
-        #: ("ok", enabled, fired, digest_out) |
-        #: ("crash", enabled, needed, message, bug_id, pass_name);
-        #: a record serves a lookup with relevant set S iff fired ⊆ S ⊆ enabled.
+        #: ("ok", off, fired, digest_out) |
+        #: ("crash", off, needed, message, bug_id, pass_name), where *off* is
+        #: the set of bugs the run consulted while they were disabled;
+        #: a record serves a lookup with relevant set S iff fired ⊆ S and S
+        #: is disjoint from off.
         self._stages: OrderedDict[tuple, list] = OrderedDict()
+        #: one shared frozenset per distinct bug set the stage records hold
+        #: (each is a subset of one pass's bugs, so the table stays small)
+        self._bug_sets: dict[frozenset, frozenset] = {}
         #: execution memo: (digest, inputs, fuel) -> ("ok", result)|("err", msg)
         self._exec: OrderedDict[tuple, tuple] = OrderedDict()
         #: validation memo: digest -> tuple of errors
@@ -325,8 +334,8 @@ class ProbeCache:
                     stage_key,
                     (
                         "crash",
-                        relevant,
-                        needed,
+                        self._consulted_off(bugs, relevant),
+                        self._intern(needed),
                         crash.message,
                         crash.bug_id,
                         crash.pass_name,
@@ -338,24 +347,35 @@ class ProbeCache:
             if changed:
                 work.touch()
             digest_out = work.content_digest()
-            delta = frozenset(bugs.fired)
-            self._store_stage(stage_key, ("ok", relevant, delta, digest_out))
+            delta = self._intern(frozenset(bugs.fired))
+            self._store_stage(
+                stage_key,
+                ("ok", self._consulted_off(bugs, relevant), delta, digest_out),
+            )
             self._remember_module(digest_out, work)
             fired.update(delta)
             current = digest_out
         return current, fired, work
 
+    def _intern(self, bugs: frozenset) -> frozenset:
+        return self._bug_sets.setdefault(bugs, bugs)
+
+    def _consulted_off(self, bugs: BugContext, relevant: frozenset) -> frozenset:
+        """The bugs a pass run asked about while they were disabled: a
+        target may reuse the run only with all of them disabled too."""
+        return self._intern(frozenset(bugs.consulted.difference(relevant)))
+
     def _lookup_stage(self, stage_key: tuple, relevant: frozenset):
         """Find a record whose behaviour is provably identical under
-        *relevant*: one computed with ``enabled ⊇ relevant`` whose fired set
-        is ``⊆ relevant`` (enabled-but-unfired bugs cannot change behaviour
-        when disabled; see the module docstring)."""
+        *relevant*: every bug it fired (or needs, for a crash) is in
+        *relevant*, and no bug it consulted while disabled is (see the
+        module docstring)."""
         records = self._stages.get(stage_key)
         if records is None:
             return None
         self._stages.move_to_end(stage_key)
         for record in records:
-            if record[2] <= relevant <= record[1]:
+            if record[2] <= relevant and relevant.isdisjoint(record[1]):
                 return record
         return None
 
@@ -367,9 +387,13 @@ class ProbeCache:
             while len(self._stages) > MAX_STAGES:
                 self._stages.popitem(last=False)
         self._stages.move_to_end(stage_key)
-        # Drop records this one dominates (same fired set, smaller enabled).
+        # Drop the records this one dominates: same kind and fired set, and
+        # a consulted-off set at least as large, so every relevant set they
+        # serve this one serves too.
+        kind, off, fired = record[0], record[1], record[2]
         records[:] = [
-            r for r in records if not (r[2] == record[2] and r[1] <= record[1])
+            r for r in records
+            if not (r[0] == kind and r[2] == fired and off <= r[1])
         ]
         records.append(record)
 
