@@ -135,13 +135,6 @@ def reduce_main(argv: list[str] | None = None) -> int:
         "result is byte-identical to --reduce-workers=1 (default: 1)",
     )
     parser.add_argument(
-        "--reduce-window",
-        type=int,
-        default=None,
-        help="cap on the speculation window (in-flight candidate probes); "
-        "default: 4x --reduce-workers",
-    )
-    parser.add_argument(
         "--reduce-passes",
         default=None,
         help="the creduce-style pass pipeline to run instead of ddmin "
@@ -294,7 +287,6 @@ def _reduction_config(parser: argparse.ArgumentParser, args) -> "object":
             passes=passes,
             giveup=args.giveup,
             workers=args.reduce_workers,
-            window=args.reduce_window,
             max_seconds=args.reduce_timeout,
             policy=policy,
         )

@@ -23,6 +23,15 @@ from repro.ir.module import IrError, Module
 from repro.ir.validator import validate
 
 
+def invalid_ir_bug(fired) -> str | None:
+    """The bug an invalid-IR or runtime-fault outcome is attributed to: the
+    first fired bug of kind ``INVALID_IR``, else ``None``."""
+    for bug_id in fired:
+        if BUG_CATALOG[bug_id].kind is BugKind.INVALID_IR:
+            return bug_id
+    return None
+
+
 def standard_pipeline() -> list[Pass]:
     """The full optimizing pipeline used by driver-style targets."""
     return [
@@ -110,26 +119,15 @@ class Target:
         if self.validates_output:
             errors = validate(optimized)
             if errors:
-                fired_invalid = [
-                    b
-                    for b in bugs.fired
-                    if BUG_CATALOG[b].kind is BugKind.INVALID_IR
-                ]
                 return TargetOutcome.invalid(
-                    errors, bug_id=fired_invalid[0] if fired_invalid else None
+                    errors, bug_id=invalid_ir_bug(bugs.fired)
                 )
 
         try:
             result = execute(optimized, inputs, fuel=self.fuel)
         except ExecError as exc:
             return TargetOutcome.crash(
-                f"runtime fault: {type(exc).__name__}: {exc}", self._runtime_bug(bugs)
+                f"runtime fault: {type(exc).__name__}: {exc}",
+                invalid_ir_bug(bugs.fired),
             )
         return TargetOutcome.ok(result, frozenset(bugs.fired))
-
-    def _runtime_bug(self, bugs: BugContext) -> str | None:
-        """Attribute a runtime fault to a fired invalid-IR bug when possible."""
-        for bug_id in bugs.fired:
-            if BUG_CATALOG[bug_id].kind is BugKind.INVALID_IR:
-                return bug_id
-        return None

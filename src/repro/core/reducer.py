@@ -49,8 +49,7 @@ class ReductionResult:
     #: Structured reason when the fault-tolerant pipeline could not run to
     #: completion (``"budget-exhausted"``, ``"target-unresponsive"``,
     #: ``"verify-faulted"``, ``"oracle-error: ..."``); ``None`` for a clean,
-    #: 1-minimal reduction.  See :func:`repro.robustness.reduction.
-    #: reduce_with_faults`.
+    #: 1-minimal reduction.  See :mod:`repro.robustness.reduction`.
     degraded: str | None = None
     #: Flakiness/fault accounting from the flake-hardened oracle (the JSON
     #: form of :class:`repro.robustness.reduction.OracleStability`); ``None``
@@ -130,9 +129,9 @@ def reduce_transformations(
     reducer never interrupts ``is_interesting`` mid-probe, so a single call
     that hangs overshoots ``max_seconds`` by however long the probe takes.
     Callers who need a hard bound must bound the probe itself; the
-    fault-tolerant pipeline (:func:`repro.robustness.reduction.
-    reduce_with_faults`) does exactly that by clamping each supervised
-    probe's timeout to ``min(probe_timeout, remaining budget)``.
+    fault envelope (:mod:`repro.robustness.reduction`) does exactly that by
+    clamping each supervised probe's timeout to ``min(probe_timeout,
+    remaining budget)``.
 
     ``tracer`` (a :class:`~repro.observability.Tracer`, path, or ``None``)
     emits one ``reduce.round`` event per chunk size — chunks tried/removed

@@ -23,8 +23,9 @@ both bump the module's ``_globals_version``.
 
 Derived views and the version that keys each cache:
 
-* :meth:`Module.fingerprint` and :meth:`Module.content_digest` — the
-  module ``_version``, bumped by :meth:`Module.touch` on every edit;
+* :meth:`Module.content_digest` — the module ``_version``, bumped by
+  :meth:`Module.touch` on every edit (:meth:`Module.fingerprint` is not
+  cached);
 * :meth:`Module.type_table`, :meth:`Module.typed_globals` and the
   digest's encoding of the global section — ``_globals_version``, so
   function-body edits and ``touch`` keep them.  ``add_global`` extends a
@@ -485,20 +486,17 @@ class Module:
     entry_point_id: int | None = None
     entry_point_name: str = "main"
     names: dict[int, str] = field(default_factory=dict)
-    #: Mutation counter guarding the fingerprint/digest caches below.  Code
-    #: that edits the module structurally outside the helpers that already
-    #: call :meth:`touch` (``add_global``, ``set_global``,
-    #: ``map_instructions``, the transformation machinery via
-    #: ``Context.invalidate``, pass pipelines) must call :meth:`touch` before
-    #: the next ``fingerprint`` / ``content_digest`` read.
+    #: Mutation counter guarding the digest cache below.  Code that edits
+    #: the module structurally outside the helpers that already call
+    #: :meth:`touch` (``add_global``, ``set_global``, ``map_instructions``,
+    #: the transformation machinery via ``Context.invalidate``, pass
+    #: pipelines) must call :meth:`touch` before the next ``content_digest``
+    #: read.
     _version: int = field(default=0, repr=False, compare=False)
     #: Global-section counter guarding the type-table, typed-globals and
     #: globals-encoding caches: bumped only by :meth:`add_global` and
     #: :meth:`set_global`, the two ways the global section may change.
     _globals_version: int = field(default=0, repr=False, compare=False)
-    _fingerprint_cache: "tuple[int, tuple] | None" = field(
-        default=None, repr=False, compare=False
-    )
     _digest_cache: "tuple[int, str] | None" = field(
         default=None, repr=False, compare=False
     )
@@ -828,12 +826,11 @@ class Module:
         new.entry_point_id = self.entry_point_id
         new.entry_point_name = self.entry_point_name
         new.names = dict(self.names)
-        # The clone is content-identical, so valid fingerprint/digest/type
-        # table caches carry over (rebased to the clone's fresh version
-        # counters).  Cached values are never mutated, so sharing is safe.
+        # The clone is content-identical, so valid digest/type-table caches
+        # carry over (rebased to the clone's fresh version counters).
+        # Cached values are never mutated, so sharing is safe.
         new._version = 0
         new._globals_version = 0
-        new._fingerprint_cache = _carried(self._fingerprint_cache, self._version)
         new._digest_cache = _carried(self._digest_cache, self._version)
         new._type_table_cache = _carried(
             self._type_table_cache, self._globals_version
@@ -847,19 +844,15 @@ class Module:
         return new
 
     def touch(self) -> None:
-        """Mark the module as mutated, invalidating cached fingerprints."""
+        """Mark the module as mutated, invalidating its cached digest."""
         self._version += 1
 
     def fingerprint(self) -> tuple:
-        """Structural identity of the module (ignores ``id_bound`` slack).
-
-        Cached per :attr:`_version`: repeated calls on an unmutated module
-        return the same tuple object without rebuilding it.
-        """
-        cached = self._fingerprint_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        fingerprint = (
+        """Structural identity of the module (ignores ``id_bound`` slack),
+        rebuilt on every call.  Reduction journals persist
+        ``sha1(repr(fingerprint()))`` as module keys, so its shape is a
+        format."""
+        return (
             tuple(inst.key() for inst in self.global_insts),
             tuple(
                 (
@@ -879,8 +872,6 @@ class Module:
             self.entry_point_id,
             tuple(sorted(self.names.items())),
         )
-        self._fingerprint_cache = (self._version, fingerprint)
-        return fingerprint
 
     def content_digest(self) -> str:
         """A compact content hash covering exactly what :meth:`fingerprint`

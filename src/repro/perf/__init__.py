@@ -6,7 +6,9 @@ correct but pays full price for every probe — campaigns run one seed at a
 time and every delta-debugging candidate is replayed from the original
 module.  This package makes both hot paths cheaper without changing a
 single observable result: parallel campaigns are merged back into serial
-order, speculative parallel reduction commits verdicts in serial scan order
+order, the reduction engine (:mod:`repro.perf.parallel_reduce`, which runs
+every ddmin leg of a :class:`~repro.reduce.PassPipeline` — it has no entry
+point of its own) commits speculative verdicts in serial scan order
 (byte-identical transformations at every worker count), and cached
 reductions are byte-identical to uncached ones.  Campaign shards and
 reduction probes fan out over one spec-keyed :class:`WorkerPool`
@@ -22,14 +24,11 @@ import importlib
 #: Each re-exported name and the submodule that defines it.  The package
 #: imports nothing up front (PEP 562): a harness needs only
 #: :mod:`repro.perf.probe_cache`, and importing every sibling with it would
-#: add the pools and the reduction engine to every start-up.  The
-#: ``parallel_reduce`` function is imported from its submodule of the same
-#: name (``from repro.perf.parallel_reduce import parallel_reduce``).
+#: add the pools and the reduction engine to every start-up.
 _EXPORTS = {
     "CampaignSpec": "parallel",
     "default_worker_count": "parallel",
     "spec_names_for": "parallel",
-    "ParallelReductionResult": "parallel_reduce",
     "ReductionSession": "parallel_reduce",
     "SpeculationStats": "parallel_reduce",
     "SpeculativeReduction": "parallel_reduce",

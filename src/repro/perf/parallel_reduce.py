@@ -23,7 +23,7 @@ protocol**:
 
 1. Candidates are generated along the *all-reject trajectory* — the exact
    stream the reference loop would probe if every pending verdict came back
-   "not interesting".  A window of them is probed at once.
+   "not interesting".  Several of them are probed at once.
 2. Verdicts are **committed strictly in serial scan order**, no matter in
    which order probes finish.  A committed rejection keeps the trajectory
    valid; a committed acceptance invalidates every speculative verdict and
@@ -34,10 +34,11 @@ protocol**:
    ``tests_run``, ``chunks_removed``, and the accepted-chunk ``history``
    are byte-identical for every worker count.
 
-**Serial is window 1**: an inline session probes one candidate at a time
-in the calling process and emits only the reference loop's
-``reduce.round`` events.  A pool-backed session (driven by
-:func:`run_sessions`) ramps its window adaptively — small after an
+**Serial is one candidate in flight**: an inline session probes one
+candidate at a time in the calling process and emits only the reference
+loop's ``reduce.round`` events.  A pool-backed session (driven by
+:func:`run_sessions`) keeps up to :data:`SPECULATION_PER_WORKER` candidates
+per worker in flight and ramps towards that cap adaptively — one after an
 acceptance (where speculation is likely wasted), doubling while rejections
 commit (where the all-reject assumption is holding) — and the ramp is a
 function of the committed verdict stream only, never of timing.  Every
@@ -63,6 +64,9 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.reducer import InterestingnessTest, ReductionResult
 from repro.observability import as_tracer
+
+#: In-flight candidates per worker a pool-backed reduction ramps up to.
+SPECULATION_PER_WORKER = 4
 
 
 @dataclass
@@ -100,16 +104,6 @@ class SpeculationStats:
             "workers": self.workers,
             "mode": self.mode,
         }
-
-
-@dataclass
-class ParallelReductionResult(ReductionResult):
-    """A :class:`~repro.core.reducer.ReductionResult` plus speculation
-    accounting.  ``to_json`` is inherited unchanged — ``speculation`` is
-    observational, like ``replay_stats``, so parallel and serial results
-    compare byte-identical."""
-
-    speculation: SpeculationStats | None = None
 
 
 class _Candidate:
@@ -163,7 +157,7 @@ def _trajectory(
 class SpeculativeReduction:
     """The commit-ordered engine for one reduction.
 
-    The engine owns the trajectory, the dispatch window, and the commit
+    The engine owns the trajectory, the in-flight cap, and the commit
     protocol; a :class:`ReductionSession` drives it (inline, or over a pool
     through :func:`run_sessions`) with three calls: :meth:`take_dispatch`
     (candidates needing probes), :meth:`deliver` (a probe verdict arrived),
@@ -180,9 +174,11 @@ class SpeculativeReduction:
     *on_commit*, which sees the committed serial-order stream, returns the
     final verdict, and may raise to abort the reduction.
 
-    Speculation trace events (``reduce.dispatch``/``commit``/``speculate``)
-    are emitted only when ``stats.mode == "pool"``; every engine emits the
-    reference loop's ``reduce.round`` events.
+    *stats* says how the engine is driven: ``mode == "pool"`` caps the
+    in-flight candidates at :data:`SPECULATION_PER_WORKER` per worker and
+    emits the speculation trace events (``reduce.dispatch``/``commit``/
+    ``speculate``); an inline engine keeps one in flight.  Every engine
+    emits the reference loop's ``reduce.round`` events.
     """
 
     def __init__(
@@ -190,7 +186,6 @@ class SpeculativeReduction:
         items: Sequence,
         *,
         positions: Sequence[int] | None = None,
-        window: int = 8,
         lookup: Callable[[list], tuple | None] | None = None,
         on_commit: Callable[[list, dict | None, str], bool] | None = None,
         key: str = "reduction",
@@ -204,11 +199,15 @@ class SpeculativeReduction:
         )
         length = len(self.current)
         self.initial_length = length
-        self.window = max(1, window)
         self.lookup = lookup
         self.on_commit = on_commit
         self.tracer = as_tracer(tracer)
         self.stats = stats if stats is not None else SpeculationStats()
+        self._cap = (
+            SPECULATION_PER_WORKER * max(1, self.stats.workers)
+            if self.speculative
+            else 1
+        )
         self.tests_run = 0
         self.chunks_removed = 0
         self.history: list[tuple[int, int, int]] = []
@@ -254,8 +253,8 @@ class SpeculativeReduction:
 
     def take_dispatch(self, limit: int) -> list["_Candidate"]:
         """Up to *limit* candidates that need a real probe, respecting the
-        adaptive window; memo/lookup-resolvable candidates are resolved on
-        the spot (they cost nothing) and never count against the window.
+        adaptive ramp; memo/lookup-resolvable candidates are resolved on
+        the spot (they cost nothing) and never count against it.
 
         Generation stops at a resolved acceptance: every later candidate is
         stale whichever way the verdicts before it fall, so probing one
@@ -356,17 +355,15 @@ class SpeculativeReduction:
     def speculative(self) -> bool:
         return self.stats.mode == "pool"
 
-    def result(self, *, verify_tests: int = 0) -> ParallelReductionResult:
-        """The reduction so far; an inline engine carries no speculation
-        stats (it never speculated)."""
-        return ParallelReductionResult(
+    def result(self) -> ReductionResult:
+        """The reduction so far."""
+        return ReductionResult(
             transformations=[self.items[i] for i in self.current],
-            tests_run=self.tests_run + verify_tests,
+            tests_run=self.tests_run,
             chunks_removed=self.chunks_removed,
             initial_length=self.initial_length,
             timed_out=self.timed_out,
             history=list(self.history),
-            speculation=self.stats if self.speculative else None,
         )
 
     # -- internals ---------------------------------------------------------------
@@ -386,7 +383,7 @@ class SpeculativeReduction:
         self._round_tried += 1
         self._memo[candidate.indices] = verdict
         if not verdict:
-            self._ramp = min(self.window, self._ramp * 2)
+            self._ramp = min(self._cap, self._ramp * 2)
             return
         # Acceptance: adopt the candidate, invalidate all speculation beyond
         # it, and restart the trajectory from the serial reducer's state —
@@ -459,17 +456,17 @@ class ReductionSession:
     A session is *plain* (``test``, a boolean interestingness test) or
     *fault-tolerant* (``oracle``, a :class:`~repro.robustness.reduction.
     FlakeHardenedOracle` whose ``lookup``/``commit`` pair becomes the
-    engine's commit hook).  Without a *pool* it runs inline at window 1 —
-    the serial reducer; with one, :func:`run_sessions` dispatches its
-    candidates under *key*, side by side with other sessions.  *positions*
-    is the base map from the sequence under reduction into *items*, the
-    sequence the pool's workers were built over.
+    engine's commit hook).  Without a *pool* it runs inline, one candidate
+    at a time — the serial reducer; with one, :func:`run_sessions`
+    dispatches its candidates under *key*, side by side with other
+    sessions, up to :data:`SPECULATION_PER_WORKER` per worker in flight.
+    *positions* is the base map from the sequence under reduction into
+    *items*, the sequence the pool's workers were built over.
 
-    With ``verify`` (plain sessions only; a pipeline verifies its input
-    before its first leg) the input is verified at construction: a
-    non-interesting input raises ``ValueError``.  :meth:`finalize` returns
-    the result — fault-tolerant sessions stop at best-so-far with a
-    structured ``degraded`` reason rather than raise.
+    A session does not verify its input: its pipeline does, before the
+    first leg.  :meth:`finalize` returns the result — fault-tolerant
+    sessions stop at best-so-far with a structured ``degraded`` reason
+    rather than raise.
     """
 
     def __init__(
@@ -482,19 +479,11 @@ class ReductionSession:
         key: str = "reduction",
         positions: Sequence[int] | None = None,
         workers: int = 1,
-        window: int | None = None,
-        verify: bool = True,
         deadline: float | None = None,
         tracer: Any = None,
         stats: SpeculationStats | None = None,
     ) -> None:
         self.key = key
-        self.items = list(items)
-        self.positions = list(
-            positions if positions is not None else range(len(self.items))
-        )
-        #: The sequence under reduction, before any removal.
-        self.sequence = [self.items[i] for i in self.positions]
         self.test = test
         self.oracle = oracle
         self.pool = pool
@@ -502,39 +491,24 @@ class ReductionSession:
         self.error: BaseException | None = None
         self.degraded: str | None = None
         self.detail = ""
-        self._verify_tests = int(verify)
-        if verify:
-            self._verify_plain()
-        engine = SpeculativeReduction(
-            self.items,
-            positions=self.positions,
-            window=1 if pool is None else (
-                window if window is not None else max(1, workers) * 4
-            ),
+        if stats is None:
+            stats = SpeculationStats()
+        if pool is not None:
+            stats.mode = "pool"
+            stats.workers = workers
+        self.engine = SpeculativeReduction(
+            items,
+            positions=positions,
             lookup=oracle.lookup if oracle is not None else None,
             on_commit=oracle.commit if oracle is not None else None,
             key=key,
             tracer=tracer,
             stats=stats,
         )
-        if pool is not None:
-            engine.stats.mode = "pool"
-            engine.stats.workers = workers
-        self.engine = engine
 
     @property
     def active(self) -> bool:
         return self.error is None and not self.engine.done
-
-    # -- build ---------------------------------------------------------------------
-
-    def _verify_plain(self) -> None:
-        if self.test is not None:
-            verified = self.test(self.sequence)
-        else:  # no parent-side test: verify through the workers
-            verified = verify_in_pool(self.pool, self.key, self.positions)
-        if not verified:
-            raise ValueError("the full transformation sequence is not interesting")
 
     # -- drive ---------------------------------------------------------------------
 
@@ -587,7 +561,7 @@ class ReductionSession:
 
     # -- finalize ------------------------------------------------------------------
 
-    def finalize(self) -> ParallelReductionResult:
+    def finalize(self) -> ReductionResult:
         """The reduction result.  Plain sessions re-raise a probe error; a
         fault-tolerant session that failed a decision stops at the
         best-so-far sequence (the last committed acceptance) and records
@@ -599,7 +573,7 @@ class ReductionSession:
             from repro.robustness.reduction import degradation
 
             self.degraded, self.detail = degradation(self.error)
-        result = self.engine.result(verify_tests=self._verify_tests)
+        result = self.engine.result()
         if self.degraded is not None:
             result.history = []  # best-so-far, not a finished ddmin trajectory
         return result
@@ -691,61 +665,3 @@ def run_sessions(sessions: Sequence[ReductionSession]) -> None:
     for session in sessions:
         if session.error is None:
             session.engine.finalize()
-
-
-def parallel_reduce(
-    transformations: Sequence,
-    is_interesting: InterestingnessTest | None = None,
-    *,
-    workers: int | None = None,
-    window: int | None = None,
-    verify_input: bool = True,
-    max_seconds: float | None = None,
-    tracer: Any = None,
-    spec: Any = None,
-    pool: Any = None,
-    pool_key: str = "reduction",
-) -> ParallelReductionResult:
-    """Delta-debug *transformations* with speculative parallel probing.
-
-    Byte-identical to :func:`~repro.core.reducer.reduce_transformations` for
-    the same (deterministic) oracle at every worker count; see the module
-    docstring for why.  ``workers=1`` runs the session inline.  With a pool,
-    the oracle runs inside worker processes: pass *spec* (any object with a
-    ``build()`` returning a probe runner — see :mod:`repro.perf.pool`) or
-    rely on the default :class:`~repro.perf.pool.CallableProbeSpec` around
-    *is_interesting*.  An oracle that cannot be shipped to workers
-    (unpicklable, no ``fork``) silently falls back to the inline path.
-    ``speculation`` is always attached (``mode == "inline"`` without a pool).
-    """
-    from repro.perf.parallel import default_worker_count
-    from repro.perf.pool import CallableProbeSpec, owned_pool
-
-    items = list(transformations)
-    if workers is None or workers <= 0:
-        workers = default_worker_count()
-    if pool is None and workers > 1 and spec is None and is_interesting is None:
-        raise TypeError("parallel_reduce needs is_interesting or spec/pool")
-    with owned_pool(
-        pool,
-        pool_key,
-        workers,
-        lambda: spec or CallableProbeSpec(test=is_interesting, items=tuple(items)),
-    ) as pool:
-        if pool is None and is_interesting is None:
-            raise TypeError("the inline path needs is_interesting")
-        session = ReductionSession(
-            items,
-            test=is_interesting,
-            pool=pool,
-            key=pool_key,
-            workers=workers,
-            window=window,
-            verify=verify_input,
-            deadline=None if max_seconds is None else time.monotonic() + max_seconds,
-            tracer=tracer,
-        )
-        session.run()
-        result = session.finalize()
-    result.speculation = session.engine.stats
-    return result

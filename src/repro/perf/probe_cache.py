@@ -71,8 +71,8 @@ from repro.compilers.base import (
     CompilerCrash,
     TargetOutcome,
 )
-from repro.compilers.bugs import BUG_CATALOG, BugKind, bugs_for_pass
-from repro.compilers.pipeline import Target, tool_pipeline
+from repro.compilers.bugs import bugs_for_pass
+from repro.compilers.pipeline import Target, invalid_ir_bug, tool_pipeline
 from repro.compilers.wrapper import TargetWrapper
 from repro.interp.errors import ExecError
 from repro.interp.interpreter import execute
@@ -264,11 +264,8 @@ class ProbeCache:
                 errors = tuple(validate(final_module()))
                 self._store(self._validate, current, errors, MAX_EXEC)
             if errors:
-                fired_invalid = [
-                    b for b in fired if BUG_CATALOG[b].kind is BugKind.INVALID_IR
-                ]
                 return TargetOutcome.invalid(
-                    list(errors), bug_id=fired_invalid[0] if fired_invalid else None
+                    list(errors), bug_id=invalid_ir_bug(fired)
                 )
 
         exec_key = (current, inputs_key, target.fuel)
@@ -285,12 +282,7 @@ class ProbeCache:
             self._store(self._exec, exec_key, record, MAX_EXEC)
         if record[0] == "ok":
             return TargetOutcome.ok(record[1], frozenset(fired))
-        fired_invalid = [
-            b for b in fired if BUG_CATALOG[b].kind is BugKind.INVALID_IR
-        ]
-        return TargetOutcome.crash(
-            record[1], fired_invalid[0] if fired_invalid else None
-        )
+        return TargetOutcome.crash(record[1], invalid_ir_bug(fired))
 
     def _staged_compile(self, passes, enabled, module, digest):
         """Run the pipeline through the stage memo.

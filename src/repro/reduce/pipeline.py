@@ -34,9 +34,9 @@ paper's reducer is ``PassPipeline(["ddmin"])``, the default
   :meth:`PassPipeline.run` drives its own legs one by one;
   :meth:`~repro.core.harness.Harness.reduce_all` drives the current legs of
   every finding through one :func:`~repro.perf.parallel_reduce.
-  run_sessions` over a shared worker pool, round-robin.  A leg runs inline
-  at window 1, or speculatively over a pool — the caller's, or, for
-  ``workers > 1`` without one, its own.  A harness-built pool rebuilds the
+  run_sessions` over a shared worker pool, round-robin.  A leg runs inline,
+  one candidate at a time, or speculatively over a pool — the caller's, or,
+  for ``workers > 1`` without one, its own.  A harness-built pool rebuilds the
   *original* finding sequence in its workers, so the leg hands the session
   the pipeline's positions map as its base; once a pass has *mutated* an
   element in place (payload shrinking) the map is void and later ddmin legs
@@ -64,8 +64,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterator, Protocol, Sequence
 from typing import runtime_checkable
 
+from repro.core.reducer import ReductionResult
 from repro.observability import as_tracer
-from repro.perf.parallel_reduce import ParallelReductionResult, SpeculationStats
+from repro.perf.parallel_reduce import SpeculationStats
 
 #: Creduce's GIVEUP_CONSTANT: consecutive rejections before a greedy pass
 #: is abandoned for this invocation.
@@ -99,9 +100,6 @@ class ReductionConfig:
     #: deterministic oracle; only the wall clock changes.  A finding whose
     #: probe cannot be rebuilt in a worker runs inline.
     workers: int = 1
-    #: Cap on the speculation window (in-flight candidates; default
-    #: ``workers * 4``).
-    window: int | None = None
     #: Wall-clock budget for each finding's reduction: on exhaustion the
     #: result is the best-so-far interesting sequence (``timed_out`` set,
     #: not necessarily 1-minimal), never an exception; supervised probes are
@@ -121,12 +119,6 @@ class ReductionConfig:
                 "it needs another pass (--giveup requires --reduce-passes "
                 "with a pass besides ddmin)"
             )
-        budget = getattr(self.policy, "max_seconds", None)
-        if None not in (budget, self.max_seconds) and budget != self.max_seconds:
-            raise ValueError(
-                f"two reduction budgets: max_seconds={self.max_seconds} and "
-                f"policy.max_seconds={budget}; set one"
-            )
 
     def pipeline(self) -> "PassPipeline":
         """The pass pipeline this config runs."""
@@ -137,37 +129,27 @@ class ReductionConfig:
         self, *, robustness: Any = None, journaled: bool = False
     ) -> "ReductionConfig":
         """This config as one run uses it: ``workers=0`` becomes one per CPU,
-        and a fault-tolerant run gets its policy carrying the run's budget.
-        A run is fault-tolerant when this config has a policy, the harness
-        supervises its targets under *robustness* (whose backoff the default
-        policy inherits), or the call journals (*journaled*: a journal or
-        ``resume``).  A plain run has no policy."""
+        and a fault-tolerant run gets a policy.  A run is fault-tolerant when
+        this config has a policy, the harness supervises its targets under
+        *robustness* (whose backoff the default policy inherits), or the
+        call journals (*journaled*: a journal or ``resume``).  A plain run
+        has no policy; either way the budget stays ``max_seconds``."""
         from dataclasses import replace
 
         from repro.perf.parallel import default_worker_count
 
         policy = self.policy
-        if policy is not None or robustness is not None or journaled:
+        if policy is None and (robustness is not None or journaled):
             from repro.robustness.config import ReductionPolicy
 
-            if policy is None:
-                policy = (
-                    ReductionPolicy.from_robustness(robustness)
-                    if robustness is not None
-                    else ReductionPolicy()
-                )
-            if policy.max_seconds is None and self.max_seconds is not None:
-                policy = replace(policy, max_seconds=self.max_seconds)
+            policy = (
+                ReductionPolicy.from_robustness(robustness)
+                if robustness is not None
+                else ReductionPolicy()
+            )
         return replace(
             self, workers=self.workers or default_worker_count(), policy=policy
         )
-
-    @property
-    def budget(self) -> float | None:
-        """The run's wall-clock budget in seconds (``None`` = unbounded)."""
-        if self.max_seconds is not None:
-            return self.max_seconds
-        return getattr(self.policy, "max_seconds", None)
 
 
 def pass_scoped_key(pass_name: str, base_key: str) -> str:
@@ -219,12 +201,16 @@ class PassStats:
 
 
 @dataclass
-class PipelineResult(ParallelReductionResult):
-    """A :class:`~repro.perf.parallel_reduce.ParallelReductionResult` plus
-    per-pass stats and the cleanup pass's module (when it ran).  A
-    ddmin-only pipeline in the classic format carries no per-pass stats, so
-    its JSON is the classic reducer's."""
+class PipelineResult(ReductionResult):
+    """A :class:`~repro.core.reducer.ReductionResult` plus speculation
+    accounting, per-pass stats and the cleanup pass's module (when it ran).
+    A ddmin-only pipeline in the classic format carries no per-pass stats,
+    so its JSON is the classic reducer's."""
 
+    #: Work accounting of the pool-backed ddmin legs; ``None`` when every
+    #: leg ran inline.  Observational, like ``replay_stats``: pooled and
+    #: serial results compare byte-identical.
+    speculation: SpeculationStats | None = None
     pass_stats: list[PassStats] = field(default_factory=list)
     #: The module after the ``cleanup`` (spirv-reduce) pass; ``None`` when no
     #: module pass ran.  Like ``replay_stats`` it is observational.
@@ -244,7 +230,7 @@ class PipelineContext:
     Exactly one of ``is_interesting`` (plain boolean oracle) or
     ``verdict_test`` (a :class:`~repro.robustness.reduction.ProbeVerdict`
     test routed through the fault envelope + journal) must be set.
-    ``config`` carries the run's fixed knobs (workers, window, budget,
+    ``config`` carries the run's fixed knobs (passes, workers, budget,
     policy); the rest are the run's live objects.
     ``module_probe`` maps the final sequence to ``(module, module_verdict)``
     for module-stage passes; without it they are skipped.
@@ -438,7 +424,7 @@ class _Execution:
         #: ddmin-only pipeline keeps the classic formats (see
         #: :meth:`_prepare_journal`).
         self.scoped = pipeline.budgeted
-        budget = ctx.config.budget
+        budget = ctx.config.max_seconds
         self.deadline: float | None = (
             time.monotonic() + budget if budget is not None else None
         )
@@ -635,8 +621,6 @@ class _Execution:
                 key=ctx.pool_key,
                 positions=positions,
                 workers=workers,
-                window=ctx.config.window,
-                verify=False,
                 deadline=self.deadline,
                 tracer=self.tracer,
                 stats=self.speculation if pool is not None else None,
@@ -721,7 +705,7 @@ class _Execution:
             self.detail = abort.detail
         except ValueError:
             raise
-        except Exception as exc:  # noqa: BLE001 - degrade like reduce_with_faults
+        except Exception as exc:  # noqa: BLE001 - a fault run degrades
             if not self.fault:
                 raise
             self.degraded = f"oracle-error: {type(exc).__name__}"
@@ -785,7 +769,8 @@ def _candidate_key(scope: str | None, memo: dict, candidate) -> str:
 def _module_content_key(module: Any) -> str:
     """A content key for a module candidate.  ``touch()`` first: spirv-reduce
     edits instruction lists in place without bumping the module version, so
-    the cached fingerprint would otherwise be stale."""
+    the cached content digest the probe reads next would otherwise be
+    stale."""
     module.touch()
     return hashlib.sha1(repr(module.fingerprint()).encode("utf-8")).hexdigest()
 

@@ -14,11 +14,12 @@ targets misbehave:
   skipped for the rest of the campaign.
 * :func:`verdict_is_stable` — re-probe findings and flag flaky verdicts as
   ``nondeterministic`` so deduplication keeps them apart from stable bugs.
-* :func:`reduce_with_faults` / :class:`FlakeHardenedOracle` — a fault-
-  tolerant wrapper pipeline around the delta-debugging loop: supervised
-  probes with per-candidate fault verdicts, adaptive k-of-n voting against
-  flaky oracles, a fsync-per-line :class:`ReductionJournal` enabling
-  byte-identical ``SIGKILL`` resume, and best-so-far graceful degradation.
+* :class:`FlakeHardenedOracle` / :class:`ReductionPolicy` — the fault
+  envelope a :class:`~repro.reduce.PassPipeline` probes through when given
+  a verdict test: supervised probes with per-candidate fault verdicts,
+  adaptive k-of-n voting against flaky oracles, a fsync-per-line
+  :class:`ReductionJournal` enabling byte-identical ``SIGKILL`` resume, and
+  best-so-far graceful degradation.
 * :mod:`repro.robustness.chaos` — the deterministic I/O fault-injection
   seam (:class:`FileOps` / :class:`ChaosFileOps`): every durable writer
   above performs its I/O through an injectable object, so tests can fail
@@ -60,7 +61,6 @@ _EXPORTS = {
     "FlakeHardenedOracle": "reduction",
     "ProbeVerdict": "reduction",
     "ReductionAborted": "reduction",
-    "reduce_with_faults": "reduction",
     "DecorrelatedJitter": "retry",
     "backoff_sleep": "retry",
     "verdict_is_stable": "retry",

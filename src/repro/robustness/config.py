@@ -74,8 +74,11 @@ class ReductionPolicy:
       1-minimality either.
     * **degradation thresholds** — ``unresponsive_after`` consecutive
       faulted probes abort the loop with a best-so-far, ``degraded``
-      result; ``max_seconds`` bounds the whole reduction's wall clock and
-      clamps each supervised probe to the remaining budget.
+      result.
+
+    The reduction's wall-clock budget is not a policy field: it is
+    :attr:`repro.reduce.ReductionConfig.max_seconds`, which also clamps
+    each supervised probe to what remains of it.
     """
 
     #: Retries per probe after a supervision fault (0 = give up at once).
@@ -95,17 +98,12 @@ class ReductionPolicy:
     #: Abort (degraded, best-so-far) after this many consecutive faulted
     #: probes; ``None`` keeps retrying forever.
     unresponsive_after: int | None = 6
-    #: Wall-clock budget for the whole reduction; ``None`` = unbounded.
-    max_seconds: float | None = None
 
     @classmethod
-    def from_robustness(
-        cls, config: "RobustnessConfig", *, max_seconds: float | None = None
-    ) -> "ReductionPolicy":
+    def from_robustness(cls, config: "RobustnessConfig") -> "ReductionPolicy":
         """The default reduction policy for a harness running with *config*:
         inherit the campaign's backoff, keep the voting defaults."""
         return cls(
             retry_backoff=config.retry_backoff,
             retry_jitter_seed=config.retry_jitter_seed,
-            max_seconds=max_seconds,
         )

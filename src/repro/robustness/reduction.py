@@ -1,5 +1,5 @@
-"""Fault-tolerant reduction: a supervised, flake-hardened, journaled wrapper
-pipeline around the delta-debugging loop (beyond the paper; ReduKtor-style).
+"""Fault-tolerant reduction: a supervised, flake-hardened, journaled envelope
+around the delta-debugging loop (beyond the paper; ReduKtor-style).
 
 The paper's "almost free" reduction (§3.4, Theorem 2.6) holds only while the
 interestingness test behaves.  In production it does not: a hung probe
@@ -7,7 +7,13 @@ freezes the reducer, a hard crash loses every accepted chunk, and a flaky
 verdict silently breaks the 1-minimality guarantee — it can even *accept* a
 removal the bug does not survive, returning a "reduced" sequence that is not
 interesting at all.  This module gives the reducer the same fault envelope
-the campaign phase got in the robustness layer:
+the campaign phase got in the robustness layer.  A
+:class:`~repro.reduce.PassPipeline` engages it when its
+:class:`~repro.reduce.PipelineContext` carries a ``verdict_test`` (the
+harness does so whenever it supervises its targets, the
+:class:`~repro.reduce.ReductionConfig` carries a policy, or the call
+journals); ``PassPipeline(["ddmin"])`` in fault mode is the classic
+fault-tolerant reduction:
 
 * **Supervised probes** — candidate probes route through the harness's
   :class:`~repro.robustness.supervisor.SupervisedTarget` (child process,
@@ -15,9 +21,9 @@ the campaign phase got in the robustness layer:
   OOM / worker death) is retried with the shared backoff policy and, once
   the ``fault_retries`` budget is spent, counts as *not interesting* —
   never as acceptance.  Each supervised probe's timeout is additionally
-  clamped to ``min(probe_timeout, remaining reduction budget)``, closing
-  the gap where the reduction engine only checks its deadline *between*
-  candidates.
+  clamped to ``min(probe_timeout, remaining reduction budget)`` (the
+  config's ``max_seconds``), closing the gap where the reduction engine
+  only checks its deadline *between* candidates.
 * **Flake-hardened oracle** — :class:`FlakeHardenedOracle` votes instead of
   trusting single probes where it matters: a removal is accepted only after
   ``accept_votes`` unanimous probes (a wrong acceptance corrupts the
@@ -32,11 +38,15 @@ the campaign phase got in the robustness layer:
   :class:`~repro.robustness.journal.ReductionJournal` (fsync per line), so
   a reduction killed mid-round resumes to a byte-identical result and
   journal; composes with the perf layer's replay-prefix cache.
-* **Graceful degradation** — budget exhaustion, a persistently unresponsive
-  target, or an oracle-infrastructure failure returns the best-so-far
-  subsequence with a structured ``degraded`` reason instead of raising,
-  and emits ``reduce.fault`` / ``reduce.degraded`` tracer events plus
-  metrics counters so ``repro-report`` shows reduction fault totals.
+* **Graceful degradation** — budget exhaustion (``"budget-exhausted"``), a
+  verify probe lost to the fault budget (``"verify-faulted"``), a
+  persistently unresponsive target (``"target-unresponsive"``), or an
+  oracle-infrastructure failure (``"oracle-error: <type>"``) returns the
+  best-so-far subsequence with a structured ``degraded`` reason instead of
+  raising, and emits ``reduce.fault`` / ``reduce.degraded`` tracer events
+  plus metrics counters so ``repro-report`` shows reduction fault totals.
+  A genuinely non-interesting input still raises ``ValueError``, as the
+  raw reducer does: that is a caller bug, not a target fault.
 """
 
 from __future__ import annotations
@@ -73,8 +83,8 @@ VerdictTest = Callable[[Sequence], "ProbeVerdict"]
 
 
 class ReductionAborted(RuntimeError):
-    """Raised internally when the oracle gives up on the target; callers of
-    :func:`reduce_with_faults` never see it — it degrades to best-so-far."""
+    """Raised internally when the oracle gives up on the target; a pipeline's
+    caller never sees it — it degrades to best-so-far."""
 
     def __init__(self, reason: str, detail: str = "") -> None:
         super().__init__(detail or reason)
@@ -469,67 +479,3 @@ def _apply_degradation(
             faults=stability.fault_total,
         )
     return result
-
-
-def reduce_with_faults(
-    transformations: Sequence,
-    verdict_test: VerdictTest,
-    policy: ReductionPolicy | None = None,
-    *,
-    journal: "ReductionJournal | str | None" = None,
-    resume: bool = False,
-    supervised_target: Any = None,
-    tracer: Any = None,
-    metrics: Any = None,
-    replay_stats: Any = None,
-    workers: int = 1,
-    window: int | None = None,
-) -> ReductionResult:
-    """Delta-debug *transformations* through the fault-tolerant pipeline.
-
-    Semantics on a deterministic, well-behaved target are identical to
-    :func:`~repro.core.reducer.reduce_transformations` (same 1-minimal
-    sequence, same ``tests_run`` / ``chunks_removed``); the extra machinery
-    only changes what happens when the oracle hangs, dies, or lies.  The
-    returned :class:`~repro.core.reducer.ReductionResult` carries the
-    oracle's ``stability`` accounting and, when the run could not complete
-    cleanly, a structured ``degraded`` reason:
-
-    * ``"budget-exhausted"`` — ``policy.max_seconds`` ran out (best-so-far,
-      still interesting, not guaranteed 1-minimal);
-    * ``"verify-faulted"`` — the input-verification probe fell to the fault
-      budget, so nothing could be tested at all (the input is returned);
-    * ``"target-unresponsive"`` — ``policy.unresponsive_after`` consecutive
-      probes faulted;
-    * ``"oracle-error: <type>"`` — the verdict test itself raised (e.g. the
-      supervisor machinery died); best-effort, never propagated.
-
-    A genuinely non-interesting input still raises ``ValueError`` exactly as
-    the raw reducer does — that is a caller bug, not a target fault.
-
-    This is ``PassPipeline(["ddmin"])`` in fault mode: one ddmin leg on the
-    reduction engine (:class:`~repro.perf.parallel_reduce.ReductionSession`)
-    with a :class:`FlakeHardenedOracle` as its commit hook.  ``workers > 1``
-    decides candidates speculatively in worker processes; decisions commit
-    in serial scan order, so the result *and* the journal are
-    byte-identical to a serial run's for a deterministic oracle.  An oracle
-    that cannot be shipped to worker processes (unpicklable and no
-    ``fork``) silently runs inline.
-    """
-    from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
-
-    ctx = PipelineContext(
-        verdict_test=verdict_test,
-        config=ReductionConfig(
-            workers=workers,
-            window=window,
-            policy=policy or ReductionPolicy(),
-        ),
-        journal=journal,
-        resume=resume,
-        supervised_target=supervised_target,
-        tracer=tracer,
-        metrics=metrics,
-        replay_stats=replay_stats,
-    )
-    return PassPipeline(["ddmin"]).run(transformations, ctx)

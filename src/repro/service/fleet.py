@@ -123,9 +123,10 @@ class _BatchServer:
       (:meth:`~repro.core.harness.Harness.reference_outcome`): a transient
       reference fault is re-probed rather than silencing a target ×
       program for every later campaign;
-    - the **probe cache** is off in service specs (HTTP submissions cannot
-      enable it), and even when a programmatic spec turns it on it is keyed
-      by content, so it changes which probes execute, never an outcome;
+    - the **probe cache** is on in service specs, as in every
+      ``CampaignSpec`` by default (HTTP submissions do not set it); it is
+      keyed by content, so it changes which probes execute, never an
+      outcome;
     - ``DecorrelatedJitter`` state changes only the length of retry sleeps;
     - the fuzzer, donors and references are read-only across seeds, as in
       any direct campaign.

@@ -1,9 +1,10 @@
 """Speculative parallel reduction: byte-identical to serial at every K.
 
-The ISSUE's property test lives here: for K in {1, 2, 4} workers the
-parallel reducer must return the *identical* transformation subsequence,
-``tests_run``, ``chunks_removed`` and accepted-chunk history as the serial
-reducer, across oracle shapes (subset, order-sensitive, seeded-irregular).
+For K in {1, 2, 4} workers, ``PassPipeline(["ddmin"])`` with its ddmin leg
+over K worker processes must return the *identical* transformation
+subsequence, ``tests_run``, ``chunks_removed`` and accepted-chunk history
+as the serial reference reducer, across oracle shapes (subset,
+order-sensitive, seeded-irregular).
 The oracles are module-level frozen dataclasses so they ship to worker
 processes under both ``fork`` and pickling.
 """
@@ -21,10 +22,17 @@ from repro.core.harness import Harness
 from repro.core.reducer import reduce_transformations
 from repro.core.transformation import sequence_to_json
 from repro.perf import WorkerProbeError
-from repro.perf.parallel_reduce import parallel_reduce
-from repro.reduce import ReductionConfig
+from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
 
 ITEMS = list(range(40))
+
+
+def pipeline_reduce(items, oracle, workers):
+    """``PassPipeline(["ddmin"])`` over a plain oracle, its ddmin leg on
+    *workers* processes."""
+    config = ReductionConfig(workers=workers)
+    ctx = PipelineContext(is_interesting=oracle, config=config)
+    return PassPipeline(["ddmin"]).run(items, ctx)
 
 
 @dataclass(frozen=True)
@@ -100,13 +108,13 @@ def oracles():
 
 
 class TestByteIdentity:
-    """parallel(K) == serial for K in {1, 2, 4}, field for field."""
+    """pipeline(K) == serial for K in {1, 2, 4}, field for field."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("oracle", list(oracles()))
     def test_matches_serial(self, oracle, workers):
         serial = reduce_transformations(ITEMS, oracle)
-        result = parallel_reduce(ITEMS, oracle, workers=workers)
+        result = pipeline_reduce(ITEMS, oracle, workers)
         assert result.transformations == serial.transformations
         assert result.tests_run == serial.tests_run
         assert result.chunks_removed == serial.chunks_removed
@@ -115,48 +123,38 @@ class TestByteIdentity:
         assert result.history == serial.history
         assert result.to_json() == serial.to_json()
 
-    @pytest.mark.parametrize("window", [1, 2, 16])
-    def test_window_size_never_changes_the_result(self, window):
-        oracle = SubsetOracle(frozenset({3, 17, 38}))
-        serial = reduce_transformations(ITEMS, oracle)
-        result = parallel_reduce(ITEMS, oracle, workers=2, window=window)
-        assert result.to_json() == serial.to_json()
-        assert result.history == serial.history
-
     def test_tiny_sequences(self):
         oracle = SubsetOracle(frozenset({0}))
         for items in ([0], [0, 1], [0, 1, 2]):
             serial = reduce_transformations(items, oracle)
-            result = parallel_reduce(items, oracle, workers=2)
+            result = pipeline_reduce(items, oracle, 2)
             assert result.to_json() == serial.to_json()
 
     def test_non_interesting_input_raises_at_every_worker_count(self):
         oracle = SubsetOracle(frozenset({99}))
         for workers in (1, 2):
             with pytest.raises(ValueError):
-                parallel_reduce(ITEMS, oracle, workers=workers)
+                pipeline_reduce(ITEMS, oracle, workers)
 
     def test_worker_oracle_errors_surface(self):
         oracle = ExplodingOracle(frozenset({3}), explode_below=30)
         with pytest.raises((WorkerProbeError, RuntimeError)):
-            parallel_reduce(ITEMS, oracle, workers=2)
+            pipeline_reduce(ITEMS, oracle, 2)
 
 
 class TestSpeculationAccounting:
     def test_single_worker_runs_inline(self):
-        result = parallel_reduce(ITEMS, SubsetOracle(frozenset({3})), workers=1)
-        stats = result.speculation
-        assert stats is not None
-        assert stats.mode == "inline"
-        assert stats.wasted == 0  # window of 1 never speculates
+        result = pipeline_reduce(ITEMS, SubsetOracle(frozenset({3})), 1)
+        assert result.speculation is None  # an inline leg never speculates
 
     def test_pool_mode_counters_are_sane(self):
         oracle = SubsetOracle(frozenset({3, 17, 38}))
-        result = parallel_reduce(ITEMS, oracle, workers=2)
+        result = pipeline_reduce(ITEMS, oracle, 2)
         stats = result.speculation
         assert stats is not None
         assert stats.mode == "pool"
         assert stats.workers == 2
+        assert 0 < stats.max_in_flight <= 4 * stats.workers
         assert stats.dispatched > 0
         assert 0 <= stats.wasted <= stats.dispatched
         assert 0.0 <= stats.wasted_percent <= 100.0

@@ -35,15 +35,11 @@ class TestRejections:
         assert budgeted.giveup == 200
 
     def test_one_budget(self):
-        with pytest.raises(ValueError, match="two reduction budgets"):
-            ReductionConfig(
-                max_seconds=5.0, policy=ReductionPolicy(max_seconds=10.0)
-            )
-        agreed = ReductionConfig(
-            max_seconds=5.0, policy=ReductionPolicy(max_seconds=5.0)
-        )
-        assert agreed.budget == 5.0
-        assert ReductionConfig(policy=ReductionPolicy(max_seconds=7.0)).budget == 7.0
+        """The wall-clock budget is ``ReductionConfig.max_seconds`` alone:
+        the fault policy carries none of its own."""
+        assert ReductionConfig(max_seconds=5.0).max_seconds == 5.0
+        with pytest.raises(TypeError):
+            ReductionPolicy(max_seconds=5.0)
 
     def test_cli_reports_the_config_message(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -89,15 +85,17 @@ class TestResolve:
     def test_plain_run_has_no_policy(self):
         resolved = ReductionConfig(max_seconds=3.0).resolve()
         assert resolved.policy is None
-        assert resolved.budget == 3.0
+        assert resolved.max_seconds == 3.0
 
-    def test_fault_policy_carries_the_budget(self):
+    def test_fault_run_keeps_its_policy_and_the_config_budget(self):
         resolved = ReductionConfig(max_seconds=3.0).resolve(journaled=True)
-        assert resolved.policy == ReductionPolicy(max_seconds=3.0)
+        assert resolved.policy == ReductionPolicy()
+        assert resolved.max_seconds == 3.0
 
         given = ReductionPolicy(fault_retries=1)
         resolved = ReductionConfig(policy=given, max_seconds=3.0).resolve()
-        assert resolved.policy == ReductionPolicy(fault_retries=1, max_seconds=3.0)
+        assert resolved.policy is given
+        assert resolved.max_seconds == 3.0
 
     def test_supervising_harness_inherits_its_backoff(self):
         robustness = RobustnessConfig(retry_backoff=0.5, retry_jitter_seed=7)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import random
 
 from repro.core.reducer import reduce_transformations
-from repro.robustness import ProbeVerdict, ReductionPolicy, reduce_with_faults
+from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
+from repro.robustness import ProbeVerdict, ReductionPolicy
 
 SEQUENCE = list("abcdefghijkl")
 NEEDLES = {"c", "i"}
@@ -30,6 +31,15 @@ HARDENED = ReductionPolicy(accept_votes=3, reject_votes=5, retry_backoff=0.0)
 
 def truth(candidate) -> bool:
     return NEEDLES.issubset(candidate)
+
+
+def fault_reduce(items, verdict_test, policy, **context):
+    """The classic fault-tolerant reduction: ``PassPipeline(["ddmin"])``
+    with a verdict test."""
+    ctx = PipelineContext(
+        verdict_test=verdict_test, config=ReductionConfig(policy=policy), **context
+    )
+    return PassPipeline(["ddmin"]).run(items, ctx)
 
 
 class FlakyOracle:
@@ -49,7 +59,7 @@ class FlakyOracle:
 def test_hardened_reducer_never_returns_a_non_interesting_sequence():
     flaky_runs = 0
     for seed in range(RUNS):
-        result = reduce_with_faults(SEQUENCE, FlakyOracle(seed), HARDENED)
+        result = fault_reduce(SEQUENCE, FlakyOracle(seed), HARDENED)
         assert truth(result.transformations), (
             f"seed {seed}: hardened reduction returned a non-interesting "
             f"sequence {result.transformations!r}"
@@ -88,7 +98,7 @@ def test_hardened_result_matches_raw_on_a_truthful_oracle():
     # With no lies, the voting machinery must be invisible: same minimal
     # sequence, no disagreements, no escalation.
     raw = reduce_transformations(SEQUENCE, truth)
-    hardened = reduce_with_faults(
+    hardened = fault_reduce(
         SEQUENCE, lambda c: ProbeVerdict(truth(c)), HARDENED
     )
     assert hardened.transformations == raw.transformations

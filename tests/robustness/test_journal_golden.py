@@ -7,8 +7,9 @@ fault-tolerant paths were folded into one engine, and every later version
 must reproduce them byte for byte.  Regenerate them only for an intentional
 format change.
 
-The same file pins pipeline/classic parity: a fault-mode
-``PassPipeline(["ddmin"])`` reduces exactly like ``reduce_with_faults``.
+The same file pins pool parity: a fault-mode ``PassPipeline(["ddmin"])``
+reduces the same whether its ddmin leg runs inline, builds its own worker
+pool, or runs on the caller's.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 
 from repro.perf.pool import CallableProbeSpec, WorkerPool
 from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
-from repro.robustness import ProbeVerdict, ReductionPolicy, reduce_with_faults
+from repro.robustness import ProbeVerdict, ReductionPolicy
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,8 +94,16 @@ TYPED_ORACLE = TypedHashedFaulty(
 )
 
 
+def fault_reduce(items, verdict_test, policy, *, workers=1, **context):
+    """The classic fault-tolerant reduction: ``PassPipeline(["ddmin"])``
+    with a verdict test, its ddmin leg over *workers* processes."""
+    config = ReductionConfig(workers=workers, policy=policy)
+    ctx = PipelineContext(verdict_test=verdict_test, config=config, **context)
+    return PassPipeline(["ddmin"]).run(items, ctx)
+
+
 def write_fault_journal(path: Path):
-    return reduce_with_faults(SEQUENCE, FAULT_ORACLE, POLICY, journal=path)
+    return fault_reduce(SEQUENCE, FAULT_ORACLE, POLICY, journal=path)
 
 
 def write_pipeline_journal(path: Path):
@@ -144,7 +153,7 @@ class TestGoldenJournals:
             return test
 
         if writer is write_fault_journal:
-            resumed = reduce_with_faults(
+            resumed = fault_reduce(
                 SEQUENCE, counting(FAULT_ORACLE), POLICY, journal=journal, resume=True
             )
         else:
@@ -206,10 +215,10 @@ class TestGoldenJournals:
 
 
 class TestPipelineClassicParity:
-    """``PassPipeline(["ddmin"])`` in fault mode is the classic fault-tolerant
-    reduction: same sequence, tests, accepted-chunk history and stability.
-    At K=2 the pipeline's ddmin leg runs on a worker pool, as under the
-    harness."""
+    """``PassPipeline(["ddmin"])`` in fault mode gives the same sequence,
+    tests, accepted-chunk history and stability on every route: at K=2 the
+    ``fault_reduce`` leg builds its own worker pool and the piped one runs
+    on the caller's, as under the harness."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -218,7 +227,7 @@ class TestPipelineClassicParity:
         ids=["fault-on-one", "typed-hashed"],
     )
     def test_ddmin_pipeline_matches_reduce_with_faults(self, items, oracle, workers):
-        classic = reduce_with_faults(items, oracle, POLICY, workers=workers)
+        classic = fault_reduce(items, oracle, POLICY, workers=workers)
         pool = None
         if workers > 1:
             spec = CallableProbeSpec(

@@ -1,10 +1,10 @@
 """Parallel reduction composed with the fault envelope.
 
-``reduce_with_faults(workers=K)`` must be byte-identical to the serial
-pipeline — result *and* journal — for deterministic oracles, including
-deterministic fault patterns and journal resume; and a SIGKILLed worker
-must be recovered with the result unchanged (verdict purity makes
-re-probing sound).
+A fault-mode ``PassPipeline(["ddmin"])`` whose ddmin leg runs over K
+workers must be byte-identical to the serial pipeline — result *and*
+journal — for deterministic oracles, including deterministic fault
+patterns and journal resume; and a SIGKILLed worker must be recovered with
+the result unchanged (verdict purity makes re-probing sound).
 
 Oracles are module-level frozen dataclasses so they ship to workers.
 """
@@ -20,14 +20,22 @@ from pathlib import Path
 import pytest
 
 from repro.core.reducer import reduce_transformations
-from repro.perf.parallel_reduce import parallel_reduce
-from repro.robustness import ProbeVerdict, ReductionPolicy, reduce_with_faults
+from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
+from repro.robustness import ProbeVerdict, ReductionPolicy
 
 SEQUENCE = list("abcdefghijkl")
 NEEDLES = frozenset({"c", "i"})
 
 #: No sleeps, deterministic voting.
 POLICY = ReductionPolicy(retry_backoff=0.0)
+
+
+def fault_reduce(items, verdict_test, policy, *, workers=1, **context):
+    """The classic fault-tolerant reduction: ``PassPipeline(["ddmin"])``
+    with a verdict test, its ddmin leg over *workers* processes."""
+    config = ReductionConfig(workers=workers, policy=policy)
+    ctx = PipelineContext(verdict_test=verdict_test, config=config, **context)
+    return PassPipeline(["ddmin"]).run(items, ctx)
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,8 @@ CLEAN = CleanOracle(NEEDLES)
 class TestCleanParity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_result_and_stability_match_serial(self, workers):
-        serial = reduce_with_faults(SEQUENCE, CLEAN, POLICY)
-        parallel = reduce_with_faults(SEQUENCE, CLEAN, POLICY, workers=workers)
+        serial = fault_reduce(SEQUENCE, CLEAN, POLICY)
+        parallel = fault_reduce(SEQUENCE, CLEAN, POLICY, workers=workers)
         assert parallel.to_json() == serial.to_json()
         assert parallel.transformations == serial.transformations
         assert parallel.tests_run == serial.tests_run
@@ -111,8 +119,8 @@ class TestCleanParity:
     def test_journal_bytes_match_serial(self, tmp_path):
         serial_journal = tmp_path / "serial.jsonl"
         parallel_journal = tmp_path / "parallel.jsonl"
-        serial = reduce_with_faults(SEQUENCE, CLEAN, POLICY, journal=serial_journal)
-        parallel = reduce_with_faults(
+        serial = fault_reduce(SEQUENCE, CLEAN, POLICY, journal=serial_journal)
+        parallel = fault_reduce(
             SEQUENCE, CLEAN, POLICY, journal=parallel_journal, workers=2
         )
         assert parallel.to_json() == serial.to_json()
@@ -122,7 +130,7 @@ class TestCleanParity:
 class TestJournalResume:
     def test_parallel_resume_is_byte_identical(self, tmp_path):
         full_journal = tmp_path / "full.jsonl"
-        full = reduce_with_faults(SEQUENCE, CLEAN, POLICY, journal=full_journal)
+        full = fault_reduce(SEQUENCE, CLEAN, POLICY, journal=full_journal)
         full_bytes = full_journal.read_bytes()
         lines = full_bytes.decode().splitlines(keepends=True)
 
@@ -132,7 +140,7 @@ class TestJournalResume:
         for keep in (1, 3, len(lines) // 2, len(lines) - 1):
             partial = tmp_path / f"partial_{keep}.jsonl"
             partial.write_text("".join(lines[:keep]))
-            resumed = reduce_with_faults(
+            resumed = fault_reduce(
                 SEQUENCE, CLEAN, POLICY, journal=partial, resume=True, workers=2
             )
             assert resumed.to_json() == full.to_json(), f"diverged at {keep}"
@@ -140,8 +148,8 @@ class TestJournalResume:
 
     def test_complete_journal_short_circuits_all_dispatch(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        full = reduce_with_faults(SEQUENCE, CLEAN, POLICY, journal=journal)
-        resumed = reduce_with_faults(
+        full = fault_reduce(SEQUENCE, CLEAN, POLICY, journal=journal)
+        resumed = fault_reduce(
             SEQUENCE, CLEAN, POLICY, journal=journal, resume=True, workers=2
         )
         assert resumed.to_json() == full.to_json()
@@ -156,8 +164,8 @@ class TestDeterministicFaults:
         oracle = DeterministicFaultOracle(
             NEEDLES, (tuple(SEQUENCE[: len(SEQUENCE) // 2]),)
         )
-        serial = reduce_with_faults(SEQUENCE, oracle, POLICY)
-        parallel = reduce_with_faults(SEQUENCE, oracle, POLICY, workers=2)
+        serial = fault_reduce(SEQUENCE, oracle, POLICY)
+        parallel = fault_reduce(SEQUENCE, oracle, POLICY, workers=2)
         assert serial.stability["faults"]["timeout"] > 0
         assert parallel.to_json() == serial.to_json()
         assert parallel.stability == serial.stability
@@ -168,9 +176,9 @@ class TestWorkerLoss:
     def test_sigkilled_worker_is_recovered_with_identical_result(self, tmp_path):
         flag = tmp_path / "killed.flag"
         oracle = KillOnceOracle(NEEDLES, str(flag), kill_length=9)
-        serial = reduce_with_faults(SEQUENCE, CLEAN, POLICY)
+        serial = fault_reduce(SEQUENCE, CLEAN, POLICY)
 
-        parallel = reduce_with_faults(SEQUENCE, oracle, POLICY, workers=2)
+        parallel = fault_reduce(SEQUENCE, oracle, POLICY, workers=2)
         assert flag.exists(), "the kill never triggered — adjust kill_length"
         assert parallel.to_json() == serial.to_json()
         assert parallel.transformations == serial.transformations
@@ -180,16 +188,20 @@ class TestWorkerLoss:
 
     def test_candidate_that_kills_every_worker_runs_in_the_parent(self):
         oracle = KillerLengthOracle(NEEDLES, kill_length=9)
-        serial = reduce_with_faults(SEQUENCE, CLEAN, POLICY)
-        parallel = reduce_with_faults(SEQUENCE, oracle, POLICY, workers=2)
+        serial = fault_reduce(SEQUENCE, CLEAN, POLICY)
+        parallel = fault_reduce(SEQUENCE, oracle, POLICY, workers=2)
         assert serial.transformations == ["c", "i"]
         assert parallel.to_json() == serial.to_json()
         assert parallel.degraded is None
         assert parallel.speculation.worker_recoveries >= 1
 
     def test_parallel_reduce_survives_a_killer_candidate(self):
+        """The same, for a plain (boolean) pooled ddmin leg."""
         oracle = KillerLengthOracle(NEEDLES, kill_length=9)
         serial = reduce_transformations(SEQUENCE, oracle.interesting)
-        parallel = parallel_reduce(SEQUENCE, oracle.interesting, workers=2)
+        ctx = PipelineContext(
+            is_interesting=oracle.interesting, config=ReductionConfig(workers=2)
+        )
+        parallel = PassPipeline(["ddmin"]).run(SEQUENCE, ctx)
         assert parallel.to_json() == serial.to_json()
         assert parallel.speculation.worker_recoveries >= 1

@@ -13,12 +13,8 @@ import time
 import pytest
 
 from repro.core.reducer import reduce_transformations
-from repro.robustness import (
-    ProbeVerdict,
-    ReductionPolicy,
-    SupervisedTarget,
-    reduce_with_faults,
-)
+from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
+from repro.robustness import ProbeVerdict, ReductionPolicy, SupervisedTarget
 from repro.robustness.config import RobustnessConfig
 
 from tests.robustness.faults import FaultyTarget
@@ -38,13 +34,21 @@ def clean_oracle(candidate) -> ProbeVerdict:
     return ProbeVerdict(truth(candidate))
 
 
+def fault_reduce(items, verdict_test, policy, *, max_seconds=None, **context):
+    """The classic fault-tolerant reduction: ``PassPipeline(["ddmin"])``
+    with a verdict test, under an optional wall-clock budget."""
+    config = ReductionConfig(max_seconds=max_seconds, policy=policy)
+    ctx = PipelineContext(verdict_test=verdict_test, config=config, **context)
+    return PassPipeline(["ddmin"]).run(items, ctx)
+
+
 class TestCleanParity:
     """On a deterministic, well-behaved oracle the pipeline is the raw
     reducer: same sequence, same tests_run, no degradation."""
 
     def test_matches_raw_reducer(self):
         raw = reduce_transformations(SEQUENCE, truth)
-        hardened = reduce_with_faults(SEQUENCE, clean_oracle, FAST)
+        hardened = fault_reduce(SEQUENCE, clean_oracle, FAST)
         assert hardened.transformations == raw.transformations
         assert hardened.tests_run == raw.tests_run
         assert hardened.chunks_removed == raw.chunks_removed
@@ -52,7 +56,7 @@ class TestCleanParity:
         assert hardened.timed_out is False
 
     def test_stability_accounting_present(self):
-        result = reduce_with_faults(SEQUENCE, clean_oracle, FAST)
+        result = fault_reduce(SEQUENCE, clean_oracle, FAST)
         stability = result.stability
         assert stability is not None
         # Votes cost extra probes beyond the reducer's logical tests.
@@ -64,7 +68,7 @@ class TestCleanParity:
 
     def test_non_interesting_input_still_raises(self):
         with pytest.raises(ValueError):
-            reduce_with_faults(SEQUENCE, lambda c: ProbeVerdict(False), FAST)
+            fault_reduce(SEQUENCE, lambda c: ProbeVerdict(False), FAST)
 
 
 class TestFaultsNeverAccept:
@@ -77,7 +81,7 @@ class TestFaultsNeverAccept:
                 return ProbeVerdict(True, fault="timeout")
             return ProbeVerdict(truth(candidate))
 
-        result = reduce_with_faults(SEQUENCE, oracle, FAST)
+        result = fault_reduce(SEQUENCE, oracle, FAST)
         assert "h" in result.transformations
         assert truth(result.transformations)
         assert result.degraded is None  # faults were absorbed, not fatal
@@ -98,8 +102,8 @@ class TestFaultsNeverAccept:
                 return ProbeVerdict(False, fault="worker-crash")
             return ProbeVerdict(truth(candidate))
 
-        clean = reduce_with_faults(SEQUENCE, clean_oracle, FAST)
-        rescued = reduce_with_faults(SEQUENCE, oracle, FAST)
+        clean = fault_reduce(SEQUENCE, clean_oracle, FAST)
+        rescued = fault_reduce(SEQUENCE, oracle, FAST)
         assert rescued.transformations == clean.transformations
         assert rescued.degraded is None
         assert rescued.stability["fault_retries"] == 1
@@ -120,7 +124,7 @@ class TestFaultsNeverAccept:
             return ProbeVerdict(truth(candidate))
 
         policy = ReductionPolicy(fault_retries=3, retry_backoff=0.0)
-        result = reduce_with_faults(SEQUENCE, oracle, policy)
+        result = fault_reduce(SEQUENCE, oracle, policy)
         assert probes["n"] == 4
         assert result.stability["faults"]["resource"] == 4
         assert truth(result.transformations)
@@ -139,7 +143,7 @@ class TestDegradation:
         policy = ReductionPolicy(
             fault_retries=0, retry_backoff=0.0, unresponsive_after=3
         )
-        result = reduce_with_faults(SEQUENCE, oracle, policy)
+        result = fault_reduce(SEQUENCE, oracle, policy)
         assert result.degraded == "target-unresponsive"
         assert result.transformations == SEQUENCE
         assert result.stability["faults"]["timeout"] == 3
@@ -156,7 +160,7 @@ class TestDegradation:
         policy = ReductionPolicy(
             fault_retries=1, retry_backoff=0.0, unresponsive_after=None
         )
-        result = reduce_with_faults(SEQUENCE, oracle, policy)
+        result = fault_reduce(SEQUENCE, oracle, policy)
         assert result.degraded == "verify-faulted"
         assert result.transformations == SEQUENCE
         assert result.final_length == result.initial_length
@@ -170,16 +174,15 @@ class TestDegradation:
                 raise RuntimeError("supervisor machinery died")
             return ProbeVerdict(truth(candidate))
 
-        result = reduce_with_faults(SEQUENCE, oracle, FAST)
+        result = fault_reduce(SEQUENCE, oracle, FAST)
         assert result.degraded == "oracle-error: RuntimeError"
         assert truth(result.transformations)  # best-so-far is still interesting
 
     def test_pipeline_reports_a_degraded_ddmin_leg_once(self, tmp_path):
         """A fault-mode ``PassPipeline(["ddmin"])`` whose oracle raises is
         one degraded reduction: one ``reduce.degraded`` event, a counter of
-        1, and the same ``degraded``/``stability`` as the classic path."""
+        1, and the same ``degraded``/``stability`` as an untraced run."""
         from repro.observability import Metrics, Tracer, read_trace
-        from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
 
         def failing_oracle():
             calls = {"n": 0}
@@ -192,18 +195,12 @@ class TestDegradation:
 
             return oracle
 
-        classic = reduce_with_faults(SEQUENCE, failing_oracle(), FAST)
+        classic = fault_reduce(SEQUENCE, failing_oracle(), FAST)
         metrics = Metrics()
         tracer = Tracer(tmp_path / "trace.jsonl")
         try:
-            piped = PassPipeline(["ddmin"]).run(
-                SEQUENCE,
-                PipelineContext(
-                    verdict_test=failing_oracle(),
-                    config=ReductionConfig(policy=FAST),
-                    tracer=tracer,
-                    metrics=metrics,
-                ),
+            piped = fault_reduce(
+                SEQUENCE, failing_oracle(), FAST, tracer=tracer, metrics=metrics
             )
         finally:
             tracer.close()
@@ -220,11 +217,7 @@ class TestDegradation:
         assert piped.stability == classic.stability
 
     def test_exhausted_budget_degrades(self):
-        result = reduce_with_faults(
-            SEQUENCE,
-            clean_oracle,
-            ReductionPolicy(retry_backoff=0.0, max_seconds=0.0),
-        )
+        result = fault_reduce(SEQUENCE, clean_oracle, FAST, max_seconds=0.0)
         assert result.timed_out is True
         assert result.degraded == "budget-exhausted"
         assert truth(result.transformations)
@@ -246,15 +239,12 @@ class TestProbeTimeoutClamp:
             return ProbeVerdict(False, fault=outcome.kind.value)
 
         policy = ReductionPolicy(
-            fault_retries=0,
-            retry_backoff=0.0,
-            unresponsive_after=None,
-            max_seconds=0.5,
+            fault_retries=0, retry_backoff=0.0, unresponsive_after=None
         )
         started = time.monotonic()
         try:
-            result = reduce_with_faults(
-                SEQUENCE, oracle, policy, supervised_target=supervised
+            result = fault_reduce(
+                SEQUENCE, oracle, policy, max_seconds=0.5, supervised_target=supervised
             )
         finally:
             supervised.close()
@@ -272,10 +262,7 @@ class TestProbeTimeoutClamp:
                 self.override = timeout
 
         fake = FakeSupervised()
-        reduce_with_faults(
-            SEQUENCE,
-            clean_oracle,
-            ReductionPolicy(retry_backoff=0.0, max_seconds=30.0),
-            supervised_target=fake,
+        fault_reduce(
+            SEQUENCE, clean_oracle, FAST, max_seconds=30.0, supervised_target=fake
         )
         assert fake.override is None  # the clamp does not leak past the run

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.reduce import PassPipeline, PipelineContext, ReductionConfig
 from repro.robustness import (
     ProbeVerdict,
     ReductionJournal,
     ReductionPolicy,
-    reduce_with_faults,
     seal_record,
 )
 
@@ -33,6 +33,15 @@ def oracle(candidate) -> ProbeVerdict:
     return ProbeVerdict(NEEDLES.issubset(candidate))
 
 
+def fault_reduce(items, verdict_test, policy, **context):
+    """The classic fault-tolerant reduction: ``PassPipeline(["ddmin"])``
+    with a verdict test."""
+    ctx = PipelineContext(
+        verdict_test=verdict_test, config=ReductionConfig(policy=policy), **context
+    )
+    return PassPipeline(["ddmin"]).run(items, ctx)
+
+
 def _truncated(journal_text: str, keep: int) -> str:
     """The first *keep* lines plus a record torn mid-write, as a SIGKILL
     between fsyncs would leave the file."""
@@ -44,13 +53,13 @@ def _truncated(journal_text: str, keep: int) -> str:
 class TestInProcessResume:
     def test_resume_from_partial_journal_is_byte_identical(self, tmp_path):
         full_journal = tmp_path / "full.jsonl"
-        full = reduce_with_faults(SEQUENCE, oracle, POLICY, journal=full_journal)
+        full = fault_reduce(SEQUENCE, oracle, POLICY, journal=full_journal)
         full_bytes = full_journal.read_bytes()
         assert full.degraded is None
 
         partial = tmp_path / "partial.jsonl"
         partial.write_text(_truncated(full_bytes.decode(), keep=5))
-        resumed = reduce_with_faults(
+        resumed = fault_reduce(
             SEQUENCE, oracle, POLICY, journal=partial, resume=True
         )
 
@@ -59,14 +68,14 @@ class TestInProcessResume:
 
     def test_every_truncation_point_resumes_identically(self, tmp_path):
         full_journal = tmp_path / "full.jsonl"
-        full = reduce_with_faults(SEQUENCE, oracle, POLICY, journal=full_journal)
+        full = fault_reduce(SEQUENCE, oracle, POLICY, journal=full_journal)
         full_bytes = full_journal.read_bytes()
         lines = full_bytes.decode().splitlines(keepends=True)
 
         for keep in range(1, len(lines)):
             partial = tmp_path / f"partial_{keep}.jsonl"
             partial.write_text("".join(lines[:keep]))
-            resumed = reduce_with_faults(
+            resumed = fault_reduce(
                 SEQUENCE, oracle, POLICY, journal=partial, resume=True
             )
             assert resumed.to_json() == full.to_json(), f"diverged at {keep}"
@@ -85,7 +94,7 @@ class TestInProcessResume:
 
         full_probes: list = []
         full_journal = tmp_path / "full.jsonl"
-        reduce_with_faults(
+        fault_reduce(
             SEQUENCE, recording(full_probes), POLICY, journal=full_journal
         )
         lines = full_journal.read_text().splitlines(keepends=True)
@@ -94,7 +103,7 @@ class TestInProcessResume:
             partial = tmp_path / f"partial_{keep}.jsonl"
             partial.write_text("".join(lines[:keep]))
             resumed_probes: list = []
-            reduce_with_faults(
+            fault_reduce(
                 SEQUENCE,
                 recording(resumed_probes),
                 POLICY,
@@ -106,7 +115,7 @@ class TestInProcessResume:
 
     def test_complete_journal_resumes_without_probing(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        full = reduce_with_faults(SEQUENCE, oracle, POLICY, journal=journal)
+        full = fault_reduce(SEQUENCE, oracle, POLICY, journal=journal)
 
         probed = []
 
@@ -114,7 +123,7 @@ class TestInProcessResume:
             probed.append(tuple(candidate))
             raise AssertionError("journaled decision was re-probed")
 
-        resumed = reduce_with_faults(
+        resumed = fault_reduce(
             SEQUENCE, boom, POLICY, journal=journal, resume=True
         )
         assert probed == []
@@ -132,13 +141,13 @@ class TestInProcessResume:
             return ProbeVerdict(NEEDLES.issubset(candidate))
 
         journal = tmp_path / "journal.jsonl"
-        full = reduce_with_faults(SEQUENCE, faulty, POLICY, journal=journal)
+        full = fault_reduce(SEQUENCE, faulty, POLICY, journal=journal)
         assert full.stability["faults"]["timeout"] > 0
         full_bytes = journal.read_bytes()
 
         partial = tmp_path / "partial.jsonl"
         partial.write_text(_truncated(full_bytes.decode(), keep=3))
-        resumed = reduce_with_faults(
+        resumed = fault_reduce(
             SEQUENCE, faulty, POLICY, journal=partial, resume=True
         )
         assert resumed.to_json() == full.to_json()
@@ -146,9 +155,9 @@ class TestInProcessResume:
 
     def test_journal_for_a_different_sequence_is_rejected(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        reduce_with_faults(SEQUENCE, oracle, POLICY, journal=journal)
+        fault_reduce(SEQUENCE, oracle, POLICY, journal=journal)
         with pytest.raises(ValueError):
-            reduce_with_faults(
+            fault_reduce(
                 list("zyxwvu") + SEQUENCE,
                 oracle,
                 POLICY,
@@ -161,7 +170,7 @@ class TestInProcessResume:
         journal.write_bytes(
             seal_record({"header": True, "sequence": "stale", "length": 1})
         )
-        result = reduce_with_faults(SEQUENCE, oracle, POLICY, journal=journal)
+        result = fault_reduce(SEQUENCE, oracle, POLICY, journal=journal)
         assert result.degraded is None
         header = json.loads(journal.read_text().splitlines()[0])
         assert header["sequence"] == ReductionJournal.candidate_key(SEQUENCE)
