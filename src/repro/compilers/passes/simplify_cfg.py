@@ -30,14 +30,18 @@ class SimplifyCfgPass(Pass):
     def run(self, module: Module, bugs: BugContext) -> bool:
         changed = False
         for function in module.functions:
-            self._crash_checks(function, bugs)
+            preds = _predecessor_sets(function)
+            self._crash_checks(function, preds, bugs)
             if self._drop_kill_edges(function, bugs):
                 changed = True
-            while self._merge_one_chain(module, function, bugs):
+                preds = _predecessor_sets(function)
+            if self._merge_chains(function, preds, bugs):
                 changed = True
         return changed
 
-    def _crash_checks(self, function: Function, bugs: BugContext) -> None:
+    def _crash_checks(
+        self, function: Function, preds: dict[int, set[int]], bugs: BugContext
+    ) -> None:
         for block in function.blocks:
             term = block.terminator
             if (
@@ -50,12 +54,12 @@ class SimplifyCfgPass(Pass):
                     "block_merge.cpp:131: Assertion `true_block != false_block' "
                     f"failed for %{block.label_id}",
                 )
-            preds = function.predecessors(block.label_id)
-            if len(preds) >= 4:
+            count = len(preds[block.label_id])
+            if count >= 4:
                 bugs.crash(
                     "simplifycfg-many-preds",
                     "cfg_cleanup.cpp:59: too many predecessors "
-                    f"({len(preds)}) for block %{block.label_id}",
+                    f"({count}) for block %{block.label_id}",
                 )
 
     def _drop_kill_edges(self, function: Function, bugs: BugContext) -> bool:
@@ -86,41 +90,75 @@ class SimplifyCfgPass(Pass):
                 changed = True
         return changed
 
-    def _merge_one_chain(self, module: Module, function: Function, bugs: BugContext) -> bool:
-        """Merge some block with its unique successor when that successor has
-        no other predecessors and no phis.  Returns True when a merge happened.
+    def _merge_chains(
+        self, function: Function, preds: dict[int, set[int]], bugs: BugContext
+    ) -> bool:
+        """Merge blocks into their predecessor while some block's unique
+        successor has no other predecessors and no phis, always taking the
+        first such block in layout order.  A merge never makes an earlier
+        block a candidate, so the scan resumes at the merged block (which
+        may absorb its new successor next) instead of restarting; *preds*
+        is kept up to date as blocks merge.
         """
-        for block in function.blocks:
+        blocks = function.blocks
+        by_label = {block.label_id: block for block in blocks}
+
+        def block_at(label: int) -> Block:
+            found = by_label.get(label)
+            return found if found is not None else function.block(label)
+
+        changed = False
+        index = 0
+        while index < len(blocks):
+            block = blocks[index]
             term = block.terminator
             if term is None or term.opcode is not Op.Branch:
+                index += 1
                 continue
             succ_label = int(term.operands[0])
             if succ_label == block.label_id:
+                index += 1
                 continue
-            succ = function.block(succ_label)
-            if succ is function.entry_block():
-                continue
-            preds = function.predecessors(succ_label)
-            if preds != [block.label_id]:
-                continue
-            if succ.phis():
-                continue
-            if any(inst.opcode is Op.Variable for inst in succ.instructions):
+            succ = block_at(succ_label)
+            if (
+                succ is blocks[0]
+                or preds[succ_label] != {block.label_id}
+                or succ.phis()
+                or any(inst.opcode is Op.Variable for inst in succ.instructions)
+            ):
+                index += 1
                 continue
             block.instructions.extend(succ.instructions)
             block.terminator = succ.terminator
-            function.blocks.remove(succ)
+            succ_index = blocks.index(succ)
+            del blocks[succ_index]
+            if succ_index < index:
+                index -= 1
+            del by_label[succ_label], preds[succ_label]
+            for next_label in set(block.successors()):
+                next_preds = preds.setdefault(next_label, set())
+                next_preds.discard(succ_label)
+                next_preds.add(block.label_id)
+            changed = True
             # Forgetting the phi fix-up leaves successors' phis naming the
             # merged-away block: invalid IR escapes the pass.
             if any(
-                function.block(next_label).phis()
-                for next_label in block.successors()
+                block_at(next_label).phis() for next_label in block.successors()
             ) and bugs.active("simplifycfg-stale-phi"):
                 bugs.fire("simplifycfg-stale-phi")
-                return True
+                continue
             for next_label in block.successors():
                 rewrite_phi_predecessor(
-                    function.block(next_label), succ_label, block.label_id
+                    block_at(next_label), succ_label, block.label_id
                 )
-            return True
-        return False
+        return changed
+
+
+def _predecessor_sets(function: Function) -> dict[int, set[int]]:
+    """The labels of the blocks branching to each block (and to each label a
+    terminator names)."""
+    preds: dict[int, set[int]] = {block.label_id: set() for block in function.blocks}
+    for block in function.blocks:
+        for succ in block.successors():
+            preds.setdefault(succ, set()).add(block.label_id)
+    return preds

@@ -1,5 +1,12 @@
 """Transformation contexts (Definition 2.3): ``(P, I, F)`` plus analysis
-caches that are invalidated after every applied transformation."""
+caches that are invalidated after every applied transformation.
+
+One walk per module version indexes the module: :meth:`Context.defs`, the
+position of every block-body definition (:meth:`Context.position`) and the
+block of every label (:meth:`Context.block_of`) come from the single
+:meth:`Module.def_map` walk that whichever is asked first triggers, so
+transformations locate their anchors by lookup instead of scanning the
+module."""
 
 from __future__ import annotations
 
@@ -10,9 +17,11 @@ from repro.ir import types as tys
 from repro.ir.analysis.cfg import Availability, Cfg
 from repro.ir.builder import ModuleBuilder
 from repro.ir.module import (
+    Block,
     Function,
     Instruction,
     Module,
+    Position,
     evaluate_constant,
     is_constant_decl,
 )
@@ -31,6 +40,8 @@ class Context:
     inputs: dict[str, object] = field(default_factory=dict)
     facts: FactManager = field(default_factory=FactManager)
     _defs: dict[int, Instruction] | None = field(default=None, repr=False)
+    _positions: dict[int, Position] | None = field(default=None, repr=False)
+    _blocks: dict[int, tuple[Function, Block]] | None = field(default=None, repr=False)
     _availability: dict[int, Availability] = field(default_factory=dict, repr=False)
     _cfgs: dict[int, Cfg] = field(default_factory=dict, repr=False)
 
@@ -54,14 +65,32 @@ class Context:
     def invalidate(self) -> None:
         """Drop analysis caches; call after any module mutation."""
         self.module.touch()
-        self._defs = None
+        self._defs = self._positions = self._blocks = None
         self._availability.clear()
         self._cfgs.clear()
 
+    def _index(self) -> None:
+        self._positions, self._blocks = {}, {}
+        self._defs = self.module.def_map(self._positions, self._blocks)
+
     def defs(self) -> dict[int, Instruction]:
         if self._defs is None:
-            self._defs = self.module.def_map()
-        return self._defs
+            self._index()
+        return self._defs  # type: ignore[return-value]
+
+    def position(self, result_id: int) -> Position | None:
+        """``(function, block, index)`` of the block-body instruction that
+        defines *result_id* (what :meth:`Module.containing_block` finds),
+        or None."""
+        if self._positions is None:
+            self._index()
+        return self._positions.get(result_id)  # type: ignore[union-attr]
+
+    def block_of(self, label_id: int) -> tuple[Function, Block] | None:
+        """``(function, block)`` of the block labelled *label_id*, or None."""
+        if self._blocks is None:
+            self._index()
+        return self._blocks.get(label_id)  # type: ignore[union-attr]
 
     def types(self) -> dict[int, tys.Type]:
         """The module's type table (cached per module version; read-only)."""

@@ -56,6 +56,9 @@ class FactManager:
     _synonym_parent: dict[DataDescriptor, DataDescriptor] = field(default_factory=dict)
     #: Per union-find root: the sorted plain ids of its class.
     _plain_members: dict[DataDescriptor, tuple[int, ...]] = field(default_factory=dict)
+    #: The ids whose plain descriptor the relation knows, so that a query
+    #: about any other id needs no descriptor.
+    _plain_ids: set[int] = field(default_factory=set)
 
     # -- dead blocks -----------------------------------------------------------
 
@@ -125,6 +128,9 @@ class FactManager:
         # Make sure both descriptors are registered for enumeration.
         self._synonym_parent.setdefault(a, root_a)
         self._synonym_parent.setdefault(b, root_a)
+        for d in (a, b):
+            if d.is_plain:
+                self._plain_ids.add(d.object_id)
 
     def are_synonymous(self, a: DataDescriptor, b: DataDescriptor) -> bool:
         if a == b:
@@ -135,10 +141,10 @@ class FactManager:
 
     def plain_synonyms_of(self, value_id: int) -> list[int]:
         """All *other* plain ids recorded synonymous with *value_id*, sorted."""
-        me = plain(value_id)
-        if me not in self._synonym_parent:
+        if value_id not in self._plain_ids:
             return []
-        return [m for m in self._plain_members[self._find(me)] if m != value_id]
+        members = self._plain_members[self._find(plain(value_id))]
+        return [m for m in members if m != value_id]
 
     def indexed_synonym_targets(self) -> list[DataDescriptor]:
         """All indexed descriptors known to the synonym relation."""
@@ -160,6 +166,7 @@ class FactManager:
             livesafe_functions=set(self.livesafe_functions),
             _synonym_parent=dict(self._synonym_parent),
             _plain_members=dict(self._plain_members),
+            _plain_ids=set(self._plain_ids),
         )
 
     def forget_ids(self, ids: set[int]) -> None:
@@ -180,6 +187,7 @@ class FactManager:
                 classes.setdefault(self._find(d), []).append(d)
         self._synonym_parent = {}
         self._plain_members = {}
+        self._plain_ids = set()
         # A survivor left without a class-mate has no fact left to state.
         for first, *rest in classes.values():
             for d in rest:

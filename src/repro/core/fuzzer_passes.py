@@ -56,7 +56,7 @@ from repro.core.transformations import (
     WrapInSelect,
     WrapRegionInSelection,
 )
-from repro.core.transformations.insertion import sample_insertion_points
+from repro.core.transformations.insertion import block_insertion_points
 from repro.interp.values import srem, wrap_i32
 from repro.ir import types as tys
 from repro.ir.module import Function, Instruction
@@ -172,38 +172,47 @@ class FuzzerPass(abc.ABC):
         *,
         dead_only: bool = False,
     ) -> list[InsertBefore]:
-        points: list[InsertBefore] = []
+        # Shuffle plain pairs; only the points kept become InsertBefore.
+        points: list[tuple[int, int]] = []
         for function in ctx.module.functions:
-            for point in sample_insertion_points(ctx, function):
-                if dead_only:
-                    label = self._point_block(ctx, function, point)
-                    if label is None or not ctx.facts.is_dead_block(label):
-                        continue
-                points.append(point)
+            for block in function.blocks:
+                if dead_only and not ctx.facts.is_dead_block(block.label_id):
+                    continue
+                points += block_insertion_points(block)
         rng.shuffle(points)
-        return points[:count]
-
-    def _point_block(self, ctx: Context, function: Function, point: InsertBefore) -> int | None:
-        located = point.resolve(ctx)
-        if located is None:
-            return None
-        return located[1].label_id
+        return [InsertBefore(anchor, label) for anchor, label in points[:count]]
 
     def _values_at(
         self, ctx: Context, point: InsertBefore, predicate
     ) -> list[int]:
-        located = point.resolve(ctx)
+        located = self._availability_at(ctx, point)
         if located is None:
             return []
-        function, block, index = located
-        anchor = block.instructions[index] if index < len(block.instructions) else None
+        availability, label, anchor = located
         return [
             value_id
-            for value_id, ty in ctx.availability(function).typed_available_at(
-                block.label_id, anchor
-            )
+            for value_id, ty in availability.typed_available_at(label, anchor)
             if ty is not None and predicate(value_id, ty)
         ]
+
+    def _values_of_type(self, ctx: Context, point: InsertBefore, ty: tys.Type) -> list[int]:
+        """``_values_at`` with the predicate ``type == ty``, answered from the
+        availability's per-type buckets (read-only)."""
+        located = self._availability_at(ctx, point)
+        if located is None:
+            return []
+        availability, label, anchor = located
+        return availability.ids_of_type_at(label, anchor, ty)
+
+    def _availability_at(self, ctx: Context, point: InsertBefore):
+        """``(availability, block label, anchor or None)`` of *point*, or None
+        when it does not resolve."""
+        located = point.resolve(ctx)
+        if located is None:
+            return None
+        function, block, index = located
+        anchor = block.instructions[index] if index < len(block.instructions) else None
+        return ctx.availability(function), block.label_id, anchor
 
     def _body_instructions(self, ctx: Context) -> list[Instruction]:
         result = []
@@ -214,13 +223,24 @@ class FuzzerPass(abc.ABC):
                 )
         return result
 
-    def _id_operand_slots(self, inst: Instruction) -> list[int]:
-        """Operand indices holding value ids (excludes phis by caller)."""
-        return [
-            i
-            for i, (kind, _) in enumerate(inst.operand_slots())
-            if kind is OperandKind.ID
-        ]
+    def _id_operand_slots(self, inst: Instruction) -> tuple[int, ...]:
+        """Operand indices holding value ids (excludes phis by caller).
+
+        The slots depend on the opcode and operand count alone, so they are
+        memoized per that pair; a malformed count raises every time."""
+        key = (inst.opcode, len(inst.operands))
+        slots = _ID_OPERAND_SLOTS.get(key)
+        if slots is None:
+            slots = _ID_OPERAND_SLOTS[key] = tuple(
+                i
+                for i, (kind, _) in enumerate(inst.operand_slots())
+                if kind is OperandKind.ID
+            )
+        return slots
+
+
+#: ``FuzzerPass._id_operand_slots`` per (opcode, operand count).
+_ID_OPERAND_SLOTS: dict[tuple[Op, int], tuple[int, ...]] = {}
 
 
 # -- concrete passes -------------------------------------------------------------
@@ -403,9 +423,7 @@ class PassAddLoadsStores(FuzzerPass):
             elif choice < 0.75:
                 ptr_ty = ctx.value_type(pointer)
                 assert isinstance(ptr_ty, tys.PointerType)
-                values = self._values_at(
-                    ctx, point, lambda _vid, ty: ty == ptr_ty.pointee
-                )
+                values = self._values_of_type(ctx, point, ptr_ty.pointee)
                 if values:
                     out.append(
                         AddStore(
@@ -628,9 +646,7 @@ class PassAddComposites(FuzzerPass):
                 member_ids = []
                 for i in range(tys.composite_member_count(ty)):
                     member_ty = tys.composite_member_type(ty, i)
-                    options = self._values_at(
-                        ctx, point, lambda _vid, t: t == member_ty
-                    )
+                    options = self._values_of_type(ctx, point, member_ty)
                     if not options:
                         member_ids = []
                         break
@@ -666,9 +682,7 @@ class PassAddComposites(FuzzerPass):
                         )
                     else:
                         member_ty = tys.composite_member_type(ty, index)
-                        objects = self._values_at(
-                            ctx, point, lambda _vid, t: t == member_ty
-                        )
+                        objects = self._values_of_type(ctx, point, member_ty)
                         if objects:
                             out.append(
                                 AddCompositeInsert(
@@ -728,9 +742,7 @@ class PassReplaceIrrelevant(FuzzerPass):
                 if current_ty is None:
                     continue
                 point = InsertBefore(anchor_id=inst.result_id)
-                options = self._values_at(
-                    ctx, point, lambda _vid, ty: ty == current_ty
-                )
+                options = self._values_of_type(ctx, point, current_ty)
                 options = [o for o in options if o != current]
                 if options:
                     out.append(
@@ -852,9 +864,7 @@ class PassObfuscate(FuzzerPass):
                     if current_ty is None or isinstance(current_ty, tys.PointerType):
                         continue
                     point = InsertBefore(anchor_id=inst.result_id)
-                    others = self._values_at(
-                        ctx, point, lambda _vid, ty: ty == current_ty
-                    )
+                    others = self._values_of_type(ctx, point, current_ty)
                     if not others:
                         continue
                     negate = bool(falses) and (not trues or rng.random() < 0.5)
@@ -1047,15 +1057,11 @@ class PassFunctionCalls(FuzzerPass):
                 if isinstance(param_ty, tys.PointerType) and not dead:
                     options = [
                         v
-                        for v in self._values_at(
-                            ctx, point, lambda _vid, ty: ty == param_ty
-                        )
+                        for v in self._values_of_type(ctx, point, param_ty)
                         if ctx.facts.is_irrelevant_pointee(v)
                     ]
                 else:
-                    options = self._values_at(
-                        ctx, point, lambda vid, ty: ty == param_ty
-                    )
+                    options = self._values_of_type(ctx, point, param_ty)
                     constants = [o for o in options if ctx.is_constant(o)]
                     if constants:
                         options = constants  # trivial constants first (§3.3)

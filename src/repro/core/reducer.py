@@ -326,6 +326,9 @@ def spirv_reduce(
     uncalled functions while the module-level interestingness test keeps
     passing; unlike the transformation reducer it cannot revert
     transformations and does not preserve semantics.
+
+    Every in-place edit of the working clone is followed by ``touch()``, so a
+    content-keyed probe cache sees each candidate as the module it is.
     """
     from repro.ir.opcodes import Op
     from repro.compilers.passes.base import is_pure
@@ -365,6 +368,7 @@ def spirv_reduce(
                     index += 1
                     continue
                 del current.functions[index]
+                current.touch()
                 tests += 1
                 if is_interesting_module(current):
                     removed += sum(1 for _ in function.all_instructions())
@@ -373,6 +377,7 @@ def spirv_reduce(
                     called = called_ids(current)
                 else:
                     current.functions.insert(index, function)
+                    current.touch()
                     index += 1
         # Try dropping individually unused pure instructions.  ``used`` is
         # recomputed after every accepted deletion — removing an instruction
@@ -403,6 +408,7 @@ def spirv_reduce(
                             index += 1
                             continue
                         del block.instructions[index]
+                        current.touch()
                         tests += 1
                         if is_interesting_module(current):
                             removed += 1
@@ -411,6 +417,7 @@ def spirv_reduce(
                             used = used_ids(current)
                         else:
                             block.instructions.insert(index, inst)
+                            current.touch()
                             index += 1
         if not changed:
             break

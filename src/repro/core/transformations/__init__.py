@@ -20,8 +20,8 @@ from repro.core.transformations.functions import (
 )
 from repro.core.transformations.insertion import (
     InsertBefore,
+    block_insertion_points,
     insert_instruction,
-    sample_insertion_points,
 )
 from repro.core.transformations.memory import AddAccessChain, AddLoad, AddStore
 from repro.core.transformations.outline import OutlineFunction
@@ -82,6 +82,6 @@ __all__ = [
     "ToggleFunctionControl",
     "WrapInSelect",
     "WrapRegionInSelection",
+    "block_insertion_points",
     "insert_instruction",
-    "sample_insertion_points",
 ]

@@ -33,21 +33,12 @@ class SplitBlock(Transformation):
 
     def _locate(self, ctx: Context):
         if self.instruction_id:
-            located = ctx.module.containing_block(self.instruction_id)
-            if located is None:
-                return None
-            function, block = located
-            index = next(
-                i
-                for i, inst in enumerate(block.instructions)
-                if inst.result_id == self.instruction_id
-            )
-            return function, block, index
-        for function in ctx.module.functions:
-            if function.has_block(self.block_label):
-                block = function.block(self.block_label)
-                return function, block, len(block.instructions)
-        return None
+            return ctx.position(self.instruction_id)
+        labelled = ctx.block_of(self.block_label)
+        if labelled is None:
+            return None
+        function, block = labelled
+        return function, block, len(block.instructions)
 
     def precondition(self, ctx: Context) -> bool:
         if not ctx.is_fresh(self.fresh_label_id):
@@ -389,21 +380,21 @@ class PermutePhiOperands(Transformation):
     rotation: int = 1
 
     def precondition(self, ctx: Context) -> bool:
-        located = ctx.module.containing_block(self.phi_id)
+        located = ctx.position(self.phi_id)
         if located is None:
             return False
-        _, block = located
-        inst = next(i for i in block.instructions if i.result_id == self.phi_id)
+        _, block, index = located
+        inst = block.instructions[index]
         if inst.opcode is not Op.Phi:
             return False
         pairs = inst.phi_pairs()
         return len(pairs) >= 2 and 0 < self.rotation < len(pairs)
 
     def apply(self, ctx: Context) -> None:
-        located = ctx.module.containing_block(self.phi_id)
+        located = ctx.position(self.phi_id)
         assert located is not None
-        _, block = located
-        inst = next(i for i in block.instructions if i.result_id == self.phi_id)
+        _, block, index = located
+        inst = block.instructions[index]
         pairs = inst.phi_pairs()
         rotated = pairs[self.rotation :] + pairs[: self.rotation]
         inst.operands = [x for pair in rotated for x in pair]
@@ -426,13 +417,11 @@ class PropagateInstructionUp(Transformation):
     fresh_ids: dict[int, int] = field(default_factory=dict)
 
     def precondition(self, ctx: Context) -> bool:
-        located = ctx.module.containing_block(self.instruction_id)
+        located = ctx.position(self.instruction_id)
         if located is None:
             return False
-        function, block = located
-        inst = next(
-            i for i in block.instructions if i.result_id == self.instruction_id
-        )
+        function, block, index = located
+        inst = block.instructions[index]
         if inst.opcode not in PURE_OPS or inst.opcode is Op.Phi:
             return False
         preds = function.predecessors(block.label_id)
@@ -466,12 +455,10 @@ class PropagateInstructionUp(Transformation):
     def apply(self, ctx: Context) -> None:
         from repro.ir.opcodes import OperandKind, op_info
 
-        located = ctx.module.containing_block(self.instruction_id)
+        located = ctx.position(self.instruction_id)
         assert located is not None
-        function, block = located
-        inst = next(
-            i for i in block.instructions if i.result_id == self.instruction_id
-        )
+        function, block, index = located
+        inst = block.instructions[index]
         preds = function.predecessors(block.label_id)
         mapped = {int(k): int(v) for k, v in self.fresh_ids.items()}
         block_phis = {p.result_id: p for p in block.phis()}

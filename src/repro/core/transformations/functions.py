@@ -315,13 +315,11 @@ class InlineFunction(Transformation):
     result_phi_id: int = 0
 
     def precondition(self, ctx: Context) -> bool:
-        located = ctx.module.containing_block(self.call_instruction_id)
+        located = ctx.position(self.call_instruction_id)
         if located is None:
             return False
-        caller, block = located
-        call = next(
-            i for i in block.instructions if i.result_id == self.call_instruction_id
-        )
+        caller, block, index = located
+        call = block.instructions[index]
         if call.opcode is not Op.FunctionCall:
             return False
         callee_id = int(call.operands[0])
@@ -347,12 +345,10 @@ class InlineFunction(Transformation):
         return ctx.all_fresh_distinct([int(v) for v in used_fresh])
 
     def apply(self, ctx: Context) -> None:
-        located = ctx.module.containing_block(self.call_instruction_id)
+        located = ctx.position(self.call_instruction_id)
         assert located is not None
-        caller, block = located
-        call = next(
-            i for i in block.instructions if i.result_id == self.call_instruction_id
-        )
+        caller, block, index = located
+        call = block.instructions[index]
         callee = ctx.module.get_function(int(call.operands[0]))
         mapped = {int(k): int(v) for k, v in self.id_map.items()}
         required = callee_ids_requiring_fresh(callee)
@@ -442,9 +438,10 @@ class AddFunction(Transformation):
         for inst in function.all_instructions():
             if inst.result_id is not None:
                 donor_ids.append(inst.result_id)
-        if len(set(donor_ids)) != len(donor_ids):
+        donor_id_set = set(donor_ids)
+        if len(donor_id_set) != len(donor_ids):
             return False
-        if not set(donor_ids) <= set(mapped):
+        if not donor_id_set <= set(mapped):
             return False
         fresh_targets = [mapped[d] for d in donor_ids]
         extra = [int(i) for i in self.livesafe_ids]
@@ -474,7 +471,7 @@ class AddFunction(Transformation):
         # Function body may only reference its own ids and declaration ids.
         for inst in function.all_instructions():
             for used in inst.used_ids():
-                if used not in set(donor_ids):
+                if used not in donor_id_set:
                     return False
         return True
 

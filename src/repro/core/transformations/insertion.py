@@ -38,24 +38,18 @@ class InsertBefore:
         structurally pinned).
         """
         if self.anchor_id:
-            located = ctx.module.containing_block(self.anchor_id)
+            located = ctx.position(self.anchor_id)
             if located is None:
                 return None
-            function, block = located
-            index = next(
-                i
-                for i, inst in enumerate(block.instructions)
-                if inst.result_id == self.anchor_id
-            )
-            anchor = block.instructions[index]
-            if anchor.opcode in (Op.Phi, Op.Variable):
+            _, block, index = located
+            if block.instructions[index].opcode in (Op.Phi, Op.Variable):
                 return None
-            return function, block, index
-        for function in ctx.module.functions:
-            for block in function.blocks:
-                if block.label_id == self.block_label:
-                    return function, block, len(block.instructions)
-        return None
+            return located
+        labelled = ctx.block_of(self.block_label)
+        if labelled is None:
+            return None
+        function, block = labelled
+        return function, block, len(block.instructions)
 
 
 def insert_instruction(point_result: tuple[Function, Block, int], inst: Instruction) -> None:
@@ -63,13 +57,14 @@ def insert_instruction(point_result: tuple[Function, Block, int], inst: Instruct
     block.instructions.insert(index, inst)
 
 
-def sample_insertion_points(ctx: Context, function: Function) -> list[InsertBefore]:
-    """All valid insertion points in *function* (for fuzzer sampling)."""
-    points: list[InsertBefore] = []
-    for block in function.blocks:
-        for inst in block.instructions:
-            if inst.opcode in (Op.Phi, Op.Variable) or inst.result_id is None:
-                continue
-            points.append(InsertBefore(anchor_id=inst.result_id))
-        points.append(InsertBefore(block_label=block.label_id))
+def block_insertion_points(block: Block) -> list[tuple[int, int]]:
+    """``(anchor_id, block_label)`` of every valid insertion point in
+    *block*: before each anchorable instruction, then before the
+    terminator."""
+    points = [
+        (inst.result_id, 0)
+        for inst in block.instructions
+        if inst.result_id is not None and inst.opcode not in (Op.Phi, Op.Variable)
+    ]
+    points.append((0, block.label_id))
     return points

@@ -21,12 +21,11 @@ _GUARDED_POSITIONS = {
 
 
 def _locate_use(ctx: Context, instruction_id: int):
-    located = ctx.module.containing_block(instruction_id)
+    located = ctx.position(instruction_id)
     if located is None:
         return None
-    function, block = located
-    inst = next(i for i in block.instructions if i.result_id == instruction_id)
-    return function, block, inst
+    function, block, index = located
+    return function, block, block.instructions[index]
 
 
 def _id_slot(inst: Instruction, operand_index: int) -> int | None:

@@ -50,18 +50,12 @@ class OutlineFunction(Transformation):
 
     def _region(self, ctx: Context):
         """(function, block, start, end) of the inclusive instruction span."""
-        located = ctx.module.containing_block(self.first_id)
-        if located is None:
+        first = ctx.position(self.first_id)
+        last = ctx.position(self.last_id)
+        if first is None or last is None or last[1] is not first[1]:
             return None
-        function, block = located
-        indices = {
-            inst.result_id: i
-            for i, inst in enumerate(block.instructions)
-            if inst.result_id is not None
-        }
-        if self.last_id not in indices:
-            return None
-        start, end = indices[self.first_id], indices[self.last_id]
+        function, block, start = first
+        end = last[2]
         if start > end:
             return None
         return function, block, start, end

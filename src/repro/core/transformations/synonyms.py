@@ -454,13 +454,11 @@ class ReplaceIdWithSynonym(Transformation):
     synonym_id: int
 
     def precondition(self, ctx: Context) -> bool:
-        located = ctx.module.containing_block(self.instruction_id)
+        located = ctx.position(self.instruction_id)
         if located is None:
             return False
-        function, block = located
-        inst = next(
-            i for i in block.instructions if i.result_id == self.instruction_id
-        )
+        function, block, index = located
+        inst = block.instructions[index]
         if inst.opcode in (Op.Phi, Op.Variable):
             return False
         slots = inst.operand_slots()
@@ -484,12 +482,10 @@ class ReplaceIdWithSynonym(Transformation):
         return availability.available_at(self.synonym_id, block.label_id, inst)
 
     def apply(self, ctx: Context) -> None:
-        located = ctx.module.containing_block(self.instruction_id)
+        located = ctx.position(self.instruction_id)
         assert located is not None
-        _, block = located
-        inst = next(
-            i for i in block.instructions if i.result_id == self.instruction_id
-        )
+        _, block, index = located
+        inst = block.instructions[index]
         # Map the slot index back to the flat operand index.
         flat_index = self.operand_index
         inst.operands[flat_index] = self.synonym_id

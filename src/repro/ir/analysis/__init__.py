@@ -1,5 +1,5 @@
 """Static analyses over the IR (CFG, dominators, def-use, availability)."""
 
-from repro.ir.analysis.cfg import Availability, Cfg, DefUse, defined_before_in_block
+from repro.ir.analysis.cfg import Availability, Cfg, DefUse
 
-__all__ = ["Availability", "Cfg", "DefUse", "defined_before_in_block"]
+__all__ = ["Availability", "Cfg", "DefUse"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.module import Block, Function, Instruction, Module, TypedId, typed_id
+from repro.ir.module import Function, Instruction, Module, TypedId, typed_id
 
 
 @dataclass
@@ -242,22 +242,6 @@ class DefUse:
         return bool(self.uses.get(result_id))
 
 
-def defined_before_in_block(block: Block, def_id: int, use_inst: Instruction) -> bool:
-    """True when *def_id* is defined in *block* strictly before *use_inst*.
-
-    The block label itself counts as defined at the top.  *use_inst* may be the
-    block's terminator.
-    """
-    if def_id == block.label_id:
-        return True
-    for inst in block.instructions:
-        if inst is use_inst:
-            return False
-        if inst.result_id == def_id:
-            return True
-    return False
-
-
 class Availability:
     """Answers "is id X available at instruction Y?" for one function.
 
@@ -265,8 +249,8 @@ class Availability:
     a local definition is available at uses it strictly precedes in its own
     block, and everywhere in blocks its block strictly dominates.
 
-    :meth:`typed_available_at` answers from an index built lazily over the
-    function as it stands at the first query, so the owner must drop the
+    Every query answers from indexes built lazily over the function as it
+    stands at the first query that needs them, so the owner must drop the
     object after mutating the module (``Context.invalidate`` does).
     """
 
@@ -274,19 +258,13 @@ class Availability:
         self.module = module
         self.function = function
         self.cfg = Cfg.build(function)
-        self._global_ids = {
-            inst.result_id
-            for inst in module.global_insts
-            if inst.result_id is not None
-        }
-        self._global_ids.update(f.result_id for f in module.functions)
-        self._param_ids = {p.result_id for p in function.params}
-        self._def_block: dict[int, int] = {}
-        for block in function.blocks:
-            self._def_block[block.label_id] = block.label_id
-            for inst in block.instructions:
-                if inst.result_id is not None:
-                    self._def_block[inst.result_id] = block.label_id
+        #: Ids available everywhere: globals, functions and params.
+        self._everywhere: set[int] | None = None
+        #: ``(block label, index in the block)`` per local definition
+        #: (index -1 for a label) and per body instruction, the latter keyed
+        #: by ``id(inst)`` in a map of its own.
+        self._def_sites: dict[int, tuple[int, int]] | None = None
+        self._inst_sites: dict[int, tuple[int, int]] = {}
         #: Per block label, in layout order: its typed definitions, and the
         #: number of them preceding each of its instructions (keyed by
         #: ``id(inst)``).  Built on the first positional query.
@@ -295,24 +273,55 @@ class Availability:
         #: definitions of strict dominators laid out before the block, then
         #: those of strict dominators laid out after it.
         self._dominating: dict[int, tuple[list[TypedId], list[TypedId]]] = {}
+        #: Per ``(block label, own definitions in scope)``: the available
+        #: list and, once asked for, its ids bucketed by type.
+        self._available: dict[tuple[int, int], list] = {}
 
     def available_at(self, def_id: int, block_label: int, use_inst: Instruction | None) -> bool:
         """Is *def_id* usable by *use_inst* residing in block *block_label*?
 
         Pass ``use_inst=None`` to ask about the end of the block (terminator
-        position).
+        position); an instruction that is not in the block's body (its
+        terminator) sees every definition of the block.
         """
-        if def_id in self._global_ids or def_id in self._param_ids:
+        everywhere = self._everywhere
+        if everywhere is None:
+            everywhere = self._everywhere = {
+                inst.result_id
+                for inst in self.module.global_insts
+                if inst.result_id is not None
+            }
+            everywhere.update(f.result_id for f in self.module.functions)
+            everywhere.update(p.result_id for p in self.function.params)
+        if def_id in everywhere:
             return True
-        def_block = self._def_block.get(def_id)
-        if def_block is None:
+        if self._def_sites is None:
+            self._index_sites()
+        site = self._def_sites.get(def_id)  # type: ignore[union-attr]
+        if site is None:
             return False
+        def_block, def_index = site
         if def_block == block_label:
             if use_inst is None:
                 return True
-            block = self.function.block(block_label)
-            return defined_before_in_block(block, def_id, use_inst)
+            use_site = self._inst_sites.get(id(use_inst))
+            if use_site is None or use_site[0] != block_label:
+                return True
+            return def_index < use_site[1]
         return self.cfg.strictly_dominates(def_block, block_label)
+
+    def _index_sites(self) -> None:
+        def_sites: dict[int, tuple[int, int]] = {}
+        inst_sites = self._inst_sites
+        for block in self.function.blocks:
+            label = block.label_id
+            def_sites[label] = (label, -1)
+            for index, inst in enumerate(block.instructions):
+                site = (label, index)
+                inst_sites[id(inst)] = site
+                if inst.result_id is not None:
+                    def_sites[inst.result_id] = site
+        self._def_sites = def_sites
 
     def ids_available_at(self, block_label: int, use_inst: Instruction | None) -> list[int]:
         """All value ids available at the given position (excluding labels)."""
@@ -324,19 +333,40 @@ class Availability:
         """``(id, value type or None)`` of every id available at the given
         position: globals in declaration order, then params, then the
         definitions of the block's strict dominators and of its own prefix,
-        in layout order.  A fresh list the caller may keep."""
-        block_defs = self._index()
-        head, tail = self._dominating_defs(block_label)
-        result = list(head)
-        own = block_defs.get(block_label)
-        if own is not None:
+        in layout order.  Memoized for the object's lifetime, so callers
+        must treat the list as read-only."""
+        return self._entry(block_label, use_inst)[0]
+
+    def ids_of_type_at(
+        self, block_label: int, use_inst: Instruction | None, ty: object
+    ) -> list[int]:
+        """The ids of :meth:`typed_available_at` whose type equals *ty*, in
+        the same order (read-only, like it)."""
+        entry = self._entry(block_label, use_inst)
+        if entry[1] is None:
+            buckets: dict[object, list[int]] = {}
+            for value_id, value_ty in entry[0]:
+                if value_ty is not None:
+                    buckets.setdefault(value_ty, []).append(value_id)
+            entry[1] = buckets
+        return entry[1].get(ty, [])
+
+    def _entry(self, block_label: int, use_inst: Instruction | None) -> list:
+        own = self._index().get(block_label)
+        if own is None:
+            defs: list[TypedId] = []
+            count = 0
+        else:
             defs, preceding = own
-            if use_inst is None:
-                result += defs
-            else:
-                result += defs[: preceding.get(id(use_inst), len(defs))]
-        result += tail
-        return result
+            count = len(defs)
+            if use_inst is not None:
+                count = preceding.get(id(use_inst), count)
+        key = (block_label, count)
+        entry = self._available.get(key)
+        if entry is None:
+            head, tail = self._dominating_defs(block_label)
+            entry = self._available[key] = [head + defs[:count] + tail, None]
+        return entry
 
     def _index(self) -> dict[int, tuple[list[TypedId], dict[int, int]]]:
         if self._block_defs is None:

@@ -422,6 +422,9 @@ def evaluate_constant(defs: dict[int, Instruction], const_id: int) -> object:
 #: type id is missing or undeclared).
 TypedId = tuple[int, "tys.Type | None"]
 
+#: Where a block-body instruction sits: ``(function, block, index)``.
+Position = tuple[Function, Block, int]
+
 
 def typed_id(inst: Instruction, table: dict[int, tys.Type]) -> TypedId:
     """*inst*'s result id and value type, looked up in type table *table*."""
@@ -559,10 +562,18 @@ class Module:
         """
         return sum(1 for _ in self.all_instructions())
 
-    def def_map(self) -> dict[int, Instruction]:
+    def def_map(
+        self,
+        positions: "dict[int, Position] | None" = None,
+        blocks: "dict[int, tuple[Function, Block]] | None" = None,
+    ) -> dict[int, Instruction]:
         """Map every defined result id to its defining instruction.
 
-        Block labels map to synthetic ``OpLabel`` instructions.
+        Block labels map to synthetic ``OpLabel`` instructions.  When given,
+        the same walk fills *positions* with ``(function, block, index)`` of
+        every block-body instruction that defines an id (what
+        :meth:`containing_block` finds, plus the index) and *blocks* with
+        ``(function, block)`` per label.
         """
         # A flat walk in ``all_instructions`` order (this runs on every
         # transformation context): ``count`` entries that collapse into a
@@ -590,10 +601,20 @@ class Module:
                 label.operands = []
                 defs[block.label_id] = label
                 count += 1
-                for inst in block.instructions:
-                    if inst.result_id is not None:
-                        defs[inst.result_id] = inst
-                        count += 1
+                if positions is None:
+                    for inst in block.instructions:
+                        if inst.result_id is not None:
+                            defs[inst.result_id] = inst
+                            count += 1
+                else:
+                    if blocks is not None:
+                        blocks[block.label_id] = (function, block)
+                    for index, inst in enumerate(block.instructions):
+                        result_id = inst.result_id
+                        if result_id is not None:
+                            defs[result_id] = inst
+                            positions[result_id] = (function, block, index)
+                            count += 1
                 term = block.terminator
                 if term is not None and term.result_id is not None:
                     defs[term.result_id] = term

@@ -1,9 +1,11 @@
-"""The bug-free passes' hot loops as they were before the one-sweep rewrite:
-every replacement walks the whole module (``replace_value_uses``),
-constant folding recomputes ``module_constants`` after every fold, and dead
-code elimination rescans the module's used ids once per removal round and
-once per block.  They live here only as the references
-``test_pass_equivalence.py`` compares the production passes against.
+"""The passes' hot loops as they were before their rewrites: every
+replacement walks the whole module (``replace_value_uses``), constant
+folding recomputes ``module_constants`` after every fold, dead code
+elimination rescans the module's used ids once per removal round and once
+per block, and CFG simplification restarts its block scan after every merge
+and recomputes ``function.predecessors`` for every candidate and crash
+check.  They live here only as the references ``test_pass_equivalence.py``
+compares the production passes against.
 """
 
 from __future__ import annotations
@@ -15,14 +17,19 @@ from repro.compilers.passes import (
     DeadCodeEliminationPass,
     Mem2RegPass,
     Pass,
+    SimplifyCfgPass,
 )
 from repro.compilers.passes.base import is_pure, module_constants, remove_unreachable_blocks
 from repro.compilers.passes.copyprop import _RELAXABLE_COMPARES
 from repro.ir.analysis.cfg import Cfg
 from repro.ir.builder import ModuleBuilder
-from repro.ir.module import Instruction, Module
+from repro.ir.module import Function, Instruction, Module
 from repro.ir.opcodes import TRAPPING_OPS, Op, OperandKind
-from repro.ir.rewrite import remove_phi_predecessor, replace_value_uses
+from repro.ir.rewrite import (
+    remove_phi_predecessor,
+    replace_value_uses,
+    rewrite_phi_predecessor,
+)
 
 
 def reference_used_ids(inst: Instruction) -> list[int]:
@@ -325,11 +332,82 @@ class ReferenceDeadCodeElimination(DeadCodeEliminationPass):
         return changed
 
 
+class ReferenceSimplifyCfg(SimplifyCfgPass):
+    """One merge per scan from the first block, with ``function.predecessors``
+    recomputed for every candidate and every crash check."""
+
+    def run(self, module: Module, bugs: BugContext) -> bool:
+        changed = False
+        for function in module.functions:
+            self._reference_crash_checks(function, bugs)
+            if self._drop_kill_edges(function, bugs):
+                changed = True
+            while self._merge_one_chain(function, bugs):
+                changed = True
+        return changed
+
+    def _reference_crash_checks(self, function: Function, bugs: BugContext) -> None:
+        for block in function.blocks:
+            term = block.terminator
+            if (
+                term is not None
+                and term.opcode is Op.BranchConditional
+                and int(term.operands[1]) == int(term.operands[2])
+            ):
+                bugs.crash(
+                    "simplifycfg-same-target",
+                    "block_merge.cpp:131: Assertion `true_block != false_block' "
+                    f"failed for %{block.label_id}",
+                )
+            preds = function.predecessors(block.label_id)
+            if len(preds) >= 4:
+                bugs.crash(
+                    "simplifycfg-many-preds",
+                    "cfg_cleanup.cpp:59: too many predecessors "
+                    f"({len(preds)}) for block %{block.label_id}",
+                )
+
+    def _merge_one_chain(self, function: Function, bugs: BugContext) -> bool:
+        for block in function.blocks:
+            term = block.terminator
+            if term is None or term.opcode is not Op.Branch:
+                continue
+            succ_label = int(term.operands[0])
+            if succ_label == block.label_id:
+                continue
+            succ = function.block(succ_label)
+            if succ is function.entry_block():
+                continue
+            preds = function.predecessors(succ_label)
+            if preds != [block.label_id]:
+                continue
+            if succ.phis():
+                continue
+            if any(inst.opcode is Op.Variable for inst in succ.instructions):
+                continue
+            block.instructions.extend(succ.instructions)
+            block.terminator = succ.terminator
+            function.blocks.remove(succ)
+            if any(
+                function.block(next_label).phis()
+                for next_label in block.successors()
+            ) and bugs.active("simplifycfg-stale-phi"):
+                bugs.fire("simplifycfg-stale-phi")
+                return True
+            for next_label in block.successors():
+                rewrite_phi_predecessor(
+                    function.block(next_label), succ_label, block.label_id
+                )
+            return True
+        return False
+
+
 _REFERENCES: dict[type, type] = {
     ConstantFoldingPass: ReferenceConstantFolding,
     CopyPropagationPass: ReferenceCopyPropagation,
     Mem2RegPass: ReferenceMem2Reg,
     DeadCodeEliminationPass: ReferenceDeadCodeElimination,
+    SimplifyCfgPass: ReferenceSimplifyCfg,
 }
 
 

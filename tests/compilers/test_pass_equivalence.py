@@ -14,6 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.compilers.base import BugContext, CompilerCrash
+from repro.compilers.passes import SimplifyCfgPass
+from repro.ir import ModuleBuilder, VoidType
 from repro.ir.module import Instruction, IrError
 from repro.ir.opcodes import Op
 from repro.ir.printer import disassemble
@@ -54,6 +56,28 @@ def test_passes_match_their_references(references, donors):
                     crashes += 1
                     break
     assert compared > 0 and crashes > 0
+
+
+def test_simplifycfg_merges_through_an_edge_kill_drop_removed():
+    """The kill-drop bug turns ``dropper``'s conditional branch into a branch
+    to ``middle``, which leaves ``kill`` with one predecessor, so the chain
+    entry → dropper → middle → kill merges into one block."""
+    b = ModuleBuilder()
+    f = b.function("main", VoidType())
+    entry, dropper, middle, kill = f.block(), f.block(), f.block(), f.block()
+    entry.branch(dropper.label_id)
+    dropper.branch_cond(b.bool_const(True), kill.label_id, middle.label_id)
+    middle.branch(kill.label_id)
+    kill.kill()
+    b.entry_point(f.result_id)
+    module = b.build()
+    enabled = frozenset({"simplifycfg-kill-drop"})
+    fast, slow = module.clone(), module.clone()
+    got = _run(SimplifyCfgPass(), fast, BugContext(enabled))
+    expected = _run(reference_pass(SimplifyCfgPass()), slow, BugContext(enabled))
+    assert got == expected
+    assert got[1] == ["simplifycfg-kill-drop"]
+    assert len(fast.entry_function().blocks) == 1
 
 
 def test_used_ids_match_the_reference(references, donors):

@@ -4,14 +4,15 @@ wired through ``Harness.reduce_finding`` / ``reduce_all``."""
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
 
-from repro.compilers import make_targets
-from repro.core.fuzzer import FuzzerOptions
-from repro.core.harness import Harness
-from repro.core.reducer import shrink_add_function_payloads
+from repro.compilers import make_target, make_targets
+from repro.core.fuzzer import Fuzzer, FuzzerOptions
+from repro.core.harness import Finding, Harness
+from repro.core.reducer import replay, shrink_add_function_payloads
 from repro.corpus import donor_programs, reference_programs
 from repro.reduce import DEFAULT_PASS_NAMES, ReductionConfig
 
@@ -137,3 +138,53 @@ class TestSerialTrace:
             end = next(e for e in events if e["ev"] == "reduce.end")
             assert "speculation" not in end
             assert harness.metrics.counter("reduce.parallel") == 0
+
+
+def _cli_finding(harness, program, seed):
+    """The finding ``repro-reduce`` builds for ``repro-fuzz PROGRAM --seed
+    SEED`` (150 transformations at most) on the harness's only target."""
+    fuzzed = Fuzzer(donor_programs(), FuzzerOptions(max_transformations=150)).run(
+        program.module, program.inputs, seed
+    )
+    target = harness.targets[0]
+    ctx = replay(program.module, program.inputs, fuzzed.transformations)
+    classified, optimized_flow = harness.classify_variant(
+        target, harness.reference_outcome(target, program), ctx.module, ctx.inputs
+    )
+    assert classified is not None, "the variant should trigger a bug"
+    signature, kind, ground_truth = classified
+    return Finding(
+        target_name=target.name,
+        program_name=program.name,
+        seed=seed,
+        signature=signature,
+        kind=kind,
+        optimized_flow=optimized_flow,
+        transformations=list(fuzzed.transformations),
+        original=program.module,
+        inputs=dict(program.inputs),
+        ground_truth_bug=ground_truth,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3, 9])
+def test_cleanup_through_the_probe_cache_matches_uncached_probing(seed):
+    """spirv-reduce edits its working module in place; the probe cache must
+    see every edit (seed 3 once kept a deletion the uncached run rejects)."""
+    program = next(p for p in reference_programs() if p.name == "arith_mix_0")
+    reductions = []
+    for probe_cache in (True, False):
+        harness = Harness(
+            [make_target("SwiftShader")], [program], probe_cache=probe_cache
+        )
+        finding = _cli_finding(harness, program, seed)
+        reductions.append((harness, finding, harness.reduce_finding(finding, PIPELINE)))
+    (_, _, cached), (uncached_harness, finding, uncached) = reductions
+    assert cached.transformations == uncached.transformations
+    assert cached.tests_run == uncached.tests_run
+    assert cached.cleaned_module is not None
+    assert cached.cleaned_module.fingerprint() == uncached.cleaned_module.fingerprint()
+    _, verdict = uncached_harness._module_probe_factory(
+        finding, functools.partial(replay, finding.original, finding.inputs)
+    )(cached.transformations)
+    assert verdict(cached.cleaned_module).interesting
