@@ -146,10 +146,6 @@ class FactManager:
         members = self._plain_members[self._find(plain(value_id))]
         return [m for m in members if m != value_id]
 
-    def indexed_synonym_targets(self) -> list[DataDescriptor]:
-        """All indexed descriptors known to the synonym relation."""
-        return [d for d in self._synonym_parent if not d.is_plain]
-
     def known_descriptors(self) -> list[DataDescriptor]:
         return list(self._synonym_parent)
 

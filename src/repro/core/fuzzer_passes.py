@@ -59,7 +59,7 @@ from repro.core.transformations import (
 from repro.core.transformations.insertion import block_insertion_points
 from repro.interp.values import srem, wrap_i32
 from repro.ir import types as tys
-from repro.ir.module import Function, Instruction
+from repro.ir.module import Instruction
 from repro.ir.opcodes import (
     COMMUTATIVE_OPS,
     FUNCTION_CONTROLS,
@@ -160,9 +160,6 @@ class FuzzerPass(abc.ABC):
         return applied
 
     # -- shared sampling helpers -------------------------------------------------
-
-    def _functions(self, ctx: Context) -> list[Function]:
-        return list(ctx.module.functions)
 
     def _random_points(
         self,

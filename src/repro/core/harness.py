@@ -57,10 +57,6 @@ class Finding:
     #: such findings apart from stable bugs.
     nondeterministic: bool = False
 
-    @property
-    def is_crash(self) -> bool:
-        return self.kind == "crash"
-
 
 def _probe_delay(target: "object") -> float | None:
     """The ``--probe-delay`` latency anywhere in *target*'s wrapper chain."""
@@ -649,23 +645,14 @@ class Harness:
         subsequence still trigger this finding's bug on its target?
 
         With a :class:`~repro.perf.replay_cache.CachedReplayer` bound to the
-        finding, candidate replays reuse prefix snapshots and verdicts are
-        memoized — results stay byte-identical to the uncached predicate.
+        finding, candidate replays reuse prefix snapshots — results stay
+        byte-identical to the uncached predicate.
         """
-        probe_test = None
+        probe_test = self.make_probe_test(finding, replayer=replayer)
 
         def is_interesting(candidate: Sequence[Transformation]) -> bool:
-            nonlocal probe_test
-            if probe_test is None:
-                # Built on first use: a pooled reduction never probes here,
-                # so it runs no reference probe here either.
-                probe_test = self.make_probe_test(finding, replayer=replayer)
             return probe_test(candidate).interesting
 
-        if replayer is not None:
-            from repro.perf.replay_cache import CachedInterestingness
-
-            return CachedInterestingness(replayer, is_interesting)
         return is_interesting
 
     def make_probe_test(
@@ -673,12 +660,13 @@ class Harness:
     ):
         """Like :meth:`make_interestingness_test`, but fault-aware: returns a
         verdict test mapping candidates to :class:`~repro.robustness.
-        ProbeVerdict` for the fault-tolerant reducer (see :meth:`_verdict`).
+        ProbeVerdict`, the one every reduction probe decides by (see
+        :meth:`_verdict`).
 
         No verdict memoization is layered here even when a *replayer* is
         given — caching a faulted probe would defeat the retry policy.  The
         :class:`~repro.robustness.FlakeHardenedOracle` memoizes final
-        *decisions* by candidate content instead, and counts its queries into
+        *decisions* by candidate content instead, and counts its commits into
         the replayer's :class:`~repro.perf.replay_cache.ReplayStats`.
         """
         target = next(t for t in self.targets if t.name == finding.target_name)
@@ -731,12 +719,11 @@ class Harness:
         self,
         finding: Finding,
         *,
-        decide: bool = False,
         policy: "object | None" = None,
     ) -> "object":
-        """A picklable spec that rebuilds this finding's interestingness
-        probe inside a worker-pool process (see :class:`~repro.perf.pool.
-        FindingProbeSpec`).  Raises for targets or corpus
+        """A picklable spec that rebuilds this finding's probe, deciding
+        under *policy*, inside a worker-pool process (see :class:`~repro.
+        perf.pool.FindingProbeSpec`).  Raises for targets or corpus
         programs a worker could not rebuild by name."""
         import json as json_mod
 
@@ -763,7 +750,6 @@ class Harness:
             kind=finding.kind,
             optimized_flow=finding.optimized_flow,
             robustness=self.robustness,
-            decide=decide,
             policy=policy,
             probe_delay=probe_delay,
             probe_cache=self.probe_cache is not None,
@@ -773,18 +759,14 @@ class Harness:
         self, findings: "dict[str, Finding]", config: "object"
     ) -> "object | None":
         """One :class:`~repro.perf.pool.WorkerPool` over *findings* (keyed by
-        session key), whose workers run the fault-tolerant decision pipeline
-        when the resolved *config* carries a policy; ``None`` when some
-        finding cannot be shipped to workers (the reductions then run
-        inline)."""
+        session key), whose workers decide under the resolved *config*'s
+        policy; ``None`` when some finding cannot be shipped to workers (the
+        reductions then run inline)."""
         from repro.perf.pool import WorkerPool
 
-        policy = config.policy
         try:
             specs = {
-                key: self.finding_probe_spec(
-                    finding, decide=policy is not None, policy=policy
-                )
+                key: self.finding_probe_spec(finding, policy=config.policy)
                 for key, finding in findings.items()
             }
         except (KeyError, ValueError):
@@ -915,15 +897,17 @@ class Harness:
         paper's pay-full-price replay gives (``make_interestingness_test(
         finding)`` is that uncached reference).
 
-        The **fault envelope** (:class:`~repro.robustness.FlakeHardenedOracle`
-        as the engine's commit hook) engages whenever the harness supervises
-        its targets (a :class:`~repro.robustness.RobustnessConfig` was given),
-        the config carries a policy, or the call passes a *journal* (a path
-        or :class:`~repro.robustness.ReductionJournal` for checkpoint/resume)
-        or ``resume=True``.  On a deterministic, well-behaved target it
-        returns the same reduced sequence as the plain reduction; under
-        faults or flaky verdicts it retries, votes, degrades to best-so-far,
-        and — with a journal — survives ``SIGKILL``.
+        Every candidate is decided by a :class:`~repro.robustness.
+        FlakeHardenedOracle`, the engine's commit hook.  It is
+        **fault-tolerant** whenever the harness supervises its targets (a
+        :class:`~repro.robustness.RobustnessConfig` was given), the config
+        carries a policy, or the call passes a *journal* (a path or
+        :class:`~repro.robustness.ReductionJournal` for checkpoint/resume) or
+        ``resume=True``; otherwise it trusts one probe per decision.  On a
+        deterministic, well-behaved target both return the same reduced
+        sequence; under faults or flaky verdicts a fault-tolerant reduction
+        retries, votes, degrades to best-so-far, and — with a journal —
+        survives ``SIGKILL``.
 
         This is :meth:`reduce_all` of one finding, plus the per-finding
         journal.
@@ -958,7 +942,8 @@ class Harness:
         from dataclasses import replace
 
         from repro.perf.parallel_reduce import run_sessions
-        from repro.reduce import ReductionConfig
+        from repro.reduce import PipelineContext, ReductionConfig
+        from repro.robustness import find_supervised
 
         config = (config or ReductionConfig()).resolve(
             robustness=self.robustness, journaled=journal is not None or resume
@@ -981,9 +966,23 @@ class Harness:
                         finding, config, pipeline
                     )
                     begun[key] = (finding, started, replayer)
-                    context = self._pipeline_context(
-                        finding, key, replayer, pool, config,
-                        journal=journal, resume=resume,
+                    target = next(
+                        t for t in self.targets if t.name == finding.target_name
+                    )
+                    context = PipelineContext(
+                        verdict_test=self.make_probe_test(finding, replayer=replayer),
+                        config=config,
+                        journal=journal,
+                        resume=resume,
+                        supervised_target=find_supervised(target),
+                        pool=pool,
+                        pool_key=key,
+                        tracer=self.tracer,
+                        metrics=self.metrics,
+                        replay_stats=replayer.stats,
+                        module_probe=self._module_probe_factory(
+                            finding, replayer.replay
+                        ),
                     )
                     _advance(
                         key, pipeline.steps(finding.transformations, context),
@@ -1009,49 +1008,6 @@ class Harness:
             if pool is not None:
                 pool.close()
         return results
-
-    def _pipeline_context(
-        self,
-        finding: Finding,
-        key: str,
-        replayer: "object",
-        pool: "object | None",
-        config: "object",
-        *,
-        journal: "object | None",
-        resume: bool,
-    ) -> "object":
-        """A :class:`~repro.reduce.PipelineContext` over this finding's
-        probes: the fault-tolerant verdict test when the resolved *config*
-        carries a policy, the plain interestingness test otherwise."""
-        from repro.reduce import PipelineContext
-
-        shared = dict(
-            config=config,
-            pool=pool,
-            pool_key=key,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            module_probe=self._module_probe_factory(finding, replayer.replay),
-        )
-        if config.policy is None:
-            return PipelineContext(
-                is_interesting=self.make_interestingness_test(
-                    finding, replayer=replayer
-                ),
-                **shared,
-            )
-        from repro.robustness import find_supervised
-
-        target = next(t for t in self.targets if t.name == finding.target_name)
-        return PipelineContext(
-            verdict_test=self.make_probe_test(finding, replayer=replayer),
-            journal=journal,
-            resume=resume,
-            supervised_target=find_supervised(target),
-            replay_stats=replayer.stats,
-            **shared,
-        )
 
     def reduced_variant(
         self, finding: Finding, reduction: ReductionResult

@@ -246,7 +246,8 @@ def summarize(records: Iterable[dict]) -> dict:
 
 
 def cache_hit_percent(cache: dict) -> float | None:
-    """Share of interestingness queries answered without a full-price
+    """Share of committed reduction decisions (``requests``, counted by the
+    reduction's oracles on every run) reached without a full-price
     (from-scratch) replay: memo hits plus prefix-seeded replays."""
     requests = cache.get("requests", 0)
     if not requests:

@@ -40,7 +40,6 @@ _EXPORTS = {
     "FindingProbeSpec": "pool",
     "WorkerPool": "pool",
     "WorkerProbeError": "pool",
-    "CachedInterestingness": "replay_cache",
     "CachedReplayer": "replay_cache",
     "ReplayStats": "replay_cache",
 }

@@ -1,13 +1,15 @@
 """The reduction engine: delta debugging with a deterministic commit order
 (§3.4; speculative parallelism is C-Reduce-style, beyond the paper).
 
-Every ddmin reduction in the package — serial or parallel, plain or
-fault-tolerant — runs through one :class:`ReductionSession` over one
-:class:`SpeculativeReduction` engine.  The reducers build their sessions as
-ddmin *legs* of a :class:`~repro.reduce.PassPipeline`, which yields each
-leg to its caller: :meth:`ReductionSession.run` drives one leg, and
-:func:`run_sessions` drives the current legs of many reductions (the
-findings of one ``reduce_all``) together over one shared worker pool.
+Every ddmin reduction in the package — serial or parallel, with or without
+a fault policy — runs through one :class:`ReductionSession` over one
+:class:`SpeculativeReduction` engine, and decides every candidate through
+one :class:`~repro.robustness.reduction.FlakeHardenedOracle`.  The reducers
+build their sessions as ddmin *legs* of a :class:`~repro.reduce.
+PassPipeline`, which yields each leg to its caller:
+:meth:`ReductionSession.run` drives one leg, and :func:`run_sessions`
+drives the current legs of many reductions (the findings of one
+``reduce_all``) together over one shared worker pool.
 :func:`~repro.core.reducer.reduce_transformations` stays as the paper's
 reference loop that the identity tests compare against.
 
@@ -46,11 +48,12 @@ engine event carries its session's ``key`` (``finding-N`` under the
 harness), so the rounds of reductions sharing a pool can be told apart in
 one trace.
 
-**The fault envelope is the commit hook**: a fault-tolerant session hands
-the engine a :class:`~repro.robustness.reduction.FlakeHardenedOracle`,
-whose read-only ``lookup`` resolves journaled and memoized candidates
-without probing and whose ``commit`` folds each decision — inline or from
-a worker — into the stability accounting and journal in serial order.
+**The oracle is the commit hook**: the engine keys each candidate once
+(``oracle.key``); the oracle's read-only ``lookup`` resolves journaled and
+memoized keys without probing, and its ``commit`` folds each decision —
+inline or from a worker — into the memo, stability accounting and journal
+in serial order.  A policy-less oracle trusts one probe per decision and
+lets probe errors propagate, which is the reference loop exactly.
 Byte-identity is guaranteed for deterministic oracles; a run cut short by a
 wall-clock budget or a genuinely flaky oracle is timing-dependent anyway.
 """
@@ -58,11 +61,10 @@ wall-clock budget or a genuinely flaky oracle is timing-dependent anyway.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
-from repro.core.reducer import InterestingnessTest, ReductionResult
+from repro.core.reducer import ReductionResult
 from repro.observability import as_tracer
 
 #: In-flight candidates per worker a pool-backed reduction ramps up to.
@@ -107,19 +109,27 @@ class SpeculationStats:
 
 
 class _Candidate:
-    """One generated candidate: its position in the serial commit order plus
-    the index tuple (into the engine's items) that materialises it."""
+    """One generated candidate: its position in the serial commit order, the
+    index tuple (into the engine's items) that materialises it, and its
+    oracle key."""
 
-    __slots__ = ("sid", "chunk", "start", "end", "indices")
+    __slots__ = ("sid", "chunk", "start", "end", "indices", "key")
 
     def __init__(
-        self, sid: int, chunk: int, start: int, end: int, indices: tuple[int, ...]
+        self,
+        sid: int,
+        chunk: int,
+        start: int,
+        end: int,
+        indices: tuple[int, ...],
+        key: Any,
     ) -> None:
         self.sid = sid
         self.chunk = chunk
         self.start = start
         self.end = end
         self.indices = indices
+        self.key = key
 
 
 def _trajectory(
@@ -168,11 +178,13 @@ class SpeculativeReduction:
     *items*, so a pool built over a longer original sequence needs no
     re-basing.
 
-    *lookup* (optional) resolves a candidate without probing — the
-    journal-resume and memo short-circuit.  It must be **read-only**:
-    speculative candidates may never commit, so all bookkeeping belongs in
-    *on_commit*, which sees the committed serial-order stream, returns the
-    final verdict, and may raise to abort the reduction.
+    *oracle* (a :class:`~repro.robustness.reduction.FlakeHardenedOracle`)
+    keys each generated candidate once.  Its ``lookup`` resolves a key
+    without probing — the journal-resume and memo short-circuit — and must
+    be **read-only**: speculative candidates may never commit, so all
+    bookkeeping belongs in its ``commit``, which sees the committed
+    serial-order stream, returns the final verdict, and may raise to abort
+    the reduction.
 
     *stats* says how the engine is driven: ``mode == "pool"`` caps the
     in-flight candidates at :data:`SPECULATION_PER_WORKER` per worker and
@@ -184,10 +196,9 @@ class SpeculativeReduction:
     def __init__(
         self,
         items: Sequence,
+        oracle: Any,
         *,
         positions: Sequence[int] | None = None,
-        lookup: Callable[[list], tuple | None] | None = None,
-        on_commit: Callable[[list, dict | None, str], bool] | None = None,
         key: str = "reduction",
         tracer: Any = None,
         stats: SpeculationStats | None = None,
@@ -199,8 +210,7 @@ class SpeculativeReduction:
         )
         length = len(self.current)
         self.initial_length = length
-        self.lookup = lookup
-        self.on_commit = on_commit
+        self.oracle = oracle
         self.tracer = as_tracer(tracer)
         self.stats = stats if stats is not None else SpeculationStats()
         self._cap = (
@@ -229,7 +239,6 @@ class SpeculativeReduction:
         self._gen_exhausted = not self._ladder
         self._next_sid = 0
         self._commit_sid = 0
-        self._pending: deque[_Candidate] = deque()
         self._outstanding: dict[int, _Candidate] = {}
         self._resolved: dict[int, tuple[_Candidate, bool, dict | None, str]] = {}
         self._ramp = 1
@@ -243,7 +252,6 @@ class SpeculativeReduction:
             return True
         return (
             self._gen_exhausted
-            and not self._pending
             and not self._outstanding
             and not self._resolved
         )
@@ -264,7 +272,7 @@ class SpeculativeReduction:
         if self._finished:
             return out
         while len(out) < limit and len(self._outstanding) + len(out) < self._ramp:
-            candidate = self._pending.popleft() if self._pending else self._generate()
+            candidate = self._generate()
             if candidate is None:
                 break
             cached = self._memo.get(candidate.indices)
@@ -274,16 +282,15 @@ class SpeculativeReduction:
                 if cached:
                     break
                 continue
-            if self.lookup is not None:
-                hit = self.lookup(self.materialize(candidate))
-                if hit is not None:
-                    verdict, record, source = hit
-                    self._resolved[candidate.sid] = (candidate, verdict, record, source)
-                    if source == "journal":
-                        self.stats.journal_short_circuits += 1
-                    if verdict:
-                        break
-                    continue
+            hit = self.oracle.lookup(candidate.key)
+            if hit is not None:
+                verdict, record, source = hit
+                self._resolved[candidate.sid] = (candidate, verdict, record, source)
+                if source == "journal":
+                    self.stats.journal_short_circuits += 1
+                if verdict:
+                    break
+                continue
             self._outstanding[candidate.sid] = candidate
             out.append(candidate)
         if out:
@@ -324,9 +331,10 @@ class SpeculativeReduction:
         while not self._finished and self._commit_sid in self._resolved:
             candidate, verdict, record, source = self._resolved.pop(self._commit_sid)
             self._commit_sid += 1
-            self.tests_run += 1  # counted even if on_commit aborts
-            if self.on_commit is not None:
-                verdict = self.on_commit(self.materialize(candidate), record, source)
+            self.tests_run += 1  # counted even if the oracle's commit aborts
+            verdict = self.oracle.commit(
+                candidate.key, len(candidate.indices), record, source
+            )
             self._commit(candidate, verdict)
             progressed = True
         return progressed
@@ -371,7 +379,8 @@ class SpeculativeReduction:
     def _generate(self) -> "_Candidate | None":
         for chunk, start, end in self._gen:
             indices = tuple(self.current[:start] + self.current[end:])
-            candidate = _Candidate(self._next_sid, chunk, start, end, indices)
+            key = self.oracle.key([self.items[i] for i in indices])
+            candidate = _Candidate(self._next_sid, chunk, start, end, indices, key)
             self._next_sid += 1
             return candidate
         self._gen_exhausted = True
@@ -426,7 +435,6 @@ class SpeculativeReduction:
         self.stats.wasted += wasted
         self._outstanding.clear()
         self._resolved.clear()
-        self._pending.clear()
         return wasted
 
     def _sync_round(self, chunk: int) -> None:
@@ -453,28 +461,26 @@ class ReductionSession:
     build, drive, finalize — every ddmin reduction in the package runs as
     one.
 
-    A session is *plain* (``test``, a boolean interestingness test) or
-    *fault-tolerant* (``oracle``, a :class:`~repro.robustness.reduction.
-    FlakeHardenedOracle` whose ``lookup``/``commit`` pair becomes the
-    engine's commit hook).  Without a *pool* it runs inline, one candidate
-    at a time — the serial reducer; with one, :func:`run_sessions`
+    The session decides through *oracle*, a :class:`~repro.robustness.
+    reduction.FlakeHardenedOracle` whose ``key``/``lookup``/``commit``
+    become the engine's commit hook.  Without a *pool* it runs inline, one
+    candidate at a time — the serial reducer; with one, :func:`run_sessions`
     dispatches its candidates under *key*, side by side with other
     sessions, up to :data:`SPECULATION_PER_WORKER` per worker in flight.
     *positions* is the base map from the sequence under reduction into
     *items*, the sequence the pool's workers were built over.
 
     A session does not verify its input: its pipeline does, before the
-    first leg.  :meth:`finalize` returns the result — fault-tolerant
-    sessions stop at best-so-far with a structured ``degraded`` reason
-    rather than raise.
+    first leg.  :meth:`finalize` returns the result — a fault-tolerant
+    oracle's session stops at best-so-far with a structured ``degraded``
+    reason rather than raise.
     """
 
     def __init__(
         self,
         items: Sequence,
+        oracle: Any,
         *,
-        test: InterestingnessTest | None = None,
-        oracle: Any = None,
         pool: Any = None,
         key: str = "reduction",
         positions: Sequence[int] | None = None,
@@ -484,7 +490,6 @@ class ReductionSession:
         stats: SpeculationStats | None = None,
     ) -> None:
         self.key = key
-        self.test = test
         self.oracle = oracle
         self.pool = pool
         self.deadline = deadline
@@ -498,9 +503,8 @@ class ReductionSession:
             stats.workers = workers
         self.engine = SpeculativeReduction(
             items,
+            oracle,
             positions=positions,
-            lookup=oracle.lookup if oracle is not None else None,
-            on_commit=oracle.commit if oracle is not None else None,
             key=key,
             tracer=tracer,
             stats=stats,
@@ -525,31 +529,23 @@ class ReductionSession:
                     engine.finish_timed_out()
                     break
                 for candidate in engine.take_dispatch(1):
-                    items = engine.materialize(candidate)
-                    if self.oracle is not None:
-                        record = self.oracle.decide(items)
-                        engine.deliver(candidate.sid, bool(record["verdict"]), record)
-                    else:
-                        engine.deliver(candidate.sid, bool(self.test(items)))
+                    record = self.oracle.decide(engine.materialize(candidate))
+                    engine.deliver(candidate.sid, bool(record["verdict"]), record)
                 engine.commit_ready()
             engine.finalize()
         except Exception as exc:  # noqa: BLE001 - surfaced by finalize()
             self.error = exc
 
     def deliver(self, candidate: "_Candidate", payload: tuple) -> None:
-        """Hand one worker reply to the engine: a decision record in fault
-        mode, a boolean verdict otherwise."""
+        """Hand one worker reply, a decision record, to the engine."""
         from repro.perf.pool import WorkerProbeError, reply_value
 
         try:
-            value = reply_value(payload)
+            record = reply_value(payload)
         except WorkerProbeError as exc:
             self.error = exc
         else:
-            if self.oracle is not None:
-                self.engine.deliver(candidate.sid, bool(value["verdict"]), value)
-            else:
-                self.engine.deliver(candidate.sid, bool(value))
+            self.engine.deliver(candidate.sid, bool(record["verdict"]), record)
 
     def commit(self) -> bool:
         """Commit at the serial frontier; True if anything committed."""
@@ -562,13 +558,13 @@ class ReductionSession:
     # -- finalize ------------------------------------------------------------------
 
     def finalize(self) -> ReductionResult:
-        """The reduction result.  Plain sessions re-raise a probe error; a
-        fault-tolerant session that failed a decision stops at the
+        """The reduction result.  A policy-less session re-raises a probe
+        error; a fault-tolerant one that failed a decision stops at the
         best-so-far sequence (the last committed acceptance) and records
         why in ``degraded``/``detail`` — its pipeline reports that once for
         the whole run."""
         if self.error is not None:
-            if self.oracle is None:
+            if not self.oracle.fault_tolerant:
                 raise self.error
             from repro.robustness.reduction import degradation
 
@@ -577,15 +573,6 @@ class ReductionSession:
         if self.degraded is not None:
             result.history = []  # best-so-far, not a finished ddmin trajectory
         return result
-
-
-def verify_in_pool(pool: Any, key: str, positions: Sequence[int]) -> bool:
-    """The verify probe of the sequence at *positions*, run by a worker of
-    *pool* under *key* (a pooled reduction never probes in the parent)."""
-    from repro.perf.pool import reply_value
-
-    (reply,) = pool.result(pool.submit(key, [tuple(positions)]))
-    return bool(reply_value(reply))
 
 
 def run_sessions(sessions: Sequence[ReductionSession]) -> None:

@@ -14,11 +14,11 @@ list of small items:
   merged campaign is byte-identical to a serial one;
 * a :class:`CallableProbeSpec` (an in-memory test plus the item sequence)
   or a :class:`FindingProbeSpec` (a finding's probe rebuilt from names
-  only, the way ``CampaignSpec`` rebuilds a harness) builds a probe runner;
-  its items are candidate index tuples into the sequence under reduction,
-  and each reply is a verdict — or a full
-  :class:`~repro.robustness.reduction.FlakeHardenedOracle` decision record
-  in ``decide`` mode.
+  only, the way ``CampaignSpec`` rebuilds a harness) builds a probe runner
+  around a :class:`~repro.robustness.reduction.FlakeHardenedOracle` under
+  the spec's policy (none: the trusting one-probe decision); its items are
+  candidate index tuples into the sequence under reduction, and each reply
+  is that oracle's decision record.
 
 Under the ``fork`` start method the specs are inherited, never pickled, so
 even closure-heavy oracles ship on POSIX; elsewhere the spec must pickle
@@ -31,10 +31,12 @@ does not poison the others — and drains the runner's counters once per
 submission: the campaign harness's ``Metrics``, or the replayer's
 ``ReplayStats``.  The pool merges those deltas per spec key
 (:meth:`WorkerPool.delta`), so merged counts equal a serial run's no matter
-how submissions land on workers.  A decision that aborts (an unresponsive
-target, an oracle error) is an ``"ok"`` record carrying the abort; the
-parent's oracle raises it at *commit* time, so a speculative abort that
-never commits cannot kill a reduction.
+how submissions land on workers.  Under a fault policy, a decision that
+aborts (an unresponsive target, an oracle error) is an ``"ok"`` record
+carrying the abort; the parent's oracle raises it at *commit* time, so a
+speculative abort that never commits cannot kill a reduction.  A
+policy-less oracle's probe error is an ``"error"`` reply, which the
+reduction re-raises.
 
 **Worker death.**  A worker that dies hard (``SIGKILL``, the OOM killer,
 ``os._exit``, a reply that would not pickle) loses only its own
@@ -93,30 +95,25 @@ class _SeedRunner:
 
 
 class _ProbeRunner:
-    """One probe spec's runner: either a plain boolean/verdict test or a
-    full flake-hardened decision pipeline; items are index tuples."""
+    """One probe spec's runner: a flake-hardened oracle that decides each
+    item, an index tuple into *items*."""
 
     def __init__(
         self,
         items: Sequence,
+        oracle: Any,
         *,
-        probe: Callable | None = None,
-        oracle: Any = None,
         replayer: Any = None,
         harness: Any = None,
     ) -> None:
         self.items = list(items)
-        self.probe = probe
         self.oracle = oracle
         self.replayer = replayer
         self.harness = harness  # kept alive: it owns supervised workers
         self._shipped: dict[str, int] = {}
 
     def run(self, indices: tuple[int, ...]) -> Any:
-        candidate = [self.items[i] for i in indices]
-        if self.oracle is not None:
-            return self.oracle.decide(candidate)
-        return bool(self.probe(candidate))
+        return self.oracle.decide([self.items[i] for i in indices])
 
     def drain(self) -> dict | None:
         if self.replayer is None:
@@ -138,30 +135,20 @@ def _build_runner(spec: Any) -> Any:
 
 @dataclass(frozen=True)
 class CallableProbeSpec:
-    """Ship an in-memory oracle to workers (fork-inherited or pickled).
-
-    With ``decide=True`` the worker wraps *test* (then a
-    :data:`~repro.robustness.reduction.VerdictTest`) in a fresh
-    :class:`~repro.robustness.reduction.FlakeHardenedOracle` and returns
-    full decision records; otherwise *test* is a plain boolean
-    interestingness test.
+    """Ship an in-memory verdict test to workers (fork-inherited or
+    pickled): each worker wraps *test* (a :data:`~repro.robustness.
+    reduction.VerdictTest`) in a fresh :class:`~repro.robustness.reduction.
+    FlakeHardenedOracle` under *policy* and returns its decision records.
     """
 
     test: Callable
     items: tuple
-    decide: bool = False
-    policy: Any = None  #: ReductionPolicy (decide mode only)
+    policy: Any = None  #: ReductionPolicy; None = the trusting oracle
 
     def build(self) -> _ProbeRunner:
-        if self.decide:
-            from repro.robustness.config import ReductionPolicy
-            from repro.robustness.reduction import FlakeHardenedOracle
+        from repro.robustness.reduction import FlakeHardenedOracle
 
-            oracle = FlakeHardenedOracle(
-                self.test, self.policy or ReductionPolicy()
-            )
-            return _ProbeRunner(self.items, oracle=oracle)
-        return _ProbeRunner(self.items, probe=self.test)
+        return _ProbeRunner(self.items, FlakeHardenedOracle(self.test, self.policy))
 
 
 @dataclass(frozen=True)
@@ -183,8 +170,7 @@ class FindingProbeSpec:
     kind: str
     optimized_flow: bool
     robustness: Any = None  #: RobustnessConfig (picklable dataclass)
-    decide: bool = False  #: run the FlakeHardenedOracle pipeline in-worker
-    policy: Any = None  #: ReductionPolicy (decide mode only)
+    policy: Any = None  #: ReductionPolicy; None = the trusting oracle
     probe_delay: float | None = None  #: CLI --probe-delay, for journal tests
     probe_cache: bool = True  #: give each worker its own content-hash cache
 
@@ -194,6 +180,8 @@ class FindingProbeSpec:
         from repro.core.transformation import sequence_from_json
         from repro.corpus import reference_programs
         from repro.perf.replay_cache import CachedReplayer
+        from repro.robustness import find_supervised
+        from repro.robustness.reduction import FlakeHardenedOracle
 
         program = next(
             p for p in reference_programs() if p.name == self.program_name
@@ -222,22 +210,13 @@ class FindingProbeSpec:
             inputs=dict(program.inputs),
         )
         replayer = CachedReplayer(finding.original, finding.inputs)
-        if self.decide:
-            from repro.robustness import find_supervised
-            from repro.robustness.config import ReductionPolicy
-            from repro.robustness.reduction import FlakeHardenedOracle
-
-            oracle = FlakeHardenedOracle(
-                harness.make_probe_test(finding, replayer=replayer),
-                self.policy or ReductionPolicy(),
-                supervised_target=find_supervised(harness.targets[0]),
-                replay_stats=replayer.stats,
-            )
-            return _ProbeRunner(
-                items, oracle=oracle, replayer=replayer, harness=harness
-            )
-        probe = harness.make_interestingness_test(finding, replayer=replayer)
-        return _ProbeRunner(items, probe=probe, replayer=replayer, harness=harness)
+        oracle = FlakeHardenedOracle(
+            harness.make_probe_test(finding, replayer=replayer),
+            self.policy,
+            supervised_target=find_supervised(harness.targets[0]),
+            replay_stats=replayer.stats,
+        )
+        return _ProbeRunner(items, oracle, replayer=replayer, harness=harness)
 
 
 class _Runners:

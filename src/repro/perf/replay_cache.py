@@ -9,11 +9,11 @@ Context` state at fixed chunk boundaries while replaying, and seeds later
 replays from the longest snapshot whose prefix matches the new candidate,
 so only the divergent suffix is re-applied.
 
-:class:`CachedInterestingness` layers verdict memoization on top: candidate
-subsequences are fingerprinted cheaply (by transformation object identity —
-the reducer only ever re-slices the same objects), and repeated candidates
-(common when the chunk size halves and earlier splits are retried) cost
-zero replays.
+Verdicts are memoized one level up, by the reduction's
+:class:`~repro.robustness.reduction.FlakeHardenedOracle`: a repeated
+candidate (common when the chunk size halves and earlier splits are
+retried) is answered from its memo at no replay.  The oracle counts its
+commits into this replayer's :class:`ReplayStats`.
 
 Soundness: replaying a prefix and then a suffix is, by Definition 2.5,
 exactly replaying the concatenation — transformation application is
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.context import Context
-from repro.core.reducer import InterestingnessTest
 from repro.core.transformation import Transformation, apply_sequence
 from repro.ir.module import Module
 
@@ -39,14 +38,13 @@ class ReplayStats:
     """Counters for one reduction run (all saving claims are derived from
     these, so benchmarks report measured — not estimated — work)."""
 
-    requests: int = 0  #: interestingness queries (memoized wrapper level)
-    memo_hits: int = 0  #: queries answered from the verdict memo (no replay)
+    requests: int = 0  #: decisions committed by the reduction's oracles
+    memo_hits: int = 0  #: commits answered from an oracle's memo (no replay)
     replays: int = 0  #: replays actually performed
     scratch_replays: int = 0  #: replays with no usable snapshot (full price)
     prefix_hits: int = 0  #: replays seeded from a cached prefix snapshot
     transformations_applied: int = 0  #: transformations actually (re)applied
     transformations_saved: int = 0  #: applications skipped thanks to snapshots
-    verdict_evictions: int = 0  #: memoized verdicts dropped by the LRU cap
 
     def to_json(self) -> dict:
         return {
@@ -57,7 +55,6 @@ class ReplayStats:
             "prefix_hits": self.prefix_hits,
             "transformations_applied": self.transformations_applied,
             "transformations_saved": self.transformations_saved,
-            "verdict_evictions": self.verdict_evictions,
         }
 
     def merge_json(self, delta: dict) -> None:
@@ -172,47 +169,3 @@ class CachedReplayer:
                 self._lengths[len(evicted)] = count
             else:
                 del self._lengths[len(evicted)]
-
-
-class CachedInterestingness:
-    """Memoizing wrapper around an interestingness test.
-
-    Verdicts are deterministic functions of the candidate subsequence, so a
-    repeated candidate is answered from the memo without any replay at all.
-    Call counts land in the shared :class:`ReplayStats` of the replayer so
-    one object tells the whole per-reduction story.
-
-    The memo is LRU-bounded (*max_verdicts*, generous by default: a 4096
-    entry memo outlives any realistic reduction's working set) so a very
-    long reduction cannot grow it without bound; evictions are counted in
-    ``ReplayStats.verdict_evictions``.  An evicted candidate that recurs is
-    simply re-tested — verdicts are pure, so behaviour is unchanged.
-    """
-
-    def __init__(
-        self,
-        replayer: CachedReplayer,
-        test: InterestingnessTest,
-        *,
-        max_verdicts: int = 4096,
-    ) -> None:
-        self._replayer = replayer
-        self._test = test
-        self._max_verdicts = max(1, max_verdicts)
-        self._verdicts: OrderedDict[tuple[int, ...], bool] = OrderedDict()
-
-    def __call__(self, candidate: Sequence[Transformation]) -> bool:
-        stats = self._replayer.stats
-        stats.requests += 1
-        key = self._replayer.fingerprint(candidate)
-        cached = self._verdicts.get(key)
-        if cached is not None:
-            stats.memo_hits += 1
-            self._verdicts.move_to_end(key)
-            return cached
-        verdict = self._test(candidate)
-        self._verdicts[key] = verdict
-        while len(self._verdicts) > self._max_verdicts:
-            self._verdicts.popitem(last=False)
-            stats.verdict_evictions += 1
-        return verdict

@@ -41,18 +41,21 @@ paper's reducer is ``PassPipeline(["ddmin"])``, the default
   the pipeline's positions map as its base; once a pass has *mutated* an
   element in place (payload shrinking) the map is void and later ddmin legs
   run inline — cheap, because they happen after the big first leg.
-* **Fault envelope + journal** — with a verdict test, every probe routes
-  through a per-pass :class:`~repro.robustness.reduction.FlakeHardenedOracle`
-  sharing one :class:`~repro.robustness.journal.ReductionJournal`; decisions
-  are keyed by ``sha1(pass_name + candidate_key)`` (:func:`pass_scoped_key`)
-  so passes never collide and a SIGKILL'd pipeline resumes byte-identically
-  mid-pass.  A pipeline-config record after the header pins the pass list
-  and budget; resuming with a different configuration raises ``ValueError``.
-  A ddmin-only pipeline has nothing to pin (ddmin ignores the budget) and
-  keeps the classic formats: no config record, unscoped keys with the
-  verify probe in the ddmin scope, no per-pass stats in the result — unless
-  the journal it resumes already holds a config record, whose format it
-  then keeps.
+* **One verdict route + journal** — every probe (a ddmin leg's, a greedy
+  pass's, a module pass's, the verify probe) decides through a per-pass
+  :class:`~repro.robustness.reduction.FlakeHardenedOracle` sharing one
+  :class:`~repro.robustness.journal.ReductionJournal`.  Without a policy the
+  oracles trust one probe per decision, probe errors propagate and the
+  result carries no ``stability`` or ``degraded``; with one they retry,
+  vote and degrade.  Decisions are keyed by ``sha1(pass_name +
+  candidate_key)`` (:func:`pass_scoped_key`) so passes never collide and a
+  SIGKILL'd pipeline resumes byte-identically mid-pass.  A pipeline-config
+  record after the header pins the pass list and budget; resuming with a
+  different configuration raises ``ValueError``.  A ddmin-only pipeline has
+  nothing to pin (ddmin ignores the budget) and keeps the classic formats:
+  no config record, unscoped keys with the verify probe in the ddmin scope,
+  no per-pass stats in the result — unless the journal it resumes already
+  holds a config record, whose format it then keeps.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from __future__ import annotations
 import hashlib
 import time
 from functools import partial
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Generator, Iterator, Protocol, Sequence
 from typing import runtime_checkable
 
@@ -106,8 +109,9 @@ class ReductionConfig:
     #: clamped to what remains of it.
     max_seconds: float | None = None
     #: A :class:`~repro.robustness.ReductionPolicy` — fault retries,
-    #: flake-hardened voting, degradation thresholds.  Setting one engages
-    #: the fault envelope (see :meth:`resolve`).
+    #: flake-hardened voting, degradation thresholds.  Setting one makes the
+    #: run fault-tolerant (see :meth:`resolve`); without one every decision
+    #: trusts a single probe and probe errors propagate.
     policy: Any = None
 
     def __post_init__(self) -> None:
@@ -132,10 +136,8 @@ class ReductionConfig:
         and a fault-tolerant run gets a policy.  A run is fault-tolerant when
         this config has a policy, the harness supervises its targets under
         *robustness* (whose backoff the default policy inherits), or the
-        call journals (*journaled*: a journal or ``resume``).  A plain run
-        has no policy; either way the budget stays ``max_seconds``."""
-        from dataclasses import replace
-
+        call journals (*journaled*: a journal or ``resume``).  Otherwise the
+        run has no policy; either way the budget stays ``max_seconds``."""
         from repro.perf.parallel import default_worker_count
 
         policy = self.policy
@@ -227,11 +229,12 @@ class PipelineResult(ReductionResult):
 class PipelineContext:
     """Everything a pipeline run probes through.
 
-    Exactly one of ``is_interesting`` (plain boolean oracle) or
-    ``verdict_test`` (a :class:`~repro.robustness.reduction.ProbeVerdict`
-    test routed through the fault envelope + journal) must be set.
-    ``config`` carries the run's fixed knobs (passes, workers, budget,
-    policy); the rest are the run's live objects.
+    ``verdict_test`` (candidate → :class:`~repro.robustness.reduction.
+    ProbeVerdict`) is what every probe decides by; a boolean
+    ``is_interesting`` test may be given in its place and is wrapped into
+    one.  ``config`` carries the run's fixed knobs (passes, workers, budget,
+    and the policy that makes the run fault-tolerant); the rest are the
+    run's live objects.
     ``module_probe`` maps the final sequence to ``(module, module_verdict)``
     for module-stage passes; without it they are skipped.
     """
@@ -385,8 +388,8 @@ class PassPipeline:
         resuming; returns the :class:`PipelineResult`.
 
         *ctx* is a :class:`PipelineContext`, or a bare callable treated as a
-        plain interestingness test.  Raises ``ValueError`` when the input is
-        genuinely non-interesting, exactly like the raw reducer.
+        boolean interestingness test.  Raises ``ValueError`` when the input
+        is genuinely non-interesting, exactly like the raw reducer.
         """
         return _Execution(self, _as_context(ctx), transformations).steps()
 
@@ -402,16 +405,25 @@ class PassPipeline:
 
 
 def _as_context(ctx) -> PipelineContext:
+    """*ctx* with the ``verdict_test`` every probe decides by: a bare
+    callable or an ``is_interesting`` test becomes it, once (the oracle
+    reads a boolean answer as a clean verdict)."""
     if callable(ctx):
         ctx = PipelineContext(is_interesting=ctx)
     if ctx is None or (ctx.is_interesting is None and ctx.verdict_test is None):
         raise ValueError("PipelineContext needs is_interesting or verdict_test")
+    if ctx.verdict_test is None:
+        ctx = replace(ctx, verdict_test=ctx.is_interesting, is_interesting=None)
     return ctx
+
 
 class _Execution:
     """Single-use state machine for one :meth:`PassPipeline.steps`."""
 
     def __init__(self, pipeline: PassPipeline, ctx: PipelineContext, transformations):
+        from repro.robustness.journal import ReductionJournal
+        from repro.robustness.reduction import OracleStability
+
         self.pipeline = pipeline
         self.ctx = ctx
         self.giveup = pipeline.giveup
@@ -419,7 +431,8 @@ class _Execution:
         self.sequence = list(transformations)
         self.current = list(transformations)
         self.positions: list[int] | None = list(range(len(self.sequence)))
-        self.fault = ctx.verdict_test is not None
+        #: ``None`` runs the trusting oracles (see :class:`ReductionConfig`).
+        self.policy = ctx.config.policy
         #: Pass-scoped journal keys and per-pass result stats, unless a
         #: ddmin-only pipeline keeps the classic formats (see
         #: :meth:`_prepare_journal`).
@@ -439,25 +452,18 @@ class _Execution:
         self.module_verdict: Callable | None = None
         #: Speculation accounting shared by every pool-backed ddmin leg.
         self.speculation = SpeculationStats()
-        self.journal = None
         self.decisions: dict[str, dict] = {}
-        self.policy = None
         self.oracles: dict[str, Any] = {}
-        #: Canonical-JSON memo shared by every pass scope's candidate keys.
+        #: Per-element memo shared by every pass scope's candidate keys.  It
+        #: holds each keyed element, so no element's id is reused in the run.
         self.key_memo: dict = {}
-        if self.fault:
-            from repro.robustness.config import ReductionPolicy
-            from repro.robustness.journal import ReductionJournal
-            from repro.robustness.reduction import OracleStability
-
-            #: One stability ledger shared by every per-pass oracle, so the
-            #: pipeline's stability is the sum of its passes' decisions.
-            self.stability = OracleStability()
-            self.policy = ctx.config.policy or ReductionPolicy()
-            journal = ctx.journal
-            if journal is not None and not isinstance(journal, ReductionJournal):
-                journal = ReductionJournal(journal)
-            self.journal = journal
+        #: One stability ledger shared by every per-pass oracle, so the
+        #: pipeline's stability is the sum of its passes' decisions.
+        self.stability = OracleStability()
+        journal = ctx.journal
+        if journal is not None and not isinstance(journal, ReductionJournal):
+            journal = ReductionJournal(journal)
+        self.journal = journal
 
     @property
     def stopped(self) -> bool:
@@ -519,8 +525,16 @@ class _Execution:
                 # Bound to plain values, not to ``self``: an oracle that
                 # referred back here would make a cycle, and the finding's
                 # replay snapshots would outlive the run until a full GC.
-                key_fn = partial(
-                    _candidate_key, scope if self.scoped else None, self.key_memo
+                # A policy-less, unjournaled run keys by element identity,
+                # as the replay cache does; a journaled key must mean the
+                # same in another process, and a fault-tolerant memo also
+                # answers content-equal candidates, which stability counts.
+                key_fn = (
+                    partial(_identity_key, self.key_memo)
+                    if self.policy is None and self.journal is None
+                    else partial(
+                        _candidate_key, scope if self.scoped else None, self.key_memo
+                    )
                 )
             oracle = FlakeHardenedOracle(
                 verdict_test or self.ctx.verdict_test,
@@ -541,52 +555,39 @@ class _Execution:
         return oracle
 
     def probe(self, reduction_pass: ReductionPass, candidate) -> bool:
-        """One budget-exempt probe: the raw verdict for *candidate*, through
-        the pass's oracle in fault mode or the plain test otherwise."""
+        """One budget-exempt probe: the verdict for *candidate*, through the
+        pass's oracle."""
         self.tests_total += 1
         if reduction_pass.stage == "module":
             return self._probe_module(reduction_pass, candidate)
-        if self.fault:
-            return bool(self.oracle_for(reduction_pass.name)(candidate))
-        return bool(self.ctx.is_interesting(candidate))
+        return bool(self.oracle_for(reduction_pass.name)(candidate))
 
     def _probe_module(self, reduction_pass: ReductionPass, module) -> bool:
         verdict_test = self.module_verdict
-        if self.fault:
-            def module_key(boxed, _scope=reduction_pass.name):
-                return pass_scoped_key(_scope, _module_content_key(boxed[0]))
 
-            def boxed_test(boxed):
-                return _as_probe_verdict(verdict_test(boxed[0]))
+        def module_key(boxed, _scope=reduction_pass.name):
+            return pass_scoped_key(_scope, _module_content_key(boxed[0]))
 
-            oracle = self.oracle_for(
-                reduction_pass.name, verdict_test=boxed_test, key_fn=module_key
-            )
-            # Module candidates are boxed in a one-element list so the
-            # oracle's Sequence bookkeeping (len, list) stays meaningful.
-            return bool(oracle([module]))
-        return bool(_as_probe_verdict(verdict_test(module)).interesting)
+        def boxed_test(boxed):
+            return verdict_test(boxed[0])
+
+        oracle = self.oracle_for(
+            reduction_pass.name, verdict_test=boxed_test, key_fn=module_key
+        )
+        # Module candidates are boxed in a one-element list so the oracle's
+        # Sequence bookkeeping (len, list) stays meaningful.
+        return bool(oracle([module]))
 
     def _verify(self) -> bool:
-        """The verify probe: ``False`` when a fault stops the run before it
-        starts; a genuinely non-interesting input raises ``ValueError``."""
-        ctx = self.ctx
-        if self.fault:
-            self._prepare_journal()
-            oracle = self.oracle_for("verify" if self.scoped else "ddmin")
-            stop = oracle.check_input(self.sequence)
-            if stop is not None:
-                self.degraded, self.detail = stop
-            return stop is None
-        if ctx.pool is not None and ctx.config.workers > 1:
-            from repro.perf.parallel_reduce import verify_in_pool
-
-            verified = verify_in_pool(ctx.pool, ctx.pool_key, self.positions)
-        else:
-            verified = ctx.is_interesting(self.sequence)
-        if not verified:
-            raise ValueError("the full transformation sequence is not interesting")
-        return True
+        """The verify probe: ``False`` when a fault stops a fault-tolerant
+        run before it starts; a genuinely non-interesting input raises
+        ``ValueError``."""
+        self._prepare_journal()
+        oracle = self.oracle_for("verify" if self.scoped else "ddmin")
+        stop = oracle.check_input(self.sequence)
+        if stop is not None:
+            self.degraded, self.detail = stop
+        return stop is None
 
     # -- the ddmin leg ---------------------------------------------------------------
 
@@ -596,7 +597,7 @@ class _Execution:
 
         ctx = self.ctx
         before_len = len(self.current)
-        oracle = self.oracle_for(run.name) if self.fault else None
+        oracle = self.oracle_for(run.name)
         workers = max(1, ctx.config.workers)
         items, positions, given = self.current, None, None
         if workers > 1 and ctx.pool is not None and self.positions is not None:
@@ -607,16 +608,12 @@ class _Execution:
             ctx.pool_key,
             workers if ctx.pool is None else 1,
             lambda: CallableProbeSpec(
-                test=ctx.is_interesting if oracle is None else ctx.verdict_test,
-                items=tuple(items),
-                decide=oracle is not None,
-                policy=self.policy,
+                test=ctx.verdict_test, items=tuple(items), policy=self.policy
             ),
         ) as pool:
             session = ReductionSession(
                 items,
-                test=ctx.is_interesting,
-                oracle=oracle,
+                oracle,
                 pool=pool,
                 key=ctx.pool_key,
                 positions=positions,
@@ -705,8 +702,8 @@ class _Execution:
             self.detail = abort.detail
         except ValueError:
             raise
-        except Exception as exc:  # noqa: BLE001 - a fault run degrades
-            if not self.fault:
+        except Exception as exc:  # noqa: BLE001 - a fault-tolerant run degrades
+            if self.policy is None:
                 raise
             self.degraded = f"oracle-error: {type(exc).__name__}"
             self.detail = str(exc)
@@ -745,7 +742,7 @@ class _Execution:
             ),
             cleaned_module=self.module,
         )
-        if self.fault:
+        if self.policy is not None:
             _apply_degradation(
                 result,
                 self.stability,
@@ -755,6 +752,16 @@ class _Execution:
                 self.ctx.metrics,
             )
         return result
+
+
+def _identity_key(pins: dict, candidate) -> tuple:
+    """A sequence candidate's memo key in a policy-less, unjournaled run:
+    its elements' identities, as the replay cache keys its prefixes.  Passes
+    replace elements rather than edit them, and *pins* holds every keyed
+    element."""
+    ids = tuple(map(id, candidate))
+    pins.update(zip(ids, candidate))
+    return ids
 
 
 def _candidate_key(scope: str | None, memo: dict, candidate) -> str:
@@ -773,14 +780,3 @@ def _module_content_key(module: Any) -> str:
     stale."""
     module.touch()
     return hashlib.sha1(repr(module.fingerprint()).encode("utf-8")).hexdigest()
-
-
-def _as_probe_verdict(verdict):
-    """Coerce a module verdict to a ProbeVerdict (test doubles return bools)."""
-    from repro.robustness.reduction import ProbeVerdict
-
-    if isinstance(verdict, ProbeVerdict):
-        return verdict
-    if isinstance(verdict, tuple):
-        return ProbeVerdict(*verdict)
-    return ProbeVerdict(bool(verdict))

@@ -1,4 +1,4 @@
-"""Fault-tolerant reduction: a supervised, flake-hardened, journaled envelope
+"""The reduction oracle: a supervised, flake-hardened, journaled envelope
 around the delta-debugging loop (beyond the paper; ReduKtor-style).
 
 The paper's "almost free" reduction (§3.4, Theorem 2.6) holds only while the
@@ -7,13 +7,16 @@ freezes the reducer, a hard crash loses every accepted chunk, and a flaky
 verdict silently breaks the 1-minimality guarantee — it can even *accept* a
 removal the bug does not survive, returning a "reduced" sequence that is not
 interesting at all.  This module gives the reducer the same fault envelope
-the campaign phase got in the robustness layer.  A
-:class:`~repro.reduce.PassPipeline` engages it when its
-:class:`~repro.reduce.PipelineContext` carries a ``verdict_test`` (the
-harness does so whenever it supervises its targets, the
-:class:`~repro.reduce.ReductionConfig` carries a policy, or the call
-journals); ``PassPipeline(["ddmin"])`` in fault mode is the classic
-fault-tolerant reduction:
+the campaign phase got in the robustness layer.
+
+Every probe of a :class:`~repro.reduce.PassPipeline` decides through one
+:class:`FlakeHardenedOracle`.  A run without a
+:class:`~repro.robustness.ReductionPolicy` uses the :data:`TRUSTING`
+constants — one probe per decision, no retries, no votes — and lets every
+probe error propagate: that is the paper's plain delta-debugging loop.  A
+run with a policy (the harness sets one whenever it supervises its targets,
+the :class:`~repro.reduce.ReductionConfig` carries one, or the call
+journals) is fault-tolerant:
 
 * **Supervised probes** — candidate probes route through the harness's
   :class:`~repro.robustness.supervisor.SupervisedTarget` (child process,
@@ -54,7 +57,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
 from repro.core.reducer import ReductionResult
 from repro.observability import as_tracer
@@ -78,8 +81,15 @@ class ProbeVerdict(NamedTuple):
     fault: str | None = None
 
 
-#: A verdict test maps a candidate subsequence to a :class:`ProbeVerdict`.
-VerdictTest = Callable[[Sequence], "ProbeVerdict"]
+#: A verdict test maps a candidate subsequence to a :class:`ProbeVerdict`
+#: (or to a boolean: a clean verdict, as a plain interestingness test gives).
+VerdictTest = Callable[[Sequence], "ProbeVerdict | bool"]
+
+#: What a policy-less oracle decides by: one probe per decision, as the raw
+#: reducer trusts its interestingness test.
+TRUSTING = ReductionPolicy(
+    fault_retries=0, accept_votes=1, reject_votes=1, unresponsive_after=None
+)
 
 
 class ReductionAborted(RuntimeError):
@@ -151,9 +161,11 @@ class FlakeHardenedOracle:
       sticky escalation and the fault streak — so a pool worker can decide
       on the parent's behalf.  An abort or an oracle error travels in the
       record and is raised at commit.
-    * :meth:`lookup` resolves a candidate without probing (a journaled
-      decision being resumed, or a settled memo).  It is read-only: a
-      speculative candidate may never commit.
+    * :attr:`key` maps a candidate to its journal/memo key; the engine
+      computes it once per candidate and hands it to both hooks below.
+    * :meth:`lookup` resolves a key without probing (a journaled decision
+      being resumed, or a settled memo).  It is read-only: a speculative
+      candidate may never commit.
     * :meth:`commit` folds one decision into the reduction in serial order:
       memo, stability accounting, fault metrics and events, and the journal
       append.
@@ -161,12 +173,17 @@ class FlakeHardenedOracle:
     Inline and pool-backed reductions fold every decision through the same
     :meth:`commit`, so stability and journal bytes match across worker
     counts.  Calling the oracle is lookup-or-decide, then commit.
+
+    Without a *policy* the oracle decides by the :data:`TRUSTING` constants
+    and is not :attr:`fault_tolerant`: an error in a probe or in the
+    journal propagates out of the call that hit it instead of becoming a
+    degradation.
     """
 
     def __init__(
         self,
         verdict_test: VerdictTest,
-        policy: ReductionPolicy,
+        policy: ReductionPolicy | None = None,
         *,
         journal: ReductionJournal | None = None,
         resume_records: dict[str, dict] | None = None,
@@ -174,15 +191,17 @@ class FlakeHardenedOracle:
         tracer: Any = None,
         metrics: Any = None,
         replay_stats: Any = None,
-        key_fn: Callable[[Sequence], str] | None = None,
+        key_fn: Callable[[Sequence], Hashable] | None = None,
     ) -> None:
         self.verdict_test = verdict_test
-        self.policy = policy
+        #: Does a failed decision degrade the reduction (``True``) or raise?
+        self.fault_tolerant = policy is not None
+        self.policy = policy = policy or TRUSTING
         self.journal = journal
         #: Candidate -> journal/memo key.  The pass pipeline injects a
         #: pass-scoped key function so decisions from different passes never
         #: collide in a shared journal.
-        self._key = key_fn or partial(ReductionJournal.candidate_key, memo={})
+        self.key = key_fn or partial(ReductionJournal.candidate_key, memo={})
         self._resume = dict(resume_records or {})
         self._target = supervised_target
         self.tracer = as_tracer(tracer)
@@ -199,7 +218,7 @@ class FlakeHardenedOracle:
             if policy.retry_jitter_seed is not None
             else None
         )
-        self._memo: dict[str, bool] = {}
+        self._memo: dict[Hashable, bool] = {}
         self._escalated = False
         self._fault_streak = 0
         #: Wall-clock deadline (monotonic); supervised probe timeouts are
@@ -230,24 +249,28 @@ class FlakeHardenedOracle:
             if self.verify(sequence):
                 return None
         except Exception as exc:  # noqa: BLE001 - e.g. a failing journal write
+            if not self.fault_tolerant:
+                raise
             return degradation(exc)
-        if self.last_verdict_faulted:
+        if self.last_verdict_faulted and self.fault_tolerant:
             return "verify-faulted", ""
         raise ValueError("the full transformation sequence is not interesting")
 
     def _settle(self, candidate: Sequence, mode: str) -> bool:
-        hit = self.lookup(candidate)
+        key = self.key(candidate)
+        hit = self.lookup(key)
         if hit is None:
-            return self.commit(candidate, self.decide(candidate, mode=mode))
-        return self.commit(candidate, hit[1], hit[2])
+            record, source = self.decide(candidate, mode=mode), "probe"
+        else:
+            _, record, source = hit
+        return self.commit(key, len(candidate), record, source)
 
     # -- the engine's commit hook --------------------------------------------------
 
-    def lookup(self, candidate: Sequence) -> tuple[bool, dict | None, str] | None:
-        """``(verdict, record, source)`` for a candidate decided without
-        probing — a resumed journal record or a settled memo — else
-        ``None``.  Read-only."""
-        key = self._key(candidate)
+    def lookup(self, key: Hashable) -> tuple[bool, dict | None, str] | None:
+        """``(verdict, record, source)`` for the candidate *key* names when
+        it is decided without probing — a resumed journal record or a
+        settled memo — else ``None``.  Read-only."""
         record = self._resume.get(key)
         if record is not None:
             return bool(record["verdict"]), record, "journal"
@@ -256,10 +279,11 @@ class FlakeHardenedOracle:
         return None
 
     def commit(
-        self, candidate: Sequence, record: dict | None, source: str = "probe"
+        self, key: Hashable, length: int, record: dict | None, source: str = "probe"
     ) -> bool:
-        """Fold one decision into the reduction, in serial order, and return
-        the final verdict.
+        """Fold one decision for the candidate *key* names (of *length*
+        elements) into the reduction, in serial order, and return the final
+        verdict.
 
         The memo wins first: duplicate-content candidates can be in flight
         at once (a repeated ddmin pass regenerates them) and only the first
@@ -270,21 +294,20 @@ class FlakeHardenedOracle:
         """
         if self._stats is not None:
             self._stats.requests += 1
-        key = self._key(candidate)
         self.last_verdict_faulted = False
         if key in self._memo:
             if self._stats is not None:
                 self._stats.memo_hits += 1
             return self._memo[key]
         replayed = source == "journal"
-        self._fold(record, len(candidate), replayed=replayed)
+        self._fold(record, length, replayed=replayed)
         if "aborted" in record:
             raise ReductionAborted(*record["aborted"])
         if replayed:
             self._resume.pop(key, None)
         else:
             record["key"] = key
-            record["n"] = len(candidate)
+            record["n"] = length
             if self.journal is not None:
                 self.journal.append(record)
         verdict = self._memo[key] = bool(record["verdict"])
@@ -294,7 +317,8 @@ class FlakeHardenedOracle:
 
     def decide(self, candidate: Sequence, *, mode: str = "candidate") -> dict:
         """Probe *candidate* to a decision record (``mode="verify"`` for the
-        input-verification majority)."""
+        input-verification majority).  A probe error travels in the record
+        when the oracle is fault-tolerant and propagates otherwise."""
         record = {
             "v": 1,
             "verdict": False,
@@ -318,6 +342,8 @@ class FlakeHardenedOracle:
                 if verdict or (verdict is not None and self._escalated):
                     verdict = self._vote(candidate, record, verdict)
         except Exception as exc:  # noqa: BLE001 - raised at commit, in order
+            if not self.fault_tolerant:
+                raise
             record["aborted"] = list(degradation(exc))
             return record
         record["faulted"] = verdict is None
@@ -390,7 +416,7 @@ class FlakeHardenedOracle:
             if attempt:
                 record["fault_retries"] += 1
             self._clamp_probe_timeout()
-            verdict = self.verdict_test(candidate)
+            verdict = _as_probe_verdict(self.verdict_test(candidate))
             record["probes"] += 1
             if escalation:
                 record["escalations"] += 1
@@ -450,6 +476,14 @@ class FlakeHardenedOracle:
             return
         remaining = self.deadline - time.monotonic()
         self._target.set_timeout_override(max(0.001, remaining))
+
+
+def _as_probe_verdict(verdict: Any) -> ProbeVerdict:
+    """A verdict test's answer as a :class:`ProbeVerdict`: any other value
+    is a clean verdict by its truth, as a plain interestingness test's."""
+    if isinstance(verdict, ProbeVerdict):
+        return verdict
+    return ProbeVerdict(bool(verdict))
 
 
 def _apply_degradation(

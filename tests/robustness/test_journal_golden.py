@@ -230,9 +230,7 @@ class TestPipelineClassicParity:
         classic = fault_reduce(items, oracle, POLICY, workers=workers)
         pool = None
         if workers > 1:
-            spec = CallableProbeSpec(
-                test=oracle, items=tuple(items), decide=True, policy=POLICY
-            )
+            spec = CallableProbeSpec(test=oracle, items=tuple(items), policy=POLICY)
             pool = WorkerPool({"reduction": spec}, workers)
         try:
             piped = PassPipeline(["ddmin"]).run(
