@@ -242,7 +242,8 @@ def reduce_main(argv: list[str] | None = None) -> int:
         stats = reduction.replay_stats
         print(
             f"replay cache: {stats.replays} replays "
-            f"({stats.memo_hits} memo hits, {stats.prefix_hits} prefix hits, "
+            f"({stats.memo_hits} memo hits, {stats.digest_answers} digest "
+            f"answers, {stats.prefix_hits} prefix hits, "
             f"{stats.transformations_saved} transformation applications saved)"
         )
     if harness.probe_cache is not None:

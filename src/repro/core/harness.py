@@ -668,20 +668,56 @@ class Harness:
         :class:`~repro.robustness.FlakeHardenedOracle` memoizes final
         *decisions* by candidate content instead, and counts its commits into
         the replayer's :class:`~repro.perf.replay_cache.ReplayStats`.
+
+        With a *replayer* and the probe cache, a candidate some earlier probe
+        on this harness already replayed (another finding of the same
+        variant, another pass of the pipeline) is not replayed again: the
+        probe cache's replay memo gives its content digest, and the cache
+        replays it only when a miss must read the module.  An
+        optimized-flow probe replays every candidate, since the optimizer
+        reads the module.
         """
         target = next(t for t in self.targets if t.name == finding.target_name)
         reference = target.run(finding.original, finding.inputs)
+        cache = self.probe_cache
+        if replayer is None or cache is None or finding.optimized_flow:
 
-        def probe_test(candidate: Sequence[Transformation]) -> "ProbeVerdict":
-            if replayer is not None:
+            def probe_test(candidate: Sequence[Transformation]) -> "ProbeVerdict":
+                if replayer is not None:
+                    ctx = replayer.replay(candidate)
+                else:
+                    ctx = replay(finding.original, finding.inputs, candidate)
+                # ctx.inputs reflects any input-extending transformations
+                # that survived into the candidate.
+                return self._verdict(
+                    finding, target, reference, ctx.module, ctx.inputs
+                )
+
+            return probe_test
+
+        def digest_probe_test(
+            candidate: Sequence[Transformation],
+        ) -> "ProbeVerdict":
+            key, known = cache.replayed(finding.original, finding.inputs, candidate)
+            if known is None:
                 ctx = replayer.replay(candidate)
-            else:
-                ctx = replay(finding.original, finding.inputs, candidate)
-            # ctx.inputs reflects any input-extending transformations that
-            # survived into the candidate.
-            return self._verdict(finding, target, reference, ctx.module, ctx.inputs)
+                digest, inputs = ctx.module.content_digest(), ctx.inputs
+                cache.remember_replay(key, finding.original, candidate, digest, inputs)
+                outcome = target.run(lambda: ctx.module, inputs, digest=digest)
+                return self._classify(finding, reference, outcome)
+            replayed = []
 
-        return probe_test
+            def build() -> Module:
+                replayed.append(True)
+                return replayer.replay(candidate).module
+
+            digest, inputs = known
+            outcome = target.run(build, inputs, digest=digest)
+            if not replayed:
+                replayer.stats.digest_answers += 1
+            return self._classify(finding, reference, outcome)
+
+        return digest_probe_test
 
     def _verdict(
         self,
@@ -701,11 +737,18 @@ class Harness:
         ``timeout`` bug) still classifies normally: there the fault *is* the
         signal.
         """
-        from repro.robustness import ProbeVerdict
-
         if finding.optimized_flow:
             module = self._optimize(module)
-        outcome = target.run(module, inputs)
+        return self._classify(finding, reference, target.run(module, inputs))
+
+    @staticmethod
+    def _classify(
+        finding: Finding, reference: TargetOutcome, outcome: TargetOutcome
+    ) -> "ProbeVerdict":
+        """The verdict of a probe of *finding* that answered *outcome* (see
+        :meth:`_verdict`)."""
+        from repro.robustness import ProbeVerdict
+
         if outcome.kind in FAULT_KINDS:
             if finding.kind != _FAULT_CLASSIFICATION[outcome.kind][0]:
                 return ProbeVerdict(False, fault=outcome.kind.value)

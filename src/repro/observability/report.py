@@ -248,7 +248,8 @@ def summarize(records: Iterable[dict]) -> dict:
 def cache_hit_percent(cache: dict) -> float | None:
     """Share of committed reduction decisions (``requests``, counted by the
     reduction's oracles on every run) reached without a full-price
-    (from-scratch) replay: memo hits plus prefix-seeded replays."""
+    (from-scratch) replay: memo hits, digest answers and prefix-seeded
+    replays."""
     requests = cache.get("requests", 0)
     if not requests:
         return None
@@ -289,6 +290,7 @@ def render(summary: dict) -> str:
         ["reduction faults", summary["reduce_faults"]],
         ["reductions degraded", summary["reductions_degraded"]],
         ["replay-cache hit %", None],  # value filled in below
+        ["replay digest answers", summary["cache"].get("digest_answers", 0)],
         ["dedup runs", summary["dedup_runs"]],
         ["dedup reports", summary["dedup_reports"]],
     ]

@@ -7,7 +7,8 @@ same reference under different transformation prefixes, or the same variant
 with different chunks removed — so most of that work is recomputation.
 
 :class:`ProbeCache` memoizes along three axes, keyed by
-:meth:`repro.ir.module.Module.content_digest`:
+:meth:`repro.ir.module.Module.content_digest`, and keeps a fourth memo that
+gives a reduction candidate's digest without replaying it:
 
 * **full-probe outcomes** — ``(target identity, digest, inputs)`` →
   :class:`~repro.compilers.base.TargetOutcome`;
@@ -29,7 +30,19 @@ with different chunks removed — so most of that work is recomputation.
   answers for targets whose bug sets are not subset-ordered (the older
   ``F ⊆ S ⊆ R`` rule is the special case ``C = all of the pass's bugs``);
 * **execution/validation** — ``(digest, inputs, fuel)`` → result, shared
-  across *all* targets whose pipelines converge on the same optimized module.
+  across *all* targets whose pipelines converge on the same optimized module;
+* **replayed candidates** — ``(id(original), inputs, ids of the candidate's
+  transformations)`` → ``(digest, post-replay inputs)``.  The findings of
+  one fuzzed variant share their transformation objects, and so reduce over
+  largely the same candidate stream; the passes of one pipeline probe the
+  same candidates too.  A reduction probe that finds its candidate here
+  asks the other memos by digest (``ProbeCache.run(..., digest=)``) and hands
+  them a way to build the module, which is called only when a miss must
+  read it (a stage, validation or execution miss, or a ``verify_every``
+  re-check).  It is sound because replay is deterministic in (original,
+  inputs, candidate) by Definition 2.5 and digest equality already implies
+  outcome equality here; each entry pins the original and the candidate's
+  transformations, so no id its key holds is reused while it lives.
 
 Soundness rests on two properties of the pipeline: ``Target.compile`` runs
 passes over a private clone (so cached snapshots can't alias live state), and
@@ -38,12 +51,13 @@ passes over a private clone (so cached snapshots can't alias live state), and
 stage).  Fault outcomes (timeout/resource/worker-crash) are never cached —
 they describe the environment, not the module — so retry policies keep
 working.  ``verify_every=N`` re-runs every Nth hit uncached and compares;
-a mismatch evicts everything (poisoned-cache protection).
+a mismatch evicts everything (poisoned-cache protection).  A re-check that
+faults proves nothing about the entry, so it keeps the cached outcome.
 
-Lifetime: every memo is an LRU with a cap, and the owner clears the cache
-at the end of its natural unit of work.  A :class:`~repro.core.harness.
-Harness` clears the cache it built when a seed starts (a seed's variant is
-new content); the campaign service clears its finalize harness's cache once
+Lifetime: every memo (the replay memo too) is an LRU with a cap, and the
+owner clears the cache at the end of its natural unit of work.  A
+:class:`~repro.core.harness.Harness` clears the cache it built when a seed
+starts (a seed's variant is new content); the campaign service clears its finalize harness's cache once
 a campaign's reductions end; a loop of reductions keeps the harness-wide
 LRU, because successive reductions probe variants of the same reference
 programs.  :meth:`clear` keeps the stats.
@@ -60,10 +74,11 @@ recorded prefix instead, as it does for an evicted snapshot.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.compilers.base import (
     FAULT_KINDS,
@@ -89,6 +104,12 @@ MAX_OUTCOMES = 8192
 MAX_STAGES = 8192
 MAX_EXEC = 8192
 MAX_MODULES = 32
+#: LRU cap of the replay memo (replayed candidate -> digest and inputs).
+#: Each entry pins its candidate's transformations, so the cap also bounds
+#: what the memo keeps alive.  Repeats come from findings reduced close
+#: together: on the perfbench ``triage`` findings 256 entries answer 1,057
+#: probes without a replay, 8,192 entries 1,059.
+MAX_REPLAYS = 256
 
 
 @dataclass
@@ -130,6 +151,15 @@ def _freeze_inputs(inputs: dict | None) -> tuple:
     return tuple(sorted((k, _freeze_value(v)) for k, v in (inputs or {}).items()))
 
 
+def _source(module, digest: str | None) -> tuple[str, Callable[[], Module]]:
+    """The content digest of a probed *module* and a callable returning it:
+    *module* itself, or, when *digest* is given, the module that the
+    builder *module* makes on first use (see :meth:`ProbeCache.run`)."""
+    if digest is None:
+        return module.content_digest(), lambda: module
+    return digest, functools.cache(module)
+
+
 def _target_key(target: Target) -> tuple:
     return (
         target.name,
@@ -169,6 +199,10 @@ class ProbeCache:
         #: :meth:`fan_out`, and emptied when the outermost scope ends.
         self._modules: OrderedDict[str, Module] = OrderedDict()
         self._fan_out_depth = 0
+        #: replay memo: (id(original), frozen inputs, candidate ids) ->
+        #: (digest, post-replay inputs, original, candidate tuple); the last
+        #: two pin every object whose id the key holds.
+        self._replays: OrderedDict[tuple, tuple] = OrderedDict()
 
     def clear(self) -> None:
         """Evict everything (stats survive — they feed the report)."""
@@ -177,6 +211,7 @@ class ProbeCache:
         self._exec.clear()
         self._validate.clear()
         self._modules.clear()
+        self._replays.clear()
 
     @contextmanager
     def fan_out(self):
@@ -194,46 +229,60 @@ class ProbeCache:
 
     # -- full probes ---------------------------------------------------------------
 
-    def run(self, target: Target, module: Module, inputs: dict | None = None):
-        """Memoized, byte-identical equivalent of ``target.run(module, inputs)``."""
+    def run(
+        self,
+        target: Target,
+        module: Module | Callable[[], Module],
+        inputs: dict | None = None,
+        *,
+        digest: str | None = None,
+    ):
+        """Memoized, byte-identical equivalent of ``target.run(module, inputs)``.
+
+        With *digest* given, *module* is a zero-argument callable that builds
+        the module whose content digest is *digest*.  The cache calls it at
+        most once, and only when the probe must read the module: a stage,
+        validation or execution miss, or a ``verify_every`` re-check."""
         self.stats.probes += 1
-        digest = module.content_digest()
+        digest, source = _source(module, digest)
         inputs_key = _freeze_inputs(inputs)
         key = ("run", _target_key(target), digest, inputs_key)
         cached = self._outcomes.get(key)
         if cached is not None:
             self._outcomes.move_to_end(key)
             self.stats.outcome_hits += 1
-            verified = self._maybe_verify(target, module, inputs, cached)
-            if verified is not None:
-                return verified
-            return cached
+            return self._maybe_verify(target, source, inputs, cached)
         self.stats.outcome_misses += 1
-        outcome = self._staged_run(target, module, digest, inputs_key, inputs)
+        outcome = self._staged_run(target, source, digest, inputs_key, inputs)
         self._store(self._outcomes, key, outcome, MAX_OUTCOMES)
         return outcome
 
-    def _maybe_verify(self, target, module, inputs, cached):
-        """Every Nth hit, recompute uncached and compare (poison detector)."""
+    def _maybe_verify(self, target, source, inputs, cached):
+        """Every Nth hit, recompute uncached and compare (poison detector).
+        Returns the outcome the probe answers with.  A faulted re-check
+        describes the environment, not the cache, so it keeps *cached*."""
         if not self.verify_every:
-            return None
+            return cached
         if self.stats.outcome_hits % self.verify_every:
-            return None
-        fresh = target.run(module, inputs)
+            return cached
+        fresh = target.run(source(), inputs)
+        if fresh.kind in FAULT_KINDS:
+            return cached
         if fresh == cached:
             self.stats.verified += 1
-            return None
+            return cached
         self.stats.poisoned += 1
         self.clear()
         return fresh
 
     # -- staged pipeline -----------------------------------------------------------
 
-    def _staged_run(self, target, module, digest, inputs_key, inputs):
-        """Recompute ``target.run`` through the stage/exec memos."""
+    def _staged_run(self, target, source, digest, inputs_key, inputs):
+        """Recompute ``target.run`` through the stage/exec memos; *source*
+        builds the probed module on first use."""
         try:
             current, fired, work = self._staged_compile(
-                target.passes, target.enabled_bugs, module, digest
+                target.passes, target.enabled_bugs, source, digest
             )
         except CompilerCrash as crash:
             return TargetOutcome.crash(crash.message, crash.bug_id)
@@ -248,7 +297,7 @@ class ProbeCache:
                 materialized = self._materialize(
                     target.passes,
                     target.enabled_bugs,
-                    module,
+                    source,
                     digest,
                     len(target.passes),
                     current,
@@ -284,7 +333,7 @@ class ProbeCache:
             return TargetOutcome.ok(record[1], frozenset(fired))
         return TargetOutcome.crash(record[1], invalid_ir_bug(fired))
 
-    def _staged_compile(self, passes, enabled, module, digest):
+    def _staged_compile(self, passes, enabled, source, digest):
         """Run the pipeline through the stage memo.
 
         Returns ``(final_digest, fired_bugs, work_module_or_None)`` — the
@@ -311,7 +360,7 @@ class ProbeCache:
             self.stats.stage_misses += 1
             if work is None:
                 work = self._materialize(
-                    passes, enabled, module, digest, index, current
+                    passes, enabled, source, digest, index, current
                 )
             bugs = BugContext(enabled)
             bugs.current_pass = opt_pass.name
@@ -389,17 +438,18 @@ class ProbeCache:
         ]
         records.append(record)
 
-    def _materialize(self, passes, enabled, module, digest, index, current):
-        """Produce a live module whose digest is *current* (pre-pass *index*)."""
+    def _materialize(self, passes, enabled, source, digest, index, current):
+        """Produce a live module whose digest is *current* (pre-pass
+        *index*); *source* builds the module whose digest is *digest*."""
         if current == digest:
-            return module.clone()
+            return source().clone()
         snapshot = self._modules.get(current)
         if snapshot is not None:
             self._modules.move_to_end(current)
             return snapshot.clone()
         # Snapshot evicted: replay the recorded-ok prefix (cannot crash).
         self.stats.store_rebuilds += 1
-        work = module.clone()
+        work = source().clone()
         bugs = BugContext(enabled)
         for opt_pass in passes[:index]:
             bugs.current_pass = opt_pass.name
@@ -437,33 +487,44 @@ class ProbeCache:
             if ProbeCache._TOOL_PASSES is None:
                 ProbeCache._TOOL_PASSES = tool_pipeline()
             passes = ProbeCache._TOOL_PASSES
-        digest = module.content_digest()
+        digest, source = _source(module, None)
         # Bug-free pipeline: every stage key uses relevant == frozenset(),
         # sharing entries with bug-enabled targets' bug-free passes.
         current, _fired, work = self._staged_compile(
-            passes, frozenset(), module, digest
+            passes, frozenset(), source, digest
         )
         if work is not None:
             self.stats.optimize_misses += 1
             return work
         self.stats.optimize_hits += 1
-        return self._materialize(passes, frozenset(), module, digest, len(passes), current)
+        return self._materialize(
+            passes, frozenset(), source, digest, len(passes), current
+        )
 
     # -- generic-target memo -------------------------------------------------------
 
-    def memo_run(self, target: Any, module: Module, inputs: dict | None = None):
-        """Outcome-memo for targets we can't stage (supervised, doubles)."""
+    def memo_run(
+        self,
+        target: Any,
+        module: Module | Callable[[], Module],
+        inputs: dict | None = None,
+        *,
+        digest: str | None = None,
+    ):
+        """Outcome-memo for targets we can't stage (supervised, doubles).
+        *module* and *digest* are as in :meth:`run`; a builder is called
+        only on a miss or a re-check."""
         self.stats.probes += 1
-        key = self._memo_key(target, module, inputs)
+        digest, source = _source(module, digest)
+        # id(target) scopes the memo to this exact wrapper instance; generic
+        # targets have no stable structural identity we can trust.
+        key = ("memo", id(target), digest, _freeze_inputs(inputs))
         cached = self._outcomes.get(key)
         if cached is not None:
             self._outcomes.move_to_end(key)
             self.stats.outcome_hits += 1
-            verified = self._maybe_verify(target, module, inputs, cached)
-            if verified is not None:
-                return verified
-            return cached
-        outcome = target.run(module, inputs)
+            return self._maybe_verify(target, source, inputs, cached)
+        outcome = target.run(source(), inputs)
         self.stats.outcome_misses += 1
         if outcome.kind in FAULT_KINDS:
             self.stats.uncacheable += 1  # environment, not content: never cache
@@ -471,11 +532,38 @@ class ProbeCache:
             self._store(self._outcomes, key, outcome, MAX_OUTCOMES)
         return outcome
 
-    @staticmethod
-    def _memo_key(target, module, inputs) -> tuple:
-        # id(target) scopes the memo to this exact wrapper instance; generic
-        # targets have no stable structural identity we can trust.
-        return ("memo", id(target), module.content_digest(), _freeze_inputs(inputs))
+    # -- replayed candidates -------------------------------------------------------
+
+    def replayed(
+        self, original: Module, inputs: dict | None, candidate: Sequence
+    ) -> tuple[tuple, tuple | None]:
+        """The replay-memo key of *candidate* replayed from ``(original,
+        inputs)``, and the ``(digest, post-replay inputs)`` an earlier
+        replay of it produced (``None`` when the memo has none)."""
+        key = (id(original), _freeze_inputs(inputs), tuple(map(id, candidate)))
+        entry = self._replays.get(key)
+        if entry is None:
+            return key, None
+        self._replays.move_to_end(key)
+        return key, entry[:2]
+
+    def remember_replay(
+        self,
+        key: tuple,
+        original: Module,
+        candidate: Sequence,
+        digest: str,
+        inputs: dict,
+    ) -> None:
+        """Record what replaying *candidate* (keyed by :meth:`replayed`)
+        produced.  The entry pins *original* and the candidate's
+        transformations, so no id in its key is reused while it lives."""
+        self._store(
+            self._replays,
+            key,
+            (digest, inputs, original, tuple(candidate)),
+            MAX_REPLAYS,
+        )
 
 
 class CachingTarget(TargetWrapper):
@@ -493,10 +581,19 @@ class CachingTarget(TargetWrapper):
 
     # -- probes --------------------------------------------------------------------
 
-    def run(self, module: Module, inputs: dict | None = None):
+    def run(
+        self,
+        module: Module | Callable[[], Module],
+        inputs: dict | None = None,
+        *,
+        digest: str | None = None,
+    ):
+        """Probe through the cache.  With *digest*, *module* is a builder
+        of the module with that content digest, called only when the cache
+        must read the module (see :meth:`ProbeCache.run`)."""
         if self._staged:
-            return self.cache.run(self.target, module, inputs)
-        return self.cache.memo_run(self.target, module, inputs)
+            return self.cache.run(self.target, module, inputs, digest=digest)
+        return self.cache.memo_run(self.target, module, inputs, digest=digest)
 
 
 class CachedOptimizer:

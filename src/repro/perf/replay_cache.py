@@ -41,6 +41,9 @@ class ReplayStats:
     requests: int = 0  #: decisions committed by the reduction's oracles
     memo_hits: int = 0  #: commits answered from an oracle's memo (no replay)
     replays: int = 0  #: replays actually performed
+    #: probes the probe cache answered by the digest of an earlier replay
+    #: of the same candidate, with no replay
+    digest_answers: int = 0
     scratch_replays: int = 0  #: replays with no usable snapshot (full price)
     prefix_hits: int = 0  #: replays seeded from a cached prefix snapshot
     transformations_applied: int = 0  #: transformations actually (re)applied
@@ -51,6 +54,7 @@ class ReplayStats:
             "requests": self.requests,
             "memo_hits": self.memo_hits,
             "replays": self.replays,
+            "digest_answers": self.digest_answers,
             "scratch_replays": self.scratch_replays,
             "prefix_hits": self.prefix_hits,
             "transformations_applied": self.transformations_applied,

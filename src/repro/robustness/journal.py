@@ -165,7 +165,14 @@ def record_to_run(record: dict, references_by_name: dict) -> "SeedRun":
             (target, kind) for target, kind in record.get("faults", ())
         ),
     )
+    # A seed's findings share one variant: decode each distinct sequence
+    # once, so they share transformation objects as in-process findings do
+    # (identity-keyed replay work then carries across them).
+    decoded: dict[str, list] = {}
     for entry in record["findings"]:
+        encoded = json.dumps(entry["transformations"], sort_keys=True)
+        if encoded not in decoded:
+            decoded[encoded] = sequence_from_json(entry["transformations"])
         run.findings.append(
             Finding(
                 target_name=entry["target"],
@@ -174,7 +181,7 @@ def record_to_run(record: dict, references_by_name: dict) -> "SeedRun":
                 signature=entry["signature"],
                 kind=entry["kind"],
                 optimized_flow=entry["optimized_flow"],
-                transformations=sequence_from_json(entry["transformations"]),
+                transformations=list(decoded[encoded]),
                 original=program.module,
                 inputs=dict(entry["inputs"]),
                 ground_truth_bug=entry.get("ground_truth_bug"),

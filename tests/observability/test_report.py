@@ -71,6 +71,7 @@ EVENTS = [
             "requests": 25,
             "scratch_replays": 5,
             "memo_hits": 12,
+            "digest_answers": 3,
             "prefix_hits": 8,
         },
     },
@@ -97,6 +98,7 @@ reduction length             40 -> 3
 reduction faults             1
 reductions degraded          1
 replay-cache hit %           80.0
+replay digest answers        3
 dedup runs                   1
 dedup reports                2
 
@@ -161,6 +163,7 @@ class TestSummarize:
             "budget-exhausted": 1
         }
         assert summary["dedup_runs"] == 1 and summary["dedup_reports"] == 2
+        assert summary["cache"]["digest_answers"] == 3
 
     def test_journal_records_are_understood_too(self):
         journal = [
@@ -213,6 +216,20 @@ class TestRenderGolden:
         text = render(summarize(EVENTS + [legacy]))
         assert text == render(summarize(EVENTS + [end]))
         assert "probe cache:" in text and "batch" not in text
+
+    def test_digest_answers_sum_over_reductions(self):
+        """Each ``reduce.end`` carries its own ``digest_answers``; a trace
+        written before the counter existed reads as zero."""
+        end = next(e for e in EVENTS if e["ev"] == "reduce.end")
+        older = {**end, "cache": {k: v for k, v in end["cache"].items()
+                                  if k != "digest_answers"}}
+        assert "replay digest answers        3\n" in render(
+            summarize(EVENTS + [older])
+        )
+        assert "replay digest answers        6\n" in render(
+            summarize(EVENTS + [end])
+        )
+        assert summarize([older])["cache"].get("digest_answers", 0) == 0
 
 
 class TestReportMain:

@@ -174,7 +174,57 @@ class _FaultyTarget:
         return TargetOutcome.timeout(1.0)
 
 
+class _FaultsOnRecheckTarget:
+    """A target double that answers its first probe, then faults: a
+    supervised target whose worker dies, times out or runs out of memory
+    on the poison detector's re-check."""
+
+    name = "faults-on-recheck"
+    version = "1"
+    gpu_type = "test"
+    enabled_bugs = frozenset()
+
+    def __init__(self, fault):
+        self.fault = fault
+        self.calls = 0
+
+    def run(self, module, inputs=None):
+        self.calls += 1
+        if self.calls == 1:
+            return TargetOutcome.crash("the answer")
+        return self.fault
+
+
 class TestCacheSafety:
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            TargetOutcome.timeout(1.0),
+            TargetOutcome.resource(),
+            TargetOutcome.worker_crash("worker died"),
+        ],
+        ids=["timeout", "resource", "worker-crash"],
+    )
+    def test_a_faulted_recheck_keeps_the_cached_outcome(
+        self, straightline_module, fault
+    ):
+        """Faults describe the environment: a faulted re-check is no
+        evidence against the cached outcome, so nothing is evicted and the
+        probe answers from the cache."""
+        cache = ProbeCache(verify_every=1)
+        target = _FaultsOnRecheckTarget(fault)
+        wrapped = CachingTarget(target, cache)
+        assert wrapped.run(straightline_module, {}).crash_message == "the answer"
+        digest = straightline_module.content_digest()
+        for outcome in (
+            wrapped.run(straightline_module, {}),
+            wrapped.run(lambda: straightline_module, {}, digest=digest),
+        ):
+            assert outcome.crash_message == "the answer"
+        assert target.calls == 3  # both hits were re-checked
+        assert (cache.stats.poisoned, cache.stats.verified) == (0, 0)
+        assert len(cache._outcomes) == 1
+
     def test_poisoned_entry_is_detected_and_evicted(self, straightline_module):
         cache = ProbeCache(verify_every=1)
         target = _FlakyTarget()

@@ -41,6 +41,33 @@ def test_record_round_trips_through_json():
         assert (rebuilt.seed, rebuilt.program_name) == (run.seed, run.program_name)
 
 
+def _reduced(results) -> list:
+    return [(r.to_json(), [list(h) for h in r.history]) for r in results]
+
+
+def test_rebuilt_findings_of_one_record_share_transformations():
+    """A seed's findings share one variant's transformation objects in
+    process; rebuilt from a journal record they share them too, so
+    identity-keyed replay work carries across them, and reducing them is
+    byte-identical to reducing the in-process findings."""
+    harness = _harness()
+    references = {p.name: p for p in harness.references}
+    run = next(
+        run for run in map(harness.run_seed, SEEDS) if len(run.findings) > 1
+    )
+    record = json.loads(json.dumps(run_to_record(run)))
+    rebuilt = record_to_run(record, references).findings
+    first = rebuilt[0].transformations
+    for finding in rebuilt[1:]:
+        assert finding.transformations is not first  # each keeps its own list
+        assert len(finding.transformations) == len(first)
+        assert all(a is b for a, b in zip(finding.transformations, first))
+
+    results = _harness().reduce_all(rebuilt)
+    assert _reduced(results) == _reduced(_harness().reduce_all(run.findings))
+    assert sum(r.replay_stats.digest_answers for r in results) > 0
+
+
 def test_resume_from_partial_journal_matches_uninterrupted(tmp_path):
     full_journal = tmp_path / "full.jsonl"
     full = _harness().run_campaign(SEEDS, journal=full_journal)
