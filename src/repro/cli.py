@@ -97,7 +97,7 @@ def reduce_main(argv: list[str] | None = None) -> int:
         type=Path,
         default=None,
         help="record every candidate verdict to this JSONL file "
-        "(fsync per line); enables --resume",
+        "(flushed per line, fsync'd per pass); enables --resume",
     )
     parser.add_argument(
         "--resume",

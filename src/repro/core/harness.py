@@ -999,6 +999,7 @@ class Harness:
             config = replace(config, workers=1)  # an unshippable finding
         groups = [list(keyed)] if pool is not None else [[key] for key in keyed]
         results = []
+        legs: dict = {}
         try:
             for group in groups:
                 begun, legs, reduced = {}, {}, {}
@@ -1048,6 +1049,8 @@ class Harness:
                         )
                     )
         finally:
+            for steps, _ in legs.values():
+                steps.close()  # a leg that raised: release its journal now
             if pool is not None:
                 pool.close()
         return results

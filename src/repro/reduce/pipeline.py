@@ -49,13 +49,16 @@ paper's reducer is ``PassPipeline(["ddmin"])``, the default
   result carries no ``stability`` or ``degraded``; with one they retry,
   vote and degrade.  Decisions are keyed by ``sha1(pass_name +
   candidate_key)`` (:func:`pass_scoped_key`) so passes never collide and a
-  SIGKILL'd pipeline resumes byte-identically mid-pass.  A pipeline-config
-  record after the header pins the pass list and budget; resuming with a
-  different configuration raises ``ValueError``.  A ddmin-only pipeline has
-  nothing to pin (ddmin ignores the budget) and keeps the classic formats:
-  no config record, unscoped keys with the verify probe in the ddmin scope,
-  no per-pass stats in the result — unless the journal it resumes already
-  holds a config record, whose format it then keeps.
+  SIGKILL'd pipeline resumes byte-identically mid-pass.  The run holds the
+  journal open and fsyncs it once at each pass end and once at the run
+  end (a group commit: every decision reaches the OS as it is made).  A
+  pipeline-config record after the header pins the pass list and budget;
+  resuming with a different configuration raises ``ValueError``.  A
+  ddmin-only pipeline has nothing to pin (ddmin ignores the budget) and
+  keeps the classic formats: no config record, unscoped keys with the
+  verify probe in the ddmin scope, no per-pass stats in the result —
+  unless the journal it resumes already holds a config record, whose
+  format it then keeps.
 """
 
 from __future__ import annotations
@@ -402,6 +405,8 @@ class PassPipeline:
                 next(steps).run()
         except StopIteration as done:
             return done.value
+        finally:
+            steps.close()  # a leg that raised: release the run's journal now
 
 
 def _as_context(ctx) -> PipelineContext:
@@ -511,6 +516,23 @@ class _Execution:
                 f"({existing.get('pipeline')}, giveup={existing.get('giveup')}) — "
                 "resume with the same --reduce-passes/--giveup configuration"
             )
+
+    def _sync_journal(self) -> None:
+        """The group commit, at each pass end and at the run end: fsync the
+        decisions journaled since the last one.  A failed fsync stops a
+        fault-tolerant run as a failed decision write does
+        (``oracle-error: <type>``) and raises otherwise."""
+        from repro.robustness.reduction import degradation
+
+        if self.journal is None:
+            return
+        try:
+            self.journal.sync()
+        except Exception as exc:  # noqa: BLE001 - a fault-tolerant run degrades
+            if self.policy is None:
+                raise
+            if self.degraded is None:
+                self.degraded, self.detail = degradation(exc)
 
     def oracle_for(self, scope: str, verdict_test=None, key_fn=None):
         """One long-lived flake-hardened oracle per pass scope.  Long-lived
@@ -648,37 +670,40 @@ class _Execution:
     def steps(self) -> Generator[Any, None, PipelineResult]:
         self.tests_total = 1  # the verify probe
         try:
-            if not self._verify():
-                return self._finish()
-            sequence_passes = [
-                p for p in self.pipeline.passes if p.stage == "sequence"
-            ]
-            module_passes = [p for p in self.pipeline.passes if p.stage != "sequence"]
-            pending = {p.name for p in sequence_passes}
-            sweep = 0
-            while pending and not self.stopped:
-                sweep += 1
-                for reduction_pass in sequence_passes:
-                    if reduction_pass.name not in pending or self.stopped:
-                        continue
-                    pending.discard(reduction_pass.name)
-                    run = yield from self._invoke(reduction_pass, sweep)
-                    if run is not None and run.changed:
-                        pending.update(
-                            p.name
-                            for p in sequence_passes
-                            if p.name != reduction_pass.name
-                        )
-            if module_passes and not self.stopped and self.ctx.module_probe is not None:
-                self.module, self.module_verdict = self.ctx.module_probe(self.current)
-                for reduction_pass in module_passes:
-                    if self.stopped:
-                        break
-                    yield from self._invoke(reduction_pass, sweep)
+            if self._verify():
+                yield from self._schedule()
+            self._sync_journal()
         finally:
             if self.ctx.supervised_target is not None:
                 self.ctx.supervised_target.set_timeout_override(None)
+            if self.journal is not None:
+                self.journal.close()  # after a raise: its last fsync, too
         return self._finish()
+
+    def _schedule(self) -> Generator[Any, None, None]:
+        sequence_passes = [p for p in self.pipeline.passes if p.stage == "sequence"]
+        module_passes = [p for p in self.pipeline.passes if p.stage != "sequence"]
+        pending = {p.name for p in sequence_passes}
+        sweep = 0
+        while pending and not self.stopped:
+            sweep += 1
+            for reduction_pass in sequence_passes:
+                if reduction_pass.name not in pending or self.stopped:
+                    continue
+                pending.discard(reduction_pass.name)
+                run = yield from self._invoke(reduction_pass, sweep)
+                if run is not None and run.changed:
+                    pending.update(
+                        p.name
+                        for p in sequence_passes
+                        if p.name != reduction_pass.name
+                    )
+        if module_passes and not self.stopped and self.ctx.module_probe is not None:
+            self.module, self.module_verdict = self.ctx.module_probe(self.current)
+            for reduction_pass in module_passes:
+                if self.stopped:
+                    break
+                yield from self._invoke(reduction_pass, sweep)
 
     def _invoke(
         self, reduction_pass: ReductionPass, sweep: int
@@ -707,6 +732,7 @@ class _Execution:
                 raise
             self.degraded = f"oracle-error: {type(exc).__name__}"
             self.detail = str(exc)
+        self._sync_journal()
         self.tracer.emit(
             "reduce.pass",
             name=reduction_pass.name,

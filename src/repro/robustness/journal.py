@@ -6,7 +6,7 @@ through the :class:`~repro.robustness.chaos.FileOps` chaos seam.  Every
 line carries a mandatory CRC-32 (``crc``) over its canonical JSON, so a
 flipped byte that still parses is rejected, never merged (see
 :func:`seal_record` / :func:`parse_record`).  There is one torn-tail rule:
-an unterminated line is never a record, and the next append truncates it
+an unterminated line is never a record, and the next writer truncates it
 in place — so a journal resumed after a ``SIGKILL`` catches up
 byte-identically to an uninterrupted run's.
 
@@ -31,19 +31,24 @@ The views keep their own read policies:
   its verdict sequence, so a resumed reduction appends exactly the records
   the killed run never wrote and ends with a journal (and
   :class:`~repro.core.reducer.ReductionResult`) byte-identical to an
-  uninterrupted run's.
+  uninterrupted run's.  Its decisions are re-derivable, so a run holds one
+  handle and fsyncs them as a group once per pass: every record reaches
+  the OS before the next probe (a ``SIGKILL`` loses none), and an OS crash
+  loses at most the current pass's unsynced decisions, which resume
+  re-probes.  Every other journal fsyncs each record.
 * :class:`~repro.core.dedup_scale.DedupJournal` and the campaign service's
   ``meta.jsonl`` / ``result.json`` (:mod:`repro.service.store`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, Sequence
 
 from repro.robustness.chaos import REAL_FILEOPS, FileOps
 
@@ -56,6 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover
 JOURNAL_VERSION = 1
 REDUCTION_JOURNAL_VERSION = 1
 
+#: ``json.dumps(obj, sort_keys=True)``, without building an encoder per call.
+_canonical = json.JSONEncoder(sort_keys=True).encode
+
 
 def seal_record(record: dict) -> bytes:
     """One journal line for *record*: canonical JSON plus a ``crc`` field.
@@ -66,13 +74,28 @@ def seal_record(record: dict) -> bytes:
     parser; the checksum extends that to *interior* corruption — a flipped
     byte that still happens to parse (``"seed": 3`` -> ``"seed": 7``) now
     fails verification instead of silently resurfacing as a wrong record.
+
+    Each value is encoded once: the members sorting before and after
+    ``crc`` are encoded apart, joined for the checksum, and joined around
+    the ``crc`` member for the line — the bytes of ``json.dumps({**record,
+    "crc": crc}, sort_keys=True)``.
     """
-    sealed = {**record, "crc": _crc(record)}
-    return json.dumps(sealed, sort_keys=True).encode("utf-8") + b"\n"
+    head = {k: v for k, v in record.items() if k < "crc"}
+    tail = {k: v for k, v in record.items() if k > "crc"}
+    if len(head) + len(tail) != len(record):  # a "crc" member of its own
+        sealed = {**record, "crc": _crc(record)}
+        return _canonical(sealed).encode("utf-8") + b"\n"
+    # The members inside each part's braces ("" for no member).
+    before = _canonical(head)[1:-1]
+    after = _canonical(tail)[1:-1]
+    body = "{" + ", ".join(filter(None, (before, after))) + "}"
+    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+    members = ", ".join(filter(None, (before, f'"crc": {crc}', after)))
+    return ("{" + members + "}\n").encode("utf-8")
 
 
 def _crc(record: dict) -> int:
-    body = json.dumps(record, sort_keys=True)
+    body = _canonical(record)
     return zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
 
 
@@ -170,7 +193,7 @@ def record_to_run(record: dict, references_by_name: dict) -> "SeedRun":
     # (identity-keyed replay work then carries across them).
     decoded: dict[str, list] = {}
     for entry in record["findings"]:
-        encoded = json.dumps(entry["transformations"], sort_keys=True)
+        encoded = _canonical(entry["transformations"])
         if encoded not in decoded:
             decoded[encoded] = sequence_from_json(entry["transformations"])
         run.findings.append(
@@ -204,21 +227,72 @@ class Journal:
     ) -> None:
         self.path = Path(path)
         self.fileops = fileops if fileops is not None else REAL_FILEOPS
+        #: The append handle :meth:`start` holds for one run (``hold=True``).
+        self._handle: IO[bytes] | None = None
+        #: Has an append through it landed since the last :meth:`sync`?
+        self._unsynced = False
 
     def append(self, record: dict) -> None:
-        """Seal *record* and append it, fsync'd.  An unterminated tail (a
-        record torn by a mid-write kill) is truncated in place first; a
-        healthy file costs one read of its last byte."""
+        """Seal *record* and append it.
+
+        Through the handle :meth:`start` holds open (``hold=True``), the
+        line is flushed to the OS — a ``SIGKILL`` loses nothing — and made
+        durable by the next :meth:`sync`; a failed write gives the handle
+        up, so a later append reopens the file and repairs what it tore.
+        Without a held handle the file is opened, its unterminated tail (a
+        record torn by a mid-write kill) truncated in place, the line
+        appended and fsync'd; a healthy file costs one read of its last
+        byte."""
         line = seal_record(record)
         fileops = self.fileops
+        handle = self._handle
+        if handle is not None:
+            try:
+                fileops.write(handle, line)
+                handle.flush()
+            except BaseException:
+                self._handle = None
+                with contextlib.suppress(OSError):
+                    handle.close()
+                raise
+            self._unsynced = True
+            return
         with fileops.open(self.path, "a+b") as handle:
-            if handle.tell() > 0:
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    handle.seek(0)
-                    fileops.truncate(handle, handle.read().rfind(b"\n") + 1)
+            self._repair_tail(handle)
             fileops.write(handle, line)
             fileops.fsync(handle)
+
+    def _repair_tail(self, handle) -> None:
+        """Truncate an unterminated last line of the ``a+b`` *handle*'s file."""
+        if handle.tell() > 0:
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                handle.seek(0)
+                self.fileops.truncate(handle, handle.read().rfind(b"\n") + 1)
+
+    def sync(self) -> None:
+        """Fsync the held handle if an append has landed since the last
+        sync — the group commit of a run's records.  A failure propagates
+        and leaves the records unsynced, so the next sync tries again."""
+        if self._handle is not None and self._unsynced:
+            self.fileops.fsync(self._handle)
+            self._unsynced = False
+
+    def close(self) -> None:
+        """Sync and release the held handle (a no-op without one).  The
+        caller reports durability through :meth:`sync` first; here, after a
+        run that raised, a failing fsync must not mask the run's own error,
+        so it is dropped."""
+        handle = self._handle
+        if handle is None:
+            return
+        try:
+            with contextlib.suppress(OSError):
+                self.sync()
+        finally:
+            self._handle = None
+            with contextlib.suppress(OSError):
+                handle.close()
 
     def scan(self) -> list[tuple[dict | None, int]]:
         """``(record, end offset)`` per line, in file order; ``record`` is
@@ -239,7 +313,13 @@ class Journal:
         return entries
 
     def start(
-        self, header: dict, *, bind: str, resume: bool, mismatch: str
+        self,
+        header: dict,
+        *,
+        bind: str,
+        resume: bool,
+        mismatch: str,
+        hold: bool = False,
     ) -> list[tuple[dict | None, int]]:
         """Open a header-bound journal: the :meth:`scan` entries, header
         first, when resuming a file whose first line is a valid header; a
@@ -247,7 +327,14 @@ class Journal:
         Otherwise (fresh run, or no valid header) the file is reset to just
         *header* and ``[]`` is returned.  A header whose version ``v``
         differs from *header*'s is no valid header: its records may not
-        mean what this version's do."""
+        mean what this version's do.
+
+        With *hold*, the file stays open for the appends of one run until
+        :meth:`close`: a resumed file's torn tail is repaired here, once,
+        and the header and every record wait for :meth:`sync` to be
+        fsync'd.  Without it, the header is fsync'd and the file closed."""
+        self.close()
+        fileops = self.fileops
         if resume:
             entries = self.scan()
             first = entries[0][0] if entries else None
@@ -258,11 +345,28 @@ class Journal:
             ):
                 if first.get(bind) != header[bind]:
                     raise ValueError(mismatch)
+                if hold:
+                    handle = fileops.open(self.path, "a+b")
+                    try:
+                        self._repair_tail(handle)
+                    except BaseException:
+                        handle.close()
+                        raise
+                    self._handle, self._unsynced = handle, False
                 return entries
-        fileops = self.fileops
-        with fileops.open(self.path, "wb") as handle:
+        handle = fileops.open(self.path, "wb")
+        try:
             fileops.write(handle, seal_record(header))
-            fileops.fsync(handle)
+            if not hold:
+                fileops.fsync(handle)
+            handle.flush()
+        except BaseException:
+            handle.close()
+            raise
+        if hold:
+            self._handle, self._unsynced = handle, True
+        else:
+            handle.close()
         return []
 
     def truncate(self, offset: int) -> None:
@@ -371,7 +475,7 @@ class ReductionJournal(Journal):
                 if entry is None:
                     entry = memo[id(item)] = (
                         item,
-                        json.dumps(item.to_json(), sort_keys=True),
+                        _canonical(item.to_json()),
                     )
                 parts.append(entry[1])
         except (AttributeError, TypeError):
@@ -391,7 +495,11 @@ class ReductionJournal(Journal):
         """Open the journal for one reduction run (:meth:`Journal.start`)
         and return the resumed decisions keyed by candidate key.  Corrupt
         lines are skipped (their candidates are re-probed); a journal
-        written for a different initial sequence raises ``ValueError``."""
+        written for a different initial sequence raises ``ValueError``.
+
+        The file stays open for the run: each decision is flushed to the OS
+        as it is appended, and the run fsyncs them as a group (:meth:`sync`
+        at each pass end, :meth:`close` when it ends)."""
         header = {
             "v": REDUCTION_JOURNAL_VERSION,
             "header": True,
@@ -407,6 +515,7 @@ class ReductionJournal(Journal):
                 "transformation sequence — resume with the finding that "
                 "produced it"
             ),
+            hold=True,
         )
         records = [record for record, _end in entries if record is not None]
         self.config = next((r for r in records if "pipeline" in r), None)

@@ -38,8 +38,9 @@ journals) is fault-tolerant:
   through one ``commit``, and the accounting lands in
   ``ReductionResult.stability``.
 * **Journal + resume** — every decision is appended to a
-  :class:`~repro.robustness.journal.ReductionJournal` (fsync per line), so
-  a reduction killed mid-round resumes to a byte-identical result and
+  :class:`~repro.robustness.journal.ReductionJournal` and flushed to the
+  OS before the next probe (the pass pipeline fsyncs them once per pass),
+  so a reduction killed mid-round resumes to a byte-identical result and
   journal; composes with the perf layer's replay-prefix cache.
 * **Graceful degradation** — budget exhaustion (``"budget-exhausted"``), a
   verify probe lost to the fault budget (``"verify-faulted"``), a
@@ -309,6 +310,7 @@ class FlakeHardenedOracle:
             record["key"] = key
             record["n"] = length
             if self.journal is not None:
+                # Flushed, not fsync'd: the pipeline syncs once per pass.
                 self.journal.append(record)
         verdict = self._memo[key] = bool(record["verdict"])
         return verdict

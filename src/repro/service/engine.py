@@ -62,7 +62,11 @@ from repro.core.dedup_scale import (
 from repro.observability import as_tracer
 from repro.reduce import ReductionConfig
 from repro.robustness.breaker import CircuitBreaker
-from repro.robustness.journal import read_jsonl, record_to_run
+from repro.robustness.journal import (
+    ReductionJournal,
+    read_jsonl,
+    record_to_run,
+)
 from repro.service import state as st
 from repro.service.fleet import HarnessCache, WorkerFleet
 from repro.service.leases import LeaseTable, Watchdog
@@ -812,8 +816,11 @@ class CampaignService:
             # completes, with an fsync-per-decision journal: a SIGKILL
             # anywhere in this phase resumes (reductions *and* dedup
             # decisions replay from their journals) into byte-identical
-            # journals and an identical pick set.  Journal I/O failures
-            # propagate as OSError into the finalize-io-error degrade.
+            # journals and an identical pick set.  Both journals write
+            # through the store's FileOps.  Dedup journal I/O failures, and
+            # a reduction journal's failure to open, propagate as OSError
+            # into the finalize-io-error degrade; a failed reduction
+            # decision write or group fsync degrades that reduction.
             reduced_dedup = StreamingDedup(
                 tracer=self.tracer,
                 journal=DedupJournal(
@@ -840,8 +847,9 @@ class CampaignService:
                     result = harness.reduce_finding(
                         finding,
                         config,
-                        journal=self.store.reduce_journal_path(
-                            campaign_id, index
+                        journal=ReductionJournal(
+                            self.store.reduce_journal_path(campaign_id, index),
+                            fileops=self.store.fileops,
                         ),
                         resume=True,
                     )

@@ -164,28 +164,31 @@ def test_store_fsync_dir_regression_via_seam(tmp_path):
 
 def test_torn_tail_repair_truncate_goes_through_the_seam(tmp_path):
     """Torn-tail repair is a seam call like any other: an ``error`` fault on
-    the repair truncate of a torn reduction journal propagates as OSError,
-    and nothing is appended after the torn bytes."""
+    the repair truncate of a torn reduction journal — made once, when a run
+    prepares the journal — propagates as OSError, and nothing is appended
+    after the torn bytes."""
     path = tmp_path / "reduce.jsonl"
     journal = ReductionJournal(path)
     journal.prepare("seq-key", 4, resume=False)
     journal.append({"v": 1, "key": "k0", "n": 3, "verdict": True})
     journal.append({"v": 1, "key": "k1", "n": 2, "verdict": False})
+    journal.close()
     pristine = path.read_bytes()
     torn = pristine[:-7]  # a SIGKILL mid-write of k1's record
     path.write_bytes(torn)
 
     ops = ChaosFileOps([Fault(op="truncate", index=0, error=errno.EIO)])
     resumed = ReductionJournal(path, fileops=ops)
-    assert set(resumed.prepare("seq-key", 4, resume=True)) == {"k0"}
     with pytest.raises(OSError) as info:
-        resumed.append({"v": 1, "key": "k1", "n": 2, "verdict": False})
+        resumed.prepare("seq-key", 4, resume=True)
     assert info.value.errno == errno.EIO
     assert [f.op for f in ops.fired] == ["truncate"]
     assert path.read_bytes() == torn
 
-    # The fault is spent: the next append repairs the tail in place and
+    # The fault is spent: preparing again repairs the tail in place and
     # the journal catches up byte-identically.
+    assert set(resumed.prepare("seq-key", 4, resume=True)) == {"k0"}
     resumed.append({"v": 1, "key": "k1", "n": 2, "verdict": False})
+    resumed.close()
     assert ops.counts["truncate"] == 2
     assert path.read_bytes() == pristine
